@@ -18,7 +18,7 @@ use madpipe_model::{
 };
 use madpipe_obs::{Trace, PLANNER_PID};
 use madpipe_schedule::gantt;
-use madpipe_sim::{replay_pattern_with, simulate_eager, EagerConfig};
+use madpipe_sim::{replay_pattern, simulate_eager, EagerConfig};
 
 use crate::args::{parse, Args};
 
@@ -303,11 +303,10 @@ fn write_trace(
     // Build the schedule timeline first, while the tracer is still on,
     // so the replay behind it contributes its `sim.replay` span.
     let schedule = plan.map(|plan| {
-        madpipe_sim::schedule_trace_with(
+        madpipe_sim::schedule_trace(
             chain,
             platform,
             &plan.allocation,
-            &plan.policies,
             &plan.schedule.pattern,
             periods,
         )
@@ -423,15 +422,14 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
                 8.0 * plan.throughput(),
                 plan.phase1.period * 1e3
             );
-            for (i, s) in plan.allocation.stages().iter().enumerate() {
-                let policy = plan.policies.get(i).copied().unwrap_or_default();
-                let tag = if policy.is_default() {
+            for s in plan.allocation.stages() {
+                let tag = if s.policy.is_default() {
                     String::new()
                 } else {
                     format!(
                         "  [{}, {}]",
-                        policy.activation.as_str(),
-                        policy.weights.as_str()
+                        s.policy.activation.as_str(),
+                        s.policy.weights.as_str()
                     )
                 };
                 println!(
@@ -579,8 +577,7 @@ fn cmd_gantt(args: &Args) -> Result<(), String> {
     let platform = load_platform(args)?;
     let plan = madpipe_plan(&chain, &platform, &planner_config(args)?)
         .map_err(|e| format!("planning failed: {e}"))?;
-    let seq =
-        UnitSequence::from_allocation_with(&chain, &platform, &plan.allocation, &plan.policies);
+    let seq = UnitSequence::from_allocation(&chain, &platform, &plan.allocation);
     print!("{}", gantt::render(&seq, &plan.schedule.pattern, 100));
     Ok(())
 }
@@ -591,11 +588,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let batches = args.get_or("batches", 100usize)?;
     let plan = madpipe_plan(&chain, &platform, &planner_config(args)?)
         .map_err(|e| format!("planning failed: {e}"))?;
-    let replay = replay_pattern_with(
+    let replay = replay_pattern(
         &chain,
         &platform,
         &plan.allocation,
-        &plan.policies,
         &plan.schedule.pattern,
         batches,
     );
@@ -656,11 +652,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let out: PathBuf = args.raw("out").ok_or("trace requires --out FILE")?.into();
     let plan = madpipe_plan(&chain, &platform, &planner_config(args)?)
         .map_err(|e| format!("planning failed: {e}"))?;
-    let json = madpipe_sim::schedule_trace_with(
+    let json = madpipe_sim::schedule_trace(
         &chain,
         &platform,
         &plan.allocation,
-        &plan.policies,
         &plan.schedule.pattern,
         periods,
     )
@@ -732,11 +727,10 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     );
 
     if let Some(out) = args.raw("chrome-trace") {
-        let json = madpipe_sim::schedule_trace_with(
+        let json = madpipe_sim::schedule_trace(
             &chain,
             &platform,
             &plan.allocation,
-            &plan.policies,
             &plan.schedule.pattern,
             cfg.periods.min(12),
         )

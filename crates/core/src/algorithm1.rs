@@ -10,7 +10,7 @@
 //! reuses the *raw* DP value in `min(T_i, T̂_i)` — after line 6's
 //! overwrite the minimum would always equal `T̂_i`).
 
-use madpipe_model::{Allocation, Chain, Platform, StagePolicy};
+use madpipe_model::{Allocation, Chain, Platform};
 
 use crate::discrete::Discretization;
 use crate::dp::ProbeSession;
@@ -50,9 +50,6 @@ pub struct Probe {
     pub estimate: f64,
     /// The allocation (when feasible).
     pub allocation: Option<Allocation>,
-    /// Per-stage policies of `allocation` (same order as its stages;
-    /// empty iff `allocation` is `None`).
-    pub policies: Vec<StagePolicy>,
 }
 
 /// Outcome of the phase-1 search.
@@ -65,8 +62,6 @@ pub struct Algorithm1Outcome {
     pub t_hat: f64,
     /// The allocation produced at that target.
     pub allocation: Allocation,
-    /// Per-stage policies of `allocation` (same order as its stages).
-    pub policies: Vec<StagePolicy>,
     /// Every probe, in bisection order. Phase 2 schedules each distinct
     /// allocation and keeps the best *achieved* period — the special
     /// processor's deliberate `g−1` memory under-estimate (§4.2.1) makes
@@ -76,22 +71,22 @@ pub struct Algorithm1Outcome {
 }
 
 impl Algorithm1Outcome {
-    /// Distinct feasible `(allocation, policies)` candidates over all
-    /// probes, best estimate first (deduplicated on both — the same
-    /// allocation under different policies schedules differently).
-    pub fn candidate_allocations(&self) -> Vec<(&Allocation, &[StagePolicy])> {
+    /// Distinct feasible allocations over all probes, best estimate
+    /// first. Stage policies are part of an allocation's identity: the
+    /// same stages under different policies schedule differently, so
+    /// both are kept.
+    pub fn candidate_allocations(&self) -> Vec<&Allocation> {
         let mut order: Vec<&Probe> = self
             .probes
             .iter()
             .filter(|p| p.allocation.is_some())
             .collect();
         order.sort_by(|a, b| a.estimate.total_cmp(&b.estimate));
-        let mut seen: Vec<(&Allocation, &[StagePolicy])> = Vec::new();
+        let mut seen: Vec<&Allocation> = Vec::new();
         for p in order {
             let alloc = p.allocation.as_ref().expect("filtered");
-            let cand = (alloc, p.policies.as_slice());
-            if !seen.contains(&cand) {
-                seen.push(cand);
+            if !seen.contains(&alloc) {
+                seen.push(alloc);
             }
         }
         seen
@@ -145,7 +140,6 @@ pub fn madpipe_allocation_session(
             raw,
             estimate,
             allocation: out.allocation.clone(),
-            policies: out.policies.clone(),
         });
         if let Some(alloc) = out.allocation {
             let better = best.as_ref().is_none_or(|b| estimate < b.period);
@@ -154,7 +148,6 @@ pub fn madpipe_allocation_session(
                     period: estimate,
                     t_hat,
                     allocation: alloc,
-                    policies: out.policies,
                     probes: Vec::new(),
                 });
             }

@@ -25,10 +25,10 @@
 //! The CLI front end is `madpipe certify`; the bench grid records the
 //! verdict and jitter margin per cell.
 
-use madpipe_model::{Allocation, Chain, Platform, StagePolicy, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, UnitSequence};
 use madpipe_schedule::check::{check_pattern, PatternReport};
 use madpipe_schedule::Pattern;
-use madpipe_sim::{replay_pattern_with, replay_perturbed_with, FaultSpec, SimReport};
+use madpipe_sim::{replay_pattern, replay_perturbed, FaultSpec, SimReport};
 use madpipe_solver::exact_optimum;
 
 use crate::planner::MadPipePlan;
@@ -166,41 +166,27 @@ pub fn certify_plan(
     plan: &MadPipePlan,
     cfg: &CertifyConfig,
 ) -> Certificate {
-    certify_with(
+    certify(
         chain,
         platform,
         &plan.allocation,
-        &plan.policies,
         plan.period(),
         &plan.schedule.pattern,
         cfg,
     )
 }
 
-/// Certify an arbitrary `(allocation, period, pattern)` triple under
-/// all-default stage policies.
+/// Certify an arbitrary `(allocation, period, pattern)` triple. Each
+/// stage runs under its own policy from `alloc`: the analytic checker
+/// and both replays model recompute time and the policy-dependent
+/// memory. The exhaustive cross-check only runs when every stage has the
+/// default policy (the enumerator solves the paper's store-everything
+/// model; a recompute or 2BW plan legitimately beats it on memory-bound
+/// instances).
 pub fn certify(
     chain: &Chain,
     platform: &Platform,
     alloc: &Allocation,
-    period: f64,
-    pattern: &Pattern,
-    cfg: &CertifyConfig,
-) -> Certificate {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    certify_with(chain, platform, alloc, &policies, period, pattern, cfg)
-}
-
-/// Certify under explicit per-stage policies: the analytic checker and
-/// both replays model recompute time and the policy-dependent memory.
-/// The exhaustive cross-check only runs under all-default policies (the
-/// enumerator solves the paper's store-everything model; a recompute or
-/// 2BW plan legitimately beats it on memory-bound instances).
-pub fn certify_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
     period: f64,
     pattern: &Pattern,
     cfg: &CertifyConfig,
@@ -215,7 +201,7 @@ pub fn certify_with(
         failures: Vec::new(),
         seconds: 0.0,
     };
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let tol = cfg.period_rel_tol * period.max(1e-12);
 
     // 1. Analytic checker.
@@ -245,7 +231,7 @@ pub fn certify_with(
 
     // 2. Event replay, plus the fault executor at zero fault — both must
     // agree with the checker on period (tolerance) and peaks (exactly).
-    let replay = replay_pattern_with(chain, platform, alloc, policies, pattern, cfg.periods);
+    let replay = replay_pattern(chain, platform, alloc, pattern, cfg.periods);
     if (replay.period - analytic.period).abs() > tol {
         cert.failures.push(format!(
             "replayed period {} disagrees with the analytic period {}",
@@ -258,11 +244,10 @@ pub fn certify_with(
             replay.gpu_peak_bytes, analytic.gpu_peak_bytes
         ));
     }
-    let zero = replay_perturbed_with(
+    let zero = replay_perturbed(
         chain,
         platform,
         alloc,
-        policies,
         pattern,
         cfg.periods,
         &FaultSpec::zero(),
@@ -280,7 +265,7 @@ pub fn certify_with(
     // Only meaningful under the store-everything model the enumerator
     // solves: a recompute/2BW plan can legitimately exist (and win) where
     // the enumerator finds nothing.
-    let all_default = policies.iter().all(|p| p.is_default());
+    let all_default = alloc.stages().iter().all(|s| s.policy.is_default());
     if all_default && chain.len() <= cfg.exact_max_layers && platform.n_gpus <= cfg.exact_max_gpus {
         match exact_optimum(chain, platform) {
             Some(exact) => {
@@ -309,15 +294,7 @@ pub fn certify_with(
     if cert.failures.is_empty() {
         let target = analytic.period * (1.0 + cfg.headroom) + tol;
         let holds = |fault: &FaultSpec| -> bool {
-            let r = replay_perturbed_with(
-                chain,
-                platform,
-                alloc,
-                policies,
-                pattern,
-                cfg.periods,
-                fault,
-            );
+            let r = replay_perturbed(chain, platform, alloc, pattern, cfg.periods, fault);
             !r.memory_violation && r.period <= target
         };
         cert.jitter_margin = bisect_margin(cfg.jitter_cap, cfg.margin_iters, |x| {
@@ -588,8 +565,8 @@ mod tests {
             for start in 0..c.len() {
                 for end in start + 1..=c.len() {
                     for g in 1u64..=4 {
-                        let pol = c.stage_memory_with(start..end, g, tight);
-                        let def = c.stage_memory_with(start..end, g, StagePolicy::default());
+                        let pol = c.stage_memory(start..end, g, tight);
+                        let def = c.stage_memory(start..end, g, StagePolicy::default());
                         assert!(
                             pol <= def,
                             "stage {start}..{end} g={g}: policy {pol} > default {def}"

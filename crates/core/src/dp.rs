@@ -116,12 +116,10 @@ pub struct DpOutcome {
     /// constraints cannot be met at this `T̂`).
     pub period: f64,
     /// The reconstructed allocation: the special processor is GPU 0,
-    /// normal stages occupy GPUs `1..P`. `None` iff `period` is infinite.
+    /// normal stages occupy GPUs `1..P`. Each stage carries the policy
+    /// the DP chose for it (all-default under the default
+    /// [`PolicySpec`]). `None` iff `period` is infinite.
     pub allocation: Option<Allocation>,
-    /// Per-stage execution policies chosen for `allocation` (same order
-    /// as its stages). Empty iff `allocation` is `None`. Under the
-    /// default [`PolicySpec`] every entry is the default policy.
-    pub policies: Vec<StagePolicy>,
     /// Number of distinct memoized states (including states seeded from
     /// a parent session's slab on derived sessions).
     pub states: usize,
@@ -132,7 +130,6 @@ impl DpOutcome {
         Self {
             period: f64::INFINITY,
             allocation: None,
-            policies: Vec::new(),
             states: 0,
         }
     }
@@ -925,13 +922,10 @@ impl<'a> ProbeSession<'a> {
             branch_prunes: 0,
         };
         let period = dp.solve(self.chain.len(), p_normal, 0, 0, 0);
-        let (allocation, policies) = if period.is_finite() {
-            match dp.reconstruct(self.chain.len(), p_normal) {
-                Some((alloc, policies)) => (Some(alloc), policies),
-                None => (None, Vec::new()),
-            }
+        let allocation = if period.is_finite() {
+            dp.reconstruct(self.chain.len(), p_normal)
         } else {
-            (None, Vec::new())
+            None
         };
         let states = dp.memo.len();
         self.arena_hint
@@ -948,7 +942,6 @@ impl<'a> ProbeSession<'a> {
             outcome: DpOutcome {
                 period,
                 allocation,
-                policies,
                 states,
             },
         }
@@ -1356,12 +1349,11 @@ impl Dp<'_> {
         })
     }
 
-    /// Walk the memoized choices from the root and emit the allocation
-    /// plus the per-stage policies (same order as the stages).
-    fn reconstruct(&self, l0: usize, p0: usize) -> Option<(Allocation, Vec<StagePolicy>)> {
+    /// Walk the memoized choices from the root and emit the allocation,
+    /// each stage carrying the policy of its recompute bit.
+    fn reconstruct(&self, l0: usize, p0: usize) -> Option<Allocation> {
         let n_gpus = self.platform.n_gpus;
         let mut stages_rev: Vec<Stage> = Vec::new();
-        let mut policies_rev: Vec<StagePolicy> = Vec::new();
         let (mut l, mut p, mut it, mut im, mut iv) = (l0, p0, 0u16, 0u16, 0u16);
         let mut next_normal_gpu = n_gpus - 1; // count down; GPU 0 is special
         loop {
@@ -1380,8 +1372,8 @@ impl Dp<'_> {
                     stages_rev.push(Stage {
                         layers: k..l,
                         gpu: next_normal_gpu,
+                        policy: self.stage_policy(recompute),
                     });
-                    policies_rev.push(self.stage_policy(recompute));
                     next_normal_gpu = next_normal_gpu.saturating_sub(1);
                     let v_val = self.v_axis.value(iv);
                     let mut u = self.tables.u[row + k];
@@ -1400,8 +1392,8 @@ impl Dp<'_> {
                     stages_rev.push(Stage {
                         layers: k..l,
                         gpu: 0,
+                        policy: self.stage_policy(recompute),
                     });
-                    policies_rev.push(self.stage_policy(recompute));
                     let v_val = self.v_axis.value(iv);
                     let t_val = self.t_axis.value(it);
                     let m_val = self.m_axis.value(im);
@@ -1432,9 +1424,7 @@ impl Dp<'_> {
             }
         }
         stages_rev.reverse();
-        policies_rev.reverse();
-        let alloc = Allocation::new(stages_rev, l0, n_gpus).ok()?;
-        Some((alloc, policies_rev))
+        Allocation::new(stages_rev, l0, n_gpus).ok()
     }
 }
 
@@ -1803,8 +1793,7 @@ mod tests {
         let platform = Platform::new(4, 1 << 30, 1e9).unwrap();
         let out = madpipe_dp(&c, &platform, 4.0, &disc());
         let alloc = out.allocation.unwrap();
-        assert_eq!(out.policies.len(), alloc.stages().len());
-        assert!(out.policies.iter().all(|p| p.is_default()));
+        assert!(alloc.stages().iter().all(|s| s.policy.is_default()));
     }
 
     #[test]
@@ -1818,12 +1807,9 @@ mod tests {
             ProbeSource::Bisection,
         );
         let alloc = out.allocation.unwrap();
-        assert_eq!(out.policies.len(), alloc.stages().len());
-        assert!(out.policies.iter().all(|p| p.recomputes()));
-        assert!(out
-            .policies
-            .iter()
-            .all(|p| p.weights == madpipe_model::WeightPolicy::TwoBw));
+        assert!(alloc.stages().iter().all(
+            |s| s.policy.recomputes() && s.policy.weights == madpipe_model::WeightPolicy::TwoBw
+        ));
     }
 
     #[test]
@@ -1885,10 +1871,10 @@ mod tests {
             auto.period.is_finite(),
             "recompute should unlock the target"
         );
+        let alloc = auto.allocation.unwrap();
         assert!(
-            auto.policies.iter().any(|p| p.recomputes()),
-            "the unlocking plan must actually recompute somewhere: {:?}",
-            auto.policies
+            alloc.stages().iter().any(|s| s.policy.recomputes()),
+            "the unlocking plan must actually recompute somewhere: {alloc:?}"
         );
     }
 
@@ -1914,9 +1900,11 @@ mod tests {
         );
         assert!(two_bw.period.is_finite(), "2·W must fit");
         assert!(two_bw
-            .policies
+            .allocation
+            .unwrap()
+            .stages()
             .iter()
-            .all(|p| p.weights == madpipe_model::WeightPolicy::TwoBw));
+            .all(|s| s.policy.weights == madpipe_model::WeightPolicy::TwoBw));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use madpipe_model::{Allocation, Chain, Platform, PolicySpec, StagePolicy};
+use madpipe_model::{Allocation, Chain, Platform, PolicySpec};
 use madpipe_schedule::ScheduleError;
-use madpipe_solver::{best_period_with, PlaceConfig, SolvedSchedule};
+use madpipe_solver::{best_period, PlaceConfig, SolvedSchedule};
 
 use crate::algorithm1::{madpipe_allocation_session, Algorithm1Config, Algorithm1Outcome};
 use crate::dp::ProbeSession;
@@ -112,11 +112,10 @@ pub struct MadPipePlan {
     /// period (the dashed MadPipe line of Figure 6).
     pub phase1: Algorithm1Outcome,
     /// The allocation actually scheduled — the probe whose phase-2
-    /// schedule achieved the smallest valid period.
-    pub allocation: madpipe_model::Allocation,
-    /// Per-stage execution policies of `allocation` (same order as its
-    /// stages). All-default under the default [`PolicySpec`].
-    pub policies: Vec<StagePolicy>,
+    /// schedule achieved the smallest valid period. Its stages carry
+    /// their execution policies (all-default under the default
+    /// [`PolicySpec`]).
+    pub allocation: Allocation,
     /// The valid schedule found by phase 2 (the solid line).
     pub schedule: SolvedSchedule,
 }
@@ -196,21 +195,21 @@ fn validate(chain: &Chain, platform: &Platform) -> Result<(), PlanError> {
 fn schedule_batch(
     chain: &Chain,
     platform: &Platform,
-    candidates: &[(Allocation, Vec<StagePolicy>)],
+    candidates: &[Allocation],
     place: &PlaceConfig,
     threads: usize,
 ) -> Vec<Result<SolvedSchedule, ScheduleError>> {
-    let solve_one = |(alloc, policies): &(Allocation, Vec<StagePolicy>)| -> Result<SolvedSchedule, ScheduleError> {
+    let solve_one = |alloc: &Allocation| -> Result<SolvedSchedule, ScheduleError> {
         if alloc.is_contiguous() {
-            madpipe_schedule::best_contiguous_period_with(chain, platform, alloc, policies).map(
-                |b| SolvedSchedule {
+            madpipe_schedule::best_contiguous_period(chain, platform, alloc).map(|b| {
+                SolvedSchedule {
                     period: b.period,
                     pattern: b.pattern,
                     report: b.report,
-                },
-            )
+                }
+            })
         } else {
-            best_period_with(chain, platform, alloc, policies, place)
+            best_period(chain, platform, alloc, place)
         }
     };
 
@@ -422,46 +421,26 @@ fn plan_inner(
 
     // Candidates from both bisections, deduplicated up front (best
     // phase-1 estimate first, fallback after) so the parallel scheduler
-    // never solves the same (allocation, policies) pair twice.
-    let mut candidates: Vec<(Allocation, Vec<StagePolicy>)> = Vec::new();
-    let push_candidates = |candidates: &mut Vec<(Allocation, Vec<StagePolicy>)>,
-                           outcome: &Algorithm1Outcome| {
-        for (alloc, policies) in outcome.candidate_allocations() {
-            let pair = (alloc.clone(), policies.to_vec());
-            if !candidates.contains(&pair) {
-                candidates.push(pair);
-            }
-        }
-    };
-    push_candidates(&mut candidates, &phase1);
-    if let Some(f) = &fallback {
-        push_candidates(&mut candidates, f);
+    // never solves the same allocation twice.
+    let mut candidates: Vec<Allocation> = Vec::new();
+    for outcome in std::iter::once(&phase1).chain(&fallback) {
+        let allocs = outcome.candidate_allocations().into_iter().cloned();
+        push_new(&mut candidates, &[], allocs);
     }
 
     // Phase 2: schedule every candidate; fold in submission order with a
     // strict `<` so ties keep the earlier (better-estimate) candidate.
-    let mut best: Option<(Allocation, Vec<StagePolicy>, SolvedSchedule)> = None;
+    let mut best: Option<(Allocation, SolvedSchedule)> = None;
     let mut last_err: Option<ScheduleError> = None;
     let clock = madpipe_obs::timed("plan.phase2.schedule");
     let solved = schedule_batch(chain, platform, &candidates, &cfg.place, threads);
-    stats.schedules_attempted += candidates.len();
-    for ((alloc, policies), res) in candidates.iter().zip(solved) {
-        match res {
-            Ok(s) => {
-                stats.schedules_solved += 1;
-                if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
-                    best = Some((alloc.clone(), policies.clone(), s));
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
+    fold_best(&mut best, &mut last_err, stats, &candidates, solved);
     stats.schedule_seconds += clock.finish();
 
     // Refinement: probe extra targets between the load lower bound and
     // the best achieved period, selecting by achieved period. The grid
     // targets are independent, so they fan out in one parallel batch.
-    if let Some((_, _, s)) = &best {
+    if let Some((_, s)) = &best {
         let lb = chain.total_compute_time() / platform.n_gpus as f64;
         let hi = s.period * 1.02;
         if cfg.refine_probes > 0 && hi > lb {
@@ -484,44 +463,64 @@ fn plan_inner(
             );
             stats.refine_seconds = clock.finish();
 
-            let mut fresh: Vec<(Allocation, Vec<StagePolicy>)> = Vec::new();
-            for out in outcomes {
-                if let Some(alloc) = out.allocation {
-                    let pair = (alloc, out.policies);
-                    if !candidates.contains(&pair) && !fresh.contains(&pair) {
-                        fresh.push(pair);
-                    }
-                }
-            }
+            let mut fresh: Vec<Allocation> = Vec::new();
+            let allocs = outcomes.into_iter().filter_map(|out| out.allocation);
+            push_new(&mut fresh, &candidates, allocs);
             let clock = madpipe_obs::timed("plan.phase2.schedule");
             let solved = schedule_batch(chain, platform, &fresh, &cfg.place, threads);
-            stats.schedules_attempted += fresh.len();
-            for ((alloc, policies), res) in fresh.iter().zip(solved) {
-                match res {
-                    Ok(s) => {
-                        stats.schedules_solved += 1;
-                        if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
-                            best = Some((alloc.clone(), policies.clone(), s));
-                        }
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
+            fold_best(&mut best, &mut last_err, stats, &fresh, solved);
             stats.schedule_seconds += clock.finish();
         }
     }
 
     finalize(stats, session);
     match best {
-        Some((allocation, policies, schedule)) => Ok(MadPipePlan {
+        Some((allocation, schedule)) => Ok(MadPipePlan {
             phase1,
             allocation,
-            policies,
             schedule,
         }),
         None => Err(PlanError::Phase2(
             last_err.expect("candidate_allocations is non-empty when phase 1 succeeds"),
         )),
+    }
+}
+
+/// Append to `out` each allocation found neither in `known` nor in `out`
+/// itself, keeping first-seen order. Equality covers each stage's
+/// policy, so the same stages under two policies stay two candidates.
+fn push_new(
+    out: &mut Vec<Allocation>,
+    known: &[Allocation],
+    allocs: impl IntoIterator<Item = Allocation>,
+) {
+    for alloc in allocs {
+        if !known.contains(&alloc) && !out.contains(&alloc) {
+            out.push(alloc);
+        }
+    }
+}
+
+/// Fold one scheduled batch into the incumbent in submission order: a
+/// strict `<` keeps the earlier candidate on ties.
+fn fold_best(
+    best: &mut Option<(Allocation, SolvedSchedule)>,
+    last_err: &mut Option<ScheduleError>,
+    stats: &mut PlannerStats,
+    candidates: &[Allocation],
+    solved: Vec<Result<SolvedSchedule, ScheduleError>>,
+) {
+    stats.schedules_attempted += candidates.len();
+    for (alloc, res) in candidates.iter().zip(solved) {
+        match res {
+            Ok(s) => {
+                stats.schedules_solved += 1;
+                if best.as_ref().is_none_or(|(_, b)| s.period < b.period) {
+                    *best = Some((alloc.clone(), s));
+                }
+            }
+            Err(e) => *last_err = Some(e),
+        }
     }
 }
 
@@ -765,11 +764,8 @@ mod tests {
         let platform = Platform::new(2, 1 << 20, 1e6).unwrap();
 
         let default_plan = madpipe_plan(&c, &platform, &PlannerConfig::default()).unwrap();
-        assert_eq!(
-            default_plan.policies.len(),
-            default_plan.allocation.stages().len()
-        );
-        assert!(default_plan.policies.iter().all(|p| p.is_default()));
+        let stages = default_plan.allocation.stages();
+        assert!(stages.iter().all(|s| s.policy.is_default()));
 
         let cfg = PlannerConfig {
             policy: PolicySpec {
@@ -779,10 +775,10 @@ mod tests {
             ..PlannerConfig::default()
         };
         let plan = madpipe_plan(&c, &platform, &cfg).unwrap();
-        assert_eq!(plan.policies.len(), plan.allocation.stages().len());
-        assert!(plan.policies.iter().all(
-            |p| p.activation == ActivationPolicy::Recompute && p.weights == WeightPolicy::TwoBw
-        ));
+        assert!(plan.allocation.stages().iter().all(|s| {
+            s.policy.activation == ActivationPolicy::Recompute
+                && s.policy.weights == WeightPolicy::TwoBw
+        }));
     }
 
     /// Alternating activation sizes — big internal activations, tiny
@@ -824,9 +820,13 @@ mod tests {
             default_plan.period()
         );
         assert!(
-            auto_plan.policies.iter().any(|p| p.recomputes()),
+            auto_plan
+                .allocation
+                .stages()
+                .iter()
+                .any(|s| s.policy.recomputes()),
             "auto must actually use recompute on this instance: {:?}",
-            auto_plan.policies
+            auto_plan.allocation
         );
     }
 
@@ -854,9 +854,12 @@ mod tests {
         let plan = madpipe_plan(&c, &platform, &cfg).unwrap();
         assert!(plan.period().is_finite());
         assert!(
-            plan.policies.iter().any(|p| p.recomputes()),
+            plan.allocation
+                .stages()
+                .iter()
+                .any(|s| s.policy.recomputes()),
             "auto must actually use recompute on this instance: {:?}",
-            plan.policies
+            plan.allocation
         );
     }
 
@@ -867,5 +870,58 @@ mod tests {
         let err = madpipe_plan(&c, &platform, &PlannerConfig::default()).unwrap_err();
         assert!(matches!(err, PlanError::Infeasible(_)));
         assert!(err.to_string().contains("255"));
+    }
+
+    #[test]
+    fn policy_distinct_candidates_stay_distinct() {
+        use madpipe_model::{ActivationPolicy, Stage, StagePolicy};
+        // Same ranges, same GPUs, different policy on the last stage: the
+        // two schedule differently, so the dedup must keep both (and drop
+        // only the exact repeat).
+        let rec = StagePolicy {
+            activation: ActivationPolicy::Recompute,
+            ..StagePolicy::default()
+        };
+        let store = Allocation::new(vec![Stage::new(0..2, 0), Stage::new(2..4, 1)], 4, 2).unwrap();
+        let recompute = Allocation::new(
+            vec![
+                Stage::new(0..2, 0),
+                Stage {
+                    policy: rec,
+                    ..Stage::new(2..4, 1)
+                },
+            ],
+            4,
+            2,
+        )
+        .unwrap();
+        assert_eq!(store.partition(), recompute.partition());
+
+        let both = vec![store.clone(), recompute.clone()];
+        let mut candidates = Vec::new();
+        let repeated = [&store, &recompute, &store].into_iter().cloned();
+        push_new(&mut candidates, &[], repeated);
+        assert_eq!(candidates, both);
+        let mut fresh = Vec::new();
+        push_new(&mut fresh, &both[..1], both.clone());
+        assert_eq!(fresh, both[1..]);
+
+        let probe = |t_hat: f64, alloc: &Allocation| crate::algorithm1::Probe {
+            t_hat,
+            raw: t_hat,
+            estimate: t_hat,
+            allocation: Some(alloc.clone()),
+        };
+        let outcome = Algorithm1Outcome {
+            period: 1.0,
+            t_hat: 1.0,
+            allocation: store.clone(),
+            probes: vec![
+                probe(2.0, &recompute),
+                probe(1.0, &store),
+                probe(3.0, &store),
+            ],
+        };
+        assert_eq!(outcome.candidate_allocations(), vec![&store, &recompute]);
     }
 }

@@ -21,7 +21,7 @@ use std::ops::Range;
 use madpipe_core::{madpipe_dp_with, oplus, Discretization};
 use madpipe_dnn::{networks, GpuModel};
 use madpipe_model::util::ceil_div;
-use madpipe_model::{Chain, Layer, Platform};
+use madpipe_model::{Chain, Layer, Platform, StagePolicy};
 
 /// Mirror of `core::discrete::Axis` (not public API): `n` points
 /// uniformly covering `[0, max]`, round-up indexing with the relative
@@ -139,7 +139,7 @@ impl<'a> RefSolver<'a> {
             let v_next = oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat);
             let iv_next = self.v_axis.index_up(v_next);
 
-            if p >= 1 && self.chain.stage_memory(k..l, g) <= memory {
+            if p >= 1 && self.chain.stage_memory(k..l, g, StagePolicy::default()) <= memory {
                 let sub = self.solve(k, p - 1, it, im, iv_next);
                 let t_n = u.max(cut).max(sub);
                 if t_n < best {
@@ -150,7 +150,8 @@ impl<'a> RefSolver<'a> {
 
             // The special processor pins `g - 1` copies (the deliberate
             // under-estimate), i.e. exactly `stage_memory` at `g - 1`.
-            let m_next = m_val + self.chain.stage_memory(k..l, g - 1) as f64;
+            let m_next =
+                m_val + self.chain.stage_memory(k..l, g - 1, StagePolicy::default()) as f64;
             if self.use_special && !self.m_axis.overflows(m_next) && m_next <= memory as f64 {
                 let it_next = self.t_axis.index_up(t_val + u);
                 let im_next = self.m_axis.index_up(m_next);
@@ -213,9 +214,9 @@ impl<'a> RefSolver<'a> {
                     let m_val = self.m_axis.value(im);
                     let g = ceil_div(v_val + u, self.t_hat).max(1);
                     it = self.t_axis.index_up(t_val + u);
-                    im = self
-                        .m_axis
-                        .index_up(m_val + self.chain.stage_memory(k..l, g - 1) as f64);
+                    im = self.m_axis.index_up(
+                        m_val + self.chain.stage_memory(k..l, g - 1, StagePolicy::default()) as f64,
+                    );
                     iv = self.v_axis.index_up(oplus(
                         oplus(v_val, u, self.t_hat),
                         self.cut_times[k],

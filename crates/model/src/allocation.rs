@@ -6,14 +6,30 @@ use crate::chain::Chain;
 use crate::error::ModelError;
 use crate::partition::Partition;
 use crate::platform::Platform;
+use crate::policy::StagePolicy;
 
-/// One stage of an allocation: a contiguous layer range placed on a GPU.
+/// One stage of an allocation: a contiguous layer range placed on a GPU,
+/// executed under its own recompute/weight-versioning policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     /// Layers of the stage (0-based, half-open).
     pub layers: Range<usize>,
     /// GPU hosting the stage.
     pub gpu: usize,
+    /// Execution policy of the stage; every schedule construction,
+    /// checker and simulator reads it from here.
+    pub policy: StagePolicy,
+}
+
+impl Stage {
+    /// A stage under the paper's default policy (store + full versioning).
+    pub fn new(layers: Range<usize>, gpu: usize) -> Self {
+        Self {
+            layers,
+            gpu,
+            policy: StagePolicy::default(),
+        }
+    }
 }
 
 /// An *allocation*: a partitioning of the chain plus an assignment of each
@@ -54,10 +70,7 @@ impl Allocation {
             .stages()
             .iter()
             .enumerate()
-            .map(|(i, r)| Stage {
-                layers: r.clone(),
-                gpu: i,
-            })
+            .map(|(i, r)| Stage::new(r.clone(), i))
             .collect();
         let n_layers = partition.stages().last().expect("non-empty").end;
         Self::new(stages, n_layers, n_gpus)
@@ -186,22 +199,10 @@ mod tests {
         // stages: [0,1)→gpu0, [1,2)→gpu1, [2,3)→gpu0, [3,4)→gpu1
         Allocation::new(
             vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..2,
-                    gpu: 1,
-                },
-                Stage {
-                    layers: 2..3,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 3..4,
-                    gpu: 1,
-                },
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 1),
+                Stage::new(2..3, 0),
+                Stage::new(3..4, 1),
             ],
             4,
             2,
@@ -221,14 +222,7 @@ mod tests {
 
     #[test]
     fn gpu_validation() {
-        let bad = Allocation::new(
-            vec![Stage {
-                layers: 0..4,
-                gpu: 5,
-            }],
-            4,
-            2,
-        );
+        let bad = Allocation::new(vec![Stage::new(0..4, 5)], 4, 2);
         assert!(matches!(bad, Err(ModelError::GpuOutOfRange { .. })));
     }
 

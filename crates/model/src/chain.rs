@@ -165,27 +165,6 @@ impl Chain {
         self.stored_prefix[range.end] - self.stored_prefix[range.start]
     }
 
-    /// The paper's stage memory estimate `M(k, l, g)` for layers `range`
-    /// kept with `g` in-flight activations:
-    ///
-    /// `Σ_{i∈range} (3·W_i + g·a_{i-1})  +  2·(a_in + a_out)`
-    ///
-    /// where the `2·a` communication buffers are only counted on sides of
-    /// the stage that actually cut the chain (dropped at `k = 0` and
-    /// `l = L` exactly as in the paper).
-    pub fn stage_memory(&self, range: Range<usize>, g: u64) -> u64 {
-        let weights = 3 * self.weight_bytes(range.clone());
-        let activations = g * self.stored_activation_bytes(range.clone());
-        let mut buffers = 0;
-        if range.start > 0 {
-            buffers += 2 * self.activation_in(range.start);
-        }
-        if range.end < self.len() {
-            buffers += 2 * self.activation_out(range.end - 1);
-        }
-        weights + activations + buffers
-    }
-
     /// Static bytes of a stage covering `range` under `policy`: the
     /// weight versions (`w_mult·Σ W_i`) plus — when the stage recomputes —
     /// the recompute working set `ā − a_in`, the activations regenerated
@@ -218,11 +197,17 @@ impl Chain {
         }
     }
 
-    /// Policy-aware stage memory: `stage_static_bytes + g·stage_live_batch_bytes`
-    /// plus the same communication buffers as [`Chain::stage_memory`].
-    /// With the default policy this equals `stage_memory(range, g)`
-    /// exactly (same integer arithmetic).
-    pub fn stage_memory_with(&self, range: Range<usize>, g: u64, policy: StagePolicy) -> u64 {
+    /// The stage memory estimate `M(k, l, g)` for layers `range` kept
+    /// with `g` in-flight batches under `policy`:
+    ///
+    /// `stage_static_bytes + g·stage_live_batch_bytes  +  2·(a_in + a_out)`
+    ///
+    /// which under the default policy is the paper's
+    /// `Σ_{i∈range} (3·W_i + g·a_{i-1}) + 2·(a_in + a_out)`. The `2·a`
+    /// communication buffers are only counted on sides of the stage that
+    /// actually cut the chain (dropped at `k = 0` and `l = L` exactly as
+    /// in the paper).
+    pub fn stage_memory(&self, range: Range<usize>, g: u64, policy: StagePolicy) -> u64 {
         let static_bytes = self.stage_static_bytes(range.clone(), policy);
         let live = g * self.stage_live_batch_bytes(range.clone(), policy);
         let mut buffers = 0;
@@ -331,28 +316,14 @@ mod tests {
     #[test]
     fn stage_memory_counts_buffers_only_at_cuts() {
         let c = chain3();
-        // middle stage [1,2): 3*20 + g*200 + 2*(200 + 300)
-        assert_eq!(c.stage_memory(1..2, 1), 60 + 200 + 1000);
-        assert_eq!(c.stage_memory(1..2, 3), 60 + 600 + 1000);
-        // first stage [0,1): no input buffer, output buffer 2*200
-        assert_eq!(c.stage_memory(0..1, 1), 30 + 100 + 400);
-        // whole chain: no buffers at all
-        assert_eq!(c.stage_memory(0..3, 2), 3 * 60 + 2 * 600);
-    }
-
-    #[test]
-    fn policy_memory_defaults_match_stage_memory_exactly() {
-        let c = chain3();
         let d = StagePolicy::default();
-        for range in [0..1, 1..2, 0..3, 1..3, 2..3] {
-            for g in 0..5 {
-                assert_eq!(
-                    c.stage_memory_with(range.clone(), g, d),
-                    c.stage_memory(range.clone(), g),
-                    "range {range:?} g {g}"
-                );
-            }
-        }
+        // middle stage [1,2): 3*20 + g*200 + 2*(200 + 300)
+        assert_eq!(c.stage_memory(1..2, 1, d), 60 + 200 + 1000);
+        assert_eq!(c.stage_memory(1..2, 3, d), 60 + 600 + 1000);
+        // first stage [0,1): no input buffer, output buffer 2*200
+        assert_eq!(c.stage_memory(0..1, 1, d), 30 + 100 + 400);
+        // whole chain: no buffers at all
+        assert_eq!(c.stage_memory(0..3, 2, d), 3 * 60 + 2 * 600);
     }
 
     #[test]
@@ -369,7 +340,7 @@ mod tests {
         assert_eq!(c.stage_static_bytes(1..3, rec), 150 + 300);
         // memory at g=3: static + 3·200 + input buffer 2·200 (end = len →
         // no output buffer)
-        assert_eq!(c.stage_memory_with(1..3, 3, rec), 450 + 600 + 400);
+        assert_eq!(c.stage_memory(1..3, 3, rec), 450 + 600 + 400);
     }
 
     #[test]
@@ -383,7 +354,8 @@ mod tests {
         for range in [0..1, 1..2, 0..3, 1..3, 2..3] {
             for g in 1..6 {
                 assert!(
-                    c.stage_memory_with(range.clone(), g, lean) <= c.stage_memory(range.clone(), g),
+                    c.stage_memory(range.clone(), g, lean)
+                        <= c.stage_memory(range.clone(), g, StagePolicy::default()),
                     "range {range:?} g {g}"
                 );
             }

@@ -83,36 +83,17 @@ pub struct UnitSequence {
 impl UnitSequence {
     /// Build the unit sequence for `alloc`. A communication unit is
     /// inserted between consecutive stages exactly when they live on
-    /// different GPUs.
-    pub fn from_allocation(chain: &Chain, platform: &Platform, alloc: &Allocation) -> Self {
-        let policies = vec![StagePolicy::default(); alloc.stages().len()];
-        Self::from_allocation_with(chain, platform, alloc, &policies)
-    }
-
-    /// Build the unit sequence for `alloc` with a per-stage policy.
-    /// A recomputing stage's backward duration includes the recompute
+    /// different GPUs. Each stage unit carries its stage's policy; a
+    /// recomputing stage's backward duration includes the recompute
     /// forward pass (`U_B + U_F`), so every schedule construction and
     /// checker downstream accounts for recompute time automatically.
-    ///
-    /// Panics if `policies.len()` differs from the number of stages.
-    pub fn from_allocation_with(
-        chain: &Chain,
-        platform: &Platform,
-        alloc: &Allocation,
-        policies: &[StagePolicy],
-    ) -> Self {
+    pub fn from_allocation(chain: &Chain, platform: &Platform, alloc: &Allocation) -> Self {
         let stages = alloc.stages();
-        assert_eq!(
-            policies.len(),
-            stages.len(),
-            "one policy per stage required"
-        );
         let mut units = Vec::with_capacity(2 * stages.len());
         for (i, s) in stages.iter().enumerate() {
-            let policy = policies[i];
             let forward_time = chain.forward_time(s.layers.clone());
             let mut backward_time = chain.backward_time(s.layers.clone());
-            if policy.recomputes() {
+            if s.policy.recomputes() {
                 backward_time += forward_time;
             }
             units.push(Unit {
@@ -123,7 +104,7 @@ impl UnitSequence {
                 forward_time,
                 backward_time,
                 resource: Resource::Gpu(s.gpu),
-                policy,
+                policy: s.policy,
             });
             if i + 1 < stages.len() && alloc.cut_is_remote(i) {
                 let cut_layer = stages[i + 1].layers.start;
@@ -215,18 +196,9 @@ mod tests {
         let platform = Platform::new(2, 1 << 30, 100.0).unwrap();
         let alloc = Allocation::new(
             vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..2,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 2..4,
-                    gpu: 1,
-                },
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 0),
+                Stage::new(2..4, 1),
             ],
             4,
             2,
@@ -257,32 +229,33 @@ mod tests {
 
     #[test]
     fn recompute_policy_extends_backward_time() {
-        use crate::policy::{ActivationPolicy, StagePolicy};
+        use crate::policy::ActivationPolicy;
         let c = chain4();
         let platform = Platform::new(2, 1 << 30, 100.0).unwrap();
-        let part = Partition::from_cuts(&[2], 4).unwrap();
-        let alloc = Allocation::contiguous(&part, 2).unwrap();
         let rec = StagePolicy {
             activation: ActivationPolicy::Recompute,
             ..StagePolicy::default()
         };
-        let seq = UnitSequence::from_allocation_with(
-            &c,
-            &platform,
-            &alloc,
-            &[StagePolicy::default(), rec],
-        );
-        // Stage 0 stores: unchanged. Stage 1 recomputes: U_B + U_F.
+        let alloc = Allocation::new(
+            vec![
+                Stage::new(0..2, 0),
+                Stage {
+                    policy: rec,
+                    ..Stage::new(2..4, 1)
+                },
+            ],
+            4,
+            2,
+        )
+        .unwrap();
+        let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
+        // Stage 0 stores: unchanged. Stage 1 recomputes: its backward
+        // time gains the stage forward time, U_B + U_F.
         assert_eq!(seq.units()[0].backward_time, 6.0);
         assert_eq!(seq.units()[2].forward_time, 12.0);
         assert_eq!(seq.units()[2].backward_time, 14.0 + 12.0);
         assert_eq!(seq.units()[2].policy, rec);
         // Comm units carry the default policy.
         assert_eq!(seq.units()[1].policy, StagePolicy::default());
-        // The default constructor is the all-default special case.
-        let default_seq = UnitSequence::from_allocation(&c, &platform, &alloc);
-        let all_store =
-            UnitSequence::from_allocation_with(&c, &platform, &alloc, &[StagePolicy::default(); 2]);
-        assert_eq!(default_seq, all_store);
     }
 }

@@ -1,6 +1,6 @@
 //! PipeDream's contiguous partitioning dynamic program.
 
-use madpipe_model::{Chain, Partition, Platform};
+use madpipe_model::{Chain, Partition, Platform, StagePolicy};
 
 /// Result of the partitioning DP.
 #[derive(Debug, Clone)]
@@ -58,7 +58,8 @@ fn solve(chain: &Chain, platform: &Platform, use_memory: bool) -> Option<(Partit
     let mut choice = vec![vec![usize::MAX; l_total + 1]; max_stages + 1];
 
     let fits = |k: usize, l: usize, versions: u64| -> bool {
-        !use_memory || chain.stage_memory(k..l, versions) <= platform.memory_bytes
+        !use_memory
+            || chain.stage_memory(k..l, versions, StagePolicy::default()) <= platform.memory_bytes
     };
 
     // Base: one stage covering [k, L).
@@ -198,7 +199,7 @@ mod tests {
         let s_count = out.partition.len();
         for (i, s) in out.partition.stages().iter().enumerate() {
             let versions = (s_count - i) as u64;
-            assert!(chain.stage_memory(s.clone(), versions) <= 1000);
+            assert!(chain.stage_memory(s.clone(), versions, StagePolicy::default()) <= 1000);
         }
     }
 
@@ -235,7 +236,8 @@ mod tests {
             for cand in Partition::enumerate(5, p) {
                 let s_count = cand.len();
                 let mem_ok = cand.stages().iter().enumerate().all(|(i, s)| {
-                    chain.stage_memory(s.clone(), (s_count - i) as u64) <= platform.memory_bytes
+                    chain.stage_memory(s.clone(), (s_count - i) as u64, StagePolicy::default())
+                        <= platform.memory_bytes
                 });
                 if !mem_ok {
                     continue;

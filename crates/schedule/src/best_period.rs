@@ -9,7 +9,7 @@
 //! loads, so the optimum is either the load lower bound or one of the
 //! `O(N²)` window sums.
 
-use madpipe_model::{Allocation, Chain, Platform, StagePolicy, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, UnitSequence};
 
 use crate::check::{check_pattern, PatternReport, ScheduleError};
 use crate::one_f1b::one_f1b_star;
@@ -37,24 +37,11 @@ pub fn best_contiguous_period(
     platform: &Platform,
     alloc: &Allocation,
 ) -> Result<BestPeriod, ScheduleError> {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    best_contiguous_period_with(chain, platform, alloc, &policies)
-}
-
-/// Policy-aware variant of [`best_contiguous_period`]: stage units carry
-/// `policies` (recompute extends backward durations; memory checks use
-/// the per-policy static/live bytes).
-pub fn best_contiguous_period_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
-) -> Result<BestPeriod, ScheduleError> {
     debug_assert!(
         alloc.is_contiguous(),
         "1F1B* requires a contiguous allocation"
     );
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
 
     let t_lo = seq.max_unit_load();
     let candidates = window_sums(&seq, t_lo);

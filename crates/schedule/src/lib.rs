@@ -18,7 +18,7 @@ pub mod gantt;
 pub mod one_f1b;
 pub mod pattern;
 
-pub use best_period::{best_contiguous_period, best_contiguous_period_with, BestPeriod};
+pub use best_period::{best_contiguous_period, BestPeriod};
 pub use bounds::{
     aggregate_memory_required, period_lower_bound, period_upper_bound, trivially_infeasible,
 };

@@ -480,18 +480,19 @@ pub fn plan_to_json(plan: &MadPipePlan) -> Value {
                 plan.allocation
                     .stages()
                     .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let policy = plan.policies.get(i).copied().unwrap_or_default();
+                    .map(|s| {
                         Value::Object(vec![
                             ("start".into(), Value::UInt(s.layers.start as u64)),
                             ("end".into(), Value::UInt(s.layers.end as u64)),
                             ("gpu".into(), Value::UInt(s.gpu as u64)),
                             (
                                 "activation".into(),
-                                Value::Str(policy.activation.as_str().into()),
+                                Value::Str(s.policy.activation.as_str().into()),
                             ),
-                            ("weights".into(), Value::Str(policy.weights.as_str().into())),
+                            (
+                                "weights".into(),
+                                Value::Str(s.policy.weights.as_str().into()),
+                            ),
                         ])
                     })
                     .collect(),

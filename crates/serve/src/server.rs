@@ -432,8 +432,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and start accepting. Returns once the listener is live —
-    /// a client may connect as soon as this returns.
+    /// Bind and start accepting. Returns once the listener is live and
+    /// every worker counts as alive — a client may connect, and `health`
+    /// reports the full pool, as soon as this returns.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -609,13 +610,16 @@ impl Drop for AliveGuard<'_> {
     }
 }
 
+/// Spawn worker `id`. It counts as alive from before `spawn` returns, so
+/// a `health` call right after [`Server::start`] sees every worker; the
+/// guard inside the thread takes the count back down however it exits.
 fn spawn_worker(id: usize, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> JoinHandle<()> {
     let ctx = Arc::clone(ctx);
     let jobs = Arc::clone(jobs);
+    ctx.workers_alive.fetch_add(1, Ordering::SeqCst);
     std::thread::Builder::new()
         .name(format!("serve-worker-{id}"))
         .spawn(move || {
-            ctx.workers_alive.fetch_add(1, Ordering::SeqCst);
             let _alive = AliveGuard(&ctx.workers_alive);
             worker_loop(&ctx, &jobs);
         })

@@ -365,6 +365,24 @@ fn health_reports_workers_and_queue() {
     server.join();
 }
 
+#[test]
+fn health_right_after_start_counts_every_worker() {
+    // Workers are counted on the spawning thread, so no scheduling delay
+    // of the worker threads can make a fresh daemon under-report.
+    for round in 0..50 {
+        let server = start_server();
+        let v = roundtrip(server.local_addr(), r#"{"cmd":"health"}"#);
+        let h = v.field("health").unwrap();
+        assert_eq!(
+            h.field("workers_alive").unwrap(),
+            &Value::UInt(2),
+            "round {round}"
+        );
+        server.shutdown();
+        server.join();
+    }
+}
+
 /// Turn a plan line into a replan line carrying `fault`.
 fn replan_line(chain: &Chain, platform: &Platform, fault_json: &str) -> String {
     plan_line(chain, platform).replacen(

@@ -71,7 +71,8 @@ pub fn simulate_eager(
     let mut busy_time: HashMap<Resource, f64> = resources.iter().map(|&r| (r, 0.0)).collect();
     let mut ready: HashMap<Resource, Vec<Inst>> = resources.iter().map(|&r| (r, vec![])).collect();
 
-    // Memory bookkeeping: dynamic stored-activation bytes per GPU.
+    // Memory bookkeeping: dynamic per-batch bytes per GPU, under each
+    // stage's policy (a recomputing stage pins only its boundary input).
     let static_bytes = static_memory(chain, alloc, &seq);
     let mut dyn_bytes = vec![0i64; alloc.n_gpus()];
     let mut peak = static_bytes.clone();
@@ -80,7 +81,7 @@ pub fn simulate_eager(
         .iter()
         .map(|u| match (&u.kind, u.resource) {
             (UnitKind::Stage { layers, .. }, Resource::Gpu(g)) => {
-                Some((g, chain.stored_activation_bytes(layers.clone())))
+                Some((g, chain.stage_live_batch_bytes(layers.clone(), u.policy)))
             }
             _ => None,
         })
@@ -418,6 +419,54 @@ mod tests {
         // Round trip: 3 F (1s each) + comms (~0) + 3 B = 6s per batch.
         assert!(
             (report.period - 6.0).abs() < 0.1,
+            "period {}",
+            report.period
+        );
+    }
+
+    #[test]
+    fn single_stage_runs_under_its_own_policy() {
+        // The whole chain on one GPU under recompute + 2BW. At depth 1 the
+        // peak is the model's stage memory at g = 1 exactly: 2·W plus the
+        // recompute working set plus one stashed boundary input — not the
+        // default policy's 3·W plus one full copy of ā. The backward
+        // carries the recomputed forward.
+        use madpipe_model::{ActivationPolicy, Stage, StagePolicy, WeightPolicy};
+        let chain = Chain::new(
+            "t",
+            100,
+            vec![
+                Layer::new("a", 1.0, 2.0, 1000, 300),
+                Layer::new("b", 2.0, 1.0, 2000, 500),
+            ],
+        )
+        .unwrap();
+        let platform = Platform::new(1, 1 << 30, 1e9).unwrap();
+        let policy = StagePolicy {
+            activation: ActivationPolicy::Recompute,
+            weights: WeightPolicy::TwoBw,
+        };
+        let stage = Stage {
+            policy,
+            ..Stage::new(0..2, 0)
+        };
+        let alloc = Allocation::new(vec![stage], 2, 1).unwrap();
+        let report = simulate_eager(
+            &chain,
+            &platform,
+            &alloc,
+            &EagerConfig {
+                batches: 20,
+                depth: Some(1),
+            },
+        );
+        assert_eq!(
+            report.gpu_peak_bytes,
+            vec![chain.stage_memory(0..2, 1, policy)]
+        );
+        assert_eq!(report.gpu_peak_bytes[0], 2 * 3000 + (100 + 300));
+        assert!(
+            (report.period - 9.0).abs() < 1e-9,
             "period {}",
             report.period
         );

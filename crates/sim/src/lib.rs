@@ -29,7 +29,7 @@ pub mod trace;
 
 pub use chaos::{ChaosEvent, ChaosStream, ClientEvent, ClusterEvent};
 pub use eager::{simulate_eager, EagerConfig};
-pub use perturb::{replay_perturbed, replay_perturbed_with, FaultSpec};
-pub use replay::{replay_pattern, replay_pattern_with, replay_with};
+pub use perturb::{replay_perturbed, FaultSpec};
+pub use replay::{replay_pattern, replay_with};
 pub use report::SimReport;
-pub use trace::{chrome_trace, schedule_trace, schedule_trace_with};
+pub use trace::{chrome_trace, schedule_trace};

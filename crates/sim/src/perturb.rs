@@ -19,7 +19,7 @@
 //! `[1, 1 + comm_jitter]` on top of a bandwidth degradation
 //! `β → (1 − beta_degradation)·β`.
 
-use madpipe_model::{Allocation, Chain, Platform, Resource, StagePolicy, UnitKind, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 use madpipe_schedule::check::static_memory;
 use madpipe_schedule::{Dir, Pattern};
 
@@ -127,24 +127,8 @@ pub fn replay_perturbed(
     periods: usize,
     fault: &FaultSpec,
 ) -> SimReport {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    replay_perturbed_with(chain, platform, alloc, &policies, pattern, periods, fault)
-}
-
-/// Policy-aware [`replay_perturbed`]: stage units carry per-stage
-/// policies (recompute extends backward durations; memory moves the
-/// policy-dependent per-batch bytes).
-pub fn replay_perturbed_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
-    pattern: &Pattern,
-    periods: usize,
-    fault: &FaultSpec,
-) -> SimReport {
     let mut sp = madpipe_obs::span("sim.perturb");
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_period = pattern.period;
     let warmup = pattern.max_shift() as usize + 1;
     let total_periods = warmup + periods.max(2);

@@ -6,7 +6,7 @@
 //! moves at op completions, and the report must agree with the checker —
 //! which the cross-validation tests in the workspace assert.
 
-use madpipe_model::{Allocation, Chain, Platform, Resource, StagePolicy, UnitKind, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 use madpipe_schedule::check::static_memory;
 use madpipe_schedule::{Dir, Pattern};
 
@@ -18,7 +18,9 @@ use crate::report::SimReport;
 ///
 /// Batches with negative indices (the fill phase of the pipeline) are
 /// skipped, so the measurement starts in steady state after `max_shift`
-/// periods of warm-up.
+/// periods of warm-up. Each stage runs under its own policy from
+/// `alloc`: a recomputing stage holds only its boundary input per
+/// in-flight batch, and its backward includes the recomputed forward.
 pub fn replay_pattern(
     chain: &Chain,
     platform: &Platform,
@@ -26,30 +28,7 @@ pub fn replay_pattern(
     pattern: &Pattern,
     periods: usize,
 ) -> SimReport {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    replay_pattern_with(chain, platform, alloc, &policies, pattern, periods)
-}
-
-/// Policy-aware [`replay_pattern`]: stage units carry per-stage policies,
-/// so recomputing stages move only their boundary input per batch and
-/// their backward durations include the recomputed forward.
-pub fn replay_pattern_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
-    pattern: &Pattern,
-    periods: usize,
-) -> SimReport {
-    replay_with(
-        chain,
-        platform,
-        alloc,
-        policies,
-        pattern,
-        periods,
-        |_, _, _| {},
-    )
+    replay_with(chain, platform, alloc, pattern, periods, |_, _, _| {})
 }
 
 /// [`replay_pattern`] with a memory observer: `on_mem(time, gpu, bytes)`
@@ -63,13 +42,12 @@ pub fn replay_with(
     chain: &Chain,
     platform: &Platform,
     alloc: &Allocation,
-    policies: &[StagePolicy],
     pattern: &Pattern,
     periods: usize,
     mut on_mem: impl FnMut(f64, usize, u64),
 ) -> SimReport {
     madpipe_obs::span!("sim.replay");
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_period = pattern.period;
     let warmup = pattern.max_shift() as usize + 1;
     let total_periods = warmup + periods.max(2);

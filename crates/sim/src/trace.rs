@@ -15,7 +15,7 @@
 //!   each period, so communication-bound cuts are visible at a glance.
 
 use madpipe_json::Value;
-use madpipe_model::{Allocation, Chain, Platform, Resource, StagePolicy, UnitKind, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 use madpipe_obs::{Trace, SCHEDULE_PID};
 use madpipe_schedule::{Dir, Pattern};
 
@@ -30,21 +30,7 @@ pub fn schedule_trace(
     pattern: &Pattern,
     periods: usize,
 ) -> Trace {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    schedule_trace_with(chain, platform, alloc, &policies, pattern, periods)
-}
-
-/// Policy-aware [`schedule_trace`]: op durations and memory counters
-/// follow the per-stage recompute/weight policies.
-pub fn schedule_trace_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
-    pattern: &Pattern,
-    periods: usize,
-) -> Trace {
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_period = pattern.period;
     let warmup = pattern.max_shift() as usize + 1;
     let total = warmup + periods.max(2);
@@ -102,24 +88,16 @@ pub fn schedule_trace_with(
 
     // Memory counter tracks, sampled by the replay itself so the values
     // (and their maximum) are exactly the measured ones.
-    replay_with(
-        chain,
-        platform,
-        alloc,
-        policies,
-        pattern,
-        periods,
-        |t, g, bytes| {
-            trace.counter(
-                SCHEDULE_PID,
-                format!("memory GPU {g}"),
-                "memory",
-                t * 1e6,
-                "bytes",
-                Value::UInt(bytes),
-            );
-        },
-    );
+    replay_with(chain, platform, alloc, pattern, periods, |t, g, bytes| {
+        trace.counter(
+            SCHEDULE_PID,
+            format!("memory GPU {g}"),
+            "memory",
+            t * 1e6,
+            "bytes",
+            Value::UInt(bytes),
+        );
+    });
 
     // Link utilization: busy fraction of every period, per link.
     for &r in &resources {

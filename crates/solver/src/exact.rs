@@ -50,10 +50,7 @@ pub fn exact_optimum(chain: &Chain, platform: &Platform) -> Option<ExactOptimum>
                         .stages()
                         .iter()
                         .zip(&assignment)
-                        .map(|(range, &gpu)| Stage {
-                            layers: range.clone(),
-                            gpu,
-                        })
+                        .map(|(range, &gpu)| Stage::new(range.clone(), gpu))
                         .collect(),
                     l,
                     p,

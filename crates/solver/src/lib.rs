@@ -30,5 +30,5 @@ pub mod timeline;
 
 pub use exact::{exact_optimum, ExactOptimum};
 pub use place::{schedule_at_period, PlaceConfig};
-pub use search::{best_period, best_period_with, SolvedSchedule};
+pub use search::{best_period, SolvedSchedule};
 pub use timeline::Timeline;

@@ -297,22 +297,10 @@ mod tests {
         let platform = Platform::new(3, 1 << 40, 1000.0).unwrap();
         let alloc = Allocation::new(
             vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..2,
-                    gpu: 1,
-                },
-                Stage {
-                    layers: 2..3,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 3..4,
-                    gpu: 2,
-                },
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 1),
+                Stage::new(2..3, 0),
+                Stage::new(3..4, 2),
             ],
             4,
             3,
@@ -328,21 +316,7 @@ mod tests {
     fn overloaded_resource_is_rejected_fast() {
         let c = chain(&[(5.0, 5.0), (5.0, 5.0)], 2);
         let platform = Platform::new(2, 1 << 40, 1000.0).unwrap();
-        let alloc = Allocation::new(
-            vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..2,
-                    gpu: 0,
-                },
-            ],
-            2,
-            2,
-        )
-        .unwrap();
+        let alloc = Allocation::new(vec![Stage::new(0..1, 0), Stage::new(1..2, 0)], 2, 2).unwrap();
         let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
         assert!(
             schedule_at_period(&c, &platform, &alloc, &seq, 10.0, &PlaceConfig::default())

@@ -1,6 +1,6 @@
 //! Period minimization for arbitrary allocations.
 
-use madpipe_model::{Allocation, Chain, Platform, Resource, StagePolicy, UnitKind, UnitSequence};
+use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 use madpipe_schedule::{check_pattern, Pattern, PatternReport, ScheduleError};
 
 use crate::place::{schedule_at_period, PlaceConfig};
@@ -32,21 +32,7 @@ pub fn best_period(
     alloc: &Allocation,
     cfg: &PlaceConfig,
 ) -> Result<SolvedSchedule, ScheduleError> {
-    let policies = vec![StagePolicy::default(); alloc.stages().len()];
-    best_period_with(chain, platform, alloc, &policies, cfg)
-}
-
-/// Policy-aware variant of [`best_period`]: stage units carry `policies`
-/// (recompute extends backward durations; memory checks use the
-/// per-policy static/live bytes).
-pub fn best_period_with(
-    chain: &Chain,
-    platform: &Platform,
-    alloc: &Allocation,
-    policies: &[StagePolicy],
-    cfg: &PlaceConfig,
-) -> Result<SolvedSchedule, ScheduleError> {
-    let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
+    let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_lo = alloc.load_bound(chain, platform).max(seq.max_unit_load());
     let t_hi = seq.total_load().max(t_lo);
 
@@ -194,18 +180,9 @@ mod tests {
         let platform = Platform::new(2, 1 << 40, 1e9).unwrap();
         let noncontig = Allocation::new(
             vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..2,
-                    gpu: 1,
-                },
-                Stage {
-                    layers: 2..3,
-                    gpu: 0,
-                },
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 1),
+                Stage::new(2..3, 0),
             ],
             3,
             2,
@@ -242,21 +219,7 @@ mod tests {
     fn period_never_below_load_bound() {
         let c = chain(&[(3.0, 3.0), (1.0, 1.0), (1.0, 1.0)], 10);
         let platform = Platform::new(2, 1 << 40, 100.0).unwrap();
-        let alloc = Allocation::new(
-            vec![
-                Stage {
-                    layers: 0..1,
-                    gpu: 0,
-                },
-                Stage {
-                    layers: 1..3,
-                    gpu: 1,
-                },
-            ],
-            3,
-            2,
-        )
-        .unwrap();
+        let alloc = Allocation::new(vec![Stage::new(0..1, 0), Stage::new(1..3, 1)], 3, 2).unwrap();
         let solved = best_period(&c, &platform, &alloc, &PlaceConfig::default()).unwrap();
         assert!(solved.period + 1e-9 >= alloc.load_bound(&c, &platform));
     }

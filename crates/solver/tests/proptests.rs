@@ -94,9 +94,9 @@ proptest! {
             .stages()
             .iter()
             .enumerate()
-            .map(|(i, r)| Stage {
-                layers: r.clone(),
-                gpu: if i < n_gpus { i } else { (gpu_seed as usize + 7 * i) % n_gpus },
+            .map(|(i, r)| {
+                let gpu = if i < n_gpus { i } else { (gpu_seed as usize + 7 * i) % n_gpus };
+                Stage::new(r.clone(), gpu)
             })
             .collect();
         let alloc = Allocation::new(stages, chain.len(), n_gpus).unwrap();
