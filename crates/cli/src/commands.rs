@@ -18,7 +18,7 @@ use madpipe_model::{
 };
 use madpipe_obs::{Trace, PLANNER_PID};
 use madpipe_schedule::gantt;
-use madpipe_sim::{replay_pattern, simulate_eager, EagerConfig};
+use madpipe_sim::{replay, simulate_eager, EagerConfig, FaultSpec};
 
 use crate::args::{parse, Args};
 
@@ -61,10 +61,12 @@ USAGE:
   madpipe certify <network> [same flags as plan] [--periods K] [--jitter J]
                [--trials N] [--headroom H] [--chrome-trace FILE] [--stats]
                [--trace-out FILE] [--metrics-out FILE]
-      Differentially certify the MadPipe plan: analytic checker vs.
-      event-simulator replay over K periods, exact cross-check on tiny
+      Differentially certify the MadPipe plan: analytic checker vs. the
+      zero-fault replay over K periods, exact cross-check on tiny
       instances, and timing-fault injection reporting jitter/bandwidth
-      robustness margins. Exits nonzero on any disagreement.
+      robustness margins (--jitter caps the probed amplitude; it and
+      --headroom must be finite and non-negative). Exits nonzero on any
+      disagreement.
       --chrome-trace writes just the schedule timeline; --trace-out also
       includes the planner/certifier spans; --metrics-out as in plan.
   madpipe validate-trace <trace.json> [--expect-spans a,b,c]
@@ -588,19 +590,20 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let batches = args.get_or("batches", 100usize)?;
     let plan = madpipe_plan(&chain, &platform, &planner_config(args)?)
         .map_err(|e| format!("planning failed: {e}"))?;
-    let replay = replay_pattern(
+    let planned = replay(
         &chain,
         &platform,
         &plan.allocation,
         &plan.schedule.pattern,
         batches,
+        &FaultSpec::zero(),
     );
     println!(
         "replay   : period {:.1} ms (analytic {:.1} ms), peak {:.2} GB, violation: {}",
-        replay.period * 1e3,
+        planned.period * 1e3,
         plan.period() * 1e3,
-        replay.max_peak_bytes() as f64 / (1u64 << 30) as f64,
-        replay.memory_violation
+        planned.max_peak_bytes() as f64 / (1u64 << 30) as f64,
+        planned.memory_violation
     );
     let eager = simulate_eager(
         &chain,
@@ -670,21 +673,33 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `--name` parsed as a finite, non-negative number.
+fn finite_non_negative(args: &Args, name: &str, default: f64) -> Result<f64, String> {
+    let x = args.get_or(name, default)?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!(
+            "invalid value for --{name}: {x} (must be finite and non-negative)"
+        ))
+    }
+}
+
 fn cmd_certify(args: &Args) -> Result<(), String> {
     let chain = load_chain(args)?;
     let platform = load_platform(args)?;
     let planner = planner_config(args)?;
+    let cfg = CertifyConfig {
+        periods: args.get_or("periods", CertifyConfig::default().periods)?,
+        jitter_cap: finite_non_negative(args, "jitter", CertifyConfig::default().jitter_cap)?,
+        trials: args.get_or("trials", CertifyConfig::default().trials)?,
+        headroom: finite_non_negative(args, "headroom", CertifyConfig::default().headroom)?,
+        ..CertifyConfig::default()
+    };
     arm_tracer(args);
     let (plan, mut stats) = madpipe_plan_with_stats(&chain, &platform, &planner);
     let plan = plan.map_err(|e| format!("planning failed: {e}"))?;
 
-    let cfg = CertifyConfig {
-        periods: args.get_or("periods", CertifyConfig::default().periods)?,
-        jitter_cap: args.get_or("jitter", CertifyConfig::default().jitter_cap)?,
-        trials: args.get_or("trials", CertifyConfig::default().trials)?,
-        headroom: args.get_or("headroom", CertifyConfig::default().headroom)?,
-        ..CertifyConfig::default()
-    };
     println!(
         "certifying {} on P = {}, M = {:.0} GB, beta = {:.0} GB/s ({} replay periods)",
         chain.name(),

@@ -16,10 +16,10 @@
 //!   probe timeline and per-phase wall times surfaced by
 //!   [`planner::madpipe_plan_with_stats`];
 //! * [`certify`] — differential certification of a finished plan: the
-//!   analytic checker, the event replay, the fault-injection executor
-//!   and (on tiny instances) the exhaustive optimum are cross-checked
-//!   against each other, and jitter/bandwidth robustness margins are
-//!   measured per plan (`madpipe certify` in the CLI);
+//!   zero-fault replay is checked against the analytic checker and (on
+//!   tiny instances) the exhaustive optimum, and the same executor
+//!   measures jitter/bandwidth robustness margins per plan
+//!   (`madpipe certify` in the CLI);
 //! * [`degrade`] — degraded-mode replanning: apply a
 //!   [`madpipe_model::PlatformFault`] (GPU loss, memory reduction, link
 //!   slowdown), replan on the surviving platform — optionally through a

@@ -5,7 +5,7 @@
 //! red CI run can be replayed locally event for event. This module
 //! generates that sequence — which fault to inject at each step of a
 //! client workload — from a SplitMix64 stream, the same generator family
-//! as [`crate::perturb`]'s timing noise.
+//! as [`mod@crate::replay`]'s timing noise.
 //!
 //! The events model the failure modes a long-lived planning daemon
 //! actually meets: a request that panics the worker that picked it up, a
@@ -67,7 +67,7 @@ pub struct ChaosStream {
     max_gpu_loss: usize,
 }
 
-/// SplitMix64 step + finalizer (same constants as `perturb::noise`).
+/// SplitMix64 step + finalizer (same constants as `replay::noise`).
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

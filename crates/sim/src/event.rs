@@ -1,4 +1,5 @@
-//! A minimal time-ordered event queue over `f64` timestamps.
+//! A minimal time-ordered event queue over `f64` timestamps, driving the
+//! eager simulator.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -70,22 +71,6 @@ impl<T> EventQueue<T> {
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -111,16 +96,5 @@ mod tests {
         q.push(1.0, "second");
         assert_eq!(q.pop().unwrap().1, "first");
         assert_eq!(q.pop().unwrap().1, "second");
-    }
-
-    #[test]
-    fn len_tracks_pushes_and_pops() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(1.0, ());
-        q.push(2.0, ());
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 }

@@ -2,15 +2,16 @@
 //! the shared [`madpipe_obs`] event model for `chrome://tracing` /
 //! Perfetto inspection.
 //!
-//! Three track families, all on the same timeline as [`crate::replay`]
-//! (`max_shift + 1` warm-up periods, fill-phase batches skipped):
+//! Three track families, all on the same timeline as the fault-free
+//! [`crate::replay()`] (`max_shift + 1` warm-up periods, fill-phase
+//! batches skipped):
 //!
 //! * one trace "thread" per GPU and link, each executed operation a
 //!   complete event (`ph:"X"`) labelled with unit, direction and
 //!   mini-batch index;
 //! * one **memory counter track** per GPU (`ph:"C"`, exact bytes),
-//!   sampled by [`crate::replay::replay_with`] at every residency
-//!   change — its running maximum is `gpu_peak_bytes` bit for bit;
+//!   sampled by [`crate::replay_with`] at every stage-op completion —
+//!   its running maximum is `gpu_peak_bytes` bit for bit;
 //! * one **utilization counter track** per link: the busy fraction of
 //!   each period, so communication-bound cuts are visible at a glance.
 
@@ -19,10 +20,10 @@ use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequenc
 use madpipe_obs::{Trace, SCHEDULE_PID};
 use madpipe_schedule::{Dir, Pattern};
 
-use crate::replay::replay_with;
+use crate::replay::{replay_with, FaultSpec};
 
 /// Build the schedule trace of `periods` steady-state periods of
-/// `pattern` (plus warm-up, like [`crate::replay_pattern`]).
+/// `pattern` (plus warm-up, like [`crate::replay()`]).
 pub fn schedule_trace(
     chain: &Chain,
     platform: &Platform,
@@ -88,16 +89,24 @@ pub fn schedule_trace(
 
     // Memory counter tracks, sampled by the replay itself so the values
     // (and their maximum) are exactly the measured ones.
-    replay_with(chain, platform, alloc, pattern, periods, |t, g, bytes| {
-        trace.counter(
-            SCHEDULE_PID,
-            format!("memory GPU {g}"),
-            "memory",
-            t * 1e6,
-            "bytes",
-            Value::UInt(bytes),
-        );
-    });
+    replay_with(
+        chain,
+        platform,
+        alloc,
+        pattern,
+        periods,
+        &FaultSpec::zero(),
+        |t, g, bytes| {
+            trace.counter(
+                SCHEDULE_PID,
+                format!("memory GPU {g}"),
+                "memory",
+                t * 1e6,
+                "bytes",
+                Value::UInt(bytes),
+            );
+        },
+    );
 
     // Link utilization: busy fraction of every period, per link.
     for &r in &resources {
@@ -137,7 +146,7 @@ pub fn chrome_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_pattern;
+    use crate::replay::replay;
     use madpipe_model::{Layer, Partition};
     use madpipe_obs::validate::validate_chrome;
     use madpipe_schedule::{best_contiguous_period, one_f1b_star};
@@ -186,7 +195,14 @@ mod tests {
         let periods = 50;
         let json = chrome_trace(&chain, &platform, &alloc, &pattern, periods);
         let summary = validate_chrome(&json).unwrap();
-        let report = replay_pattern(&chain, &platform, &alloc, &pattern, periods);
+        let report = replay(
+            &chain,
+            &platform,
+            &alloc,
+            &pattern,
+            periods,
+            &FaultSpec::zero(),
+        );
         for (g, &peak) in report.gpu_peak_bytes.iter().enumerate() {
             assert_eq!(
                 summary.counter_peaks.get(&format!("memory GPU {g}")),

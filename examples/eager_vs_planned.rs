@@ -14,7 +14,7 @@
 use madpipe::core::{madpipe_plan, PlannerConfig};
 use madpipe::dnn::{networks, GpuModel};
 use madpipe::model::Platform;
-use madpipe::sim::{replay_pattern, simulate_eager, EagerConfig};
+use madpipe::sim::{replay, simulate_eager, EagerConfig, FaultSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -41,19 +41,24 @@ fn main() {
         "policy", "period (ms)", "peak (GB)", "fits?"
     );
 
-    let replay = replay_pattern(
+    let planned = replay(
         &chain,
         &platform,
         &plan.allocation,
         &plan.schedule.pattern,
         100,
+        &FaultSpec::zero(),
     );
     println!(
         "{:<26} {:>12.1} {:>12.2} {:>10}",
         "planned periodic pattern",
-        replay.period * 1e3,
-        replay.max_peak_bytes() as f64 / GIB,
-        if replay.memory_violation { "NO" } else { "yes" }
+        planned.period * 1e3,
+        planned.max_peak_bytes() as f64 / GIB,
+        if planned.memory_violation {
+            "NO"
+        } else {
+            "yes"
+        }
     );
 
     for depth in [1usize, 2, 4, 8, 16] {

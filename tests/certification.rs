@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use madpipe::core::{madpipe_plan, PlannerConfig};
 use madpipe::model::{Chain, Layer, Platform};
 use madpipe::pipedream::pipedream_plan;
-use madpipe::sim::{replay_pattern, replay_perturbed, FaultSpec};
+use madpipe::sim::{replay, FaultSpec};
 use madpipe::solver::exact_optimum;
 
 fn arb_tiny_chain() -> impl Strategy<Value = Chain> {
@@ -68,9 +68,8 @@ proptest! {
     }
 
     /// Differential certification invariant: replaying any plan the
-    /// planner emits — in the plain event simulator and in the
-    /// fault-injection simulator at zero jitter — reproduces the analytic
-    /// checker's period and per-GPU peak memory, the peaks bit-for-bit.
+    /// planner emits at zero fault reproduces the analytic checker's
+    /// period and per-GPU peak memory, the peaks bit-for-bit.
     #[test]
     fn replay_matches_the_analytic_checker(chain in arb_tiny_chain(), p in 2usize..=3) {
         let platform = Platform::new(p, 1 << 40, 2_000.0).unwrap();
@@ -78,22 +77,14 @@ proptest! {
             .expect("roomy memory: MadPipe must plan");
         let analytic = &plan.schedule.report;
 
-        for (label, sim) in [
-            ("replay", replay_pattern(&chain, &platform, &plan.allocation, &plan.schedule.pattern, 40)),
-            ("perturb(0)", replay_perturbed(&chain, &platform, &plan.allocation, &plan.schedule.pattern, 40, &FaultSpec::zero())),
-        ] {
-            prop_assert!(
-                (sim.period - analytic.period).abs() <= 1e-9 * analytic.period,
-                "{label} period {} != analytic {}",
-                sim.period,
-                analytic.period
-            );
-            prop_assert_eq!(
-                &sim.gpu_peak_bytes,
-                &analytic.gpu_peak_bytes,
-                "{} peaks diverge from the checker", label
-            );
-            prop_assert!(!sim.memory_violation);
-        }
+        let sim = replay(&chain, &platform, &plan.allocation, &plan.schedule.pattern, 40, &FaultSpec::zero());
+        prop_assert!(
+            (sim.period - analytic.period).abs() <= 1e-9 * analytic.period,
+            "replayed period {} != analytic {}",
+            sim.period,
+            analytic.period
+        );
+        prop_assert_eq!(&sim.gpu_peak_bytes, &analytic.gpu_peak_bytes);
+        prop_assert!(!sim.memory_violation);
     }
 }

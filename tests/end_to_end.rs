@@ -5,7 +5,7 @@ use madpipe::core::{compare, madpipe_plan, Algorithm1Config, Discretization, Pla
 use madpipe::dnn::{networks, GpuModel};
 use madpipe::model::{Platform, UnitSequence};
 use madpipe::schedule::check_pattern;
-use madpipe::sim::replay_pattern;
+use madpipe::sim::{replay, FaultSpec};
 
 /// Smaller images than the paper keep debug-mode runtimes reasonable
 /// while exercising the same code paths.
@@ -81,12 +81,13 @@ fn replay_simulation_confirms_every_plan() {
     for chain in &chains() {
         let platform = Platform::gb(4, 2, 12.0).unwrap();
         let plan = madpipe_plan(chain, &platform, &planner()).unwrap();
-        let sim = replay_pattern(
+        let sim = replay(
             chain,
             &platform,
             &plan.allocation,
             &plan.schedule.pattern,
             60,
+            &FaultSpec::zero(),
         );
         assert!(
             (sim.period - plan.period()).abs() < 1e-6,
