@@ -62,6 +62,25 @@ impl Args {
     pub fn raw(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
+
+    /// Reject any flag or switch outside the ones `cmd` reads, so a
+    /// misspelt or retired flag is an error instead of a silent default.
+    pub fn only(&self, cmd: &str, flags: &[&str], switches: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|f| !flags.contains(&f.as_str()))
+            .chain(
+                self.switches
+                    .iter()
+                    .filter(|s| !switches.contains(&s.as_str())),
+            )
+            .min();
+        match unknown {
+            Some(name) => Err(format!("unknown flag --{name} for {cmd}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,6 +108,20 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&argv(&["--gpus"]), &[]).is_err());
+    }
+
+    #[test]
+    fn only_rejects_flags_and_switches_the_command_does_not_read() {
+        let a = parse(&argv(&["serve", "--addr", "x", "--stats"]), &["stats"]).unwrap();
+        assert!(a.only("serve", &["addr"], &["stats"]).is_ok());
+        assert_eq!(
+            a.only("serve", &["addr"], &[]).unwrap_err(),
+            "unknown flag --stats for serve"
+        );
+        assert_eq!(
+            a.only("serve", &["journal"], &["stats"]).unwrap_err(),
+            "unknown flag --addr for serve"
+        );
     }
 
     #[test]

@@ -125,15 +125,16 @@ USAGE:
       with F in (0, 1). The degraded plan is bit-identical to
       `madpipe plan` on the surviving platform.
   madpipe serve [--addr HOST:PORT] [--threads N] [--cache-entries N]
-               [--cache-bytes B] [--timeout-ms T] [--shed-target-ms T]
-               [--shed-window-ms T] [--journal FILE] [--peers A,B,..]
-               [--gossip-ms T] [--gossip-entries K] [--flight-dump FILE]
+               [--cache-bytes B] [--timeout-ms T] [--queue-depth N]
+               [--shed-target-ms T] [--shed-window-ms T] [--journal FILE]
+               [--flight-dump FILE]
       Run the planning daemon: newline-delimited JSON requests
       ({\"cmd\":\"plan\"|\"replan\"|\"metrics\"|\"health\"|\"ping\"|\"shutdown\"}),
       served by an event-driven reactor (pipelined requests answered in
       order), a sharded LRU cache keyed by the canonical instance, N
       planner workers (default 2), per-request deadline T ms (default
-      30000). The worker queue is deadline-ordered (earliest first);
+      30000). The worker queue holds --queue-depth jobs (default
+      max(4 × threads, 64)) and is deadline-ordered (earliest first);
       jobs whose deadline passed while queued are dropped at dequeue
       without running the DP (`serve.shed.expired`), and a CoDel-style
       admission gate sheds a growing fraction of new misses with a
@@ -148,15 +149,14 @@ USAGE:
       byte-identical to the pre-restart daemon, a torn tail from a
       mid-append crash is tolerated, and a clean drain compacts the
       file to the live cache. --cache-bytes caps the cache's resident
-      plan bytes (0 = entries-only). --peers names sibling daemons to
-      gossip the K hottest cache entries to (default 8) every T ms
-      (default 500) — peers warm their caches with the shipped plans
-      verbatim, so warmed answers stay bit-identical. Prints
+      plan bytes (0 = entries-only). A cluster is N of these daemons
+      behind `madpipe route`; daemons never talk to each other. Prints
       `listening on ADDR` once live; drains gracefully on SIGTERM,
       SIGINT or a shutdown request. Default address 127.0.0.1:4835;
       --cache-entries 0 disables the cache. --flight-dump writes the
       always-on flight-recorder ring (recent spans/counters) as JSONL
-      on exit — panics inside a worker dump it immediately.
+      on exit — panics inside a worker dump it immediately. Any other
+      flag is an error (exit 2).
   madpipe route --backends A,B,.. [--addr HOST:PORT] [--vnodes N]
                [--timeout-ms T] [--probe-timeout-ms T]
                [--breaker-threshold N] [--breaker-open-ms T]
@@ -179,7 +179,7 @@ USAGE:
       router's own `router.forward` span, linking the daemon's spans
       under the router hop. Prints `routing on ADDR -> N backends` once
       live; drains like serve. Default address 127.0.0.1:4830;
-      --flight-dump as in serve.
+      --flight-dump as in serve. Any other flag is an error (exit 2).
   madpipe loadgen [--addr HOST:PORT[,HOST:PORT..]] [--connections N]
                [--requests M] [--pipeline D] [--instances K] [--seed S]
                [--rate R] [--timeout-ms T] [--max-retries R]
@@ -1269,6 +1269,22 @@ fn comma_list(raw: &str) -> Vec<String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
+    args.only(
+        "serve",
+        &[
+            "addr",
+            "threads",
+            "cache-entries",
+            "cache-bytes",
+            "timeout-ms",
+            "queue-depth",
+            "shed-target-ms",
+            "shed-window-ms",
+            "journal",
+            "flight-dump",
+        ],
+        &[],
+    )?;
     let cfg = madpipe_serve::ServeConfig {
         addr: args.raw("addr").unwrap_or("127.0.0.1:4835").to_string(),
         threads: args.get_or("threads", 2usize)?.max(1),
@@ -1276,9 +1292,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         timeout: std::time::Duration::from_millis(args.get_or("timeout-ms", 30_000u64)?.max(1)),
         queue_depth: args.get_or("queue-depth", 0usize)?,
         panic_marker: None,
-        peers: args.raw("peers").map(comma_list).unwrap_or_default(),
-        gossip_interval: std::time::Duration::from_millis(args.get_or("gossip-ms", 500u64)?.max(1)),
-        gossip_entries: args.get_or("gossip-entries", 8usize)?,
         flight_dump: args.raw("flight-dump").map(str::to_string),
         journal: args.raw("journal").map(str::to_string),
         cache_bytes: args.get_or("cache-bytes", 0usize)?,
@@ -1304,6 +1317,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn cmd_route(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
+    args.only(
+        "route",
+        &[
+            "backends",
+            "addr",
+            "vnodes",
+            "timeout-ms",
+            "probe-timeout-ms",
+            "breaker-threshold",
+            "breaker-open-ms",
+            "flight-dump",
+        ],
+        &[],
+    )?;
     let backends = args
         .raw("backends")
         .map(comma_list)

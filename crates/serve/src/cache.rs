@@ -152,12 +152,10 @@ impl PlanCache {
         evicted
     }
 
-    /// Insert a plan only if the key is absent — the gossip-warming and
-    /// journal-replay path. Returns `(inserted, evicted)`. Unlike
-    /// [`PlanCache::insert`] a repeat does *not* refresh the entry's
-    /// recency stamp: a peer re-shipping a key this cache already holds
-    /// says nothing about local demand, so it must not protect the entry
-    /// from eviction.
+    /// Insert a plan only if the key is absent — the journal-replay
+    /// path. Returns `(inserted, evicted)`. Unlike [`PlanCache::insert`]
+    /// a repeat does *not* refresh the entry's recency stamp, so a key
+    /// the journal holds twice keeps its first, oldest record.
     pub fn warm(&self, key: String, plan: Arc<Value>) -> (bool, u64) {
         if self.per_shard == 0 {
             return (false, 0);
@@ -217,12 +215,9 @@ impl PlanCache {
         evicted
     }
 
-    /// The `k` most recently touched plans across all shards, hottest
-    /// first — the gossip sender's working set.
-    pub fn hottest(&self, k: usize) -> Vec<(String, Arc<Value>)> {
-        if self.per_shard == 0 || k == 0 {
-            return Vec::new();
-        }
+    /// Every cached plan across all shards, most recently touched first
+    /// — what drain compaction writes to the journal.
+    pub fn entries(&self) -> Vec<(String, Arc<Value>)> {
         let mut all: Vec<(u64, String, Arc<Value>)> = Vec::new();
         for shard in &self.shards {
             let shard = lock_shard(shard);
@@ -231,7 +226,6 @@ impl PlanCache {
             }
         }
         all.sort_by_key(|e| std::cmp::Reverse(e.0));
-        all.truncate(k);
         all.into_iter().map(|(_, key, plan)| (key, plan)).collect()
     }
 
@@ -308,6 +302,31 @@ mod tests {
         c.insert(same[2].clone(), plan(2)); // shard full → evicts [1]
         assert!(c.get(&same[0]).is_some(), "refreshed entry survives");
         assert!(c.get(&same[1]).is_none(), "stale entry evicted");
+    }
+
+    #[test]
+    fn warm_keeps_the_first_plan_and_never_refreshes_recency() {
+        // Journal replay warms a key the journal holds twice: the first
+        // (oldest) record wins.
+        let c = PlanCache::new(16);
+        assert_eq!(c.warm("a".into(), plan(1)), (true, 0));
+        assert_eq!(c.warm("a".into(), plan(2)), (false, 0));
+        assert_eq!(c.get("a").as_deref(), Some(&Value::UInt(1)));
+
+        // A refused repeat leaves the entry's stamp alone, so it is still
+        // the oldest in its shard (capacity 16 → 2 per shard).
+        let same: Vec<String> = (0..)
+            .map(|i| format!("w{i}"))
+            .filter(|k| shard_of(k) == shard_of("w0"))
+            .take(3)
+            .collect();
+        let c = PlanCache::new(16);
+        c.warm(same[0].clone(), plan(0));
+        c.insert(same[1].clone(), plan(1));
+        assert_eq!(c.warm(same[0].clone(), plan(9)), (false, 0));
+        assert_eq!(c.insert(same[2].clone(), plan(2)), 1);
+        assert!(c.get(&same[0]).is_none(), "a warm repeat refreshed recency");
+        assert!(c.get(&same[1]).is_some());
     }
 
     /// A plan string of roughly `n` payload bytes.

@@ -17,13 +17,16 @@
 //! replanning (GPU loss, memory reduction, link slowdown) through the
 //! same cache and pool.
 //!
-//! Cluster mode scales the tier horizontally: N daemons gossip their
-//! hottest cache entries to each other ([`gossip`]), and a
-//! consistent-hash [`router`] keyed on the canonical instance string
-//! routes each request to its owning daemon, fails over around dead
-//! ones, and answers cluster-wide `health`/`metrics` rollups. Plans
-//! gossip and route verbatim, so every served plan — warmed, routed or
-//! direct — stays f64-bit-identical to offline planning.
+//! Cluster mode scales the tier horizontally: N ordinary daemons sit
+//! behind a consistent-hash [`router`] keyed on the canonical instance
+//! string. It sends each request to the key's home daemon, fails over
+//! to the next ring candidate around dead ones (which plans the key once
+//! and then serves it from its cache), and answers cluster-wide
+//! `health`/`metrics` rollups. A daemon restarted with a [`journal`]
+//! comes back warm. Plans route verbatim and only ever enter a cache
+//! from the daemon's own planner or its own journal, so every served
+//! plan — routed, failed over or direct — stays f64-bit-identical to
+//! offline planning.
 //!
 //! Every request is traceable end to end: a line carrying a `trace`
 //! context field ([`protocol::TraceContext`]) gets per-hop spans —
@@ -38,7 +41,6 @@
 //! drain story, and [`reactor`] for the connection state machines.
 
 pub mod cache;
-pub mod gossip;
 pub mod journal;
 pub mod protocol;
 pub mod reactor;
@@ -49,7 +51,7 @@ pub use cache::PlanCache;
 pub use journal::{Journal, ReplayStats};
 pub use protocol::{
     attach_trace, canonical_instance, inject_context, parse_line, parse_request, plan_to_json,
-    PlanRequest, ReplanRequest, Request, ServeError, TraceContext, MAX_GOSSIP_ENTRIES,
+    PlanRequest, ReplanRequest, Request, ServeError, TraceContext,
 };
 pub use router::{Ring, Router, RouterConfig};
 pub use server::{install_signal_handlers, term_requested, ServeConfig, Server};

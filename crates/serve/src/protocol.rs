@@ -23,16 +23,13 @@
 //! * `{"cmd":"health"}` — supervision probe: worker liveness, queue
 //!   depth, panic/respawn counters, cache size, drain state.
 //! * `{"cmd":"ping"}` — liveness probe.
-//! * `{"cmd":"gossip","entries":[{"key":…,"plan":…},…]}` — peer-to-peer
-//!   cache warming: a peer daemon ships its hottest canonical keys with
-//!   their rendered plans. The receiver inserts the ones it does not
-//!   already hold and acknowledges with applied/refreshed counts. At
-//!   most [`MAX_GOSSIP_ENTRIES`] entries per request.
 //! * `{"cmd":"shutdown"}` — ask the server to drain and exit.
 //!
 //! Responses are `{"ok":true,…}` or
 //! `{"ok":false,"error":{"kind":…,"message":…}}`. A bad request never
-//! kills the connection, let alone the server.
+//! kills the connection, let alone the server. No command stores a
+//! client-supplied plan: a cached plan is always one the daemon computed
+//! itself (or replayed from its own journal).
 //!
 //! # Distributed trace context
 //!
@@ -124,24 +121,10 @@ impl ServeError {
 pub enum Request {
     Plan(Box<PlanRequest>),
     Replan(Box<ReplanRequest>),
-    Gossip(Vec<GossipEntry>),
     Metrics,
     Health,
     Ping,
     Shutdown,
-}
-
-/// Cap on entries in one gossip request: gossip is advisory cache
-/// warming, never a bulk-transfer channel, and the cap bounds what one
-/// hostile line can make the receiver buffer.
-pub const MAX_GOSSIP_ENTRIES: usize = 64;
-
-/// One gossiped cache entry: a canonical instance key and its rendered
-/// plan (the same `Value` a `plan` response carries).
-#[derive(Debug)]
-pub struct GossipEntry {
-    pub key: String,
-    pub plan: Value,
 }
 
 /// A fully validated planning instance plus its canonical cache key.
@@ -214,7 +197,6 @@ fn request_of_value(v: &Value) -> Result<Request, ServeError> {
     match cmd {
         "plan" => Ok(Request::Plan(Box::new(parse_plan_request(v)?))),
         "replan" => Ok(Request::Replan(Box::new(parse_replan_request(v)?))),
-        "gossip" => Ok(Request::Gossip(parse_gossip_request(v)?)),
         "metrics" => Ok(Request::Metrics),
         "health" => Ok(Request::Health),
         "ping" => Ok(Request::Ping),
@@ -247,47 +229,6 @@ fn parse_replan_request(v: &Value) -> Result<ReplanRequest, ServeError> {
         baseline,
         degraded,
     })
-}
-
-fn parse_gossip_request(v: &Value) -> Result<Vec<GossipEntry>, ServeError> {
-    let entries = v
-        .get("entries")
-        .ok_or_else(|| ServeError::malformed("gossip request needs `entries`"))?
-        .as_array()
-        .map_err(|_| ServeError::malformed("gossip `entries` must be an array"))?;
-    if entries.len() > MAX_GOSSIP_ENTRIES {
-        return Err(ServeError::malformed(format!(
-            "gossip carries {} entries, cap is {MAX_GOSSIP_ENTRIES}",
-            entries.len()
-        )));
-    }
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let key = e
-                .field("key")
-                .and_then(Value::as_str)
-                .map_err(|_| ServeError::malformed(format!("gossip entry {i}: bad `key`")))?;
-            if key.is_empty() {
-                return Err(ServeError::malformed(format!(
-                    "gossip entry {i}: empty `key`"
-                )));
-            }
-            let plan = e
-                .field("plan")
-                .map_err(|_| ServeError::malformed(format!("gossip entry {i}: missing `plan`")))?;
-            if !matches!(plan, Value::Object(_)) {
-                return Err(ServeError::malformed(format!(
-                    "gossip entry {i}: `plan` must be an object"
-                )));
-            }
-            Ok(GossipEntry {
-                key: key.to_string(),
-                plan: plan.clone(),
-            })
-        })
-        .collect()
 }
 
 fn parse_plan_request(v: &Value) -> Result<PlanRequest, ServeError> {
@@ -600,39 +541,6 @@ pub fn ok_response(key: &str, value: Value) -> String {
     Value::Object(vec![("ok".into(), Value::Bool(true)), (key.into(), value)]).to_string_compact()
 }
 
-/// Render a gossip request line (no trailing newline) from cache
-/// entries. The sender truncates to [`MAX_GOSSIP_ENTRIES`] so the line
-/// always parses on a well-behaved receiver.
-pub fn gossip_line(entries: &[(String, std::sync::Arc<Value>)]) -> String {
-    let items = entries
-        .iter()
-        .take(MAX_GOSSIP_ENTRIES)
-        .map(|(key, plan)| {
-            Value::Object(vec![
-                ("key".into(), Value::Str(key.clone())),
-                ("plan".into(), (**plan).clone()),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("cmd".into(), Value::Str("gossip".into())),
-        ("entries".into(), Value::Array(items)),
-    ])
-    .to_string_compact()
-}
-
-/// `{"ok":true,"gossip":{"applied":…,"refreshed":…}}`: how many shipped
-/// entries were new to this cache vs. already held.
-pub fn gossip_response(applied: u64, already_held: u64) -> String {
-    ok_response(
-        "gossip",
-        Value::Object(vec![
-            ("applied".into(), Value::UInt(applied)),
-            ("already_held".into(), Value::UInt(already_held)),
-        ]),
-    )
-}
-
 /// Re-render `line` with `trace`/`parent` set (replacing any inbound
 /// values) — how the router forwards a traced request so its own span
 /// becomes the daemon's parent. Returns `None` if the line is not a
@@ -798,63 +706,6 @@ mod tests {
             replan.field("baseline").unwrap().field("cached").unwrap(),
             &Value::Bool(true)
         );
-    }
-
-    #[test]
-    fn gossip_round_trips_and_enforces_caps() {
-        let plan = std::sync::Arc::new(Value::Object(vec![(
-            "period".into(),
-            Value::Float(0.012345678901234567),
-        )]));
-        let entries = vec![("canonical-a".to_string(), std::sync::Arc::clone(&plan))];
-        let line = gossip_line(&entries);
-        assert!(!line.contains('\n'));
-        let Ok(Request::Gossip(parsed)) = parse_request(&line) else {
-            panic!("gossip line must parse: {line}");
-        };
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].key, "canonical-a");
-        // The plan survives the round trip f64-bit-exactly.
-        assert_eq!(
-            parsed[0].plan.field("period").unwrap().as_f64().unwrap(),
-            0.012345678901234567
-        );
-
-        // Ack shape.
-        let ack = Value::parse(&gossip_response(3, 1)).unwrap();
-        assert_eq!(
-            ack.field("gossip").unwrap().field("applied").unwrap(),
-            &Value::UInt(3)
-        );
-
-        // Structural garbage is `malformed`, never a panic.
-        for bad in [
-            r#"{"cmd":"gossip"}"#,
-            r#"{"cmd":"gossip","entries":7}"#,
-            r#"{"cmd":"gossip","entries":[{"plan":{}}]}"#,
-            r#"{"cmd":"gossip","entries":[{"key":"","plan":{}}]}"#,
-            r#"{"cmd":"gossip","entries":[{"key":"k","plan":4}]}"#,
-        ] {
-            assert_eq!(parse_request(bad).unwrap_err().kind, "malformed", "{bad}");
-        }
-
-        // Over-cap requests are rejected whole; the sender-side builder
-        // truncates so its lines always stay under the cap.
-        let many: Vec<(String, std::sync::Arc<Value>)> = (0..MAX_GOSSIP_ENTRIES + 9)
-            .map(|i| (format!("k{i}"), std::sync::Arc::clone(&plan)))
-            .collect();
-        let Ok(Request::Gossip(truncated)) = parse_request(&gossip_line(&many)) else {
-            panic!("builder output must parse");
-        };
-        assert_eq!(truncated.len(), MAX_GOSSIP_ENTRIES);
-        let over = format!(
-            r#"{{"cmd":"gossip","entries":[{}]}}"#,
-            (0..MAX_GOSSIP_ENTRIES + 1)
-                .map(|i| format!(r#"{{"key":"k{i}","plan":{{}}}}"#))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        assert_eq!(parse_request(&over).unwrap_err().kind, "malformed");
     }
 
     #[test]

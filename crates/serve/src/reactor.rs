@@ -11,7 +11,7 @@
 //! Pipelining: a connection may have many newline-delimited requests in
 //! flight at once. Each parsed line becomes a [`Slot`] in the
 //! connection's in-flight queue — instant commands (`ping`, `metrics`,
-//! `health`, `gossip`, `shutdown`, cache hits, structured errors) are
+//! `health`, `shutdown`, cache hits, structured errors) are
 //! born answered; planning misses hold the receiver half of the worker
 //! reply channel. Only the *front* slot may retire, so responses leave
 //! in request order no matter how the worker pool reorders completions.
@@ -50,8 +50,8 @@ use madpipe_json::Value;
 use madpipe_model::{Platform, PlatformFault};
 
 use crate::protocol::{
-    attach_trace, error_response, gossip_response, ok_response, parse_line, plan_response,
-    replan_response, GossipEntry, PlanRequest, Request, ServeError,
+    attach_trace, error_response, ok_response, parse_line, plan_response, replan_response,
+    PlanRequest, Request, ServeError,
 };
 use crate::server::{health_value, Ctx, DeadlineQueue, Job, PlanOutcome, MAX_LINE_BYTES};
 
@@ -507,7 +507,6 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFli
             ctx.draining.store(true, Ordering::SeqCst);
             Slot::Ready(ok_response("draining", Value::Bool(true)))
         }
-        Request::Gossip(entries) => Slot::Ready(apply_gossip(entries, ctx)),
         Request::Plan(plan) => {
             ctx.registry.inc("serve.requests.plan");
             let deadline = Instant::now() + ctx.timeout;
@@ -548,24 +547,6 @@ fn sync_events_dropped(ctx: &Arc<Ctx>) {
     if dropped > seen {
         ctx.registry.add("serve.events.dropped", dropped - seen);
     }
-}
-
-/// Peer cache warming: insert shipped plans this cache doesn't hold.
-fn apply_gossip(entries: Vec<GossipEntry>, ctx: &Arc<Ctx>) -> String {
-    ctx.registry
-        .add("serve.gossip.received", entries.len() as u64);
-    let (mut applied, mut already_held) = (0u64, 0u64);
-    for e in entries {
-        let (inserted, evicted) = ctx.cache.warm(e.key, Arc::new(e.plan));
-        if inserted {
-            applied += 1;
-        } else {
-            already_held += 1;
-        }
-        ctx.registry.add("serve.cache.evictions", evicted);
-    }
-    ctx.registry.add("serve.gossip.applied", applied);
-    gossip_response(applied, already_held)
 }
 
 /// One instance through the cache, then (on a miss) onto the worker

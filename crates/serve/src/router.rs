@@ -32,8 +32,12 @@
 //! status plus an `alive` count; `metrics` sums each daemon's plain
 //! Prometheus samples (via [`madpipe_obs::validate::prometheus_samples`])
 //! into one cluster-wide dump, appends `madpipe_cluster_*` gauges and
-//! the router's own counters. `ping`/`shutdown` are local to the router;
-//! `gossip` is rejected — peers gossip daemon-to-daemon.
+//! the router's own counters. `ping`/`shutdown` are local to the router.
+//!
+//! Routing is the one cluster protocol: daemons never talk to each
+//! other. When a key's home daemon dies, the next ring candidate plans
+//! the key once and serves it from its own cache from then on; a daemon
+//! restarted with `--journal` replays its cache before it listens.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
@@ -541,9 +545,6 @@ fn handle_line(
         }
         Request::Health => health_rollup(ctx),
         Request::Metrics => metrics_rollup(ctx),
-        Request::Gossip(_) => error_response(&ServeError::invalid(
-            "gossip is daemon-to-daemon; the router does not hold a plan cache",
-        )),
         Request::Plan(p) => traced_forward(line, &p.canonical, trace, ctx, backends),
         Request::Replan(r) => traced_forward(line, &r.baseline.canonical, trace, ctx, backends),
     }

@@ -1,8 +1,7 @@
 //! The planning daemon: an event-driven connection reactor (one thread,
 //! nonblocking sockets, readiness polling — see [`crate::reactor`]), a
-//! bounded worker pool that owns the DP sessions, a supervisor that
-//! respawns workers that die, and an optional gossip thread that warms
-//! peer caches in cluster mode.
+//! bounded worker pool that owns the DP sessions, and a supervisor that
+//! respawns workers that die.
 //!
 //! Life of a `plan` request:
 //!
@@ -39,14 +38,11 @@
 //! healthy instance, once for the fault's survivor — and reports the
 //! throughput delta; both plans land in (or come from) the same cache.
 //!
-//! Cluster mode: [`ServeConfig::peers`] (or [`Server::add_peer`]) names
-//! sibling daemons; a gossip thread periodically ships this daemon's
-//! hottest canonical keys + plans to each peer (see [`crate::gossip`]),
-//! so a plan computed anywhere in the cluster soon serves as a cache
-//! hit everywhere. Peers apply entries with `{"cmd":"gossip",…}` —
-//! plans gossip verbatim as rendered, so a warmed hit stays
-//! f64-bit-identical to the origin daemon's (and thus to offline)
-//! planning.
+//! Cluster mode needs nothing from the daemon: N ordinary daemons sit
+//! behind the consistent-hash [`crate::router`], which sends each key to
+//! its home daemon. The only way a plan enters the cache is this
+//! daemon's own worker (or its own journal), so every hit is what
+//! offline planning computes for the key.
 //!
 //! Supervision: a planner panic is caught per job. The poisoned request
 //! is answered with a structured `internal` error (counter
@@ -61,8 +57,8 @@
 //! SIGTERM/SIGINT via [`install_signal_handlers`]) flips one flag. The
 //! reactor stops accepting, retires every in-flight slot, flushes and
 //! closes its connections; closing the job queue lets the workers
-//! drain it and exit, and the supervisor and gossip threads follow them
-//! out. `join()` then returns — no request is abandoned mid-write.
+//! drain it and exit, and the supervisor follows them out. `join()`
+//! then returns — no request is abandoned mid-write.
 //!
 //! Crash recovery: with [`ServeConfig::journal`] set, every freshly
 //! computed plan is appended to a checksummed journal
@@ -109,14 +105,6 @@ pub struct ServeConfig {
     /// planning path, exercising panic isolation and supervised respawn.
     /// `None` (the default, and the CLI's only setting) disables it.
     pub panic_marker: Option<String>,
-    /// Sibling daemon addresses to gossip hot cache entries to
-    /// (cluster mode). Empty disables gossip; [`Server::add_peer`]
-    /// extends the set at runtime.
-    pub peers: Vec<String>,
-    /// How often the gossip thread ships its hottest entries.
-    pub gossip_interval: Duration,
-    /// How many of the hottest cache entries each gossip round ships.
-    pub gossip_entries: usize,
     /// Where to dump the flight recorder (JSONL) when the daemon drains
     /// or a worker panics. `None` disables post-mortem dumps; the ring
     /// still records (it is always on), it just never reaches disk.
@@ -148,9 +136,6 @@ impl Default for ServeConfig {
             timeout: Duration::from_secs(30),
             queue_depth: 0,
             panic_marker: None,
-            peers: Vec::new(),
-            gossip_interval: Duration::from_millis(500),
-            gossip_entries: 8,
             flight_dump: None,
             journal: None,
             cache_bytes: 0,
@@ -167,7 +152,7 @@ impl Default for ServeConfig {
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How often idle loops re-check the drain flag.
-pub(crate) const POLL: Duration = Duration::from_millis(50);
+const POLL: Duration = Duration::from_millis(50);
 
 pub(crate) type PlanOutcome = Result<(Arc<Value>, bool), ServeError>;
 
@@ -394,10 +379,6 @@ pub(crate) struct Ctx {
     pub(crate) panic_marker: Option<String>,
     /// Rings the reactor out of its poll when a worker reply lands.
     pub(crate) waker: Waker,
-    /// Gossip targets (cluster peers); extendable at runtime.
-    pub(crate) peers: Mutex<Vec<String>>,
-    pub(crate) gossip_interval: Duration,
-    pub(crate) gossip_entries: usize,
     /// Post-mortem flight-recorder dump path (panic and drain).
     pub(crate) flight_dump: Option<String>,
     /// Overload admission gate (always present; inert until sojourn
@@ -428,7 +409,6 @@ pub struct Server {
     ctx: Arc<Ctx>,
     reactor: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
-    gossip: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -487,9 +467,6 @@ impl Server {
             workers_alive: AtomicUsize::new(0),
             panic_marker: cfg.panic_marker.clone(),
             waker,
-            peers: Mutex::new(cfg.peers.clone()),
-            gossip_interval: cfg.gossip_interval,
-            gossip_entries: cfg.gossip_entries,
             flight_dump: cfg.flight_dump.clone(),
             gate: OverloadGate::new(shed_target, cfg.shed_window),
             journal,
@@ -516,20 +493,11 @@ impl Server {
                 .expect("spawn reactor")
         };
 
-        let gossip = {
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name("serve-gossip".into())
-                .spawn(move || crate::gossip::gossip_loop(&ctx))
-                .expect("spawn gossip")
-        };
-
         Ok(Server {
             local_addr,
             ctx,
             reactor: Some(reactor),
             supervisor: Some(supervisor),
-            gossip: Some(gossip),
         })
     }
 
@@ -549,12 +517,6 @@ impl Server {
         self.ctx.workers_alive.load(Ordering::SeqCst)
     }
 
-    /// Add a gossip peer at runtime (cluster membership is often only
-    /// known after every daemon has bound its port).
-    pub fn add_peer(&self, addr: impl Into<String>) {
-        lock_unpoisoned(&self.ctx.peers).push(addr.into());
-    }
-
     /// Ask the server to drain: stop accepting, finish in-flight
     /// requests, let the workers empty the queue.
     pub fn shutdown(&self) {
@@ -569,7 +531,7 @@ impl Server {
     }
 
     /// Block until the reactor (and with it every connection), every
-    /// worker, the supervisor and the gossip thread have exited. Call
+    /// worker and the supervisor have exited. Call
     /// [`Server::shutdown`] first (or send `shutdown`).
     pub fn join(mut self) {
         if let Some(h) = self.reactor.take() {
@@ -578,14 +540,11 @@ impl Server {
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.gossip.take() {
-            let _ = h.join();
-        }
         // Drain compaction: rewrite the journal down to what the cache
         // actually holds — replay on the next start then costs one
         // cache-full, not one append-history-full.
         if let Some(j) = &self.ctx.journal {
-            let live = self.ctx.cache.hottest(usize::MAX);
+            let live = self.ctx.cache.entries();
             if j.compact(&live).is_ok() {
                 self.ctx.registry.inc("serve.journal.compactions");
             }

@@ -1,7 +1,7 @@
-//! Cluster-mode tests: gossip cache warming between daemons, the
-//! consistent-hash router's forwarding and rollups, and a whole-daemon
-//! kill from the cluster chaos schedule — in every case, every served
-//! plan stays f64-bit-identical to offline `madpipe plan`.
+//! Cluster-mode tests: the consistent-hash router's forwarding and
+//! rollups, and a whole-daemon kill from the cluster chaos schedule —
+//! in every case, every served plan stays f64-bit-identical to offline
+//! `madpipe plan`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -79,7 +79,7 @@ fn offline_period_bits(chain: &Chain, platform: &Platform) -> u64 {
         .to_bits()
 }
 
-fn start_daemon(gossip_interval: Duration) -> Server {
+fn start_daemon() -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
@@ -87,8 +87,6 @@ fn start_daemon(gossip_interval: Duration) -> Server {
         timeout: Duration::from_secs(60),
         queue_depth: 64,
         panic_marker: None,
-        gossip_interval,
-        gossip_entries: 8,
         ..ServeConfig::default()
     })
     .expect("bind daemon")
@@ -102,62 +100,8 @@ fn metric(text: &str, name: &str) -> Option<f64> {
 }
 
 #[test]
-fn gossip_warms_a_peer_cache_bit_identically() {
-    let a = start_daemon(Duration::from_millis(50));
-    let b = start_daemon(Duration::from_millis(50));
-    a.add_peer(b.local_addr().to_string());
-
-    // Plan on A only; the instance must reach B through gossip alone.
-    let (chain, platform) = instance(3);
-    let line = plan_line(&chain, &platform);
-    let v = roundtrip(a.local_addr(), &line);
-    assert_eq!(v.field("ok").unwrap(), &Value::Bool(true));
-    assert_eq!(v.field("cached").unwrap(), &Value::Bool(false));
-    let bits = served_period_bits(&v);
-    assert_eq!(bits, offline_period_bits(&chain, &platform));
-
-    // Wait for B to apply a gossip round (schedule-free: poll counters).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while b.registry().counter("serve.gossip.applied") == 0 {
-        assert!(Instant::now() < deadline, "gossip never reached the peer");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // B answers the same instance as a cache hit it never computed,
-    // bit-identical to A's (and offline's) plan.
-    let warmed = roundtrip(b.local_addr(), &line);
-    assert_eq!(
-        warmed.field("cached").unwrap(),
-        &Value::Bool(true),
-        "peer must answer from the gossiped entry: {}",
-        warmed.to_string_compact()
-    );
-    assert_eq!(served_period_bits(&warmed), bits);
-    assert_eq!(
-        b.registry().counter("serve.cache.misses"),
-        0,
-        "the warmed daemon never planned this instance itself"
-    );
-    assert!(b.registry().counter("serve.gossip.received") >= 1);
-    assert!(a.registry().counter("serve.gossip.rounds") >= 1);
-    assert!(a.registry().counter("serve.gossip.sent") >= 1);
-
-    // Repeat gossip rounds re-ship the same key; the peer reports it as
-    // already held, never double-applies.
-    std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(b.registry().counter("serve.gossip.applied"), 1);
-
-    a.shutdown();
-    a.join();
-    b.shutdown();
-    b.join();
-}
-
-#[test]
 fn router_forwards_by_canonical_key_and_rolls_up_the_cluster() {
-    let daemons: Vec<Server> = (0..3)
-        .map(|_| start_daemon(Duration::from_secs(3600)))
-        .collect();
+    let daemons: Vec<Server> = (0..3).map(|_| start_daemon()).collect();
     let backends: Vec<String> = daemons.iter().map(|d| d.local_addr().to_string()).collect();
     let router = Router::start(RouterConfig {
         addr: "127.0.0.1:0".into(),
@@ -241,9 +185,7 @@ fn router_forwards_by_canonical_key_and_rolls_up_the_cluster() {
 
 #[test]
 fn daemon_kill_from_the_chaos_schedule_fails_over_and_converges() {
-    let mut daemons: Vec<Option<Server>> = (0..3)
-        .map(|_| Some(start_daemon(Duration::from_secs(3600))))
-        .collect();
+    let mut daemons: Vec<Option<Server>> = (0..3).map(|_| Some(start_daemon())).collect();
     let backends: Vec<String> = daemons
         .iter()
         .map(|d| d.as_ref().unwrap().local_addr().to_string())
@@ -298,19 +240,27 @@ fn daemon_kill_from_the_chaos_schedule_fails_over_and_converges() {
     dead.shutdown();
     dead.join();
 
-    // The victim's keys fail over to the next ring candidate — still
-    // served ok, still bit-identical; survivor-owned keys still hit.
-    let v = roundtrip(raddr, &plan_line(&victim_owned.0, &victim_owned.1));
-    assert_eq!(
-        v.field("ok").unwrap(),
-        &Value::Bool(true),
-        "request owned by the dead daemon must fail over: {}",
-        v.to_string_compact()
-    );
-    assert_eq!(
-        served_period_bits(&v),
-        offline_period_bits(&victim_owned.0, &victim_owned.1)
-    );
+    // The victim's keys fail over to the next ring candidate, which
+    // never saw them: it plans the key once (`cached:false`), then
+    // serves the repeat from its own cache — both bit-identical to
+    // offline. Survivor-owned keys still hit.
+    let victim_bits = offline_period_bits(&victim_owned.0, &victim_owned.1);
+    for cached in [false, true] {
+        let v = roundtrip(raddr, &plan_line(&victim_owned.0, &victim_owned.1));
+        assert_eq!(
+            v.field("ok").unwrap(),
+            &Value::Bool(true),
+            "request owned by the dead daemon must fail over: {}",
+            v.to_string_compact()
+        );
+        assert_eq!(
+            v.field("cached").unwrap(),
+            &Value::Bool(cached),
+            "{}",
+            v.to_string_compact()
+        );
+        assert_eq!(served_period_bits(&v), victim_bits);
+    }
     assert!(router.registry().counter("router.failover") >= 1);
     assert!(router.registry().counter("router.backend_errors") >= 1);
     let v = roundtrip(raddr, &plan_line(&survivor_owned.0, &survivor_owned.1));

@@ -9,7 +9,7 @@ use std::time::Duration;
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform};
-use madpipe_serve::{ServeConfig, Server};
+use madpipe_serve::{canonical_instance, ServeConfig, Server};
 
 /// A small deterministic instance family: same shape, seed-dependent
 /// timings, fast enough to plan many times in a test.
@@ -267,6 +267,70 @@ fn malformed_and_invalid_requests_never_kill_the_server() {
 
     assert!(server.registry().counter("serve.errors.malformed") >= 3);
     assert!(server.registry().counter("serve.errors.invalid") >= 2);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn no_client_can_plant_a_plan_under_an_instance_key() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let (chain, platform) = instance(4);
+    let cfg = PlannerConfig::default();
+
+    // A line shaped like the retired peer-warming verb, carrying a
+    // forged plan under the instance's exact cache key, is just an
+    // unknown command.
+    let key = Value::Str(canonical_instance(&chain, &platform, &cfg)).to_string_compact();
+    let planted = format!(
+        r#"{{"cmd":"gossip","entries":[{{"key":{key},"plan":{{"period":1e-6,"note":"planted"}}}}]}}"#
+    );
+    let v = roundtrip(addr, &planted);
+    assert_eq!(
+        v.field("ok").unwrap(),
+        &Value::Bool(false),
+        "{}",
+        v.to_string_compact()
+    );
+    let err = v.field("error").unwrap();
+    assert_eq!(err.field("kind").unwrap().as_str(), Ok("malformed"));
+    assert!(
+        err.field("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("unknown cmd"),
+        "{}",
+        v.to_string_compact()
+    );
+
+    // The instance is then planned by the daemon itself, bit-identical
+    // to offline planning — nothing was cached under its key.
+    let v = roundtrip(addr, &plan_line(&chain, &platform));
+    assert_eq!(
+        v.field("ok").unwrap(),
+        &Value::Bool(true),
+        "{}",
+        v.to_string_compact()
+    );
+    assert_eq!(
+        v.field("cached").unwrap(),
+        &Value::Bool(false),
+        "{}",
+        v.to_string_compact()
+    );
+    let period = v
+        .field("plan")
+        .unwrap()
+        .field("period")
+        .unwrap()
+        .as_f64()
+        .unwrap();
+    let offline = madpipe_plan(&chain, &platform, &cfg)
+        .expect("offline plan")
+        .period();
+    assert_eq!(period.to_bits(), offline.to_bits());
 
     server.shutdown();
     server.join();

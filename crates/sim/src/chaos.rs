@@ -174,8 +174,10 @@ impl ChaosStream {
 
 /// One injected fault in a *cluster* chaos schedule: either a
 /// single-daemon fault from the base vocabulary aimed at one member, or
-/// the loss of a whole daemon — the event the router's failover and the
-/// gossip tier's convergence are drilled against.
+/// the loss of a whole daemon — the event the router's failover (the
+/// next ring candidate plans the dead daemon's keys once, then serves
+/// them from cache) and the cluster rollups' convergence are drilled
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
     /// A connection/worker-level fault targeting daemon `daemon`.
