@@ -1,5 +1,5 @@
 //! Load generator for `madpipe serve` — single daemon or cluster,
-//! closed-loop or open-loop.
+//! closed-loop or paced.
 //!
 //! N connections each fire M requests over a deterministic pool of
 //! mixed instances, and the report aggregates p50/p95/p99 latency, a
@@ -8,13 +8,17 @@
 //!
 //! Closed loop (the default): each connection sends its next batch as
 //! soon as the previous one is answered — the classic service-time
-//! measurement. Open loop ([`LoadgenConfig::rate`] > 0): requests are
-//! fired on a fixed schedule (`rate` req/s split across connections)
-//! *regardless* of how fast the server answers, which is what real
-//! overload looks like; each request's latency is measured from its
-//! **scheduled** send time, so a server that falls behind accrues the
-//! queueing delay in the recorded quantiles instead of silently
-//! suppressing it (the coordinated-omission correction).
+//! measurement. Paced ([`LoadgenConfig::rate`] > 0): each request gets
+//! a slot on a fixed schedule (`rate` req/s split across connections),
+//! a batch is not sent before its first slot, and each request's
+//! latency is measured from its **scheduled** send time. This is *not*
+//! an open-loop arrival process: a connection still sends its next
+//! batch only after the previous one is answered, so at most
+//! `connections × pipeline_depth` requests are ever in flight, and a
+//! server slower than `rate` never sees a queue deeper than that. The
+//! scheduled-time quantiles then mostly measure the generator falling
+//! behind its own schedule, not server backlog. To overload a daemon,
+//! keep many requests in flight: many connections and deep pipelines.
 //!
 //! Pipelining: with [`LoadgenConfig::pipeline_depth`] > 1 each
 //! connection writes a whole batch of newline-delimited requests before
@@ -67,10 +71,11 @@ pub struct LoadgenConfig {
     /// Reconnect attempts per batch on transient transport failures
     /// (connect refused, server closed the connection). 0 fails fast.
     pub max_retries: usize,
-    /// Open-loop arrival rate in requests/second across all
-    /// connections; 0 keeps the classic closed loop. Open-loop requests
-    /// are timestamped by schedule, not by actual send, so latency
-    /// includes any backlog the server built up.
+    /// Paced request rate in requests/second across all connections; 0
+    /// keeps the classic closed loop. Paced requests are timestamped by
+    /// schedule, not by actual send, so latency includes any time the
+    /// generator fell behind. Batches still wait for the previous
+    /// batch's answers, so this is not an open-loop arrival process.
     pub rate: f64,
     /// Inject a distributed trace context (`"trace"` field, unique id
     /// per request) into every request line, and count the responses
@@ -397,14 +402,14 @@ struct ConnStats {
     loop_seconds: f64,
 }
 
-/// Run the load loop (closed or open) and aggregate the report.
+/// Run the load loop (closed or paced) and aggregate the report.
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     if cfg.addrs.is_empty() {
         return Err("loadgen needs at least one address".into());
     }
     let lines = request_lines(cfg.instances, cfg.seed);
     let depth = cfg.pipeline_depth.max(1);
-    // Open loop: this connection's share of the arrival schedule, in
+    // Paced: this connection's share of the request schedule, in
     // seconds between consecutive requests.
     let interval = if cfg.rate > 0.0 {
         Some(cfg.connections.max(1) as f64 / cfg.rate)
@@ -440,7 +445,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                     let sequence: Vec<&str> = owned.iter().map(String::as_str).collect();
                     for (b, batch) in sequence.chunks(depth).enumerate() {
                         let jitter_seed = mix(cfg.seed ^ ((conn as u64) << 32) ^ b as u64);
-                        // Open loop: wait for the batch's scheduled slot
+                        // Paced: wait for the batch's scheduled slot
                         // (never hurry a late one), and measure each
                         // request from its *schedule* — a backlogged
                         // server pays the wait in recorded latency.

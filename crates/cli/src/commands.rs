@@ -47,18 +47,18 @@ USAGE:
       plus the scheduled pattern (memory and link counter tracks, N
       periods); --metrics-out writes a Prometheus-style metrics dump;
       --stats-json writes the full PlannerStats payload as JSON.
-  madpipe gantt <network> [same flags as plan]
+  madpipe gantt <network> [planning flags]
       Print the ASCII Gantt chart of the MadPipe schedule.
-  madpipe simulate <network> [same flags as plan] [--batches N]
+  madpipe simulate <network> [planning flags] [--batches N]
       Replay the MadPipe schedule and run the eager 1F1B policy.
   madpipe profile <network> [--batch N] [--image S] --out FILE
       Write the synthetic profile (per-layer costs) as JSON.
-  madpipe hybrid <network> [same flags as plan]
+  madpipe hybrid <network> [planning flags]
       Search replica-group counts for hybrid data+model parallelism.
-  madpipe trace <network> [same flags as plan] [--periods N] --out FILE
+  madpipe trace <network> [planning flags] [--periods N] --out FILE
       Export the MadPipe schedule as Chrome-trace JSON (chrome://tracing
       or https://ui.perfetto.dev).
-  madpipe certify <network> [same flags as plan] [--periods K] [--jitter J]
+  madpipe certify <network> [planning flags] [--periods K] [--jitter J]
                [--trials N] [--headroom H] [--chrome-trace FILE] [--stats]
                [--trace-out FILE] [--metrics-out FILE]
       Differentially certify the MadPipe plan: analytic checker vs. the
@@ -97,8 +97,8 @@ USAGE:
   madpipe bench-baseline [--out FILE] [--baseline FILE] [--tolerance T]
                [--time-factor F] [--threads N] [--stats-json FILE]
       Run the fixed smoke benchmark grid plus the tight-memory policy
-      pair (mlp12 on 4 × 2 GB GPUs, default vs --recompute auto
-      --weights 2bw), write the results as JSON to FILE (default
+      pair (mlp12 on 4 × 2 GB GPUs, the default policy vs recompute
+      `auto` with 2BW weights), write the results as JSON to FILE (default
       BENCH_smoke.json), and — when --baseline is given — gate against
       the committed reference: periods within T (default 0.10
       relative), planning time within F× (default 5), no certification
@@ -117,7 +117,7 @@ USAGE:
                [--out DIR]
       Regenerate the paper's figures (text + CSV under DIR, default
       ./results). --full runs the paper's complete grid.
-  madpipe replan <network> --fault SPEC [same flags as plan]
+  madpipe replan <network> --fault SPEC [planning flags] [--stats]
       Degraded-mode replanning: plan the healthy platform, apply the
       fault, replan on the survivor and report the throughput delta.
       SPEC is gpu-loss:N (lose N GPUs), memory:F (every GPU loses
@@ -126,37 +126,35 @@ USAGE:
       `madpipe plan` on the surviving platform.
   madpipe serve [--addr HOST:PORT] [--threads N] [--cache-entries N]
                [--cache-bytes B] [--timeout-ms T] [--queue-depth N]
-               [--shed-target-ms T] [--shed-window-ms T] [--journal FILE]
-               [--flight-dump FILE]
+               [--journal FILE] [--flight-dump FILE]
       Run the planning daemon: newline-delimited JSON requests
       ({\"cmd\":\"plan\"|\"replan\"|\"metrics\"|\"health\"|\"ping\"|\"shutdown\"}),
       served by an event-driven reactor (pipelined requests answered in
       order), a sharded LRU cache keyed by the canonical instance, N
       planner workers (default 2), per-request deadline T ms (default
       30000). The worker queue holds --queue-depth jobs (default
-      max(4 × threads, 64)) and is deadline-ordered (earliest first);
-      jobs whose deadline passed while queued are dropped at dequeue
-      without running the DP (`serve.shed.expired`), and a CoDel-style
-      admission gate sheds a growing fraction of new misses with a
-      structured `overloaded` error (`serve.shed.overload`) whenever
-      the minimum queue sojourn stays above --shed-target-ms (default
-      off) for a full --shed-window-ms (default 100). Workers are
-      supervised: a panicking request gets a structured `internal`
-      error and the worker is respawned; `health` reports queue depth,
-      worker liveness, shed counts and journal stats. --journal appends
-      every freshly planned entry to a checksummed JSONL file and
-      replays it on startup — the warmed cache serves plans
-      byte-identical to the pre-restart daemon, a torn tail from a
-      mid-append crash is tolerated, and a clean drain compacts the
-      file to the live cache. --cache-bytes caps the cache's resident
-      plan bytes (0 = entries-only). A cluster is N of these daemons
-      behind `madpipe route`; daemons never talk to each other. Prints
+      max(4 × threads, 64)), first in, first out, which is deadline
+      order since every request gets the same T. A plan miss that finds
+      D jobs queued is refused with a structured `overloaded` error
+      (`serve.shed.overload`) when (D / N + 1) × the mean plan time
+      measured so far exceeds T: it could not finish in time. An empty
+      queue always admits. Jobs whose deadline passed while queued are
+      dropped at dequeue without running the DP (`serve.shed.expired`).
+      Workers are supervised: a panicking request gets a structured
+      `internal` error and the worker is respawned; `health` reports
+      queue depth, worker liveness, shed counts and journal stats.
+      --journal appends every freshly planned entry to a checksummed
+      JSONL file and replays it on startup — the warmed cache serves
+      plans byte-identical to the pre-restart daemon, a torn tail from a
+      mid-append crash is tolerated, and a clean drain compacts the file
+      to the live cache. --cache-bytes caps the cache's resident plan
+      bytes (0 = entries-only). A cluster is N of these daemons behind
+      `madpipe route`; daemons never talk to each other. Prints
       `listening on ADDR` once live; drains gracefully on SIGTERM,
       SIGINT or a shutdown request. Default address 127.0.0.1:4835;
       --cache-entries 0 disables the cache. --flight-dump writes the
-      always-on flight-recorder ring (recent spans/counters) as JSONL
-      on exit — panics inside a worker dump it immediately. Any other
-      flag is an error (exit 2).
+      always-on flight-recorder ring (recent spans/counters) as JSONL on
+      exit — panics inside a worker dump it immediately.
   madpipe route --backends A,B,.. [--addr HOST:PORT] [--vnodes N]
                [--timeout-ms T] [--probe-timeout-ms T]
                [--breaker-threshold N] [--breaker-open-ms T]
@@ -179,7 +177,7 @@ USAGE:
       router's own `router.forward` span, linking the daemon's spans
       under the router hop. Prints `routing on ADDR -> N backends` once
       live; drains like serve. Default address 127.0.0.1:4830;
-      --flight-dump as in serve. Any other flag is an error (exit 2).
+      --flight-dump as in serve.
   madpipe loadgen [--addr HOST:PORT[,HOST:PORT..]] [--connections N]
                [--requests M] [--pipeline D] [--instances K] [--seed S]
                [--rate R] [--timeout-ms T] [--max-retries R]
@@ -187,11 +185,13 @@ USAGE:
       Load client for the daemon: N connections × M requests over K
       mixed instances; prints ok/cache_hit/shed/timeout/error counts,
       p50/p95/p99 latency, hit rate, retries and the server's serve.*
-      counters. Closed-loop by default; --rate R switches to an
-      open-loop arrival process pacing R requests/s across the
-      connections, with latency charged from each request's *scheduled*
-      send time, so server backlog shows up in the quantiles instead of
-      being hidden by coordinated omission. --addr may list several
+      counters. Closed-loop by default; --rate R schedules R requests/s
+      across the connections and charges latency from each request's
+      *scheduled* send time. It is not an open-loop arrival process: a
+      connection sends its next batch only after the previous one is
+      answered, so at most N × D requests are ever in flight, and when
+      the server is slower than R the scheduled-time quantiles mostly
+      measure the generator falling behind. --addr may list several
       daemons (connection i targets addr i mod len); --pipeline D keeps
       D requests in flight per connection (batched writes, in-order
       reads). Transient transport failures are retried up to R times
@@ -205,19 +205,93 @@ USAGE:
       cluster-wide trace) and reports how many responses echoed a span
       back.
 
-All <network> slots also accept `synthetic` (--layers N, --seed S): a
-reproducible random CNN-profile chain. All planning commands accept
---recompute/--weights as described under `plan`.
+Planning flags: plan and every entry marked [planning flags] accept
+--gpus, --memory-gb, --bandwidth-gb, --batch, --image, --profile,
+--gpu-model, --max-layers, --recompute, --weights and --threads as
+described under `plan`, plus --layers N and --seed S for `synthetic`:
+every <network> slot also accepts `synthetic`, a reproducible random
+CNN-profile chain. A flag the command does not read is an error
+(exit 2).
 
 Defaults: --gpus 4, --memory-gb 8, --bandwidth-gb 12, --batch 8,
 --image 1000.";
+
+/// The flags `load_chain`, `load_platform` and `planner_config` read:
+/// the "planning flags" of the usage text.
+const PLANNING: &str = "gpus memory-gb bandwidth-gb batch image profile gpu-model max-layers \
+                        layers seed recompute weights threads";
+
+/// What a command reads: whether it takes the [`PLANNING`] flags, then
+/// its own flags and its switches as space-separated names. `None` for
+/// an unknown command.
+fn accepts(cmd: &str) -> Option<(bool, &'static str, &'static str)> {
+    Some(match cmd {
+        "networks" | "help" => (false, "", ""),
+        "plan" => (true, "trace-out periods metrics-out stats-json", "stats"),
+        "replan" => (true, "fault", "stats"),
+        "gantt" | "hybrid" => (true, "", ""),
+        "simulate" => (true, "batches", ""),
+        "trace" => (true, "periods out", ""),
+        "certify" => (
+            true,
+            "periods jitter trials headroom chrome-trace trace-out metrics-out",
+            "stats",
+        ),
+        "profile" => (
+            false,
+            "batch image profile gpu-model max-layers layers seed out",
+            "",
+        ),
+        "experiments" => (false, "threads out", "full quiet"),
+        "validate-trace" => (false, "expect-spans metrics", ""),
+        "trace-merge" => (false, "out", ""),
+        "top" => (false, "addr interval-ms timeout-ms", "once"),
+        "bench-baseline" => (
+            false,
+            "out baseline tolerance time-factor threads stats-json",
+            "",
+        ),
+        "bench-plan-speed" => (false, "out baseline repeat time-factor", ""),
+        "serve" => (
+            false,
+            "addr threads cache-entries cache-bytes timeout-ms queue-depth journal flight-dump",
+            "",
+        ),
+        "route" => (
+            false,
+            "backends addr vnodes timeout-ms probe-timeout-ms breaker-threshold breaker-open-ms \
+             flight-dump",
+            "",
+        ),
+        "loadgen" => (
+            false,
+            "addr connections requests pipeline instances seed rate timeout-ms max-retries floor",
+            "expect-hits trace",
+        ),
+        _ => return None,
+    })
+}
 
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let args = parse(
         argv,
         &["full", "quiet", "stats", "expect-hits", "trace", "once"],
     )?;
-    match args.positional.first().map(String::as_str) {
+    let cmd = args.positional.first().map(String::as_str);
+    // Reject a flag the command does not read before doing anything, so
+    // a misspelt or retired flag is an error instead of a silent default.
+    if let Some(name) = cmd {
+        if let Some((planning, own, switches)) = accepts(name) {
+            let shared = if planning { PLANNING } else { "" };
+            let flags: Vec<&str> = shared
+                .split_whitespace()
+                .chain(own.split_whitespace())
+                .collect();
+            let switches: Vec<&str> = switches.split_whitespace().collect();
+            args.only(name, &flags, &switches)?;
+        }
+    }
+    match cmd {
         Some("networks") => cmd_networks(),
         Some("plan") => cmd_plan(&args),
         Some("replan") => cmd_replan(&args),
@@ -1269,22 +1343,6 @@ fn comma_list(raw: &str) -> Vec<String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
-    args.only(
-        "serve",
-        &[
-            "addr",
-            "threads",
-            "cache-entries",
-            "cache-bytes",
-            "timeout-ms",
-            "queue-depth",
-            "shed-target-ms",
-            "shed-window-ms",
-            "journal",
-            "flight-dump",
-        ],
-        &[],
-    )?;
     let cfg = madpipe_serve::ServeConfig {
         addr: args.raw("addr").unwrap_or("127.0.0.1:4835").to_string(),
         threads: args.get_or("threads", 2usize)?.max(1),
@@ -1295,10 +1353,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         flight_dump: args.raw("flight-dump").map(str::to_string),
         journal: args.raw("journal").map(str::to_string),
         cache_bytes: args.get_or("cache-bytes", 0usize)?,
-        shed_target: std::time::Duration::from_millis(args.get_or("shed-target-ms", 0u64)?),
-        shed_window: std::time::Duration::from_millis(
-            args.get_or("shed-window-ms", 100u64)?.max(1),
-        ),
     };
     madpipe_serve::install_signal_handlers();
     let server = madpipe_serve::Server::start(cfg).map_err(|e| format!("bind: {e}"))?;
@@ -1317,20 +1371,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn cmd_route(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
-    args.only(
-        "route",
-        &[
-            "backends",
-            "addr",
-            "vnodes",
-            "timeout-ms",
-            "probe-timeout-ms",
-            "breaker-threshold",
-            "breaker-open-ms",
-            "flight-dump",
-        ],
-        &[],
-    )?;
     let backends = args
         .raw("backends")
         .map(comma_list)
@@ -1437,6 +1477,43 @@ mod tests {
         assert_eq!(latency_cell(f64::NAN), "-");
         assert_eq!(latency_cell(f64::INFINITY), "-");
         assert_eq!(latency_cell(1.234), "1.23 ms");
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_entry_is_accepted_by_its_command() {
+        // Each entry starts at a `  madpipe <cmd>` line and runs through
+        // its deeper-indented continuation lines.
+        let mut entries: Vec<(&str, String)> = Vec::new();
+        for line in USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1) {
+            if let Some(rest) = line.strip_prefix("  madpipe ") {
+                let cmd = rest.split_whitespace().next().expect("command name");
+                entries.push((cmd, rest.to_string()));
+            } else if line.starts_with("   ") {
+                entries.last_mut().expect("an entry").1.push_str(line);
+            } else if !entries.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(entries.len(), 18, "one usage entry per command");
+        for (cmd, text) in &entries {
+            let (planning, own, switches) =
+                accepts(cmd).unwrap_or_else(|| panic!("usage names unknown command {cmd}"));
+            if text.contains("[planning flags]") {
+                assert!(planning, "{cmd} usage promises the planning flags");
+            }
+            for flag in text.split("--").skip(1).filter_map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(rest.len());
+                (end > 0).then(|| &rest[..end])
+            }) {
+                let shared = if planning { PLANNING } else { "" };
+                let read = [shared, own, switches]
+                    .iter()
+                    .any(|names| names.split_whitespace().any(|n| n == flag));
+                assert!(read, "usage of {cmd} names --{flag}, which {cmd} rejects");
+            }
+        }
     }
 
     #[test]

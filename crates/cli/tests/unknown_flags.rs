@@ -1,6 +1,6 @@
-//! `serve` and `route` reject flags they do not read: a misspelt or
-//! retired flag exits 2 and names the flag, instead of starting a
-//! long-running process that silently ignores it.
+//! Every command rejects flags it does not read: a misspelt or retired
+//! flag exits 2 and names the flag, instead of planning at a default or
+//! starting a long-running process that silently ignores it.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -76,4 +76,43 @@ fn route_rejects_a_flag_it_does_not_read() {
         ],
         "peers",
     );
+}
+
+#[test]
+fn plan_rejects_a_misspelt_memory_flag() {
+    rejects(
+        &["plan", "resnet50", "--gpus", "4", "--memroy-gb", "3"],
+        "memroy-gb",
+    );
+}
+
+#[test]
+fn certify_rejects_a_misspelt_jitter_flag() {
+    rejects(
+        &[
+            "certify",
+            "synthetic",
+            "--layers",
+            "5",
+            "--seed",
+            "7",
+            "--gpus",
+            "2",
+            "--memory-gb",
+            "8",
+            "--jiter",
+            "0.5",
+        ],
+        "jiter",
+    );
+}
+
+#[test]
+fn experiments_rejects_a_misspelt_threads_flag() {
+    rejects(&["experiments", "fig6", "--thredas", "2"], "thredas");
+}
+
+#[test]
+fn loadgen_rejects_a_misspelt_address_flag() {
+    rejects(&["loadgen", "--adress", "127.0.0.1:1"], "adress");
 }

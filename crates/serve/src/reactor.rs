@@ -31,12 +31,11 @@
 //! tight-looping; `EINTR` retries immediately and `WouldBlock` resets
 //! the backoff.
 //!
-//! Overload: a plan miss consults the [`Ctx::gate`] admission gate
-//! before touching the queue — when queue sojourn has been above target
-//! for a sustained window the miss is shed with a structured
-//! `overloaded` error (`serve.shed.overload`) instead of joining a
-//! standing queue; a full queue is still an immediate reject
-//! (`serve.rejects`).
+//! Overload: a plan miss that finds the worker queue non-empty is
+//! refused with a structured `overloaded` error (`serve.shed.overload`)
+//! when the jobs ahead of it, at the daemon's mean measured plan time,
+//! would carry it past its deadline (see [`crate::server::admit`]); a
+//! full queue is still an immediate reject (`serve.rejects`).
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -53,7 +52,7 @@ use crate::protocol::{
     attach_trace, error_response, ok_response, parse_line, plan_response, replan_response,
     PlanRequest, Request, ServeError,
 };
-use crate::server::{health_value, Ctx, DeadlineQueue, Job, PlanOutcome, MAX_LINE_BYTES};
+use crate::server::{admit, health_value, Ctx, Job, JobQueue, PlanOutcome, MAX_LINE_BYTES};
 
 /// Per-connection cap on queued (unanswered) pipelined requests; past
 /// it the reactor stops reading the socket until slots retire.
@@ -293,7 +292,7 @@ impl Conn {
 pub(crate) fn reactor_loop(
     listener: TcpListener,
     ctx: Arc<Ctx>,
-    jobs: Arc<DeadlineQueue>,
+    jobs: Arc<JobQueue>,
     wake: WakeRx,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
@@ -427,7 +426,7 @@ fn read_some(conn: &mut Conn) -> bool {
 
 /// Turn buffered complete lines into in-flight slots, and reject an
 /// over-bound line (complete or still streaming) in pipeline position.
-fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> bool {
+fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> bool {
     let mut progress = false;
     while conn.inflight.len() < MAX_INFLIGHT {
         let Some(pos) = conn.read_buf.iter().position(|b| *b == b'\n') else {
@@ -470,10 +469,9 @@ fn oversized_slot(ctx: &Arc<Ctx>) -> Slot {
 
 /// Parse one request line into its in-flight entry. Everything except a
 /// planning cache miss is answered on the spot.
-fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFlight {
+fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> InFlight {
     let started = Instant::now();
     let started_us = madpipe_obs::now_unix_us();
-    let _span = madpipe_obs::span("serve.request");
     ctx.registry.inc("serve.requests");
     let (req, tctx) = match parse_line(line) {
         Ok(parsed) => parsed,
@@ -513,7 +511,6 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFli
             Slot::Plan(submit_plan(*plan, deadline, ctx, jobs, trace, span_id))
         }
         Request::Replan(replan) => {
-            let _span = madpipe_obs::span("serve.replan");
             ctx.registry.inc("serve.requests.replan");
             ctx.registry
                 .inc(&format!("replan.fault.{}", replan.fault.kind()));
@@ -555,7 +552,7 @@ fn submit_plan(
     req: PlanRequest,
     deadline: Instant,
     ctx: &Arc<Ctx>,
-    jobs: &Arc<DeadlineQueue>,
+    jobs: &Arc<JobQueue>,
     trace: u64,
     span: u64,
 ) -> PlanWait {
@@ -579,10 +576,10 @@ fn submit_plan(
     if ctx.draining() {
         return PlanWait::Done(Err(ServeError::unavailable()));
     }
-    // CoDel-style admission: when queue sojourn has exceeded its target
-    // for a sustained window, shed a growing fraction of new misses so
-    // the requests that *are* admitted still meet their deadlines.
-    if !ctx.gate.admit(ctx.queue_depth.load(Ordering::SeqCst)) {
+    // Refuse a miss the queue ahead of it would carry past its deadline,
+    // so the requests that *are* admitted still meet theirs.
+    let depth = ctx.queue_depth.load(Ordering::SeqCst);
+    if !admit(depth, ctx.threads, ctx.mean_plan(), ctx.timeout) {
         ctx.registry.inc("serve.shed.overload");
         return PlanWait::Done(Err(ServeError::overloaded()));
     }

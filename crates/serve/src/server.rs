@@ -14,14 +14,14 @@
 //!    back in request order.
 //! 2. The canonical key probes the [`PlanCache`]; a hit is answered
 //!    immediately (`cached:true`).
-//! 3. A miss becomes a [`Job`] on the bounded queue, ordered
-//!    earliest-deadline-first — under pressure the work most likely to
-//!    still matter runs first. A full queue is an immediate
-//!    `overloaded` reject, and a CoDel-style admission gate
-//!    ([`OverloadGate`]) starts shedding probabilistically
-//!    (`serve.shed.overload`) when queue sojourn has exceeded its
-//!    target for a sustained window — the server sheds load instead of
-//!    building a backlog whose every entry will miss its deadline.
+//! 3. A miss becomes a [`Job`] on the bounded FIFO [`JobQueue`]. Every
+//!    deadline is the same timeout after parse, so arrival order is
+//!    deadline order. First, [`admit`] refuses the miss with a
+//!    structured `overloaded` error (`serve.shed.overload`) when the
+//!    queue ahead of it, at the mean plan time measured so far, cannot
+//!    finish before its deadline — the server sheds load instead of
+//!    building a backlog whose every entry will miss its deadline. A
+//!    full queue is an immediate `overloaded` reject (`serve.rejects`).
 //! 4. A worker picks the job up — dropping it unrun with a structured
 //!    `timeout` (`serve.shed.expired`) if its deadline already passed
 //!    while queued — builds (or reuses) a [`ProbeSession`]
@@ -66,10 +66,10 @@
 //! so even a `SIGKILL`ed daemon comes back warm, serving byte-identical
 //! plans. A clean drain compacts the journal down to the live cache.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -117,14 +117,6 @@ pub struct ServeConfig {
     /// (0 = entries only). A plan larger than the whole budget is
     /// served uncached rather than admitted.
     pub cache_bytes: usize,
-    /// Overload-gate queue-sojourn target: once the *minimum* queue
-    /// wait over a [`shed_window`](ServeConfig::shed_window) stays
-    /// above this, new work is shed probabilistically until the queue
-    /// recovers. Zero (the default) derives `min(timeout / 4, 1 s)`.
-    pub shed_target: Duration,
-    /// How long sojourn must stay above target before shedding starts
-    /// (and the cadence at which the gate re-evaluates).
-    pub shed_window: Duration,
 }
 
 impl Default for ServeConfig {
@@ -139,8 +131,6 @@ impl Default for ServeConfig {
             flight_dump: None,
             journal: None,
             cache_bytes: 0,
-            shed_target: Duration::ZERO,
-            shed_window: Duration::from_millis(100),
         }
     }
 }
@@ -168,62 +158,32 @@ pub(crate) struct Job {
     pub(crate) enqueued: Instant,
 }
 
-/// The bounded job queue, ordered earliest-deadline-first (FIFO within
-/// a deadline via a monotone sequence number, so equal-deadline bursts
-/// keep arrival order). Replaces the old FIFO channel: under overload a
-/// FIFO burns worker time on the *oldest* work — exactly the requests
-/// whose deadlines expire first — while EDF runs what can still make it.
+/// The bounded job queue, first in, first out. Every deadline is
+/// `Instant::now() + timeout`, stamped on the one reactor thread that
+/// also does every push, and `Instant` never goes backwards — so push
+/// order is deadline order, and the front job is always the one whose
+/// deadline comes first.
 ///
 /// Closing the queue (reactor exit) wakes every blocked worker; they
 /// drain the remaining jobs and return, preserving the old
 /// disconnect-on-drain semantics.
-pub(crate) struct DeadlineQueue {
+pub(crate) struct JobQueue {
     inner: Mutex<QueueInner>,
     avail: Condvar,
     capacity: usize,
 }
 
 struct QueueInner {
-    heap: BinaryHeap<QueuedJob>,
+    jobs: VecDeque<Job>,
     closed: bool,
-    seq: u64,
 }
 
-struct QueuedJob {
-    job: Job,
-    seq: u64,
-}
-
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for QueuedJob {}
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedJob {
-    /// `BinaryHeap` is a max-heap: reverse both fields so the earliest
-    /// deadline (then the earliest arrival) surfaces first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .job
-            .deadline
-            .cmp(&self.job.deadline)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl DeadlineQueue {
+impl JobQueue {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(QueueInner {
-                heap: BinaryHeap::new(),
+                jobs: VecDeque::new(),
                 closed: false,
-                seq: 0,
             }),
             avail: Condvar::new(),
             capacity,
@@ -234,24 +194,22 @@ impl DeadlineQueue {
     /// so the caller can answer its client).
     pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
         let mut q = lock_unpoisoned(&self.inner);
-        if q.closed || q.heap.len() >= self.capacity {
+        if q.closed || q.jobs.len() >= self.capacity {
             return Err(job);
         }
-        let seq = q.seq;
-        q.seq += 1;
-        q.heap.push(QueuedJob { job, seq });
+        q.jobs.push_back(job);
         drop(q);
         self.avail.notify_one();
         Ok(())
     }
 
-    /// Block for the earliest-deadline job; `None` once the queue is
-    /// closed *and* empty — the worker-drain signal.
+    /// Block for the oldest job; `None` once the queue is closed *and*
+    /// empty — the worker-drain signal.
     pub(crate) fn pop(&self) -> Option<Job> {
         let mut q = lock_unpoisoned(&self.inner);
         loop {
-            if let Some(next) = q.heap.pop() {
-                return Some(next.job);
+            if let Some(next) = q.jobs.pop_front() {
+                return Some(next);
             }
             if q.closed {
                 return None;
@@ -262,7 +220,7 @@ impl DeadlineQueue {
 
     /// Non-blocking pop — the worker lookahead.
     pub(crate) fn try_pop(&self) -> Option<Job> {
-        lock_unpoisoned(&self.inner).heap.pop().map(|q| q.job)
+        lock_unpoisoned(&self.inner).jobs.pop_front()
     }
 
     /// Stop admitting and wake every blocked worker.
@@ -272,95 +230,14 @@ impl DeadlineQueue {
     }
 }
 
-/// CoDel-style sojourn-time admission gate. Workers report every job's
-/// queue wait at dequeue ([`OverloadGate::observe`]); when the *minimum*
-/// wait over a whole window exceeds the target — i.e. even the luckiest
-/// job waited too long, so the queue is persistently, not transiently,
-/// full — the gate flips to shedding and the reactor drops a growing
-/// fraction of new plan misses with a structured `overloaded` error
-/// (`serve.shed.overload`) instead of queueing work that would expire.
-/// The min-over-window statistic is CoDel's: it ignores bursts that
-/// drain, reacts only to standing queues.
-pub(crate) struct OverloadGate {
-    target: Duration,
-    window: Duration,
-    /// Reactor fast path: one relaxed load while healthy.
-    shedding: AtomicBool,
-    state: Mutex<GateState>,
-}
-
-struct GateState {
-    window_start: Option<Instant>,
-    min_sojourn: Duration,
-    /// Consecutive windows above target — drives the shed ramp.
-    bad_windows: u32,
-    /// xorshift64 state for the probabilistic drop.
-    rng: u64,
-}
-
-impl OverloadGate {
-    pub(crate) fn new(target: Duration, window: Duration) -> Self {
-        Self {
-            target,
-            window,
-            shedding: AtomicBool::new(false),
-            state: Mutex::new(GateState {
-                window_start: None,
-                min_sojourn: Duration::MAX,
-                bad_windows: 0,
-                rng: 0x9E37_79B9_7F4A_7C15,
-            }),
-        }
-    }
-
-    /// Record one job's queue sojourn (called by workers at dequeue).
-    pub(crate) fn observe(&self, sojourn: Duration) {
-        let now = Instant::now();
-        let mut s = lock_unpoisoned(&self.state);
-        match s.window_start {
-            None => {
-                s.window_start = Some(now);
-                s.min_sojourn = sojourn;
-            }
-            Some(t0) => {
-                s.min_sojourn = s.min_sojourn.min(sojourn);
-                if now.duration_since(t0) >= self.window {
-                    let above = s.min_sojourn > self.target;
-                    if above {
-                        s.bad_windows += 1;
-                    } else {
-                        s.bad_windows = 0;
-                    }
-                    self.shedding.store(above, Ordering::Relaxed);
-                    s.window_start = Some(now);
-                    s.min_sojourn = sojourn;
-                }
-            }
-        }
-    }
-
-    /// Admission check for a new plan miss. `false` = shed it now.
-    pub(crate) fn admit(&self, queue_depth: usize) -> bool {
-        if queue_depth == 0 {
-            // An empty queue cannot be overloaded, whatever the last
-            // window said — clears stale shedding after a storm ends.
-            self.shedding.store(false, Ordering::Relaxed);
-            return true;
-        }
-        if !self.shedding.load(Ordering::Relaxed) {
-            return true;
-        }
-        let mut s = lock_unpoisoned(&self.state);
-        // Ramp the drop probability with how long the queue has been
-        // standing: 25% after one bad window, up to 90% — admitted
-        // traffic keeps probing whether the queue recovered.
-        let p = (0.25 * f64::from(s.bad_windows)).min(0.9);
-        s.rng ^= s.rng << 13;
-        s.rng ^= s.rng >> 7;
-        s.rng ^= s.rng << 17;
-        let draw = (s.rng >> 11) as f64 / (1u64 << 53) as f64;
-        draw >= p
-    }
+/// Admission for a new plan miss: with `depth` jobs queued ahead of it
+/// and `threads` workers each taking `mean_plan` per job, the miss would
+/// finish after `(depth / threads + 1) × mean_plan`. Refuse it when that
+/// falls after `timeout`. An empty queue always admits, and so does a
+/// daemon that has not timed a plan yet (`mean_plan` is then zero).
+pub(crate) fn admit(depth: usize, threads: usize, mean_plan: Duration, timeout: Duration) -> bool {
+    let expected = (depth as f64 / threads as f64 + 1.0) * mean_plan.as_secs_f64();
+    depth == 0 || expected <= timeout.as_secs_f64()
 }
 
 pub(crate) struct Ctx {
@@ -381,9 +258,10 @@ pub(crate) struct Ctx {
     pub(crate) waker: Waker,
     /// Post-mortem flight-recorder dump path (panic and drain).
     pub(crate) flight_dump: Option<String>,
-    /// Overload admission gate (always present; inert until sojourn
-    /// observations cross its target).
-    pub(crate) gate: OverloadGate,
+    /// Sum and count of every plan time measured (`serve.plan.seconds`),
+    /// the mean that [`admit`] charges each queued job.
+    pub(crate) plan_nanos: AtomicU64,
+    pub(crate) plans_timed: AtomicU64,
     /// Durable plan journal (crash recovery); `None` when not configured.
     pub(crate) journal: Option<crate::journal::Journal>,
 }
@@ -391,6 +269,15 @@ pub(crate) struct Ctx {
 impl Ctx {
     pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || term_requested()
+    }
+
+    /// Mean measured plan time; zero before the first plan.
+    pub(crate) fn mean_plan(&self) -> Duration {
+        let plans = self.plans_timed.load(Ordering::Relaxed);
+        if plans == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos(self.plan_nanos.load(Ordering::Relaxed) / plans)
     }
 }
 
@@ -451,11 +338,6 @@ impl Server {
             None => None,
         };
 
-        let shed_target = if cfg.shed_target.is_zero() {
-            (cfg.timeout / 4).min(Duration::from_secs(1))
-        } else {
-            cfg.shed_target
-        };
         let ctx = Arc::new(Ctx {
             draining: AtomicBool::new(false),
             registry,
@@ -468,11 +350,12 @@ impl Server {
             panic_marker: cfg.panic_marker.clone(),
             waker,
             flight_dump: cfg.flight_dump.clone(),
-            gate: OverloadGate::new(shed_target, cfg.shed_window),
+            plan_nanos: AtomicU64::new(0),
+            plans_timed: AtomicU64::new(0),
             journal,
         });
 
-        let jobs = Arc::new(DeadlineQueue::new(depth));
+        let jobs = Arc::new(JobQueue::new(depth));
         let workers: Vec<JoinHandle<()>> =
             (0..threads).map(|i| spawn_worker(i, &ctx, &jobs)).collect();
 
@@ -572,7 +455,7 @@ impl Drop for AliveGuard<'_> {
 /// Spawn worker `id`. It counts as alive from before `spawn` returns, so
 /// a `health` call right after [`Server::start`] sees every worker; the
 /// guard inside the thread takes the count back down however it exits.
-fn spawn_worker(id: usize, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> JoinHandle<()> {
+fn spawn_worker(id: usize, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> JoinHandle<()> {
     let ctx = Arc::clone(ctx);
     let jobs = Arc::clone(jobs);
     ctx.workers_alive.fetch_add(1, Ordering::SeqCst);
@@ -589,7 +472,7 @@ fn spawn_worker(id: usize, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> JoinHan
 /// death (join `Err`) is replaced with a fresh worker unless the server
 /// is draining. Exits once every worker has left cleanly (the job queue
 /// closed and drained).
-fn supervisor_loop(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, mut workers: Vec<JoinHandle<()>>) {
+fn supervisor_loop(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, mut workers: Vec<JoinHandle<()>>) {
     let mut next_id = workers.len();
     while !workers.is_empty() {
         let mut i = 0;
@@ -710,7 +593,7 @@ pub(crate) fn health_value(ctx: &Arc<Ctx>) -> Value {
     Value::Object(fields)
 }
 
-fn worker_loop(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) {
+fn worker_loop(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) {
     let mut pending: Option<Job> = None;
     loop {
         let job = match pending.take() {
@@ -730,12 +613,9 @@ fn worker_loop(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) {
 
 /// Stamp how long a job sat on the queue before a worker picked it up:
 /// the `serve.queue.seconds` histogram plus a `serve.queue.wait` flight
-/// span parented under the request span. The sojourn also feeds the
-/// overload gate — this is the measurement CoDel-style shedding runs on.
+/// span parented under the request span.
 fn record_queue_wait(ctx: &Arc<Ctx>, job: &Job) {
-    let sojourn = job.enqueued.elapsed();
-    ctx.gate.observe(sojourn);
-    let wait = sojourn.as_secs_f64();
+    let wait = job.enqueued.elapsed().as_secs_f64();
     ctx.registry.observe("serve.queue.seconds", wait);
     madpipe_obs::flight::record_span(
         "serve.queue.wait",
@@ -769,7 +649,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// structured `internal` error, `serve.panics` is bumped, and the panic
 /// is resumed so this worker (and its possibly-poisoned session) tears
 /// down — the supervisor spawns a replacement.
-fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: &mut Option<Job>) {
+fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, job: Job, pending: &mut Option<Job>) {
     record_queue_wait(ctx, &job);
     if Instant::now() >= job.deadline {
         // Sat in the queue past its deadline; the client already gave
@@ -860,8 +740,12 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                         std::panic::resume_unwind(payload);
                     }
                 };
+                let plan_time = t0.elapsed();
                 ctx.registry
-                    .observe("serve.plan.seconds", t0.elapsed().as_secs_f64());
+                    .observe("serve.plan.seconds", plan_time.as_secs_f64());
+                ctx.plan_nanos
+                    .fetch_add(plan_time.as_nanos() as u64, Ordering::Relaxed);
+                ctx.plans_timed.fetch_add(1, Ordering::Relaxed);
                 ctx.registry.inc("serve.plans");
                 match result {
                     Ok(plan) => {
@@ -971,5 +855,63 @@ pub fn term_requested() -> bool {
     #[cfg(not(unix))]
     {
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{parse_request, Request};
+
+    #[test]
+    fn admission_refuses_a_miss_that_cannot_finish_by_its_deadline() {
+        let (mean, timeout) = (Duration::from_millis(250), Duration::from_secs(4));
+        // One worker: 15 ahead + itself = 16 × 0.25 s = 4 s, just in time.
+        assert!(admit(15, 1, mean, timeout));
+        assert!(!admit(16, 1, mean, timeout));
+        // Two workers halve the wait ahead.
+        assert!(admit(30, 2, mean, timeout));
+        assert!(!admit(31, 2, mean, timeout));
+        // An empty queue always admits, even a plan slower than the
+        // deadline; a daemon that has timed no plan admits at any depth.
+        assert!(admit(0, 1, Duration::from_secs(5), timeout));
+        assert!(admit(usize::MAX, 1, Duration::ZERO, timeout));
+    }
+
+    fn job(id: u64) -> Job {
+        let line = concat!(
+            r#"{"cmd":"plan","chain":{"name":"q","input_bytes":1024,"layers":["#,
+            r#"{"name":"l0","forward_time":0.001,"backward_time":0.002,"weight_bytes":1000,"activation_bytes":2000}"#,
+            r#"]},"platform":{"n_gpus":1,"memory_gb":1,"bandwidth_gb":12.0}}"#
+        );
+        let Ok(Request::Plan(req)) = parse_request(line) else {
+            panic!("test line parses as a plan");
+        };
+        let (reply, _) = std::sync::mpsc::sync_channel(1);
+        let now = Instant::now();
+        Job {
+            req,
+            deadline: now + Duration::from_secs(30),
+            reply,
+            trace: id,
+            span: 0,
+            enqueued: now,
+        }
+    }
+
+    #[test]
+    fn the_job_queue_pops_in_push_order_and_drains_after_close() {
+        let q = JobQueue::new(3);
+        for id in 0..3 {
+            assert!(q.try_push(job(id)).is_ok());
+        }
+        assert!(q.try_push(job(3)).is_err(), "full queue refuses");
+        assert_eq!(q.pop().map(|j| j.trace), Some(0));
+        assert!(q.try_push(job(4)).is_ok());
+        q.close();
+        assert!(q.try_push(job(5)).is_err(), "closed queue refuses");
+        let rest: Vec<u64> = std::iter::from_fn(|| q.try_pop().map(|j| j.trace)).collect();
+        assert_eq!(rest, [1, 2, 4]);
+        assert!(q.pop().is_none(), "closed and empty ends the worker");
     }
 }

@@ -1,12 +1,15 @@
-//! Overload drills: sustained storms of uncacheable work must flip the
-//! admission gate into shedding (structured `overloaded` errors, never
-//! stalls), expired work must be dropped at dequeue without running the
-//! DP, a slow-loris client must not stall other connections — and
-//! every plan that *is* served stays bit-identical to offline planning.
+//! Overload drills: work that cannot finish by its deadline must be
+//! refused at admission (structured `overloaded` errors, never stalls),
+//! expired work must be dropped at dequeue without running the DP, a
+//! slow-loris client must not stall other connections — and every plan
+//! that *is* served stays bit-identical to offline planning.
 //!
-//! The traffic shapes come from the deterministic client-event schedule
-//! in `madpipe_sim::chaos` (`ClientEvent`), the same draw the CI
-//! overload smoke replays.
+//! Deadlines in the admission drills are multiples of a plan time
+//! measured here, offline, so the drills mean the same on any host.
+//!
+//! The storm's burst sizes and the slow-loris stalls come from the
+//! deterministic client-event schedule in `madpipe_sim::chaos`
+//! (`ClientEvent`).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -23,7 +26,13 @@ use madpipe_sim::{ChaosStream, ClientEvent};
 /// Heavier than the integration family (more layers) so one plan costs
 /// real worker time and a pipelined burst builds a standing queue.
 fn chain(seed: u64) -> Chain {
-    let layers = (0..8)
+    chain_sized(seed, 8, format!("storm{seed}"))
+}
+
+/// `n_layers` layers of [`chain`]'s cost profile: more layers, a
+/// costlier plan.
+fn chain_sized(seed: u64, n_layers: u64, name: String) -> Chain {
+    let layers = (0..n_layers)
         .map(|i| {
             let x = ((seed * 37 + i * 11) % 17 + 1) as f64;
             Layer::new(
@@ -35,7 +44,28 @@ fn chain(seed: u64) -> Chain {
             )
         })
         .collect();
-    Chain::new(format!("storm{seed}"), 1 << 20, layers).unwrap()
+    Chain::new(name, 1 << 20, layers).unwrap()
+}
+
+/// The fixed-cost chain of the admission drills: every request plans
+/// [`chain`]`(FIXED)`'s layers under its own name.
+const FIXED: u64 = 10;
+
+/// Deadlines in the admission drills, in measured plan times.
+const DEADLINE_PLANS: u32 = 5;
+
+/// Median wall time of five offline plans of the fixed-cost chain.
+fn offline_plan_time() -> Duration {
+    let mut times: Vec<Duration> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            madpipe_plan(&chain(FIXED), &platform(), &PlannerConfig::default())
+                .expect("offline plan");
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[2]
 }
 
 fn platform() -> Platform {
@@ -155,19 +185,70 @@ fn check_response(v: &Value, seed: u64, oracle: &mut HashMap<u64, u64>) -> &'sta
     }
 }
 
+/// Storm request `n`: the fixed-cost chain under its own name, a
+/// distinct instance (names are part of the cache key) with exactly the
+/// same planning cost.
+fn storm_line(n: u64) -> String {
+    plan_line(&chain_sized(FIXED, 8, format!("storm-{n}")), &platform())
+}
+
+#[test]
+fn a_burst_past_the_deadline_is_shed_at_admission() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        cache_entries: 256,
+        timeout: offline_plan_time() * DEADLINE_PLANS,
+        queue_depth: 64,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+
+    // One warm plan gives the daemon its mean plan time; until then it
+    // has nothing to judge a queue by and admits everything.
+    let (mut stream, mut reader) = connect(addr);
+    pipeline(&mut stream, &mut reader, &[storm_line(0)]);
+
+    // 48 distinct same-cost instances at once: one worker can finish
+    // about five of them by the deadline, and admission should refuse
+    // the rest up front instead of letting them time out in the queue.
+    let burst: Vec<String> = (1..=48).map(storm_line).collect();
+    let responses = pipeline(&mut stream, &mut reader, &burst);
+    let mut oracle = HashMap::new();
+    let outcomes: Vec<&str> = responses
+        .iter()
+        .map(|v| check_response(v, FIXED, &mut oracle))
+        .collect();
+    let count = |what: &str| outcomes.iter().filter(|o| **o == what).count();
+    let shed = count("shed");
+    assert!(
+        shed >= burst.len() / 2,
+        "most of a burst past the deadline is refused at admission \
+         (ok {}, shed {shed}, timeout {})",
+        count("ok"),
+        count("timeout"),
+    );
+    assert!(
+        serve_counter(addr, "madpipe_serve_shed_overload") >= shed as u64,
+        "refusals are accounted in serve.shed.overload"
+    );
+    assert!(count("ok") > 0, "the head of the burst is still served");
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
+    // A deadline of five plan times: behind a queue five deep, a
+    // newcomer cannot finish in time, on this host or any other.
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         threads: 1, // one worker: arrivals outpace service by design
         cache_entries: 256,
-        timeout: Duration::from_secs(60),
+        timeout: offline_plan_time() * DEADLINE_PLANS,
         queue_depth: 512,
-        // An aggressive gate so the drill flips it quickly: any standing
-        // queue whose minimum sojourn stays above 200 µs for 10 ms is
-        // overload.
-        shed_target: Duration::from_micros(200),
-        shed_window: Duration::from_millis(10),
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -184,9 +265,9 @@ fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
     assert!(bursts.len() >= 8, "schedule yields enough storms");
 
     // Two closed-loop feeders share the one worker, so each other's
-    // batches keep the queue standing while their own submits arrive —
-    // the shape the sojourn gate exists to catch. Every request is a
-    // unique instance: no cache hits, every admitted job runs the DP.
+    // batches keep the queue standing while their own submits arrive.
+    // Every request is a unique instance of the same cost: no cache
+    // hits, every admitted job runs the DP.
     let next_seed = AtomicU64::new(0);
     let deadline = Instant::now() + Duration::from_secs(3);
     let outcomes: Vec<(u64, &'static str)> = std::thread::scope(|scope| {
@@ -205,13 +286,10 @@ fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
                         let seeds: Vec<u64> = (0..*burst)
                             .map(|_| next_seed.fetch_add(1, Ordering::Relaxed))
                             .collect();
-                        let batch: Vec<String> = seeds
-                            .iter()
-                            .map(|s| plan_line(&chain(*s), &platform()))
-                            .collect();
+                        let batch: Vec<String> = seeds.iter().map(|s| storm_line(*s)).collect();
                         let responses = pipeline(&mut stream, &mut reader, &batch);
                         for (seed, v) in seeds.iter().zip(&responses) {
-                            tallies.push((*seed, check_response(v, *seed, &mut oracle)));
+                            tallies.push((*seed, check_response(v, FIXED, &mut oracle)));
                         }
                         // Stop early once shedding is observed plus a
                         // little extra load for good measure.
@@ -233,7 +311,7 @@ fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
     assert!(count("ok") > 0, "the storm still gets work done");
     assert!(
         count("shed") > 0,
-        "a sustained storm over one worker must trip the overload gate \
+        "a storm whose queue outlasts the deadline must be shed at admission \
          (ok {}, shed {}, timeout {})",
         count("ok"),
         count("shed"),
@@ -244,7 +322,7 @@ fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
         "shed responses are accounted in serve.shed.overload"
     );
 
-    // Recovery: once the queue drains, the gate re-admits — a fresh
+    // Recovery: once the queue drains, admission opens again — a fresh
     // instance plans fine, first try, no shedding residue.
     for _ in 0..200 {
         let h = roundtrip(addr, r#"{"cmd":"health"}"#);
@@ -261,7 +339,7 @@ fn sustained_storm_sheds_instead_of_stalling_and_recovers_after_drain() {
         std::thread::sleep(Duration::from_millis(10));
     }
     let fresh = next_seed.fetch_add(1, Ordering::Relaxed);
-    let v = roundtrip(addr, &plan_line(&chain(fresh), &platform()));
+    let v = roundtrip(addr, &storm_line(fresh));
     assert_eq!(
         v.field("ok").unwrap(),
         &Value::Bool(true),
@@ -283,15 +361,17 @@ fn expired_work_is_dropped_at_dequeue_without_running_the_dp() {
         // of the burst *must* expire while waiting.
         timeout: Duration::from_millis(2),
         queue_depth: 64,
-        // Keep the overload gate out of this drill: only expiry sheds.
-        shed_target: Duration::from_secs(3600),
         ..ServeConfig::default()
     })
     .expect("bind");
     let addr = server.local_addr();
 
-    let batch: Vec<String> = (1000..1024u64)
-        .map(|s| plan_line(&chain(s), &platform()))
+    // The daemon has timed no plan yet, so admission lets the whole
+    // burst in; a 16-layer head keeps the one worker busy until every
+    // deadline behind it has passed.
+    let head = plan_line(&chain_sized(1000, 16, "head".into()), &platform());
+    let batch: Vec<String> = std::iter::once(head)
+        .chain((1001..1024u64).map(|s| plan_line(&chain(s), &platform())))
         .collect();
     let (mut stream, mut reader) = connect(addr);
     let responses = pipeline(&mut stream, &mut reader, &batch);
@@ -303,7 +383,16 @@ fn expired_work_is_dropped_at_dequeue_without_running_the_dp() {
         timeouts > 0,
         "a 24-deep burst against a 2 ms deadline must expire its tail"
     );
-    let expired = serve_counter(addr, "madpipe_serve_shed_expired");
+    // The client sees the timeouts at the deadline; the worker reaches
+    // the tail only once the head's plan is done.
+    let waited = Instant::now();
+    let expired = loop {
+        let expired = serve_counter(addr, "madpipe_serve_shed_expired");
+        if expired > 0 || waited.elapsed() > Duration::from_secs(30) {
+            break expired;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
     assert!(
         expired > 0,
         "expired jobs are dropped at dequeue and counted (serve.shed.expired)"
