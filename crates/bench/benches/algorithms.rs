@@ -14,7 +14,7 @@ use madpipe_model::{Allocation, Platform, UnitSequence};
 use madpipe_pipedream::{pipedream_partition, pipedream_plan};
 use madpipe_schedule::{best_contiguous_period, check_pattern, one_f1b_star};
 use madpipe_sim::{simulate_eager, EagerConfig};
-use madpipe_solver::{best_period, PlaceConfig};
+use madpipe_solver::{best_period, PlaceConfig, PlaceStats};
 
 fn bench(c: &mut Criterion) {
     let gpu = GpuModel::default();
@@ -87,9 +87,15 @@ fn bench(c: &mut Criterion) {
         group.sample_size(10);
         group.bench_function("solver_best_period/resnet50", |b| {
             b.iter(|| {
-                best_period(chain, &platform, alloc, &PlaceConfig::default())
-                    .unwrap()
-                    .period
+                best_period(
+                    chain,
+                    &platform,
+                    alloc,
+                    &PlaceConfig::default(),
+                    &mut PlaceStats::default(),
+                )
+                .unwrap()
+                .period
             })
         });
         group.bench_function("simulate_eager_100_batches/resnet50", |b| {

@@ -10,12 +10,13 @@
 //!   behaviour, not just speed, and the baseline must be refreshed
 //!   deliberately.
 //! * **Times gate loosely.** What is measured is the *DP portion* of
-//!   planning (phase 1 bisection + contiguous fallback + refinement),
-//!   because that is what the dense memo / branch-and-bound work
-//!   accelerates; phase-2 scheduling is untouched by it and would dilute
-//!   the signal. Wall time is hostage to the CI runner, so the gate only
-//!   fails beyond a multiple of the baseline (default 1.25×), and the
-//!   per-cell number is a median over repeats.
+//!   planning (phase 1 bisection + contiguous fallback + refinement).
+//!   Phase-2 scheduling has no time gate yet (ROADMAP item 6); the
+//!   period bits above are its exactness gate, since a faster placement
+//!   search that visited other nodes would ship other periods. Wall time
+//!   is hostage to the CI runner, so the gate only fails beyond a
+//!   multiple of the baseline (default 1.25×), and the per-cell number
+//!   is a median over repeats.
 
 use std::io;
 use std::path::Path;

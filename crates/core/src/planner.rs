@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec};
 use madpipe_schedule::ScheduleError;
-use madpipe_solver::{best_period, PlaceConfig, SolvedSchedule};
+use madpipe_solver::{best_period, PlaceConfig, PlaceStats, SolvedSchedule};
 
 use crate::algorithm1::{madpipe_allocation_session, Algorithm1Config, Algorithm1Outcome};
 use crate::dp::ProbeSession;
@@ -188,6 +188,9 @@ fn validate(chain: &Chain, platform: &Platform) -> Result<(), PlanError> {
     Ok(())
 }
 
+/// One candidate's phase-2 outcome and the placement work it cost.
+type Scheduled = (Result<SolvedSchedule, ScheduleError>, PlaceStats);
+
 /// Schedule each candidate allocation (contiguous ones exactly via 1F1B*,
 /// the rest through the branch-and-bound solver) on up to `threads`
 /// workers. Results keep the input order; each solve is a pure function
@@ -198,9 +201,10 @@ fn schedule_batch(
     candidates: &[Allocation],
     place: &PlaceConfig,
     threads: usize,
-) -> Vec<Result<SolvedSchedule, ScheduleError>> {
-    let solve_one = |alloc: &Allocation| -> Result<SolvedSchedule, ScheduleError> {
-        if alloc.is_contiguous() {
+) -> Vec<Scheduled> {
+    let solve_one = |alloc: &Allocation| -> Scheduled {
+        let mut work = PlaceStats::default();
+        let solved = if alloc.is_contiguous() {
             madpipe_schedule::best_contiguous_period(chain, platform, alloc).map(|b| {
                 SolvedSchedule {
                     period: b.period,
@@ -209,8 +213,9 @@ fn schedule_batch(
                 }
             })
         } else {
-            best_period(chain, platform, alloc, place)
-        }
+            best_period(chain, platform, alloc, place, &mut work)
+        };
+        (solved, work)
     };
 
     let threads = threads.max(1).min(candidates.len().max(1));
@@ -218,8 +223,7 @@ fn schedule_batch(
         return candidates.iter().map(solve_one).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<SolvedSchedule, ScheduleError>>> =
-        (0..candidates.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Scheduled>> = (0..candidates.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -344,6 +348,17 @@ fn mirror_into_metrics(stats: &mut PlannerStats) {
         stats
             .metrics
             .bump_counter(counters::SCHEDULES_SOLVED, stats.schedules_solved as u64);
+    }
+    let place = stats.place;
+    for (name, value) in [
+        (counters::PLACE_CALLS, place.calls),
+        (counters::PLACE_EXHAUSTED, place.exhausted),
+        (counters::PLACE_NODES, place.nodes),
+        (counters::PLACE_LEAVES, place.leaves),
+    ] {
+        if value > 0 {
+            stats.metrics.bump_counter(name, value);
+        }
     }
     for source in [
         ProbeSource::Bisection,
@@ -508,10 +523,11 @@ fn fold_best(
     last_err: &mut Option<ScheduleError>,
     stats: &mut PlannerStats,
     candidates: &[Allocation],
-    solved: Vec<Result<SolvedSchedule, ScheduleError>>,
+    solved: Vec<Scheduled>,
 ) {
     stats.schedules_attempted += candidates.len();
-    for (alloc, res) in candidates.iter().zip(solved) {
+    for (alloc, (res, work)) in candidates.iter().zip(solved) {
+        stats.place.merge(&work);
         match res {
             Ok(s) => {
                 stats.schedules_solved += 1;
@@ -640,6 +656,15 @@ mod tests {
         assert_eq!(sa.dp, sb.dp);
         assert_eq!(sa.schedules_attempted, sb.schedules_attempted);
         assert_eq!(sa.schedules_solved, sb.schedules_solved);
+        assert_eq!(sa.place, sb.place);
+        for (name, value) in [
+            (counters::PLACE_CALLS, sa.place.calls),
+            (counters::PLACE_EXHAUSTED, sa.place.exhausted),
+            (counters::PLACE_NODES, sa.place.nodes),
+            (counters::PLACE_LEAVES, sa.place.leaves),
+        ] {
+            assert_eq!(sa.metrics.counter(name), value, "{name}");
+        }
         assert_eq!(sa.probes.len(), sb.probes.len());
         for (x, y) in sa.probes.iter().zip(&sb.probes) {
             assert_eq!(x.source, y.source);

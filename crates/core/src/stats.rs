@@ -13,12 +13,14 @@
 //!   solves that did run;
 //! * [`PlannerStats`] — the end-to-end picture: the probe timeline (every
 //!   target period evaluated, tagged with the planner stage that asked
-//!   for it), phase wall-clock times, phase-2 scheduling counts, and the
+//!   for it), phase wall-clock times, phase-2 scheduling and placement
+//!   counts, and the
 //!   full frozen registry ([`PlannerStats::metrics`]) for machine
 //!   consumers ([`PlannerStats::to_json`], the Prometheus dump).
 
 use madpipe_json::Value;
 use madpipe_obs::{MetricsSnapshot, Registry};
+use madpipe_solver::PlaceStats;
 
 /// Registry counter names of the DP session (the [`DpStats`] fields).
 pub mod counters {
@@ -38,6 +40,11 @@ pub mod counters {
     pub const DP_SOLVE_STATES: &str = "dp.solve.states";
     pub const SCHEDULES_ATTEMPTED: &str = "planner.schedules_attempted";
     pub const SCHEDULES_SOLVED: &str = "planner.schedules_solved";
+    /// Phase-2 placement work ([`madpipe_solver::PlaceStats`]).
+    pub const PLACE_CALLS: &str = "planner.place.calls";
+    pub const PLACE_EXHAUSTED: &str = "planner.place.exhausted";
+    pub const PLACE_NODES: &str = "planner.place.nodes";
+    pub const PLACE_LEAVES: &str = "planner.place.leaves";
     pub const CERTIFY_PASSED: &str = "planner.certifications_passed";
     pub const CERTIFY_FAILED: &str = "planner.certifications_failed";
 }
@@ -169,6 +176,10 @@ pub struct PlannerStats {
     pub schedules_attempted: usize,
     /// Of those, how many produced a valid schedule.
     pub schedules_solved: usize,
+    /// Placement work of phase 2 over every candidate, failed ones
+    /// included: `schedule_at_period` calls, calls that used up the node
+    /// budget without a pattern, DFS nodes and leaves.
+    pub place: PlaceStats,
     /// Wall time of the phase-1 bisection (including its DP solves).
     pub phase1_seconds: f64,
     /// Wall time of the contiguous-fallback bisection.
@@ -202,7 +213,8 @@ impl PlannerStats {
     pub fn summary(&self) -> String {
         let mut s = format!(
             "probes {} ({} solved, {} cached, {} pruned), states {} (+{} reused), \
-             schedules {}/{}, {:.3}s total ({} thread{})",
+             schedules {}/{}, place {} calls ({} exhausted, {} nodes, {} leaves), \
+             {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
             self.dp.outcome_hits,
@@ -211,6 +223,10 @@ impl PlannerStats {
             self.dp.states_reused,
             self.schedules_solved,
             self.schedules_attempted,
+            self.place.calls,
+            self.place.exhausted,
+            self.place.nodes,
+            self.place.leaves,
             self.total_seconds,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
@@ -291,6 +307,15 @@ impl PlannerStats {
                 Value::UInt(self.schedules_solved as u64),
             ),
             (
+                "place".into(),
+                Value::Object(vec![
+                    ("calls".into(), Value::UInt(self.place.calls)),
+                    ("exhausted".into(), Value::UInt(self.place.exhausted)),
+                    ("nodes".into(), Value::UInt(self.place.nodes)),
+                    ("leaves".into(), Value::UInt(self.place.leaves)),
+                ]),
+            ),
+            (
                 "phase_seconds".into(),
                 Value::Object(vec![
                     ("phase1".into(), Value::Float(self.phase1_seconds)),
@@ -366,6 +391,28 @@ mod tests {
         let s = stats.summary();
         assert!(s.contains("4/5"));
         assert!(s.contains("4 threads"));
+    }
+
+    #[test]
+    fn summary_and_json_carry_the_placement_counters() {
+        let stats = PlannerStats {
+            place: PlaceStats {
+                calls: 21,
+                exhausted: 8,
+                nodes: 30_123,
+                leaves: 17_000,
+            },
+            ..PlannerStats::default()
+        };
+        assert!(stats
+            .summary()
+            .contains("place 21 calls (8 exhausted, 30123 nodes, 17000 leaves)"));
+        let json = stats.to_json();
+        let place = json.field("place").unwrap();
+        assert_eq!(place.field("calls").unwrap().as_u64().unwrap(), 21);
+        assert_eq!(place.field("exhausted").unwrap().as_u64().unwrap(), 8);
+        assert_eq!(place.field("nodes").unwrap().as_u64().unwrap(), 30_123);
+        assert_eq!(place.field("leaves").unwrap().as_u64().unwrap(), 17_000);
     }
 
     #[test]

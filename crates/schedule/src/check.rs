@@ -134,178 +134,287 @@ pub fn check_pattern(
     seq: &UnitSequence,
     pattern: &Pattern,
 ) -> Result<PatternReport, ScheduleError> {
-    let t_period = pattern.period;
     if !pattern.is_complete_for(seq) {
         return Err(ScheduleError::Incomplete);
     }
+    let layout: Vec<(usize, Dir)> = pattern.ops.iter().map(|o| (o.unit, o.dir)).collect();
+    Checker::new(chain, platform, alloc, seq, &layout).check(pattern)
+}
 
-    // 1. op ↔ unit consistency and basic sanity
-    for op in &pattern.ops {
-        let unit = &seq.units()[op.unit];
-        let expected_d = match op.dir {
-            Dir::Forward => unit.forward_time,
-            Dir::Backward => unit.backward_time,
+/// The rules of [`check_pattern`], prepared once for one instance and
+/// one op layout, then run on any number of patterns: the leaf oracle of
+/// phase 2's placement search.
+///
+/// Preparation computes everything that does not depend on op times:
+/// each GPU's static bytes, each stage's live-batch bytes, where each
+/// `(unit, dir)` op sits in `pattern.ops`, and a dense id per resource,
+/// numbered by first use in unit order. Resources are checked in id
+/// order, so the reported violation is the same on every call. A failed
+/// check allocates nothing beyond an op/unit mismatch's message.
+pub struct Checker<'a> {
+    seq: &'a UnitSequence,
+    memory_limit: u64,
+    /// Position in `pattern.ops` of each unit's forward op.
+    fwd: Vec<usize>,
+    /// Position in `pattern.ops` of each unit's backward op.
+    bwd: Vec<usize>,
+    /// Dense resource id of each unit.
+    resource_id: Vec<usize>,
+    /// Each dense id's resource and the positions of its ops, in
+    /// pattern order.
+    resources: Vec<(Resource, Vec<usize>)>,
+    gpu_static_bytes: Vec<u64>,
+    /// The stage units each GPU hosts, in unit order.
+    per_gpu: Vec<Vec<LiveStage>>,
+    /// Memory-sweep results, copied into the report on success.
+    gpu_peak_bytes: Vec<u64>,
+    unit_live_batches: Vec<u64>,
+}
+
+/// A stage unit in the memory sweep: its per-batch bytes, plus the
+/// completion phases and offsets of the pattern being checked.
+struct LiveStage {
+    unit: usize,
+    stored_bytes: u64,
+    base: i64, // κ_B − κ_F
+    phi_f: f64,
+    phi_b: f64,
+}
+
+impl<'a> Checker<'a> {
+    /// Prepare the checker for patterns of `seq` whose `i`-th op is
+    /// `layout[i]`; `layout` lists every `(unit, dir)` exactly once.
+    pub fn new(
+        chain: &Chain,
+        platform: &Platform,
+        alloc: &Allocation,
+        seq: &'a UnitSequence,
+        layout: &[(usize, Dir)],
+    ) -> Self {
+        let n = seq.len();
+        debug_assert_eq!(layout.len(), 2 * n, "one op per (unit, dir)");
+        let mut fwd = vec![usize::MAX; n];
+        let mut bwd = vec![usize::MAX; n];
+        for (i, &(u, dir)) in layout.iter().enumerate() {
+            match dir {
+                Dir::Forward => fwd[u] = i,
+                Dir::Backward => bwd[u] = i,
+            }
+        }
+
+        let mut resource_id = Vec::with_capacity(n);
+        let mut resources: Vec<(Resource, Vec<usize>)> = Vec::new();
+        for unit in seq.units() {
+            let id = match resources.iter().position(|(r, _)| *r == unit.resource) {
+                Some(id) => id,
+                None => {
+                    resources.push((unit.resource, Vec::new()));
+                    resources.len() - 1
+                }
+            };
+            resource_id.push(id);
+        }
+        for (i, &(u, _)) in layout.iter().enumerate() {
+            resources[resource_id[u]].1.push(i);
+        }
+
+        let mut per_gpu: Vec<Vec<LiveStage>> = (0..alloc.n_gpus()).map(|_| Vec::new()).collect();
+        for (u, unit) in seq.units().iter().enumerate() {
+            if let (UnitKind::Stage { layers, .. }, Resource::Gpu(gpu)) =
+                (&unit.kind, unit.resource)
+            {
+                per_gpu[gpu].push(LiveStage {
+                    unit: u,
+                    stored_bytes: chain.stage_live_batch_bytes(layers.clone(), unit.policy),
+                    base: 0,
+                    phi_f: 0.0,
+                    phi_b: 0.0,
+                });
+            }
+        }
+
+        let gpu_static_bytes = static_memory(chain, alloc, seq);
+        Self {
+            seq,
+            memory_limit: platform.memory_bytes,
+            fwd,
+            bwd,
+            resource_id,
+            resources,
+            gpu_peak_bytes: gpu_static_bytes.clone(),
+            gpu_static_bytes,
+            per_gpu,
+            unit_live_batches: vec![0; n],
+        }
+    }
+
+    /// Dense id of `unit`'s resource, in `0..self.n_resources()`.
+    pub fn resource_id(&self, unit: usize) -> usize {
+        self.resource_id[unit]
+    }
+
+    /// Number of distinct resources the units use.
+    pub fn n_resources(&self) -> usize {
+        self.resources.len()
+    }
+
+    /// Check `pattern`, whose ops follow this checker's layout; returns
+    /// the exact report or the first violation found.
+    pub fn check(&mut self, pattern: &Pattern) -> Result<PatternReport, ScheduleError> {
+        let t_period = pattern.period;
+        let ops = &pattern.ops;
+        debug_assert!(
+            (0..self.seq.len()).all(|u| {
+                (ops[self.fwd[u]].unit, ops[self.fwd[u]].dir) == (u, Dir::Forward)
+                    && (ops[self.bwd[u]].unit, ops[self.bwd[u]].dir) == (u, Dir::Backward)
+            }),
+            "pattern ops do not follow the checker's layout"
+        );
+
+        // 1. op ↔ unit consistency and basic sanity
+        for op in ops {
+            let unit = &self.seq.units()[op.unit];
+            let expected_d = match op.dir {
+                Dir::Forward => unit.forward_time,
+                Dir::Backward => unit.backward_time,
+            };
+            if !feq(op.duration, expected_d) {
+                return Err(ScheduleError::OpMismatch {
+                    unit: op.unit,
+                    detail: format!("duration {} != unit duration {}", op.duration, expected_d),
+                });
+            }
+            if op.resource != unit.resource {
+                return Err(ScheduleError::OpMismatch {
+                    unit: op.unit,
+                    detail: format!(
+                        "resource {:?} != unit resource {:?}",
+                        op.resource, unit.resource
+                    ),
+                });
+            }
+            if op.start < -madpipe_model::util::EPS
+                || !fle(op.start, t_period)
+                || op.duration < 0.0
+                || !op.start.is_finite()
+            {
+                return Err(ScheduleError::OpOutOfRange {
+                    unit: op.unit,
+                    dir: op.dir,
+                });
+            }
+        }
+
+        // 2. dependency edges along the transformed chain
+        let dep = |from: &Op, to: &Op| -> Result<(), ScheduleError> {
+            let lhs = to.virtual_start(t_period);
+            let rhs = from.virtual_start(t_period) + from.duration;
+            if fge(lhs, rhs) {
+                Ok(())
+            } else {
+                Err(ScheduleError::DependencyViolated {
+                    from: (from.unit, from.dir),
+                    to: (to.unit, to.dir),
+                    slack: rhs - lhs,
+                })
+            }
         };
-        if !feq(op.duration, expected_d) {
-            return Err(ScheduleError::OpMismatch {
-                unit: op.unit,
-                detail: format!("duration {} != unit duration {}", op.duration, expected_d),
-            });
+        let n = self.seq.len();
+        let f = |u: usize| &ops[self.fwd[u]];
+        let b = |u: usize| &ops[self.bwd[u]];
+        for u in 0..n - 1 {
+            dep(f(u), f(u + 1))?;
+            dep(b(u + 1), b(u))?;
         }
-        if op.resource != unit.resource {
-            return Err(ScheduleError::OpMismatch {
-                unit: op.unit,
-                detail: format!(
-                    "resource {:?} != unit resource {:?}",
-                    op.resource, unit.resource
-                ),
-            });
+        dep(f(n - 1), b(n - 1))?;
+        // Direct F_u → B_u edges are implied transitively but cheap to assert.
+        for u in 0..n {
+            dep(f(u), b(u))?;
         }
-        if op.start < -madpipe_model::util::EPS
-            || !fle(op.start, t_period)
-            || op.duration < 0.0
-            || !op.start.is_finite()
-        {
-            return Err(ScheduleError::OpOutOfRange {
-                unit: op.unit,
-                dir: op.dir,
-            });
-        }
-    }
 
-    // 2. dependency edges along the transformed chain
-    let dep = |from: &Op, to: &Op| -> Result<(), ScheduleError> {
-        let lhs = to.virtual_start(t_period);
-        let rhs = from.virtual_start(t_period) + from.duration;
-        if fge(lhs, rhs) {
-            Ok(())
-        } else {
-            Err(ScheduleError::DependencyViolated {
-                from: (from.unit, from.dir),
-                to: (to.unit, to.dir),
-                slack: rhs - lhs,
-            })
-        }
-    };
-    let n = seq.len();
-    let f = |u: usize| pattern.op(u, Dir::Forward).expect("complete");
-    let b = |u: usize| pattern.op(u, Dir::Backward).expect("complete");
-    for u in 0..n - 1 {
-        dep(f(u), f(u + 1))?;
-        dep(b(u + 1), b(u))?;
-    }
-    dep(f(n - 1), b(n - 1))?;
-    // Direct F_u → B_u edges are implied transitively but cheap to assert.
-    for u in 0..n {
-        dep(f(u), b(u))?;
-    }
-
-    // 3. resource exclusivity (modular)
-    let mut by_resource: std::collections::HashMap<Resource, Vec<&Op>> =
-        std::collections::HashMap::new();
-    for op in &pattern.ops {
-        by_resource.entry(op.resource).or_default().push(op);
-    }
-    for (resource, ops) in &by_resource {
-        let load: f64 = ops.iter().map(|o| o.duration).sum();
-        if !fle(load, t_period) {
-            return Err(ScheduleError::ResourceOverloaded {
-                resource: *resource,
-                load,
-                period: t_period,
-            });
-        }
-        for i in 0..ops.len() {
-            for j in i + 1..ops.len() {
-                if modular_overlap(ops[i], ops[j], t_period) {
-                    return Err(ScheduleError::ResourceOverlap {
-                        resource: *resource,
-                        a: (ops[i].unit, ops[i].dir),
-                        b: (ops[j].unit, ops[j].dir),
-                    });
+        // 3. resource exclusivity (modular), in resource-id order
+        for (resource, at) in &self.resources {
+            let load: f64 = at.iter().map(|&i| ops[i].duration).sum();
+            if !fle(load, t_period) {
+                return Err(ScheduleError::ResourceOverloaded {
+                    resource: *resource,
+                    load,
+                    period: t_period,
+                });
+            }
+            for (k, &i) in at.iter().enumerate() {
+                for &j in &at[k + 1..] {
+                    if modular_overlap(&ops[i], &ops[j], t_period) {
+                        return Err(ScheduleError::ResourceOverlap {
+                            resource: *resource,
+                            a: (ops[i].unit, ops[i].dir),
+                            b: (ops[j].unit, ops[j].dir),
+                        });
+                    }
                 }
             }
         }
+
+        // 4. memory sweep
+        self.memory_sweep(ops, t_period)?;
+        Ok(PatternReport {
+            period: t_period,
+            gpu_peak_bytes: self.gpu_peak_bytes.clone(),
+            gpu_static_bytes: self.gpu_static_bytes.clone(),
+            unit_live_batches: self.unit_live_batches.clone(),
+            max_shift: pattern.max_shift(),
+        })
     }
 
-    // 4. memory sweep
-    let gpu_static_bytes = static_memory(chain, alloc, seq);
-    let mut unit_live_batches = vec![0u64; n];
-    let mut gpu_peak_bytes = gpu_static_bytes.clone();
-
-    // Collect, per GPU, the stage units it hosts with (ā, φ_F, φ_B, base).
-    struct LiveStage {
-        unit: usize,
-        stored_bytes: u64,
-        base: i64, // κ_B − κ_F
-        phi_f: f64,
-        phi_b: f64,
-    }
-    let mut per_gpu: Vec<Vec<LiveStage>> = (0..alloc.n_gpus()).map(|_| Vec::new()).collect();
-    for (u, unit) in seq.units().iter().enumerate() {
-        let UnitKind::Stage { layers, .. } = &unit.kind else {
-            continue;
-        };
-        let Resource::Gpu(gpu) = unit.resource else {
-            continue;
-        };
-        let fo = f(u);
-        let bo = b(u);
-        let base = bo.completion_offset(t_period) as i64 - fo.completion_offset(t_period) as i64;
-        per_gpu[gpu].push(LiveStage {
-            unit: u,
-            stored_bytes: chain.stage_live_batch_bytes(layers.clone(), unit.policy),
-            base,
-            phi_f: fo.completion_phase(t_period),
-            phi_b: bo.completion_phase(t_period),
-        });
-    }
-
-    for (gpu, stages) in per_gpu.iter().enumerate() {
-        if stages.is_empty() {
-            continue;
-        }
-        // Event phases: every completion phase plus 0.
-        let mut events: Vec<f64> = vec![0.0];
-        for s in stages {
-            events.push(s.phi_f);
-            events.push(s.phi_b);
-        }
-        for &tau in &events {
-            let mut dynamic: i64 = 0;
-            for s in stages {
-                let mut live = s.base;
-                if fge(tau, s.phi_f) {
-                    live += 1;
-                }
-                if fge(tau, s.phi_b) {
-                    live -= 1;
-                }
-                if live < 0 {
-                    return Err(ScheduleError::NegativeStored { unit: s.unit });
-                }
-                unit_live_batches[s.unit] = unit_live_batches[s.unit].max(live as u64);
-                dynamic += live * s.stored_bytes as i64;
+    /// Sweep every GPU's memory over one steady-state period, at phase 0
+    /// and at every completion phase of the stages it hosts.
+    fn memory_sweep(&mut self, ops: &[Op], t_period: f64) -> Result<(), ScheduleError> {
+        self.unit_live_batches.fill(0);
+        self.gpu_peak_bytes.copy_from_slice(&self.gpu_static_bytes);
+        for (gpu, stages) in self.per_gpu.iter_mut().enumerate() {
+            if stages.is_empty() {
+                continue;
             }
-            let total = gpu_static_bytes[gpu] + dynamic as u64;
-            gpu_peak_bytes[gpu] = gpu_peak_bytes[gpu].max(total);
+            for s in stages.iter_mut() {
+                let fo = &ops[self.fwd[s.unit]];
+                let bo = &ops[self.bwd[s.unit]];
+                s.base =
+                    bo.completion_offset(t_period) as i64 - fo.completion_offset(t_period) as i64;
+                s.phi_f = fo.completion_phase(t_period);
+                s.phi_b = bo.completion_phase(t_period);
+            }
+            // Event phases: every completion phase plus 0.
+            let events = std::iter::once(0.0).chain(stages.iter().flat_map(|s| [s.phi_f, s.phi_b]));
+            for tau in events {
+                let mut dynamic: i64 = 0;
+                for s in stages.iter() {
+                    let mut live = s.base;
+                    if fge(tau, s.phi_f) {
+                        live += 1;
+                    }
+                    if fge(tau, s.phi_b) {
+                        live -= 1;
+                    }
+                    if live < 0 {
+                        return Err(ScheduleError::NegativeStored { unit: s.unit });
+                    }
+                    let max = &mut self.unit_live_batches[s.unit];
+                    *max = (*max).max(live as u64);
+                    dynamic += live * s.stored_bytes as i64;
+                }
+                let total = self.gpu_static_bytes[gpu] + dynamic as u64;
+                self.gpu_peak_bytes[gpu] = self.gpu_peak_bytes[gpu].max(total);
+            }
+            if self.gpu_peak_bytes[gpu] > self.memory_limit {
+                return Err(ScheduleError::MemoryExceeded {
+                    gpu,
+                    peak: self.gpu_peak_bytes[gpu],
+                    limit: self.memory_limit,
+                });
+            }
         }
-        if gpu_peak_bytes[gpu] > platform.memory_bytes {
-            return Err(ScheduleError::MemoryExceeded {
-                gpu,
-                peak: gpu_peak_bytes[gpu],
-                limit: platform.memory_bytes,
-            });
-        }
+        Ok(())
     }
-
-    Ok(PatternReport {
-        period: t_period,
-        gpu_peak_bytes,
-        gpu_static_bytes,
-        unit_live_batches,
-        max_shift: pattern.max_shift(),
-    })
 }
 
 /// Memory step profile of one GPU under `pattern` (for inspection and
@@ -382,24 +491,20 @@ fn modular_overlap(a: &Op, b: &Op, period: f64) -> bool {
     if a.duration <= madpipe_model::util::EPS || b.duration <= madpipe_model::util::EPS {
         return false;
     }
-    let segs = |o: &Op| -> Vec<(f64, f64)> {
-        let end = o.start + o.duration;
-        if fle(end, period) {
-            vec![(o.start, end)]
-        } else {
-            vec![(o.start, period), (0.0, end - period)]
-        }
+    segments(a, period).any(|(s1, e1)| {
+        segments(b, period).any(|(s2, e2)| e1.min(e2) - s1.max(s2) > madpipe_model::util::EPS)
+    })
+}
+
+/// An op's busy segments within the period: one, or two when it wraps.
+fn segments(o: &Op, period: f64) -> impl Iterator<Item = (f64, f64)> {
+    let end = o.start + o.duration;
+    let (head, tail) = if fle(end, period) {
+        ((o.start, end), None)
+    } else {
+        ((o.start, period), Some((0.0, end - period)))
     };
-    for (s1, e1) in segs(a) {
-        for (s2, e2) in segs(b) {
-            let lo = s1.max(s2);
-            let hi = e1.min(e2);
-            if hi - lo > madpipe_model::util::EPS {
-                return true;
-            }
-        }
-    }
-    false
+    std::iter::once(head).chain(tail)
 }
 
 #[cfg(test)]
@@ -528,6 +633,75 @@ mod tests {
         assert_eq!(report.unit_live_batches[0], 3);
         assert_eq!(report.unit_live_batches[2], 1);
         assert_eq!(report.max_shift, 2);
+    }
+
+    #[test]
+    fn the_first_violated_resource_in_unit_order_is_reported_every_time() {
+        // 3 layers on 3 GPUs: units S0, C01, S1, C12, S2 on 5 resources.
+        let chain = Chain::new(
+            "t",
+            100,
+            (0..3)
+                .map(|i| Layer::new(format!("l{i}"), 1.0, 1.0, 10, 100))
+                .collect(),
+        )
+        .unwrap();
+        let platform = Platform::new(3, 1 << 40, 100.0).unwrap();
+        let part = Partition::from_cuts(&[1, 2], 3).unwrap();
+        let alloc = Allocation::contiguous(&part, 3).unwrap();
+        let seq = UnitSequence::from_allocation(&chain, &platform, &alloc);
+        // Every op starts at 0 and each shift is its topological index,
+        // so every dependency holds and F and B overlap on every resource.
+        let n = seq.len();
+        let order = (0..n)
+            .map(|u| (u, Dir::Forward))
+            .chain((0..n).rev().map(|u| (u, Dir::Backward)));
+        let ops = order
+            .enumerate()
+            .map(|(k, (u, dir))| {
+                let unit = &seq.units()[u];
+                let d = match dir {
+                    Dir::Forward => unit.forward_time,
+                    Dir::Backward => unit.backward_time,
+                };
+                op(u, dir, 0.0, d, k as u64, unit.resource)
+            })
+            .collect();
+        let p = Pattern { period: 4.0, ops };
+        let first = check_pattern(&chain, &platform, &alloc, &seq, &p).unwrap_err();
+        assert_eq!(
+            first,
+            ScheduleError::ResourceOverlap {
+                resource: Resource::Gpu(0),
+                a: (0, Dir::Forward),
+                b: (0, Dir::Backward),
+            }
+        );
+        for _ in 0..200 {
+            assert_eq!(
+                check_pattern(&chain, &platform, &alloc, &seq, &p).unwrap_err(),
+                first
+            );
+        }
+    }
+
+    #[test]
+    fn a_prepared_checker_matches_check_pattern_across_calls() {
+        let (chain, platform, alloc, seq) = tiny();
+        let valid = valid_pattern();
+        let layout: Vec<(usize, Dir)> = valid.ops.iter().map(|o| (o.unit, o.dir)).collect();
+        let mut checker = Checker::new(&chain, &platform, &alloc, &seq, &layout);
+        let mut overlapping = valid_pattern();
+        overlapping.ops[5].start = 0.5;
+        overlapping.ops[5].shift = 2;
+        for p in [&valid, &overlapping, &valid] {
+            assert_eq!(
+                checker.check(p),
+                check_pattern(&chain, &platform, &alloc, &seq, p)
+            );
+        }
+        assert_eq!(checker.n_resources(), 3);
+        assert_eq!(checker.resource_id(2), 2);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! The [`check`] module verifies a pattern exactly — dependency edges,
 //! modular resource exclusivity and a steady-state memory sweep — and is
 //! the arbiter used by every algorithm crate and by the test suites.
+//! [`check::Checker`] is the same rules prepared once per instance, for
+//! callers that check many patterns of it.
 
 pub mod best_period;
 pub mod bounds;
@@ -22,6 +24,6 @@ pub use best_period::{best_contiguous_period, BestPeriod};
 pub use bounds::{
     aggregate_memory_required, period_lower_bound, period_upper_bound, trivially_infeasible,
 };
-pub use check::{check_pattern, MemoryProfile, PatternReport, ScheduleError};
+pub use check::{check_pattern, Checker, MemoryProfile, PatternReport, ScheduleError};
 pub use one_f1b::{group_assignment, one_f1b_star};
 pub use pattern::{Dir, Op, Pattern};

@@ -13,7 +13,7 @@
 
 use madpipe_model::{Allocation, Chain, Partition, Platform, Stage};
 
-use crate::place::PlaceConfig;
+use crate::place::{PlaceConfig, PlaceStats};
 use crate::search::{best_period, SolvedSchedule};
 
 /// The best allocation + schedule found by exhaustive enumeration.
@@ -62,7 +62,9 @@ pub fn exact_optimum(chain: &Chain, platform: &Platform) -> Option<ExactOptimum>
                         continue;
                     }
                 }
-                if let Ok(schedule) = best_period(chain, platform, &alloc, &cfg) {
+                if let Ok(schedule) =
+                    best_period(chain, platform, &alloc, &cfg, &mut PlaceStats::default())
+                {
                     let better = best
                         .as_ref()
                         .is_none_or(|b| schedule.period < b.schedule.period);

@@ -1,8 +1,9 @@
-//! Topological placement with bounded backtracking.
+//! Topological placement with bounded backtracking. The crate
+//! documentation says where its time goes and how a node stays cheap.
 
 use madpipe_model::util::EPS;
-use madpipe_model::{Allocation, Chain, Platform, Resource, UnitSequence};
-use madpipe_schedule::{check_pattern, Dir, Op, Pattern, ScheduleError};
+use madpipe_model::{Allocation, Chain, Platform, UnitSequence};
+use madpipe_schedule::{Checker, Dir, Op, Pattern, ScheduleError};
 
 use crate::timeline::Timeline;
 
@@ -28,7 +29,31 @@ impl Default for PlaceConfig {
     }
 }
 
-/// Attempt to build a valid pattern of period `period` for `alloc`.
+/// Work counters of [`schedule_at_period`] calls, summed over calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlaceStats {
+    /// Placement calls.
+    pub calls: u64,
+    /// Calls that found no pattern with the node budget used up.
+    pub exhausted: u64,
+    /// DFS nodes entered within budget.
+    pub nodes: u64,
+    /// Nodes with every op placed (each one ran the leaf check).
+    pub leaves: u64,
+}
+
+impl PlaceStats {
+    /// Fold another set of counters into this one.
+    pub fn merge(&mut self, other: &PlaceStats) {
+        self.calls += other.calls;
+        self.exhausted += other.exhausted;
+        self.nodes += other.nodes;
+        self.leaves += other.leaves;
+    }
+}
+
+/// Attempt to build a valid pattern of period `period` for `alloc`,
+/// adding the call's work to `stats`.
 ///
 /// Operations are placed in topological order; each op is offered the
 /// earliest feasible modular slot on its resource (one candidate per
@@ -41,17 +66,11 @@ pub fn schedule_at_period(
     seq: &UnitSequence,
     period: f64,
     cfg: &PlaceConfig,
+    stats: &mut PlaceStats,
 ) -> Option<Pattern> {
+    stats.calls += 1;
     let n = seq.len();
     if n == 0 || !period.is_finite() || period <= 0.0 {
-        return None;
-    }
-    // Quick resource-load prefilter.
-    let mut loads: std::collections::HashMap<Resource, f64> = std::collections::HashMap::new();
-    for u in seq.units() {
-        *loads.entry(u.resource).or_insert(0.0) += u.total_time();
-    }
-    if loads.values().any(|&l| l > period + EPS) {
         return None;
     }
 
@@ -64,186 +83,213 @@ pub fn schedule_at_period(
     for u in (0..n).rev() {
         order.push((u, Dir::Backward));
     }
+    let checker = Checker::new(chain, platform, alloc, seq, &order);
 
-    struct Dfs<'a> {
-        chain: &'a Chain,
-        platform: &'a Platform,
-        alloc: &'a Allocation,
-        seq: &'a UnitSequence,
-        order: &'a [(usize, Dir)],
-        period: f64,
-        cfg: &'a PlaceConfig,
-        nodes: usize,
+    // Quick resource-load prefilter.
+    let mut loads = vec![0.0; checker.n_resources()];
+    for (u, unit) in seq.units().iter().enumerate() {
+        loads[checker.resource_id(u)] += unit.total_time();
+    }
+    if loads.iter().any(|&l| l > period + EPS) {
+        return None;
     }
 
-    impl Dfs<'_> {
-        /// Place ops from `idx` onward; `z` holds the absolute times of
-        /// already placed ops (indexed like `order`).
-        fn go(
-            &mut self,
-            idx: usize,
-            z: &mut Vec<f64>,
-            timelines: &mut std::collections::HashMap<Resource, Timeline>,
-        ) -> Option<Pattern> {
-            if self.nodes >= self.cfg.node_budget {
-                return None;
-            }
-            self.nodes += 1;
-            if idx == self.order.len() {
-                let pattern = self.build_pattern(z);
-                match check_pattern(self.chain, self.platform, self.alloc, self.seq, &pattern) {
-                    Ok(_) => return Some(pattern),
-                    Err(ScheduleError::MemoryExceeded { .. }) => {
-                        // Memory, not structure, failed: stagger the
-                        // forwards (Figure 5's best case) and retry.
-                        if self.cfg.compaction {
-                            return self.compact_and_check(z);
-                        }
-                        return None;
-                    }
-                    Err(_) => return None,
-                }
-            }
-            let (unit, dir) = self.order[idx];
-            let d = match dir {
-                Dir::Forward => self.seq.units()[unit].forward_time,
-                Dir::Backward => self.seq.units()[unit].backward_time,
+    let ops: Vec<Op> = order
+        .iter()
+        .map(|&(unit, dir)| {
+            let u = &seq.units()[unit];
+            let duration = match dir {
+                Dir::Forward => u.forward_time,
+                Dir::Backward => u.backward_time,
             };
-            let ready = self.ready_time(idx, z);
-            let resource = self.seq.units()[unit].resource;
-            let tl = timelines
-                .entry(resource)
-                .or_insert_with(|| Timeline::new(self.period));
-            let candidates = tl.candidate_fits(ready, d, self.cfg.max_alternatives);
-            for cand in candidates {
-                let mut tl2 = timelines.clone();
-                tl2.get_mut(&resource).expect("present").insert(cand, d);
-                z.push(cand);
-                if let Some(p) = self.go(idx + 1, z, &mut tl2) {
-                    return Some(p);
-                }
-                z.pop();
+            Op {
+                unit,
+                dir,
+                start: 0.0,
+                duration,
+                shift: 0,
+                resource: u.resource,
             }
-            None
-        }
-
-        /// Dependency-ready time of op `order[idx]` given placed times.
-        fn ready_time(&self, idx: usize, z: &[f64]) -> f64 {
-            let n = self.seq.len();
-            let (unit, dir) = self.order[idx];
-            match dir {
-                Dir::Forward => {
-                    if unit == 0 {
-                        0.0
-                    } else {
-                        // F_{unit-1} is order[unit-1]
-                        z[unit - 1] + self.seq.units()[unit - 1].forward_time
-                    }
-                }
-                Dir::Backward => {
-                    if unit == n - 1 {
-                        // after F_{n-1}
-                        z[n - 1] + self.seq.units()[n - 1].forward_time
-                    } else {
-                        // after B_{unit+1}, which is order[n + (n-1-(unit+1))]
-                        let bidx = n + (n - 2 - unit);
-                        z[bidx] + self.seq.units()[unit + 1].backward_time
-                    }
-                }
-            }
-        }
-
-        /// Memory compaction: push every forward op as late as its chain
-        /// successors allow, into the latest free slot on its resource.
-        /// Delaying a forward past a period boundary increases `κ_F` and
-        /// so lowers the stage's live-batch count by one — this is the
-        /// "backward right after forward" interleaving of Figure 5 that
-        /// the paper's ILP exploits on the special processor.
-        fn compact_and_check(&mut self, z: &[f64]) -> Option<Pattern> {
-            let n = self.seq.len();
-            // Order-indexed copy we can move ops in.
-            let mut zc: Vec<f64> = z.to_vec();
-            let d_f: Vec<f64> = (0..n).map(|u| self.seq.units()[u].forward_time).collect();
-            let b_index = |u: usize| n + (n - 1 - u);
-            for _pass in 0..2 {
-                let mut moved = false;
-                for u in (0..n).rev() {
-                    let bound = if u == n - 1 {
-                        zc[b_index(n - 1)]
-                    } else {
-                        zc[u + 1]
-                    } - d_f[u];
-                    if bound <= zc[u] + madpipe_model::util::EPS {
-                        continue;
-                    }
-                    // Rebuild the resource's timeline without F_u.
-                    let resource = self.seq.units()[u].resource;
-                    let mut tl = Timeline::new(self.period);
-                    for (idx, &(unit, dir)) in self.order.iter().enumerate() {
-                        if idx == u {
-                            continue; // F_u itself (order index u)
-                        }
-                        let dur = match dir {
-                            Dir::Forward => self.seq.units()[unit].forward_time,
-                            Dir::Backward => self.seq.units()[unit].backward_time,
-                        };
-                        if self.seq.units()[unit].resource == resource {
-                            tl.insert(zc[idx], dur);
-                        }
-                    }
-                    if let Some(znew) = tl.latest_fit(zc[u], bound, d_f[u]) {
-                        if znew > zc[u] + madpipe_model::util::EPS {
-                            zc[u] = znew;
-                            moved = true;
-                        }
-                    }
-                }
-                if !moved {
-                    break;
-                }
-                let pattern = self.build_pattern(&zc);
-                if check_pattern(self.chain, self.platform, self.alloc, self.seq, &pattern).is_ok()
-                {
-                    return Some(pattern);
-                }
-            }
-            None
-        }
-
-        fn build_pattern(&self, z: &[f64]) -> Pattern {
-            let mut ops = Vec::with_capacity(z.len());
-            for (idx, &(unit, dir)) in self.order.iter().enumerate() {
-                let d = match dir {
-                    Dir::Forward => self.seq.units()[unit].forward_time,
-                    Dir::Backward => self.seq.units()[unit].backward_time,
-                };
-                ops.push(fold(unit, dir, z[idx], d, self.seq, self.period));
-            }
-            Pattern {
-                period: self.period,
-                ops,
-            }
-        }
-    }
-
+        })
+        .collect();
     let mut dfs = Dfs {
-        chain,
-        platform,
-        alloc,
         seq,
-        order: &order,
         period,
         cfg,
+        resource: order.iter().map(|&(u, _)| checker.resource_id(u)).collect(),
+        timelines: vec![Timeline::new(period); checker.n_resources()],
+        checker,
+        pattern: Pattern { period, ops },
+        z: Vec::with_capacity(2 * n),
+        zc: Vec::with_capacity(2 * n),
         nodes: 0,
+        leaves: 0,
     };
-    let mut z = Vec::with_capacity(2 * n);
-    let mut timelines = std::collections::HashMap::new();
-    dfs.go(0, &mut z, &mut timelines)
+    let found = dfs.go(0);
+    stats.nodes += dfs.nodes as u64;
+    stats.leaves += dfs.leaves as u64;
+    if found.is_none() && dfs.nodes >= cfg.node_budget {
+        stats.exhausted += 1;
+    }
+    found
+}
+
+/// The search state of one [`schedule_at_period`] call. Everything
+/// indexed by op is in topological order (`order` there).
+struct Dfs<'a> {
+    seq: &'a UnitSequence,
+    period: f64,
+    cfg: &'a PlaceConfig,
+    checker: Checker<'a>,
+    /// Dense resource id of each op.
+    resource: Vec<usize>,
+    /// Occupancy of each resource under the ops placed so far.
+    timelines: Vec<Timeline>,
+    /// The leaf pattern: units, directions, durations and resources are
+    /// fixed; each check rewrites the starts and shifts.
+    pattern: Pattern,
+    /// Absolute times of the placed ops.
+    z: Vec<f64>,
+    /// Compaction's working copy of `z`.
+    zc: Vec<f64>,
+    nodes: usize,
+    leaves: usize,
+}
+
+impl Dfs<'_> {
+    /// Place ops from `idx` onward; `self.z` holds the absolute times of
+    /// the ops placed before it, and the timelines hold exactly those
+    /// ops. Both are restored before a failing return.
+    fn go(&mut self, idx: usize) -> Option<Pattern> {
+        if self.nodes >= self.cfg.node_budget {
+            return None;
+        }
+        self.nodes += 1;
+        if idx == self.pattern.ops.len() {
+            self.leaves += 1;
+            return match self.check_at(false) {
+                Ok(()) => Some(self.pattern.clone()),
+                // Memory, not structure, failed: stagger the forwards
+                // (Figure 5's best case) and retry.
+                Err(ScheduleError::MemoryExceeded { .. }) if self.cfg.compaction => {
+                    self.compact_and_check()
+                }
+                Err(_) => None,
+            };
+        }
+        let d = self.pattern.ops[idx].duration;
+        let ready = self.ready_time(idx);
+        let r = self.resource[idx];
+        let candidates = self.timelines[r].candidate_fits(ready, d, self.cfg.max_alternatives);
+        for cand in candidates {
+            self.timelines[r].insert(cand, d);
+            self.z.push(cand);
+            if let Some(p) = self.go(idx + 1) {
+                return Some(p);
+            }
+            self.z.pop();
+            self.timelines[r].remove(cand, d);
+        }
+        None
+    }
+
+    /// Dependency-ready time of op `idx` given the placed times.
+    fn ready_time(&self, idx: usize) -> f64 {
+        let n = self.seq.len();
+        let z = &self.z;
+        let op = &self.pattern.ops[idx];
+        match op.dir {
+            Dir::Forward => {
+                if op.unit == 0 {
+                    0.0
+                } else {
+                    // F_{unit-1} is op unit-1
+                    z[op.unit - 1] + self.seq.units()[op.unit - 1].forward_time
+                }
+            }
+            Dir::Backward => {
+                if op.unit == n - 1 {
+                    // after F_{n-1}
+                    z[n - 1] + self.seq.units()[n - 1].forward_time
+                } else {
+                    // after B_{unit+1}, which is op n + (n-1-(unit+1))
+                    let bidx = n + (n - 2 - op.unit);
+                    z[bidx] + self.seq.units()[op.unit + 1].backward_time
+                }
+            }
+        }
+    }
+
+    /// Fold the absolute times (`zc` if `compacted`, else `z`) into the
+    /// leaf pattern and run the checker on it.
+    fn check_at(&mut self, compacted: bool) -> Result<(), ScheduleError> {
+        let z = if compacted { &self.zc } else { &self.z };
+        for (op, &zi) in self.pattern.ops.iter_mut().zip(z) {
+            (op.start, op.shift) = fold(zi, self.period);
+        }
+        self.checker.check(&self.pattern).map(|_| ())
+    }
+
+    /// Memory compaction: push every forward op as late as its chain
+    /// successors allow, into the latest free slot on its resource.
+    /// Delaying a forward past a period boundary increases `κ_F` and
+    /// so lowers the stage's live-batch count by one — this is the
+    /// "backward right after forward" interleaving of Figure 5 that
+    /// the paper's ILP exploits on the special processor.
+    ///
+    /// Each move takes the op out of its live timeline, asks for the
+    /// latest fit and puts it back; every move is undone before return.
+    fn compact_and_check(&mut self) -> Option<Pattern> {
+        let n = self.seq.len();
+        self.zc.clone_from(&self.z);
+        let mut found = None;
+        for _pass in 0..2 {
+            let mut moved = false;
+            for u in (0..n).rev() {
+                // Op `u` is F_u; its successor is op `u + 1`: F_{u+1},
+                // or B_{n-1} after the last forward.
+                let d_f = self.pattern.ops[u].duration;
+                let zc = &mut self.zc;
+                let bound = zc[u + 1] - d_f;
+                if bound <= zc[u] + EPS {
+                    continue;
+                }
+                let tl = &mut self.timelines[self.resource[u]];
+                tl.remove(zc[u], d_f);
+                if let Some(znew) = tl.latest_fit(zc[u], bound, d_f) {
+                    if znew > zc[u] + EPS {
+                        zc[u] = znew;
+                        moved = true;
+                    }
+                }
+                tl.insert(zc[u], d_f);
+            }
+            if !moved {
+                break;
+            }
+            if self.check_at(true).is_ok() {
+                found = Some(self.pattern.clone());
+                break;
+            }
+        }
+        // Undo the moves: free every moved op's new slot first, so no
+        // restored op meets one that has not moved back yet.
+        let moved = |u: &usize| self.zc[*u].to_bits() != self.z[*u].to_bits();
+        for u in (0..n).filter(moved) {
+            let d_f = self.pattern.ops[u].duration;
+            self.timelines[self.resource[u]].remove(self.zc[u], d_f);
+        }
+        for u in (0..n).filter(moved) {
+            let d_f = self.pattern.ops[u].duration;
+            self.timelines[self.resource[u]].insert(self.z[u], d_f);
+        }
+        found
+    }
 }
 
 /// Fold an absolute time into `(start, shift)` consistently with the
 /// checker's tolerance.
-fn fold(unit: usize, dir: Dir, z: f64, d: f64, seq: &UnitSequence, period: f64) -> Op {
+fn fold(z: f64, period: f64) -> (f64, u64) {
     let laps = (z / period).floor().max(0.0);
     let mut start = z - laps * period;
     let mut shift = laps as u64;
@@ -254,14 +300,7 @@ fn fold(unit: usize, dir: Dir, z: f64, d: f64, seq: &UnitSequence, period: f64) 
     if start < 0.0 {
         start = 0.0;
     }
-    Op {
-        unit,
-        dir,
-        start,
-        duration: d,
-        shift,
-        resource: seq.units()[unit].resource,
-    }
+    (start, shift)
 }
 
 #[cfg(test)]
@@ -278,6 +317,21 @@ mod tests {
         Chain::new("t", act, layers).unwrap()
     }
 
+    /// [`schedule_at_period`] under the default configuration.
+    fn place(c: &Chain, platform: &Platform, alloc: &Allocation, t: f64) -> Option<Pattern> {
+        let seq = UnitSequence::from_allocation(c, platform, alloc);
+        let cfg = PlaceConfig::default();
+        schedule_at_period(
+            c,
+            platform,
+            alloc,
+            &seq,
+            t,
+            &cfg,
+            &mut PlaceStats::default(),
+        )
+    }
+
     #[test]
     fn contiguous_allocation_schedules_at_load_bound() {
         let c = chain(&[(2.0, 2.0), (2.0, 2.0), (2.0, 2.0)], 4);
@@ -286,7 +340,7 @@ mod tests {
         let alloc = Allocation::contiguous(&part, 3).unwrap();
         let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
         let t = seq.max_unit_load();
-        let p = schedule_at_period(&c, &platform, &alloc, &seq, t, &PlaceConfig::default());
+        let p = place(&c, &platform, &alloc, t);
         assert!(p.is_some());
     }
 
@@ -306,9 +360,8 @@ mod tests {
             3,
         )
         .unwrap();
-        let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
         // GPU0 load = 4; comms tiny. Period 4.2 should be schedulable.
-        let p = schedule_at_period(&c, &platform, &alloc, &seq, 4.2, &PlaceConfig::default());
+        let p = place(&c, &platform, &alloc, 4.2);
         assert!(p.is_some());
     }
 
@@ -317,15 +370,41 @@ mod tests {
         let c = chain(&[(5.0, 5.0), (5.0, 5.0)], 2);
         let platform = Platform::new(2, 1 << 40, 1000.0).unwrap();
         let alloc = Allocation::new(vec![Stage::new(0..1, 0), Stage::new(1..2, 0)], 2, 2).unwrap();
-        let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
-        assert!(
-            schedule_at_period(&c, &platform, &alloc, &seq, 10.0, &PlaceConfig::default())
-                .is_none()
-        );
-        assert!(
-            schedule_at_period(&c, &platform, &alloc, &seq, 20.0, &PlaceConfig::default())
-                .is_some()
-        );
+        assert!(place(&c, &platform, &alloc, 10.0).is_none());
+        assert!(place(&c, &platform, &alloc, 20.0).is_some());
+    }
+
+    #[test]
+    fn stats_count_calls_nodes_leaves_and_exhaustion() {
+        let c = chain(&[(2.0, 2.0), (2.0, 2.0)], 1000);
+        let part = Partition::from_cuts(&[1], 2).unwrap();
+        let alloc = Allocation::contiguous(&part, 2).unwrap();
+        let tight = Platform::new(2, 3100, 1000.0).unwrap();
+        let seq = UnitSequence::from_allocation(&c, &tight, &alloc);
+        let mut stats = PlaceStats::default();
+        // 3 units, 6 ops: the first leaf is the 7th node. At T = 4 it
+        // fails on memory, and a 7-node budget ends the search there.
+        let cfg = PlaceConfig {
+            node_budget: 7,
+            ..PlaceConfig::default()
+        };
+        assert!(schedule_at_period(&c, &tight, &alloc, &seq, 4.0, &cfg, &mut stats).is_none());
+        let exhausted = PlaceStats {
+            calls: 1,
+            exhausted: 1,
+            nodes: 7,
+            leaves: 1,
+        };
+        assert_eq!(stats, exhausted);
+        // The load prefilter rejects T = 1 before any node.
+        assert!(schedule_at_period(&c, &tight, &alloc, &seq, 1.0, &cfg, &mut stats).is_none());
+        assert_eq!(stats.calls, 2);
+        assert_eq!(stats.nodes, 7);
+        // At T = 10 the first leaf is valid: found, not exhausted.
+        let p = schedule_at_period(&c, &tight, &alloc, &seq, 10.0, &cfg, &mut stats);
+        assert!(p.is_some());
+        assert_eq!(stats.exhausted, 1);
+        assert_eq!((stats.nodes, stats.leaves), (14, 2));
     }
 
     #[test]
@@ -336,14 +415,9 @@ mod tests {
         let alloc = Allocation::contiguous(&part, 2).unwrap();
         // memory: stage0 static buffer 2000 + k·1000 activations
         let tight = Platform::new(2, 3100, 1000.0).unwrap();
-        let seq = UnitSequence::from_allocation(&c, &tight, &alloc);
         // At T=4: stage0 must hold 2 live batches (group 2) → 4000 > 3100.
-        assert!(
-            schedule_at_period(&c, &tight, &alloc, &seq, 4.0, &PlaceConfig::default()).is_none()
-        );
+        assert!(place(&c, &tight, &alloc, 4.0).is_none());
         // At T=10 (single group) one live batch → 3000 ≤ 3100.
-        assert!(
-            schedule_at_period(&c, &tight, &alloc, &seq, 10.0, &PlaceConfig::default()).is_some()
-        );
+        assert!(place(&c, &tight, &alloc, 10.0).is_some());
     }
 }

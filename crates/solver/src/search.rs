@@ -3,7 +3,7 @@
 use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 use madpipe_schedule::{check_pattern, Pattern, PatternReport, ScheduleError};
 
-use crate::place::{schedule_at_period, PlaceConfig};
+use crate::place::{schedule_at_period, PlaceConfig, PlaceStats};
 
 /// A valid schedule found by the solver.
 #[derive(Debug, Clone)]
@@ -17,20 +17,25 @@ pub struct SolvedSchedule {
 }
 
 /// Find (approximately) the smallest period at which `alloc` admits a
-/// valid pattern, and build it.
+/// valid pattern, and build it, adding every placement call's work to
+/// `stats`.
 ///
 /// The candidate ladder contains the load lower bound, every sum of
 /// consecutive unit loads (the breakpoints of group-structure changes —
 /// exact for contiguous allocations), and a 5% geometric grid to cover
 /// interleaving effects on multi-stage GPUs; candidates are probed with a
-/// first-feasible binary search (feasibility is monotone in the period:
-/// any pattern remains valid verbatim when `T` grows, since slack only
-/// increases — and memory needs only shrink).
+/// first-feasible binary search. The bisection assumes feasibility is
+/// monotone in the period. That holds for patterns: a valid pattern
+/// stays valid when `T` grows, since slack only increases and memory
+/// needs only shrink. It does not hold for the budgeted placer, which
+/// can fail at a period above one where it succeeds, so the search may
+/// skip a lower ladder point that placement would reach.
 pub fn best_period(
     chain: &Chain,
     platform: &Platform,
     alloc: &Allocation,
     cfg: &PlaceConfig,
+    stats: &mut PlaceStats,
 ) -> Result<SolvedSchedule, ScheduleError> {
     let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_lo = alloc.load_bound(chain, platform).max(seq.max_unit_load());
@@ -59,14 +64,16 @@ pub fn best_period(
     candidates.sort_by(f64::total_cmp);
     candidates.dedup_by(|a, b| madpipe_model::util::feq(*a, *b));
 
-    let try_t = |t: f64| schedule_at_period(chain, platform, alloc, &seq, t, cfg);
+    let mut try_t = |t: f64| schedule_at_period(chain, platform, alloc, &seq, t, cfg, stats);
 
     // Most relaxed candidate first: if the sequential period fails, the
     // allocation does not fit in memory at all.
     let Some(relaxed) = try_t(t_hi) else {
         // Produce the precise error by checking the sequential pattern of
         // a contiguous-style relaxation; fall back to a generic error.
-        return Err(diagnose_infeasible(chain, platform, alloc, &seq, t_hi, cfg));
+        return Err(diagnose_infeasible(
+            chain, platform, alloc, &seq, t_hi, cfg, stats,
+        ));
     };
 
     let mut best_pattern = relaxed;
@@ -104,6 +111,7 @@ fn diagnose_infeasible(
     seq: &UnitSequence,
     t_hi: f64,
     cfg: &PlaceConfig,
+    stats: &mut PlaceStats,
 ) -> ScheduleError {
     // Retry with a large budget and surface the checker's error if the
     // placement itself succeeds structurally.
@@ -111,7 +119,7 @@ fn diagnose_infeasible(
         node_budget: cfg.node_budget.max(1 << 14),
         ..*cfg
     };
-    if schedule_at_period(chain, platform, alloc, seq, t_hi * 2.0, &big).is_some() {
+    if schedule_at_period(chain, platform, alloc, seq, t_hi * 2.0, &big, stats).is_some() {
         // Feasible at a larger period: report the memory ceiling at t_hi.
         return ScheduleError::ResourceOverloaded {
             resource: madpipe_model::Resource::Gpu(0),
@@ -156,6 +164,21 @@ mod tests {
         Chain::new("t", act, layers).unwrap()
     }
 
+    /// [`best_period`] under the default configuration.
+    fn solve(
+        c: &Chain,
+        platform: &Platform,
+        alloc: &Allocation,
+    ) -> Result<SolvedSchedule, ScheduleError> {
+        best_period(
+            c,
+            platform,
+            alloc,
+            &PlaceConfig::default(),
+            &mut PlaceStats::default(),
+        )
+    }
+
     #[test]
     fn matches_one_f1b_star_on_contiguous_allocations() {
         let c = chain(&[(2.0, 3.0), (1.0, 1.0), (4.0, 2.0)], 500);
@@ -163,7 +186,7 @@ mod tests {
         let part = Partition::from_cuts(&[1, 2], 3).unwrap();
         let alloc = Allocation::contiguous(&part, 3).unwrap();
         let reference = best_contiguous_period(&c, &platform, &alloc).unwrap();
-        let solved = best_period(&c, &platform, &alloc, &PlaceConfig::default()).unwrap();
+        let solved = solve(&c, &platform, &alloc).unwrap();
         assert!(
             solved.period <= reference.period + 1e-6,
             "solver {} vs 1F1B* {}",
@@ -188,7 +211,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let solved = best_period(&c, &platform, &noncontig, &PlaceConfig::default()).unwrap();
+        let solved = solve(&c, &platform, &noncontig).unwrap();
         // GPU loads are 8 and 8; comm negligible → period ≈ 8.
         assert!(solved.period < 8.5, "got {}", solved.period);
 
@@ -211,7 +234,7 @@ mod tests {
         let platform = Platform::new(2, 100, 1e9).unwrap();
         let part = Partition::from_cuts(&[1], 2).unwrap();
         let alloc = Allocation::contiguous(&part, 2).unwrap();
-        let err = best_period(&c, &platform, &alloc, &PlaceConfig::default()).unwrap_err();
+        let err = solve(&c, &platform, &alloc).unwrap_err();
         assert!(matches!(err, ScheduleError::MemoryExceeded { .. }));
     }
 
@@ -220,7 +243,7 @@ mod tests {
         let c = chain(&[(3.0, 3.0), (1.0, 1.0), (1.0, 1.0)], 10);
         let platform = Platform::new(2, 1 << 40, 100.0).unwrap();
         let alloc = Allocation::new(vec![Stage::new(0..1, 0), Stage::new(1..3, 1)], 3, 2).unwrap();
-        let solved = best_period(&c, &platform, &alloc, &PlaceConfig::default()).unwrap();
+        let solved = solve(&c, &platform, &alloc).unwrap();
         assert!(solved.period + 1e-9 >= alloc.load_bound(&c, &platform));
     }
 }

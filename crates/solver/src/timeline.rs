@@ -4,7 +4,14 @@
 //! period `[0, T)` and answers the core scheduling query: *the earliest
 //! absolute time `z ≥ ready` whose modular interval `[z mod T, z mod T + d)`
 //! is free*. Occupied intervals never overlap (the placer only inserts
-//! what `earliest_fit` returned), so free time forms circular gaps.
+//! what `earliest_fit` or `latest_fit` returned), so free time forms
+//! circular gaps.
+//!
+//! The placer backtracks by undoing: [`Timeline::remove`] frees exactly
+//! the segments the matching [`Timeline::insert`] marked busy. Segments
+//! are kept sorted by `(start, end)`, a canonical order, so the busy
+//! list after any sequence of inserts and removes is bit-identical to
+//! the list built by inserting only the ops still present.
 
 use madpipe_model::util::EPS;
 
@@ -45,20 +52,10 @@ impl Timeline {
         if self.busy.is_empty() {
             return Some(ready);
         }
-        // Circular gaps between consecutive busy segments. Gap after the
-        // last segment wraps to the first segment of the next lap.
-        let mut gaps: Vec<(f64, f64)> = Vec::with_capacity(self.busy.len());
-        for w in self.busy.windows(2) {
-            gaps.push((w[0].1, w[1].0));
-        }
-        let last = self.busy[self.busy.len() - 1].1;
-        let first = self.busy[0].0;
-        gaps.push((last, first + t)); // wrap gap, end may exceed T
-
         let rp = modp(ready, t);
         let rbase = ready - rp;
         let mut best: Option<f64> = None;
-        for &(gs, ge) in &gaps {
+        for (gs, ge) in self.gaps() {
             if ge - gs + EPS < d {
                 continue;
             }
@@ -124,18 +121,10 @@ impl Timeline {
         if self.busy.is_empty() {
             return Some(hi);
         }
-        let mut gaps: Vec<(f64, f64)> = Vec::with_capacity(self.busy.len());
-        for w in self.busy.windows(2) {
-            gaps.push((w[0].1, w[1].0));
-        }
-        let last = self.busy[self.busy.len() - 1].1;
-        let first = self.busy[0].0;
-        gaps.push((last, first + t));
-
         let hp = modp(hi, t);
         let hbase = hi - hp;
         let mut best: Option<f64> = None;
-        for &(gs, ge) in &gaps {
+        for (gs, ge) in self.gaps() {
             if ge - gs + EPS < d {
                 continue;
             }
@@ -155,36 +144,62 @@ impl Timeline {
         best
     }
 
-    /// Mark `[z mod T, z mod T + d)` busy. The caller must have obtained
-    /// `z` from [`Timeline::earliest_fit`] (debug-asserted).
+    /// Mark `[z mod T, z mod T + d)` busy. The interval must be free up
+    /// to EPS, as it is when `z` came from [`Timeline::earliest_fit`] or
+    /// [`Timeline::latest_fit`] (debug-asserted).
     pub fn insert(&mut self, z: f64, d: f64) {
-        let t = self.period;
-        if d <= EPS {
-            return;
-        }
-        let phase = modp(z, t);
-        let end = phase + d;
-        if end <= t + EPS {
-            self.push_segment(phase, end.min(t));
-        } else {
-            self.push_segment(phase, t);
-            self.push_segment(0.0, end - t);
+        for (s, e) in segments(self.period, z, d) {
+            debug_assert!(
+                self.busy
+                    .iter()
+                    .all(|&(bs, be)| e <= bs + EPS || be <= s + EPS),
+                "segment [{s}, {e}) overlaps existing busy time"
+            );
+            let idx = self.busy.partition_point(|&seg| seg < (s, e));
+            self.busy.insert(idx, (s, e));
         }
     }
 
-    fn push_segment(&mut self, s: f64, e: f64) {
-        if e - s <= EPS {
-            return;
+    /// Undo `insert(z, d)`: free exactly the segments it marked busy.
+    /// Panics if they are not busy.
+    pub fn remove(&mut self, z: f64, d: f64) {
+        for seg in segments(self.period, z, d) {
+            let idx = self.busy.partition_point(|&b| b < seg);
+            assert!(
+                self.busy.get(idx) == Some(&seg),
+                "segment {seg:?} was never inserted"
+            );
+            self.busy.remove(idx);
         }
-        debug_assert!(
-            self.busy
-                .iter()
-                .all(|&(bs, be)| e <= bs + EPS || be <= s + EPS),
-            "segment [{s}, {e}) overlaps existing busy time"
-        );
-        let idx = self.busy.partition_point(|&(bs, _)| bs < s);
-        self.busy.insert(idx, (s, e));
     }
+
+    /// Circular gaps between consecutive busy segments; the gap after
+    /// the last segment wraps to the first segment of the next lap, so
+    /// its end may exceed `T`. Requires a non-empty timeline.
+    fn gaps(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let last = self.busy[self.busy.len() - 1].1;
+        let first = self.busy[0].0;
+        self.busy
+            .windows(2)
+            .map(|w| (w[0].1, w[1].0))
+            .chain(std::iter::once((last, first + self.period)))
+    }
+}
+
+/// The busy segments of an op of length `d` at absolute time `z`:
+/// `[z mod T, z mod T + d)`, split in two when it wraps past `T`. Ops
+/// of length at most EPS, and segments of at most EPS, occupy nothing.
+fn segments(t: f64, z: f64, d: f64) -> impl Iterator<Item = (f64, f64)> {
+    let phase = modp(z, t);
+    let end = phase + d;
+    let (head, tail) = if end <= t + EPS {
+        ((phase, end.min(t)), None)
+    } else {
+        ((phase, t), Some((0.0, end - t)))
+    };
+    std::iter::once(head)
+        .chain(tail)
+        .filter(move |&(s, e)| d > EPS && e - s > EPS)
 }
 
 /// `x mod p` into `[0, p)`, robust to `x` within EPS of a multiple of `p`.
@@ -200,6 +215,15 @@ fn modp(x: f64, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The busy list as raw bits, for bit-identity assertions.
+    fn bits(tl: &Timeline) -> Vec<(u64, u64)> {
+        tl.busy
+            .iter()
+            .map(|&(s, e)| (s.to_bits(), e.to_bits()))
+            .collect()
+    }
 
     #[test]
     fn empty_timeline_places_at_ready() {
@@ -256,6 +280,81 @@ mod tests {
         let mut tl = Timeline::new(10.0);
         tl.insert(0.0, 10.0 - 1e-12);
         assert_eq!(tl.earliest_fit(5.0, 0.0), Some(5.0));
+    }
+
+    #[test]
+    fn remove_undoes_a_non_wrapping_insert() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(6.0, 2.0);
+        let before = bits(&tl);
+        tl.insert(1.0, 4.0);
+        assert_eq!(tl.earliest_fit(0.0, 4.0), None);
+        tl.remove(1.0, 4.0);
+        assert_eq!(bits(&tl), before);
+        assert_eq!(tl.earliest_fit(0.0, 4.0), Some(0.0));
+    }
+
+    #[test]
+    fn remove_undoes_a_wrapping_insert() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(3.0, 2.0);
+        let before = bits(&tl);
+        tl.insert(28.0, 4.0); // phase 8: busy [8, 10) and [0, 2)
+        assert_eq!(tl.busy.len(), 3);
+        assert!((tl.load() - 6.0).abs() < 1e-12);
+        tl.remove(28.0, 4.0);
+        assert_eq!(bits(&tl), before);
+        // Zero-length ops occupy nothing, so removing one is a no-op.
+        tl.insert(4.0, 0.0);
+        tl.remove(4.0, 0.0);
+        assert_eq!(bits(&tl), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "never inserted")]
+    fn removing_a_free_interval_panics() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(0.0, 2.0);
+        tl.remove(0.5, 2.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Insert the fits `earliest_fit` returns, then remove any
+        /// subset in any order: the busy list is bit-identical to a
+        /// timeline built by inserting only the ops that remain.
+        #[test]
+        fn removing_any_subset_in_any_order_leaves_exactly_the_rest(
+            period in 0.5f64..20.0,
+            ops in prop::collection::vec(
+                (0.0f64..60.0, 0.0f64..1.0, prop::bool::ANY, any::<u64>()),
+                1..12,
+            ),
+        ) {
+            let mut tl = Timeline::new(period);
+            let mut placed = Vec::new();
+            for &(ready, frac, gone, key) in &ops {
+                // Some zero-length ops, the rest up to a third of T.
+                let d = if frac < 0.1 { 0.0 } else { frac * period / 3.0 };
+                if let Some(z) = tl.earliest_fit(ready, d) {
+                    tl.insert(z, d);
+                    placed.push((z, d, gone, key));
+                }
+            }
+            let mut removals: Vec<_> = placed.iter().filter(|p| p.2).collect();
+            removals.sort_by_key(|p| p.3);
+            for &&(z, d, _, _) in &removals {
+                tl.remove(z, d);
+            }
+            let mut rest = Timeline::new(period);
+            for &(z, d, gone, _) in &placed {
+                if !gone {
+                    rest.insert(z, d);
+                }
+            }
+            prop_assert_eq!(bits(&tl), bits(&rest));
+        }
     }
 
     #[test]

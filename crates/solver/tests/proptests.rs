@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use madpipe_model::{Allocation, Chain, Layer, Partition, Platform, Stage, UnitSequence};
-use madpipe_schedule::{best_contiguous_period, check_pattern, one_f1b_star};
-use madpipe_solver::{best_period, PlaceConfig};
+use madpipe_schedule::{best_contiguous_period, check_pattern, one_f1b_star, ScheduleError};
+use madpipe_solver::{best_period, PlaceConfig, PlaceStats, SolvedSchedule};
 
 fn arb_chain() -> impl Strategy<Value = Chain> {
     prop::collection::vec((0.1f64..5.0, 0.1f64..5.0, 0u64..1_000, 1u64..20_000), 2..=7).prop_map(
@@ -64,7 +64,7 @@ proptest! {
 
         let reference = best_contiguous_period(&chain, &platform, &alloc)
             .expect("budget covers the sequential schedule");
-        let solved = best_period(&chain, &platform, &alloc, &PlaceConfig::default())
+        let solved = solve(&chain, &platform, &alloc)
             .expect("solver must find the sequential schedule too");
 
         prop_assert!(
@@ -86,23 +86,11 @@ proptest! {
             (Just(c), arb_cuts(n), any::<u64>())
         })
     ) {
-        let part = Partition::from_cuts(&cuts, chain.len()).unwrap();
-        let n_stages = part.len();
-        let n_gpus = n_stages.clamp(1, 3);
-        // Deterministic pseudo-random stage→GPU map covering each GPU.
-        let stages: Vec<Stage> = part
-            .stages()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let gpu = if i < n_gpus { i } else { (gpu_seed as usize + 7 * i) % n_gpus };
-                Stage::new(r.clone(), gpu)
-            })
-            .collect();
-        let alloc = Allocation::new(stages, chain.len(), n_gpus).unwrap();
+        let alloc = random_allocation(&chain, &cuts, gpu_seed);
+        let n_gpus = alloc.n_gpus();
         let platform = Platform::new(n_gpus, 1 << 40, 500.0).unwrap();
 
-        match best_period(&chain, &platform, &alloc, &PlaceConfig::default()) {
+        match solve(&chain, &platform, &alloc) {
             Ok(solved) => {
                 prop_assert!(solved.period + 1e-9 >= alloc.load_bound(&chain, &platform));
                 // Re-validate from scratch.
@@ -116,4 +104,85 @@ proptest! {
             }
         }
     }
+
+    /// The same random allocations with each GPU's memory set to the
+    /// sequential 1F1B* peak × (1 + k/8): the regime where the placer
+    /// uses up its node budget and compaction rescues leaves. Every
+    /// solved pattern passes the exact checker and respects the load
+    /// bound; every failure is a clean memory or load error.
+    #[test]
+    fn memory_tight_random_allocations_solve_or_fail_cleanly(
+        (chain, cuts, gpu_seed) in arb_chain().prop_flat_map(|c| {
+            let n = c.len();
+            (Just(c), arb_cuts(n), any::<u64>())
+        }),
+        k in 0u64..6
+    ) {
+        let alloc = random_allocation(&chain, &cuts, gpu_seed);
+        let n_gpus = alloc.n_gpus();
+        let roomy = Platform::new(n_gpus, u64::MAX / 4, 500.0).unwrap();
+        let seq = UnitSequence::from_allocation(&chain, &roomy, &alloc);
+        let relaxed = one_f1b_star(&seq, seq.total_load());
+        let peak = check_pattern(&chain, &roomy, &alloc, &seq, &relaxed)
+            .unwrap()
+            .gpu_peak_bytes
+            .into_iter()
+            .max()
+            .unwrap();
+        let platform = Platform::new(n_gpus, peak + peak * k / 8, 500.0).unwrap();
+
+        let mut work = PlaceStats::default();
+        match best_period(&chain, &platform, &alloc, &PlaceConfig::default(), &mut work) {
+            Ok(solved) => {
+                prop_assert!(solved.period + 1e-9 >= alloc.load_bound(&chain, &platform));
+                let seq = UnitSequence::from_allocation(&chain, &platform, &alloc);
+                let report = check_pattern(&chain, &platform, &alloc, &seq, &solved.pattern);
+                prop_assert_eq!(report, Ok(solved.report));
+            }
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    ScheduleError::MemoryExceeded { .. } | ScheduleError::ResourceOverloaded { .. }
+                ),
+                "unexpected error {e}"
+            ),
+        }
+        prop_assert!(work.calls > 0 && work.leaves <= work.nodes);
+    }
+}
+
+/// [`best_period`] under the default configuration.
+fn solve(
+    chain: &Chain,
+    platform: &Platform,
+    alloc: &Allocation,
+) -> Result<SolvedSchedule, ScheduleError> {
+    best_period(
+        chain,
+        platform,
+        alloc,
+        &PlaceConfig::default(),
+        &mut PlaceStats::default(),
+    )
+}
+
+/// A stage→GPU map of `chain` cut at `cuts` on up to 3 GPUs: the first
+/// stages take GPUs 0, 1, 2 and the rest a pseudo-random GPU each.
+fn random_allocation(chain: &Chain, cuts: &[usize], gpu_seed: u64) -> Allocation {
+    let part = Partition::from_cuts(cuts, chain.len()).unwrap();
+    let n_gpus = part.len().clamp(1, 3);
+    let stages: Vec<Stage> = part
+        .stages()
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let gpu = if i < n_gpus {
+                i
+            } else {
+                (gpu_seed as usize + 7 * i) % n_gpus
+            };
+            Stage::new(r.clone(), gpu)
+        })
+        .collect();
+    Allocation::new(stages, chain.len(), n_gpus).unwrap()
 }
