@@ -92,9 +92,11 @@ fn bench(c: &mut Criterion) {
                     &platform,
                     alloc,
                     &PlaceConfig::default(),
+                    None,
                     &mut PlaceStats::default(),
                 )
                 .unwrap()
+                .expect("no cutoff")
                 .period
             })
         });

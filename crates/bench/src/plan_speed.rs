@@ -12,8 +12,9 @@
 //! * **Times gate loosely.** What is measured is the *DP portion* of
 //!   planning (phase 1 bisection + contiguous fallback + refinement).
 //!   Phase-2 scheduling has no time gate yet (ROADMAP item 6); the
-//!   period bits above are its exactness gate, since a faster placement
-//!   search that visited other nodes would ship other periods. Wall time
+//!   period bits above are its exactness gate. Its node counts are not:
+//!   they fall by design whenever phase 2 learns to skip a search whose
+//!   result cannot change the plan. Wall time
 //!   is hostage to the CI runner, so the gate only fails beyond a
 //!   multiple of the baseline (default 1.25×), and the per-cell number
 //!   is a median over repeats.

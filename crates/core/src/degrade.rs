@@ -11,22 +11,16 @@
 //! throughput delta between them, plus `replan.*` spans and counters so
 //! an operator can see degradations in the metrics stream.
 //!
-//! Warm starts: [`replan_with_session`] plans the baseline through a
-//! caller-owned [`ProbeSession`], so a service that already planned the
-//! healthy instance pays only for the degraded one (the `madpipe serve`
-//! daemon goes further and answers both sides from its plan cache when
-//! it can). The degraded side is *incremental* when the fault only
-//! shrinks the platform: the baseline session's dense DP slabs seed the
-//! degraded solves ([`ProbeSession::derive`]), which reuses every
-//! surviving state without changing a single output bit.
+//! Both sides are ordinary cold plans. The `madpipe serve` daemon's
+//! `replan` submits the same two instances as two independent plan jobs,
+//! so each side is answered from the plan cache when it can be, and
+//! otherwise by a worker's [`crate::ProbeSession`] — bit-identical to the
+//! plans here either way.
 
-use madpipe_model::{Allocation, Chain, ModelError, Platform, PlatformFault};
+use madpipe_model::{Chain, ModelError, Platform, PlatformFault};
 
-use crate::dp::ProbeSession;
-use crate::planner::{
-    madpipe_plan_with_session, madpipe_plan_with_stats, MadPipePlan, PlanError, PlannerConfig,
-};
-use crate::stats::{PlannerStats, ProbeSource};
+use crate::planner::{madpipe_plan_with_stats, MadPipePlan, PlanError, PlannerConfig};
+use crate::stats::PlannerStats;
 
 /// The outcome of replanning one chain across one platform fault.
 #[derive(Debug)]
@@ -45,16 +39,6 @@ pub struct ReplanOutcome {
     /// Planner instrumentation of the degraded plan, extended with
     /// `replan.fault.<kind>` and the `replan.throughput_delta` gauge.
     pub degraded_stats: PlannerStats,
-    /// A fast fallback allocation for the survivor: one slab-seeded DP
-    /// probe of the degraded platform at the *baseline plan's* chosen
-    /// target period ([`crate::ProbeSource::Bridge`]). Because the
-    /// baseline session retains a dense slab at exactly that target, the
-    /// probe reuses every surviving state and costs a fraction of a full
-    /// solve — a usable allocation even when the full degraded replan
-    /// fails in phase 2. `None` on cold replans ([`replan`]), when the
-    /// baseline itself did not plan, or when the baseline target is
-    /// infeasible on the survivor.
-    pub bridge: Option<Allocation>,
 }
 
 impl ReplanOutcome {
@@ -98,58 +82,6 @@ pub fn replan(
         degraded,
         baseline_stats,
         degraded_stats,
-        None,
-    ))
-}
-
-/// [`replan`] with the baseline planned through a caller-owned warm
-/// [`ProbeSession`] — revisited baseline targets cost a memo lookup, and
-/// the baseline plan stays bit-identical to a cold one. The degraded
-/// side plans through a session *derived* from the baseline one
-/// ([`ProbeSession::derive`]): when the fault only shrinks the platform
-/// (a GPU loss keeps memory, bandwidth and therefore every DP axis
-/// intact), the surviving prefix of the baseline's dense DP slabs seeds
-/// the degraded solves, so the replan is incremental rather than from
-/// scratch — while staying bit-identical to a cold plan of the survivor,
-/// because seeded states carry exactly the values a cold solve would
-/// recompute. Faults that reshape the state space (memory or link
-/// changes) derive an effectively fresh session.
-pub fn replan_with_session(
-    session: &mut ProbeSession<'_>,
-    fault: PlatformFault,
-    cfg: &PlannerConfig,
-) -> Result<ReplanOutcome, ModelError> {
-    let _span = madpipe_obs::span("replan.total");
-    let degraded_platform = fault.apply(session.platform())?;
-    let (baseline, baseline_stats) = madpipe_plan_with_session(session, cfg);
-    let (degraded, degraded_stats, bridge) = {
-        let mut degraded_session = session.derive(&degraded_platform);
-        // Bridge probe: the survivor at the baseline's chosen target.
-        // The parent holds a slab at exactly this `T̂`, so the probe is
-        // seeded (nearly free) and yields an immediate fallback
-        // allocation; the full replan below stays bit-identical to a
-        // cold one either way (probes are pure, and an extra cached
-        // outcome never changes what the bisection computes).
-        let bridge = baseline.as_ref().ok().and_then(|plan| {
-            degraded_session
-                .probe(
-                    plan.phase1.t_hat,
-                    cfg.algorithm1.use_special,
-                    ProbeSource::Bridge,
-                )
-                .allocation
-        });
-        let (d, ds) = madpipe_plan_with_session(&mut degraded_session, cfg);
-        (d, ds, bridge)
-    };
-    Ok(finish(
-        fault,
-        degraded_platform,
-        baseline,
-        degraded,
-        baseline_stats,
-        degraded_stats,
-        bridge,
     ))
 }
 
@@ -160,7 +92,6 @@ fn finish(
     degraded: Result<MadPipePlan, PlanError>,
     baseline_stats: PlannerStats,
     mut degraded_stats: PlannerStats,
-    bridge: Option<Allocation>,
 ) -> ReplanOutcome {
     degraded_stats
         .metrics
@@ -172,7 +103,6 @@ fn finish(
         degraded,
         baseline_stats,
         degraded_stats,
-        bridge,
     };
     if let Some(delta) = outcome.throughput_delta() {
         outcome
@@ -186,6 +116,8 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::ProbeSession;
+    use crate::planner::madpipe_plan_with_session;
     use madpipe_model::Layer;
 
     fn chain() -> Chain {
@@ -235,62 +167,30 @@ mod tests {
 
     #[test]
     fn warm_session_replan_matches_cold_replan() {
+        // The daemon plans a replan's two sides as ordinary jobs, on
+        // sessions that may already have planned: both must match the
+        // cold replan to the bit.
         let c = chain();
         let p = platform();
         let cfg = PlannerConfig::default();
-        let fault = PlatformFault::MemoryReduction { fraction: 0.5 };
-        let cold = replan(&c, &p, fault, &cfg).unwrap();
-
-        let mut session = ProbeSession::new(&c, &p, &cfg.algorithm1.discretization);
-        // Warm the session with an unrelated plan first.
-        let _ = madpipe_plan_with_session(&mut session, &cfg);
-        let warm = replan_with_session(&mut session, fault, &cfg).unwrap();
-
-        let (a, b) = (cold.degraded.unwrap(), warm.degraded.unwrap());
-        assert_eq!(a.period().to_bits(), b.period().to_bits());
-        let (a, b) = (cold.baseline.unwrap(), warm.baseline.unwrap());
-        assert_eq!(a.period().to_bits(), b.period().to_bits());
-    }
-
-    #[test]
-    fn gpu_loss_replans_reuse_surviving_dp_slabs() {
-        // A GPU loss keeps every DP axis intact, so the warm replan must
-        // seed its solves from the baseline session's slabs — and still
-        // produce the identical ReplanOutcome a cold replan does.
-        let c = chain();
-        let p = platform();
-        let cfg = PlannerConfig::default();
-        let fault = PlatformFault::GpuLoss { count: 1 };
-        let cold = replan(&c, &p, fault, &cfg).unwrap();
-
-        let mut session = ProbeSession::new(&c, &p, &cfg.algorithm1.discretization);
-        let _ = madpipe_plan_with_session(&mut session, &cfg);
-        let warm = replan_with_session(&mut session, fault, &cfg).unwrap();
-
-        assert!(
-            warm.degraded_stats.dp.states_seeded > 0,
-            "surviving slab states must seed the degraded solves: {:?}",
-            warm.degraded_stats.dp
-        );
-        assert!(
-            warm.bridge.is_some(),
-            "baseline target is feasible on the survivor here, so the \
-             bridge probe must yield a fallback allocation"
-        );
-        assert!(
-            cold.bridge.is_none(),
-            "cold replans have no session to bridge from"
-        );
-        assert_eq!(
-            cold.throughput_delta().unwrap().to_bits(),
-            warm.throughput_delta().unwrap().to_bits()
-        );
-        let (a, b) = (cold.degraded.unwrap(), warm.degraded.unwrap());
-        assert_eq!(a.period().to_bits(), b.period().to_bits());
-        assert_eq!(a.allocation, b.allocation);
-        let (a, b) = (cold.baseline.unwrap(), warm.baseline.unwrap());
-        assert_eq!(a.period().to_bits(), b.period().to_bits());
-        assert_eq!(a.allocation, b.allocation);
+        for fault in [
+            PlatformFault::GpuLoss { count: 1 },
+            PlatformFault::MemoryReduction { fraction: 0.5 },
+        ] {
+            let cold = replan(&c, &p, fault, &cfg).unwrap();
+            for (platform, cold) in [
+                (&p, &cold.baseline),
+                (&cold.degraded_platform, &cold.degraded),
+            ] {
+                let disc = &cfg.algorithm1.discretization;
+                let mut session = ProbeSession::new(&c, platform, disc);
+                let _ = madpipe_plan_with_session(&mut session, &cfg);
+                let (warm, _) = madpipe_plan_with_session(&mut session, &cfg);
+                let (a, b) = (cold.as_ref().unwrap(), warm.unwrap());
+                assert_eq!(a.period().to_bits(), b.period().to_bits(), "{fault:?}");
+                assert_eq!(a.allocation, b.allocation);
+            }
+        }
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //! megabytes per solve, while the rows actually touched are a few).
 //! A *normal*-processor transition keeps `(t_idx, m_idx)` fixed, so the
 //! whole `k` scan of a state reads rows of the same `(t, m)` column —
-//! the blocking order that makes the scan cache-friendly. After a solve
-//! the memo is compacted into a [`Slab`] (packed key + value + choice
-//! per reachable state, ~20 B/state like the old hash shards) which the
-//! session retains for replan seeding.
+//! the blocking order that makes the scan cache-friendly. The memo lives
+//! only as long as its solve: what the session keeps of a probe is its
+//! [`DpOutcome`].
 //!
 //! # Branch-and-bound pruning
 //!
@@ -62,12 +61,8 @@
 //!   not depend on `T̂` at all;
 //! * an **outcome cache** keyed by `(T̂, use_special)` — the bisection,
 //!   the refinement grid and the contiguous fallback regularly revisit
-//!   the same target, and a revisit costs one hash lookup instead of a
-//!   full solve;
-//! * per-probe **dense slabs** — each solve's compacted memo is retained
-//!   whole, which keeps every per-`T̂` state addressable for replan
-//!   seeding and makes the outcome (incl. the reconstructed allocation)
-//!   of a revisited probe free;
+//!   the same target, and a revisit (reconstructed allocation included)
+//!   costs one hash lookup instead of a full solve;
 //! * the **monotone infeasibility bound**: `MadPipe-DP(T̂)` is
 //!   non-increasing in `T̂` (the same fact Algorithm 1's bisection relies
 //!   on — see `crate::algorithm1`), so a target proven infeasible makes
@@ -75,26 +70,12 @@
 //!   per `use_special` flag because the two DP variants explore
 //!   different feasible sets.
 //!
-//! # Incremental replans
-//!
-//! [`ProbeSession::derive`] builds a session for the *same chain* on a
-//! platform that survives a fault. When the fault only shrinks the
-//! platform (fewer GPUs, same memory and bandwidth), every DP state of
-//! the healthy platform with `p` below the survivor's processor count is
-//! *also* a state of the degraded DP with the identical value — the
-//! recursion never reads the root processor count, only the per-state
-//! `p` — so the parent's slabs seed the derived session's solves: a
-//! degraded probe at a revisited `T̂` starts with the surviving prefix of
-//! the `p` axis already filled in. Faults that change memory or
-//! bandwidth reshape the axes/cut times and get a fresh session.
-//!
 //! [`ProbeSession::probe_many`] evaluates independent targets on a
 //! scoped thread pool; results are merged in submission order, so the
 //! session state (and therefore every downstream decision) is identical
 //! whatever the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use madpipe_model::util::ceil_div;
@@ -120,8 +101,7 @@ pub struct DpOutcome {
     /// the DP chose for it (all-default under the default
     /// [`PolicySpec`]). `None` iff `period` is infinite.
     pub allocation: Option<Allocation>,
-    /// Number of distinct memoized states (including states seeded from
-    /// a parent session's slab on derived sessions).
+    /// Number of distinct memoized states of the solve.
     pub states: usize,
 }
 
@@ -174,33 +154,6 @@ fn decode_choice(bits: u32) -> Choice {
     }
 }
 
-/// Packed state key: `l` (16b) | `p` (8b) | `it` (16b) | `im` (8b) | `iv` (16b).
-///
-/// The planner's `validate` keeps every coordinate inside these widths,
-/// which is also the proof that the coordinates fit dense indexing.
-/// Keys only appear in compacted [`Slab`]s now — the live memo indexes
-/// arithmetically — but they keep slab entries self-describing.
-type Key = u64;
-
-#[inline]
-fn pack(l: usize, p: usize, it: u16, im: u16, iv: u16) -> Key {
-    debug_assert!(l < 1 << 16, "chain length overflows the 16-bit key field");
-    debug_assert!(p < 256, "processor count overflows the 8-bit key field");
-    debug_assert!(im < 256, "memory index overflows the 8-bit key field");
-    (l as u64) << 48 | (p as u64) << 40 | (it as u64) << 24 | (im as u64) << 16 | iv as u64
-}
-
-#[inline]
-fn unpack(key: Key) -> (usize, usize, u16, u16, u16) {
-    (
-        (key >> 48) as usize,
-        ((key >> 40) & 0xff) as usize,
-        ((key >> 24) & 0xffff) as u16,
-        ((key >> 16) & 0xff) as u16,
-        (key & 0xffff) as u16,
-    )
-}
-
 /// One memo slot: the state's value plus its encoded [`Choice`]. `value`
 /// is `NaN` while unset — real DP values are finite or `+∞`, never `NaN`
 /// (the planner rejects NaN inputs up front), so the sentinel is
@@ -232,10 +185,6 @@ struct DenseMemo {
     /// half the size (u32 vs pointer) and successive rows share cache
     /// lines, which is where the solve loop spends its time.
     arena: Vec<MemoEntry>,
-    /// Indices of rows that have been allocated, in touch order —
-    /// `compact` sorts and walks these instead of scanning the whole
-    /// (mostly empty, on memory-tight instances) row table.
-    touched: Vec<u32>,
     /// Number of set entries across all rows.
     filled: usize,
 }
@@ -250,19 +199,17 @@ impl DenseMemo {
             v_len,
             rows: vec![0; l_len * p_len * t_len * m_len],
             arena: Vec::new(),
-            touched: Vec::new(),
             filled: 0,
         }
     }
 
-    /// The `v`-row at flat index `idx`, allocated from the arena (and
-    /// recorded in the touched list) on first access.
+    /// The `v`-row at flat index `idx`, allocated from the arena on
+    /// first access.
     #[inline]
     fn row_mut(&mut self, idx: usize) -> &mut [MemoEntry] {
         let mut r = self.rows[idx];
         if r == 0 {
             self.arena.resize(self.arena.len() + self.v_len, UNSET);
-            self.touched.push(idx as u32);
             r = (self.arena.len() / self.v_len) as u32;
             self.rows[idx] = r;
         }
@@ -342,92 +289,6 @@ impl DenseMemo {
     fn len(&self) -> usize {
         self.filled
     }
-
-    /// Pre-fill from a parent session's slab (replan seeding): every
-    /// entry whose `p` coordinate survives on the shrunken platform is
-    /// valid verbatim — the DP value of a state does not depend on the
-    /// root processor count. Returns how many states were seeded.
-    fn seed_from(&mut self, slab: &Slab) -> usize {
-        debug_assert_eq!(
-            (self.t_len, self.m_len, self.v_len),
-            (slab.t_len, slab.m_len, slab.v_len),
-            "seeding requires identical discretization axes"
-        );
-        let mut seeded = 0;
-        for e in &slab.entries {
-            let (l, p, it, im, iv) = unpack(e.key);
-            if p >= self.p_len {
-                continue;
-            }
-            let idx = self.row_index(l, p, it, im);
-            {
-                let slot = &mut self.row_mut(idx)[iv as usize];
-                debug_assert!(slot.value.is_nan(), "slab entries are distinct states");
-                *slot = MemoEntry {
-                    value: e.value,
-                    choice: e.choice,
-                };
-            }
-            self.filled += 1;
-            seeded += 1;
-        }
-        seeded
-    }
-
-    /// Compact to the retained slab form (row-major order — deterministic).
-    fn compact(&self) -> Slab {
-        let mut entries = Vec::with_capacity(self.filled);
-        let mut touched = self.touched.clone();
-        touched.sort_unstable();
-        for ri in touched {
-            let ri = ri as usize;
-            let r = self.rows[ri] as usize;
-            debug_assert!(r > 0, "touched rows are allocated");
-            let row = &self.arena[(r - 1) * self.v_len..r * self.v_len];
-            let im = (ri % self.m_len) as u16;
-            let it = ((ri / self.m_len) % self.t_len) as u16;
-            let lp = ri / (self.m_len * self.t_len);
-            let (l, p) = (lp / self.p_len, lp % self.p_len);
-            for (iv, e) in row.iter().enumerate() {
-                if !e.value.is_nan() {
-                    entries.push(SlabEntry {
-                        key: pack(l, p, it, im, iv as u16),
-                        value: e.value,
-                        choice: e.choice,
-                    });
-                }
-            }
-        }
-        Slab {
-            t_len: self.t_len,
-            m_len: self.m_len,
-            v_len: self.v_len,
-            entries,
-        }
-    }
-}
-
-/// One compacted state of a retained [`Slab`].
-struct SlabEntry {
-    key: Key,
-    value: f64,
-    choice: u32,
-}
-
-/// The compacted memo of one solve, retained by the session: compact
-/// enough to keep for every probe (~20 B per reachable state, like the
-/// old hash shards) while still seeding a derived session's dense memo.
-struct Slab {
-    t_len: usize,
-    m_len: usize,
-    v_len: usize,
-    entries: Vec<SlabEntry>,
-}
-
-impl Slab {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// Per-`(k, l)` stage costs hoisted out of the DP inner loop, shared by
@@ -505,17 +366,15 @@ impl StageTables {
     }
 }
 
-/// One retained probe: the compacted memo of a solve plus its outcome,
-/// kept addressable so revisits and replan seeding are free.
+/// One retained probe: a solve's outcome and work counters, kept so a
+/// revisit is free.
 struct Shard {
     t_hat: f64,
     use_special: bool,
-    slab: Arc<Slab>,
     memo_hits: u64,
     load_prunes: u64,
     memory_prunes: u64,
     branch_prunes: u64,
-    states_seeded: u64,
     outcome: DpOutcome,
 }
 
@@ -552,9 +411,6 @@ pub struct ProbeSession<'a> {
     shards: Vec<Shard>,
     /// `(T̂ bits, use_special)` → shard index.
     index: FxHashMap<(u64, bool), usize>,
-    /// Slabs inherited from a parent session ([`ProbeSession::derive`]),
-    /// keyed like the shard index; consulted once per solve.
-    seeds: FxHashMap<(u64, bool), Arc<Slab>>,
     /// Largest target proven infeasible, per `use_special` flag.
     max_infeasible: [Option<f64>; 2],
     /// The session's metrics: every counter behind [`DpStats`] plus the
@@ -612,46 +468,11 @@ impl<'a> ProbeSession<'a> {
             tables: StageTables::new(chain),
             shards: Vec::new(),
             index: FxHashMap::default(),
-            seeds: FxHashMap::default(),
             max_infeasible: [None, None],
             registry: Registry::new(),
             records: Vec::new(),
             arena_hint: std::sync::atomic::AtomicUsize::new(0),
         }
-    }
-
-    /// Derive a session for the same chain on `platform` — the entry
-    /// point for degraded-mode replans ([`crate::degrade`]).
-    ///
-    /// When `platform` only *shrinks* this session's platform (at most
-    /// as many GPUs, identical memory and bandwidth, hence identical
-    /// axes and cut times), the derived session inherits every retained
-    /// slab as a seed plus the monotone infeasibility bound: a state's
-    /// DP value never depends on the root processor count, and dropping
-    /// processors can only shrink the feasible set, so both carry over
-    /// verbatim and every probe stays bit-identical to a cold session's.
-    /// Any other change reshapes the DP state space and yields a plain
-    /// fresh session.
-    pub fn derive<'b>(&'b self, platform: &'b Platform) -> ProbeSession<'b>
-    where
-        'a: 'b,
-    {
-        let mut child =
-            ProbeSession::new_with_policy(self.chain, platform, &self.disc, self.policy);
-        let shrink_only = platform.n_gpus <= self.platform.n_gpus
-            && platform.memory_bytes == self.platform.memory_bytes
-            && platform.bandwidth.to_bits() == self.platform.bandwidth.to_bits()
-            && child.cut_times == self.cut_times;
-        if shrink_only {
-            child.max_infeasible = self.max_infeasible;
-            for shard in &self.shards {
-                child.seeds.insert(
-                    (shard.t_hat.to_bits(), shard.use_special),
-                    Arc::clone(&shard.slab),
-                );
-            }
-        }
-        child
     }
 
     /// The chain this session was built for. Returns the `'a`-lived
@@ -753,7 +574,7 @@ impl<'a> ProbeSession<'a> {
                     let shard = &self.shards[i];
                     self.registry.inc(counters::DP_OUTCOME_HITS);
                     self.registry
-                        .add(counters::DP_STATES_REUSED, shard.slab.len() as u64);
+                        .add(counters::DP_STATES_REUSED, shard.outcome.states as u64);
                     (
                         shard.outcome.clone(),
                         shard.outcome.states,
@@ -784,7 +605,7 @@ impl<'a> ProbeSession<'a> {
                     let shard = &self.shards[first_new_shard + j];
                     self.registry.inc(counters::DP_OUTCOME_HITS);
                     self.registry
-                        .add(counters::DP_STATES_REUSED, shard.slab.len() as u64);
+                        .add(counters::DP_STATES_REUSED, shard.outcome.states as u64);
                     (
                         shard.outcome.clone(),
                         shard.outcome.states,
@@ -887,10 +708,6 @@ impl<'a> ProbeSession<'a> {
         // one reservation, instead of through doubling re-copies.
         memo.arena
             .reserve(self.arena_hint.load(std::sync::atomic::Ordering::Relaxed));
-        let states_seeded = match self.seeds.get(&(t_hat.to_bits(), use_special)) {
-            Some(slab) => memo.seed_from(slab) as u64,
-            None => 0,
-        };
         // Under `Auto` the transition caches carry one lane per
         // activation choice (the effective stage load differs); fixed
         // modes collapse to a single lane.
@@ -933,12 +750,10 @@ impl<'a> ProbeSession<'a> {
         Shard {
             t_hat,
             use_special,
-            slab: Arc::new(dp.memo.compact()),
             memo_hits: dp.memo_hits,
             load_prunes: dp.load_prunes,
             memory_prunes: dp.memory_prunes,
             branch_prunes: dp.branch_prunes,
-            states_seeded,
             outcome: DpOutcome {
                 period,
                 allocation,
@@ -951,12 +766,8 @@ impl<'a> ProbeSession<'a> {
     /// bound, outcome cache).
     fn absorb(&mut self, shard: Shard) {
         self.registry.inc(counters::DP_SOLVES);
-        self.registry.add(
-            counters::DP_STATES_CREATED,
-            shard.slab.len() as u64 - shard.states_seeded,
-        );
         self.registry
-            .add(counters::DP_STATES_SEEDED, shard.states_seeded);
+            .add(counters::DP_STATES_CREATED, shard.outcome.states as u64);
         self.registry.add(counters::DP_MEMO_HITS, shard.memo_hits);
         self.registry
             .add(counters::DP_LOAD_PRUNES, shard.load_prunes);
@@ -1683,75 +1494,9 @@ mod tests {
         );
         assert_eq!(m.get(3, 1, 4, 0, 2), Some((8.0, Choice::Done)));
         assert!(m.get(1, 2, 3, 1, 5).is_none(), "same row, other v index");
-
-        let slab = m.compact();
-        assert_eq!(slab.len(), 3);
-        // Round-trip: seeding an empty memo of the same shape reproduces
-        // every entry (this is the replan-reuse path).
-        let mut back = DenseMemo::new(4, 3, 5, 2, 7);
-        assert_eq!(back.seed_from(&slab), 3);
-        assert_eq!(back.get(1, 2, 3, 1, 6), Some((2.5, normal)));
-        assert_eq!(back.get(3, 1, 4, 0, 2), Some((8.0, Choice::Done)));
-        // A shrunken p axis only takes the surviving prefix.
-        let mut shrunk = DenseMemo::new(4, 2, 5, 2, 7);
-        assert_eq!(shrunk.seed_from(&slab), 2, "p = 2 entry dropped");
-        assert!(shrunk.get(0, 0, 0, 0, 0).is_some());
-    }
-
-    #[test]
-    fn derived_session_probes_match_a_cold_session_bit_for_bit() {
-        let c = chain(
-            &[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (1.0, 1.0), (2.0, 3.0)],
-            1 << 18,
-            1 << 10,
-        );
-        let healthy = Platform::new(4, 3 << 20, 1e8).unwrap();
-        let degraded = Platform::new(3, 3 << 20, 1e8).unwrap();
-        let targets = [2.0, 3.5, 5.0, 8.0, 13.0];
-
-        let mut parent = ProbeSession::new(&c, &healthy, &disc());
-        for &t in &targets {
-            parent.probe(t, true, ProbeSource::Bisection);
-            parent.probe(t, false, ProbeSource::ContiguousFallback);
-        }
-
-        let mut seeded = parent.derive(&degraded);
-        let mut cold = ProbeSession::new(&c, &degraded, &disc());
-        for &t in &targets {
-            for special in [true, false] {
-                let a = seeded.probe(t, special, ProbeSource::Bisection);
-                let b = cold.probe(t, special, ProbeSource::Bisection);
-                assert_eq!(
-                    a.period.to_bits(),
-                    b.period.to_bits(),
-                    "T̂ = {t}, special = {special}"
-                );
-                assert_eq!(
-                    a.allocation.map(|x| x.stages().to_vec()),
-                    b.allocation.map(|x| x.stages().to_vec())
-                );
-            }
-        }
-        assert!(
-            seeded.stats().states_seeded > 0,
-            "surviving slab states must be reused: {:?}",
-            seeded.stats()
-        );
-    }
-
-    #[test]
-    fn derive_on_a_changed_platform_starts_cold() {
-        let c = chain(&[(1.0, 1.0); 5], 1 << 16, 1 << 8);
-        let healthy = Platform::new(4, 4 << 20, 1e8).unwrap();
-        let mut parent = ProbeSession::new(&c, &healthy, &disc());
-        parent.probe(4.0, true, ProbeSource::Bisection);
-
-        // Halved memory reshapes the m axis: nothing may be inherited.
-        let less_memory = Platform::new(4, 2 << 20, 1e8).unwrap();
-        let mut child = parent.derive(&less_memory);
-        child.probe(4.0, true, ProbeSource::Bisection);
-        assert_eq!(child.stats().states_seeded, 0);
-        assert_eq!(child.stats().solves, 1);
+        // The arena stays compact: one `v`-row per touched coordinate,
+        // and an overwrite allocates nothing.
+        assert_eq!(m.arena.len(), 3 * 7);
     }
 
     #[test]
@@ -1907,41 +1652,7 @@ mod tests {
             .all(|s| s.policy.weights == madpipe_model::WeightPolicy::TwoBw));
     }
 
-    #[test]
-    fn key_fields_round_trip_at_the_limits() {
-        for &(l, p, it, im, iv) in &[
-            (0usize, 0usize, 0u16, 0u16, 0u16),
-            (65535, 255, 65535, 255, 65535),
-            (1, 255, 0, 255, 1),
-            (1234, 7, 4321, 99, 17),
-        ] {
-            assert_eq!(unpack(pack(l, p, it, im, iv)), (l, p, it, im, iv));
-        }
-    }
-
     proptest! {
-        #[test]
-        fn packed_key_round_trips(
-            l in 0usize..65536,
-            p in 0usize..256,
-            it in 0u16..=u16::MAX,
-            im in 0u16..256,
-            iv in 0u16..=u16::MAX,
-        ) {
-            let key = pack(l, p, it, im, iv);
-            prop_assert_eq!(unpack(key), (l, p, it, im, iv));
-        }
-
-        #[test]
-        fn packed_keys_are_injective(
-            a in (0usize..65536, 0usize..256, 0u16..=u16::MAX, 0u16..256, 0u16..=u16::MAX),
-            b in (0usize..65536, 0usize..256, 0u16..=u16::MAX, 0u16..256, 0u16..=u16::MAX),
-        ) {
-            let ka = pack(a.0, a.1, a.2, a.3, a.4);
-            let kb = pack(b.0, b.1, b.2, b.3, b.4);
-            prop_assert_eq!(ka == kb, a == b);
-        }
-
         #[test]
         fn choice_encoding_round_trips(k in 0u16..=u16::MAX, rec_bit in 0u8..2) {
             let rec = rec_bit == 1;
@@ -1954,12 +1665,5 @@ mod tests {
                 prop_assert_eq!(decode_choice(encode_choice(c)), c);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows")]
-    #[cfg(debug_assertions)]
-    fn pack_rejects_overflowing_memory_index() {
-        let _ = pack(1, 1, 1, 256, 1);
     }
 }

@@ -1,6 +1,6 @@
-//! A minimal Fx-style hasher for the DP memo tables.
+//! A minimal Fx-style hasher for the DP session's outcome index.
 //!
-//! The memo keys are small packed integers; the default SipHash is
+//! Its keys are a target period's bits and a flag; the default SipHash is
 //! overkill (it defends against HashDoS, irrelevant here) and shows up
 //! hot in profiles. This is the classic multiply-rotate mix used by
 //! rustc's `FxHasher`, specialized to our use.

@@ -22,9 +22,9 @@
 //!   (`madpipe certify` in the CLI);
 //! * [`degrade`] — degraded-mode replanning: apply a
 //!   [`madpipe_model::PlatformFault`] (GPU loss, memory reduction, link
-//!   slowdown), replan on the surviving platform — optionally through a
-//!   warm [`ProbeSession`] — and report the throughput delta
-//!   (`madpipe replan` in the CLI, `replan` in the serve protocol).
+//!   slowdown), replan on the surviving platform and report the
+//!   throughput delta (`madpipe replan` in the CLI, `replan` in the
+//!   serve protocol).
 
 pub mod algorithm1;
 pub mod certify;
@@ -41,7 +41,7 @@ pub use algorithm1::{
     madpipe_allocation, madpipe_allocation_session, Algorithm1Config, Algorithm1Outcome,
 };
 pub use certify::{certify, certify_plan, Certificate, CertifyConfig, ExactCrossCheck};
-pub use degrade::{replan, replan_with_session, ReplanOutcome};
+pub use degrade::{replan, ReplanOutcome};
 pub use discrete::Discretization;
 pub use dp::{madpipe_dp, madpipe_dp_with, DpOutcome, ProbeSession};
 pub use hybrid::{best_hybrid, HybridPlan};

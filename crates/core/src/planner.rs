@@ -10,12 +10,16 @@
 //! [`PlannerConfig::threads`] scoped workers; candidates are deduplicated
 //! up front and results are folded in a fixed submission order with a
 //! strict `<`, so the plan is bit-identical whatever the thread count.
+//! Phase 2 schedules each batch's contiguous candidates first, and a
+//! candidate that provably cannot beat the best of them (or of an earlier
+//! batch) stops its period search early: that skips work without
+//! changing the plan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec};
 use madpipe_schedule::ScheduleError;
-use madpipe_solver::{best_period, PlaceConfig, PlaceStats, SolvedSchedule};
+use madpipe_solver::{best_period, Cutoff, PlaceConfig, PlaceStats, SolvedSchedule};
 
 use crate::algorithm1::{madpipe_allocation_session, Algorithm1Config, Algorithm1Outcome};
 use crate::dp::ProbeSession;
@@ -188,65 +192,96 @@ fn validate(chain: &Chain, platform: &Platform) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// One candidate's phase-2 outcome and the placement work it cost.
-type Scheduled = (Result<SolvedSchedule, ScheduleError>, PlaceStats);
+/// One candidate's phase-2 outcome and the placement work it cost;
+/// `Ok(None)` when its cutoff proved it cannot beat the incumbent.
+type Scheduled = (Result<Option<SolvedSchedule>, ScheduleError>, PlaceStats);
 
-/// Schedule each candidate allocation (contiguous ones exactly via 1F1B*,
-/// the rest through the branch-and-bound solver) on up to `threads`
-/// workers. Results keep the input order; each solve is a pure function
-/// of its allocation, so the outcome is thread-count independent.
+/// Schedule one batch of candidate allocations on up to `threads`
+/// workers. Results keep the input order.
+///
+/// Contiguous candidates go first: 1F1B* schedules them exactly, in
+/// microseconds. Every other candidate then runs the branch-and-bound
+/// solver under one [`Cutoff`], fixed before any of them starts: the best
+/// period among `incumbent` (the earlier batches' best) and this batch's
+/// contiguous candidates. The fold keeps the first of equal periods in
+/// submission order, so a tie beats that best only for a candidate
+/// submitted before it. Each solve is a pure function of its allocation
+/// and the fixed cutoff, so outcomes and counters do not depend on the
+/// thread count.
 fn schedule_batch(
     chain: &Chain,
     platform: &Platform,
     candidates: &[Allocation],
     place: &PlaceConfig,
     threads: usize,
+    incumbent: Option<f64>,
 ) -> Vec<Scheduled> {
-    let solve_one = |alloc: &Allocation| -> Scheduled {
-        let mut work = PlaceStats::default();
-        let solved = if alloc.is_contiguous() {
-            madpipe_schedule::best_contiguous_period(chain, platform, alloc).map(|b| {
-                SolvedSchedule {
-                    period: b.period,
-                    pattern: b.pattern,
-                    report: b.report,
-                }
+    let mut slots: Vec<Option<Scheduled>> = candidates
+        .iter()
+        .map(|alloc| {
+            alloc.is_contiguous().then(|| {
+                let solved =
+                    madpipe_schedule::best_contiguous_period(chain, platform, alloc).map(|b| {
+                        Some(SolvedSchedule {
+                            period: b.period,
+                            pattern: b.pattern,
+                            report: b.report,
+                        })
+                    });
+                (solved, PlaceStats::default())
             })
-        } else {
-            best_period(chain, platform, alloc, place, &mut work)
-        };
+        })
+        .collect();
+
+    // The best known period, and where this batch first reached it
+    // (`None`: an earlier batch did).
+    let mut best: Option<(f64, Option<usize>)> = incumbent.map(|period| (period, None));
+    for (i, slot) in slots.iter().enumerate() {
+        if let Some((Ok(Some(s)), _)) = slot {
+            if best.is_none_or(|(b, _)| s.period < b) {
+                best = Some((s.period, Some(i)));
+            }
+        }
+    }
+    let solve = |i: usize| -> Scheduled {
+        let cutoff = best.map(|(period, at)| Cutoff {
+            period,
+            ties_win: at.is_some_and(|j| i < j),
+        });
+        let mut work = PlaceStats::default();
+        let solved = best_period(chain, platform, &candidates[i], place, cutoff, &mut work);
         (solved, work)
     };
 
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads == 1 || candidates.len() == 1 {
-        return candidates.iter().map(solve_one).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Scheduled>> = (0..candidates.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let solve_one = &solve_one;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= candidates.len() {
-                        break;
-                    }
-                    local.push((i, solve_one(&candidates[i])));
+    let rest: Vec<usize> = (0..candidates.len())
+        .filter(|&i| slots[i].is_none())
+        .collect();
+    let threads = threads.max(1).min(rest.len().max(1));
+    if threads == 1 {
+        for &i in &rest {
+            slots[i] = Some(solve(i));
+        }
+    } else {
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        while let Some(&i) = rest.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            local.push((i, solve(i)));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, r) in h.join().expect("scheduling worker panicked") {
+                    slots[i] = Some(r);
                 }
-                local
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("scheduling worker panicked") {
-                slots[i] = Some(r);
             }
-        }
-    });
+        });
+    }
     slots
         .into_iter()
         .map(|s| s.expect("every candidate scheduled"))
@@ -349,10 +384,16 @@ fn mirror_into_metrics(stats: &mut PlannerStats) {
             .metrics
             .bump_counter(counters::SCHEDULES_SOLVED, stats.schedules_solved as u64);
     }
+    if stats.schedules_cut > 0 {
+        stats
+            .metrics
+            .bump_counter(counters::SCHEDULES_CUT, stats.schedules_cut as u64);
+    }
     let place = stats.place;
     for (name, value) in [
         (counters::PLACE_CALLS, place.calls),
         (counters::PLACE_EXHAUSTED, place.exhausted),
+        (counters::PLACE_FLOORED, place.floored),
         (counters::PLACE_NODES, place.nodes),
         (counters::PLACE_LEAVES, place.leaves),
     ] {
@@ -364,7 +405,6 @@ fn mirror_into_metrics(stats: &mut PlannerStats) {
         ProbeSource::Bisection,
         ProbeSource::ContiguousFallback,
         ProbeSource::Refinement,
-        ProbeSource::Bridge,
     ] {
         let n = stats.probes.iter().filter(|p| p.source == source).count();
         if n > 0 {
@@ -443,12 +483,13 @@ fn plan_inner(
         push_new(&mut candidates, &[], allocs);
     }
 
-    // Phase 2: schedule every candidate; fold in submission order with a
-    // strict `<` so ties keep the earlier (better-estimate) candidate.
+    // Phase 2: schedule every candidate that can still win; fold in
+    // submission order with a strict `<` so ties keep the earlier
+    // (better-estimate) candidate.
     let mut best: Option<(Allocation, SolvedSchedule)> = None;
     let mut last_err: Option<ScheduleError> = None;
     let clock = madpipe_obs::timed("plan.phase2.schedule");
-    let solved = schedule_batch(chain, platform, &candidates, &cfg.place, threads);
+    let solved = schedule_batch(chain, platform, &candidates, &cfg.place, threads, None);
     fold_best(&mut best, &mut last_err, stats, &candidates, solved);
     stats.schedule_seconds += clock.finish();
 
@@ -482,7 +523,8 @@ fn plan_inner(
             let allocs = outcomes.into_iter().filter_map(|out| out.allocation);
             push_new(&mut fresh, &candidates, allocs);
             let clock = madpipe_obs::timed("plan.phase2.schedule");
-            let solved = schedule_batch(chain, platform, &fresh, &cfg.place, threads);
+            let incumbent = best.as_ref().map(|(_, s)| s.period);
+            let solved = schedule_batch(chain, platform, &fresh, &cfg.place, threads, incumbent);
             fold_best(&mut best, &mut last_err, stats, &fresh, solved);
             stats.schedule_seconds += clock.finish();
         }
@@ -517,7 +559,8 @@ fn push_new(
 }
 
 /// Fold one scheduled batch into the incumbent in submission order: a
-/// strict `<` keeps the earlier candidate on ties.
+/// strict `<` keeps the earlier candidate on ties. A candidate its cutoff
+/// stopped is neither solved nor an error.
 fn fold_best(
     best: &mut Option<(Allocation, SolvedSchedule)>,
     last_err: &mut Option<ScheduleError>,
@@ -529,12 +572,13 @@ fn fold_best(
     for (alloc, (res, work)) in candidates.iter().zip(solved) {
         stats.place.merge(&work);
         match res {
-            Ok(s) => {
+            Ok(Some(s)) => {
                 stats.schedules_solved += 1;
                 if best.as_ref().is_none_or(|(_, b)| s.period < b.period) {
                     *best = Some((alloc.clone(), s));
                 }
             }
+            Ok(None) => stats.schedules_cut += 1,
             Err(e) => *last_err = Some(e),
         }
     }
@@ -656,10 +700,13 @@ mod tests {
         assert_eq!(sa.dp, sb.dp);
         assert_eq!(sa.schedules_attempted, sb.schedules_attempted);
         assert_eq!(sa.schedules_solved, sb.schedules_solved);
+        assert_eq!(sa.schedules_cut, sb.schedules_cut);
         assert_eq!(sa.place, sb.place);
         for (name, value) in [
+            (counters::SCHEDULES_CUT, sa.schedules_cut as u64),
             (counters::PLACE_CALLS, sa.place.calls),
             (counters::PLACE_EXHAUSTED, sa.place.exhausted),
+            (counters::PLACE_FLOORED, sa.place.floored),
             (counters::PLACE_NODES, sa.place.nodes),
             (counters::PLACE_LEAVES, sa.place.leaves),
         ] {
@@ -675,6 +722,83 @@ mod tests {
                 (y.cached, y.pruned, y.states)
             );
         }
+    }
+
+    #[test]
+    fn cutoffs_stop_candidates_without_changing_the_fold() {
+        use madpipe_model::{Partition, Stage};
+        // Every allocation of 4 layers on 2 GPUs, contiguous and not,
+        // interleaved in enumeration order.
+        let c = chain(
+            &[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (1.0, 1.0)],
+            1 << 14,
+            1 << 9,
+        );
+        let platform = Platform::new(2, 160 << 10, 1e7).unwrap();
+        let mut candidates = Vec::new();
+        for n_stages in 1..=4 {
+            for part in Partition::enumerate(4, n_stages) {
+                for mask in 0..1usize << n_stages {
+                    let stages = part.stages().iter().enumerate();
+                    let stages = stages.map(|(i, r)| Stage::new(r.clone(), mask >> i & 1));
+                    candidates.extend(Allocation::new(stages.collect(), 4, 2));
+                }
+            }
+        }
+        let place = PlaceConfig::default();
+        let reference: Vec<Option<f64>> = candidates
+            .iter()
+            .map(|alloc| {
+                let solved = if alloc.is_contiguous() {
+                    madpipe_schedule::best_contiguous_period(&c, &platform, alloc).map(|b| b.period)
+                } else {
+                    let mut work = PlaceStats::default();
+                    best_period(&c, &platform, alloc, &place, None, &mut work)
+                        .map(|s| s.expect("no cutoff").period)
+                };
+                solved.ok()
+            })
+            .collect();
+        // The first candidate with the least period, if it beats `incumbent`.
+        let winner = |periods: &[Option<f64>], incumbent: Option<f64>| {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, p) in periods.iter().enumerate() {
+                if let Some(p) = *p {
+                    if incumbent.is_none_or(|b| p < b) && best.is_none_or(|(_, b)| p < b) {
+                        best = Some((i, p));
+                    }
+                }
+            }
+            best.map(|(i, p)| (i, p.to_bits()))
+        };
+        let least = reference
+            .iter()
+            .flatten()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        let mut cut = 0;
+        for incumbent in [None, Some(least), Some(least * 1.2)] {
+            let run =
+                |threads| schedule_batch(&c, &platform, &candidates, &place, threads, incumbent);
+            let batch = run(1);
+            assert_eq!(format!("{batch:?}"), format!("{:?}", run(3)), "threads");
+            let mut got = Vec::new();
+            for (i, (res, _)) in batch.iter().enumerate() {
+                got.push(match res {
+                    Ok(Some(s)) => Some(s.period),
+                    Ok(None) => {
+                        cut += 1;
+                        None
+                    }
+                    Err(_) => None,
+                });
+                if !matches!(res, Ok(None)) {
+                    assert_eq!(got[i], reference[i], "candidate {i}");
+                }
+            }
+            assert_eq!(winner(&got, incumbent), winner(&reference, incumbent));
+        }
+        assert!(cut > 0, "the cutoff must stop some candidate");
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod counters {
     pub const DP_BOUND_PRUNES: &str = "dp.bound_prunes";
     pub const DP_STATES_CREATED: &str = "dp.states_created";
     pub const DP_STATES_REUSED: &str = "dp.states_reused";
-    pub const DP_STATES_SEEDED: &str = "dp.states_seeded";
     pub const DP_MEMO_HITS: &str = "dp.memo_hits";
     pub const DP_LOAD_PRUNES: &str = "dp.load_prunes";
     pub const DP_MEMORY_PRUNES: &str = "dp.memory_prunes";
@@ -40,9 +39,13 @@ pub mod counters {
     pub const DP_SOLVE_STATES: &str = "dp.solve.states";
     pub const SCHEDULES_ATTEMPTED: &str = "planner.schedules_attempted";
     pub const SCHEDULES_SOLVED: &str = "planner.schedules_solved";
+    /// Candidates whose period search stopped because it could not beat
+    /// the incumbent.
+    pub const SCHEDULES_CUT: &str = "planner.schedules.cut";
     /// Phase-2 placement work ([`madpipe_solver::PlaceStats`]).
     pub const PLACE_CALLS: &str = "planner.place.calls";
     pub const PLACE_EXHAUSTED: &str = "planner.place.exhausted";
+    pub const PLACE_FLOORED: &str = "planner.place.floored";
     pub const PLACE_NODES: &str = "planner.place.nodes";
     pub const PLACE_LEAVES: &str = "planner.place.leaves";
     pub const CERTIFY_PASSED: &str = "planner.certifications_passed";
@@ -61,11 +64,9 @@ pub struct DpStats {
     pub bound_prunes: usize,
     /// Distinct memoized states created across all solves.
     pub states_created: u64,
-    /// States served again from retained shards by outcome-cache hits.
+    /// States of the solves whose outcomes the outcome cache served
+    /// again.
     pub states_reused: u64,
-    /// States pre-filled from a parent session's slabs on derived
-    /// sessions (incremental replans) instead of being recomputed.
-    pub states_seeded: u64,
     /// Intra-solve memo lookups that hit an existing state.
     pub memo_hits: u64,
     /// Times the exact load prune (`u ≥ best`) cut a stage scan short.
@@ -87,7 +88,6 @@ impl DpStats {
             bound_prunes: registry.counter(DP_BOUND_PRUNES) as usize,
             states_created: registry.counter(DP_STATES_CREATED),
             states_reused: registry.counter(DP_STATES_REUSED),
-            states_seeded: registry.counter(DP_STATES_SEEDED),
             memo_hits: registry.counter(DP_MEMO_HITS),
             load_prunes: registry.counter(DP_LOAD_PRUNES),
             memory_prunes: registry.counter(DP_MEMORY_PRUNES),
@@ -102,7 +102,6 @@ impl DpStats {
         self.bound_prunes += other.bound_prunes;
         self.states_created += other.states_created;
         self.states_reused += other.states_reused;
-        self.states_seeded += other.states_seeded;
         self.memo_hits += other.memo_hits;
         self.load_prunes += other.load_prunes;
         self.memory_prunes += other.memory_prunes;
@@ -124,10 +123,6 @@ pub enum ProbeSource {
     ContiguousFallback,
     /// The post-bisection refinement grid.
     Refinement,
-    /// A degraded-mode bridge probe: the survivor evaluated at the
-    /// baseline plan's chosen target, seeded from the baseline session's
-    /// surviving DP slabs ([`crate::replan_with_session`]).
-    Bridge,
 }
 
 impl std::fmt::Display for ProbeSource {
@@ -136,7 +131,6 @@ impl std::fmt::Display for ProbeSource {
             ProbeSource::Bisection => write!(f, "bisection"),
             ProbeSource::ContiguousFallback => write!(f, "contiguous"),
             ProbeSource::Refinement => write!(f, "refinement"),
-            ProbeSource::Bridge => write!(f, "bridge"),
         }
     }
 }
@@ -176,9 +170,13 @@ pub struct PlannerStats {
     pub schedules_attempted: usize,
     /// Of those, how many produced a valid schedule.
     pub schedules_solved: usize,
+    /// Of those, how many stopped early because their period could not
+    /// beat the incumbent (neither solved nor failed).
+    pub schedules_cut: usize,
     /// Placement work of phase 2 over every candidate, failed ones
     /// included: `schedule_at_period` calls, calls that used up the node
-    /// budget without a pattern, DFS nodes and leaves.
+    /// budget without a pattern, calls the memory floor answered, DFS
+    /// nodes and leaves.
     pub place: PlaceStats,
     /// Wall time of the phase-1 bisection (including its DP solves).
     pub phase1_seconds: f64,
@@ -213,8 +211,8 @@ impl PlannerStats {
     pub fn summary(&self) -> String {
         let mut s = format!(
             "probes {} ({} solved, {} cached, {} pruned), states {} (+{} reused), \
-             schedules {}/{}, place {} calls ({} exhausted, {} nodes, {} leaves), \
-             {:.3}s total ({} thread{})",
+             schedules {}/{} ({} cut), place {} calls ({} exhausted, {} floored, {} nodes, \
+             {} leaves), {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
             self.dp.outcome_hits,
@@ -223,8 +221,10 @@ impl PlannerStats {
             self.dp.states_reused,
             self.schedules_solved,
             self.schedules_attempted,
+            self.schedules_cut,
             self.place.calls,
             self.place.exhausted,
+            self.place.floored,
             self.place.nodes,
             self.place.leaves,
             self.total_seconds,
@@ -287,7 +287,6 @@ impl PlannerStats {
                     ),
                     ("states_created".into(), Value::UInt(self.dp.states_created)),
                     ("states_reused".into(), Value::UInt(self.dp.states_reused)),
-                    ("states_seeded".into(), Value::UInt(self.dp.states_seeded)),
                     ("memo_hits".into(), Value::UInt(self.dp.memo_hits)),
                     ("load_prunes".into(), Value::UInt(self.dp.load_prunes)),
                     ("memory_prunes".into(), Value::UInt(self.dp.memory_prunes)),
@@ -307,10 +306,15 @@ impl PlannerStats {
                 Value::UInt(self.schedules_solved as u64),
             ),
             (
+                "schedules_cut".into(),
+                Value::UInt(self.schedules_cut as u64),
+            ),
+            (
                 "place".into(),
                 Value::Object(vec![
                     ("calls".into(), Value::UInt(self.place.calls)),
                     ("exhausted".into(), Value::UInt(self.place.exhausted)),
+                    ("floored".into(), Value::UInt(self.place.floored)),
                     ("nodes".into(), Value::UInt(self.place.nodes)),
                     ("leaves".into(), Value::UInt(self.place.leaves)),
                 ]),
@@ -352,7 +356,6 @@ mod tests {
             bound_prunes: 0,
             states_created: 100,
             states_reused: 40,
-            states_seeded: 5,
             memo_hits: 7,
             load_prunes: 3,
             memory_prunes: 1,
@@ -364,7 +367,6 @@ mod tests {
             bound_prunes: 3,
             states_created: 10,
             states_reused: 0,
-            states_seeded: 2,
             memo_hits: 1,
             load_prunes: 1,
             memory_prunes: 0,
@@ -375,7 +377,6 @@ mod tests {
         assert_eq!(a.outcome_hits, 3);
         assert_eq!(a.bound_prunes, 3);
         assert_eq!(a.states_created, 110);
-        assert_eq!(a.states_seeded, 7);
         assert_eq!(a.branch_prunes, 15);
         assert_eq!(a.probes_saved(), 6);
     }
@@ -385,11 +386,12 @@ mod tests {
         let stats = PlannerStats {
             threads: 4,
             schedules_attempted: 5,
-            schedules_solved: 4,
+            schedules_solved: 3,
+            schedules_cut: 1,
             ..PlannerStats::default()
         };
         let s = stats.summary();
-        assert!(s.contains("4/5"));
+        assert!(s.contains("schedules 3/5 (1 cut)"));
         assert!(s.contains("4 threads"));
     }
 
@@ -399,18 +401,22 @@ mod tests {
             place: PlaceStats {
                 calls: 21,
                 exhausted: 8,
+                floored: 3,
                 nodes: 30_123,
                 leaves: 17_000,
             },
+            schedules_cut: 2,
             ..PlannerStats::default()
         };
         assert!(stats
             .summary()
-            .contains("place 21 calls (8 exhausted, 30123 nodes, 17000 leaves)"));
+            .contains("place 21 calls (8 exhausted, 3 floored, 30123 nodes, 17000 leaves)"));
         let json = stats.to_json();
+        assert_eq!(json.field("schedules_cut").unwrap().as_u64().unwrap(), 2);
         let place = json.field("place").unwrap();
         assert_eq!(place.field("calls").unwrap().as_u64().unwrap(), 21);
         assert_eq!(place.field("exhausted").unwrap().as_u64().unwrap(), 8);
+        assert_eq!(place.field("floored").unwrap().as_u64().unwrap(), 3);
         assert_eq!(place.field("nodes").unwrap().as_u64().unwrap(), 30_123);
         assert_eq!(place.field("leaves").unwrap().as_u64().unwrap(), 17_000);
     }

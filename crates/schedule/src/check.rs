@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use madpipe_model::util::{feq, fge, fle};
+use madpipe_model::util::{feq, fge, fle, EPS};
 use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 
 use crate::pattern::{Dir, Op, Pattern};
@@ -171,11 +171,14 @@ pub struct Checker<'a> {
     unit_live_batches: Vec<u64>,
 }
 
-/// A stage unit in the memory sweep: its per-batch bytes, plus the
-/// completion phases and offsets of the pattern being checked.
+/// A stage unit in the memory sweep: its per-batch bytes and the least
+/// forward-to-backward delay its dependencies allow, plus the completion
+/// phases and offsets of the pattern being checked.
 struct LiveStage {
     unit: usize,
     stored_bytes: u64,
+    /// `L_s − slack_s` of [`Checker::memory_floor`].
+    lag: f64,
     base: i64, // κ_B − κ_F
     phi_f: f64,
     phi_b: f64,
@@ -218,14 +221,22 @@ impl<'a> Checker<'a> {
             resources[resource_id[u]].1.push(i);
         }
 
+        // `after[u]`: the forward and backward time of every unit past `u`.
+        let mut after = vec![0.0; n];
+        for u in (0..n.saturating_sub(1)).rev() {
+            let next = &seq.units()[u + 1];
+            after[u] = after[u + 1] + next.forward_time + next.backward_time;
+        }
         let mut per_gpu: Vec<Vec<LiveStage>> = (0..alloc.n_gpus()).map(|_| Vec::new()).collect();
         for (u, unit) in seq.units().iter().enumerate() {
             if let (UnitKind::Stage { layers, .. }, Resource::Gpu(gpu)) =
                 (&unit.kind, unit.resource)
             {
+                let slack = (2 * (n - u) + 1) as f64 * EPS;
                 per_gpu[gpu].push(LiveStage {
                     unit: u,
                     stored_bytes: chain.stage_live_batch_bytes(layers.clone(), unit.policy),
+                    lag: after[u] + unit.backward_time - slack,
                     base: 0,
                     phi_f: 0.0,
                     phi_b: 0.0,
@@ -256,6 +267,55 @@ impl<'a> Checker<'a> {
     /// Number of distinct resources the units use.
     pub fn n_resources(&self) -> usize {
         self.resources.len()
+    }
+
+    /// A lower bound on each GPU's memory peak, in GPU order, over every
+    /// pattern of period `period` that passes this checker's dependency
+    /// checks. Where a GPU's floor exceeds the memory limit, [`check`]
+    /// accepts no pattern of this period, so a search can stop before it
+    /// starts.
+    ///
+    /// Proof. Let stage unit `s` finish `F_s` (batch 0) at absolute time
+    /// `C_F = κ_F·T + φ_F` and `B_s` at `C_B = κ_B·T + φ_B`, with both
+    /// phases in `[0, T)`. The dependency chain `F_s → … → F_{n−1} →
+    /// B_{n−1} → … → B_s` has `e_s = 2(n−1−s)+1` edges, each of which the
+    /// checker passes with up to `EPS` to spare, so `C_B − C_F ≥ D` with
+    /// `D = L_s − e_s·EPS` and `L_s = Σ_{u>s} f_u + Σ_{u≥s} b_u` over all
+    /// units, comm units included. The sweep counts `live(τ) = Δκ +
+    /// [τ ≥ φ_F] − [τ ≥ φ_B]` (comparisons within `EPS`), where
+    /// `Δκ = κ_B − κ_F` and `Δκ·T = C_B − C_F − (φ_B − φ_F) > D − T`.
+    ///
+    /// * At `τ = φ_F`: if `φ_B ≤ φ_F + EPS` then `live = Δκ ≥ (D − EPS)/T`,
+    ///   otherwise `live = Δκ + 1 > D/T`; so `live ≥ ⌈(D − EPS)/T⌉`.
+    /// * At any `τ`: `live = Δκ − 1` only when `φ_B < φ_F`, and then
+    ///   `Δκ·T > D`; otherwise `live ≥ Δκ > D/T − 1`; so `live ≥ ⌊D/T⌋`.
+    ///
+    /// Let `q_s = (L_s − slack_s)/T` with `slack_s = (e_s + 2)·EPS`: one
+    /// `EPS` per tolerated edge, one for the phase comparison and one for
+    /// rounding. At `τ = φ_F` of any stage `s` on GPU `g` the sweep then
+    /// sees at least `static_g + ⌈q_s⌉·bytes_s + Σ_{s'≠s} ⌊q_{s'}⌋·bytes_{s'}`
+    /// bytes, and the floor is the largest of these over `s`.
+    ///
+    /// [`check`]: Checker::check
+    pub fn memory_floor(&self, period: f64) -> impl Iterator<Item = u64> + '_ {
+        self.per_gpu
+            .iter()
+            .zip(&self.gpu_static_bytes)
+            .map(move |(stages, &static_bytes)| {
+                let mut always = 0u64; // Σ ⌊q⌋·bytes
+                let mut at_forward = 0u64; // max (⌈q⌉ − ⌊q⌋)·bytes
+                for s in stages {
+                    let q = (s.lag / period).max(0.0);
+                    let batches = q.floor() as u64;
+                    always = always.saturating_add(batches.saturating_mul(s.stored_bytes));
+                    if q > q.floor() {
+                        at_forward = at_forward.max(s.stored_bytes);
+                    }
+                }
+                static_bytes
+                    .saturating_add(always)
+                    .saturating_add(at_forward)
+            })
     }
 
     /// Check `pattern`, whose ops follow this checker's layout; returns
@@ -293,7 +353,7 @@ impl<'a> Checker<'a> {
                     ),
                 });
             }
-            if op.start < -madpipe_model::util::EPS
+            if op.start < -EPS
                 || !fle(op.start, t_period)
                 || op.duration < 0.0
                 || !op.start.is_finite()
@@ -702,6 +762,42 @@ mod tests {
         }
         assert_eq!(checker.n_resources(), 3);
         assert_eq!(checker.resource_id(2), 2);
+    }
+
+    #[test]
+    fn the_memory_floor_rejects_a_period_that_needs_two_live_batches() {
+        // Stage 0 waits L_0 = f_C + f_1 + b_1 + b_C + b_0 = 5 from the end
+        // of its forward to the end of its backward: at T = 4 it holds
+        // ⌈5/4⌉ = 2 batches when its forward completes, at T = 6 one.
+        // Each batch pins 100 B on top of GPU 0's 230 static bytes.
+        let (chain, platform, alloc, seq) = tiny();
+        let tight = Platform::new(2, 400, 100.0).unwrap();
+        let layout: Vec<(usize, Dir)> = valid_pattern()
+            .ops
+            .iter()
+            .map(|o| (o.unit, o.dir))
+            .collect();
+        let checker = Checker::new(&chain, &tight, &alloc, &seq, &layout);
+        let floor = |t: f64| checker.memory_floor(t).collect::<Vec<_>>();
+        assert_eq!(floor(4.0), vec![430, 330], "2 batches: over 400 B");
+        assert_eq!(floor(6.0), vec![330, 330], "1 batch: fits");
+        let sequential = check_pattern(&chain, &tight, &alloc, &seq, &valid_pattern());
+        assert_eq!(sequential.unwrap().gpu_peak_bytes, floor(6.0));
+        // At T = 2, ⌈5/2⌉ = 3 batches: the pipelined pattern reaches
+        // exactly the floor.
+        let pipelined = Pattern {
+            period: 2.0,
+            ops: vec![
+                op(0, Dir::Forward, 0.0, 1.0, 0, Resource::Gpu(0)),
+                op(1, Dir::Forward, 1.0, 1.0, 0, Resource::Link(0, 1)),
+                op(2, Dir::Forward, 0.0, 1.0, 1, Resource::Gpu(1)),
+                op(2, Dir::Backward, 1.0, 1.0, 1, Resource::Gpu(1)),
+                op(1, Dir::Backward, 0.0, 1.0, 2, Resource::Link(0, 1)),
+                op(0, Dir::Backward, 1.0, 1.0, 2, Resource::Gpu(0)),
+            ],
+        };
+        let report = check_pattern(&chain, &platform, &alloc, &seq, &pipelined).unwrap();
+        assert_eq!(report.gpu_peak_bytes, floor(2.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use madpipe_model::{Allocation, Chain, Partition, Platform, Stage};
 
 use crate::place::{PlaceConfig, PlaceStats};
-use crate::search::{best_period, SolvedSchedule};
+use crate::search::{best_period, Cutoff, SolvedSchedule};
 
 /// The best allocation + schedule found by exhaustive enumeration.
 #[derive(Debug, Clone)]
@@ -56,15 +56,21 @@ pub fn exact_optimum(chain: &Chain, platform: &Platform) -> Option<ExactOptimum>
                     p,
                 )
                 .expect("enumerated allocations are well-formed");
-                // Prune: the load bound alone already beats the incumbent.
-                if let Some(b) = &best {
-                    if alloc.load_bound(chain, platform) >= b.schedule.period {
-                        continue;
-                    }
-                }
-                if let Ok(schedule) =
-                    best_period(chain, platform, &alloc, &cfg, &mut PlaceStats::default())
-                {
+                // Only a strictly shorter period replaces the incumbent,
+                // so the search may stop as soon as it cannot beat it.
+                let cutoff = best.as_ref().map(|b| Cutoff {
+                    period: b.schedule.period,
+                    ties_win: false,
+                });
+                let solved = best_period(
+                    chain,
+                    platform,
+                    &alloc,
+                    &cfg,
+                    cutoff,
+                    &mut PlaceStats::default(),
+                );
+                if let Ok(Some(schedule)) = solved {
                     let better = best
                         .as_ref()
                         .is_none_or(|b| schedule.period < b.schedule.period);

@@ -25,28 +25,34 @@
 //!
 //! # Where the time goes
 //!
-//! Nearly all of phase 2 is spent proving periods infeasible: a failing
-//! [`schedule_at_period`] call walks its whole node budget, and almost
-//! every leaf it reaches fails the memory check (on the 42-cell
-//! ResNet-50 plan-speed sweep, 320 of 882 calls use up the budget and
-//! 860,090 of 860,651 leaves fail on memory, none on structure). The
-//! search therefore keeps its nodes cheap without changing which nodes
-//! it visits, in what order, or what any leaf returns:
+//! Nearly all of phase 2 is spent proving periods infeasible, so the
+//! cheapest search is the one that never starts. Three rules skip work
+//! without changing any result:
 //!
-//! * one [`madpipe_schedule::Checker`] per call judges every leaf: it
-//!   holds each GPU's static bytes, each stage's live-batch bytes and a
-//!   dense resource id per unit, and a failed check allocates nothing;
-//!   `check_pattern` is the same checker built and run once;
-//! * the per-resource [`Timeline`]s live in a vector indexed by dense
-//!   resource id and are updated in place: insert before descending,
-//!   [`Timeline::remove`] on backtrack;
-//! * compaction takes the forward it moves out of the live timeline,
-//!   asks for the latest fit, puts it back, and undoes every move before
-//!   it returns;
-//! * gap and overlap queries allocate nothing.
+//! * [`best_period`] takes an optional [`Cutoff`], the period a caller's
+//!   incumbent already holds, and stops as soon as it can prove its own
+//!   result would not beat it. The planner schedules each batch's
+//!   contiguous candidates first (1F1B* is exact and takes microseconds)
+//!   and hands every other candidate their best period;
+//!   [`exact_optimum`] hands each allocation its incumbent;
+//! * [`schedule_at_period`] rejects a period before its first node when
+//!   a resource is loaded beyond it, or when some GPU's memory floor
+//!   ([`madpipe_schedule::Checker::memory_floor`]) exceeds its memory;
+//! * a search that does run keeps its nodes cheap without changing which
+//!   nodes it visits, in what order, or what any leaf returns: one
+//!   [`madpipe_schedule::Checker`] per call judges every leaf and
+//!   allocates nothing when a check fails; the per-resource
+//!   [`Timeline`]s live in a vector indexed by dense resource id and are
+//!   updated in place (insert before descending, [`Timeline::remove`] on
+//!   backtrack); compaction moves forwards within the live timelines and
+//!   undoes every move before it returns.
 //!
-//! [`PlaceStats`] counts calls, exhausted calls, nodes and leaves; the
-//! planner reports them as `planner.place.*`.
+//! On the 42-cell ResNet-50 plan-speed sweep the planner makes 451
+//! placement calls: 75 answered by the floor, 107 that use up the node
+//! budget, and 455,446 nodes in all (882 calls and 1,445,238 nodes
+//! before cutoffs and the floor, with the same periods).
+//! [`PlaceStats`] counts calls, exhausted and floored calls, nodes and
+//! leaves; the planner reports them as `planner.place.*`.
 
 pub mod exact;
 pub mod place;
@@ -55,5 +61,5 @@ pub mod timeline;
 
 pub use exact::{exact_optimum, ExactOptimum};
 pub use place::{schedule_at_period, PlaceConfig, PlaceStats};
-pub use search::{best_period, SolvedSchedule};
+pub use search::{best_period, Cutoff, SolvedSchedule};
 pub use timeline::Timeline;

@@ -36,6 +36,8 @@ pub struct PlaceStats {
     pub calls: u64,
     /// Calls that found no pattern with the node budget used up.
     pub exhausted: u64,
+    /// Calls the memory floor answered before any node.
+    pub floored: u64,
     /// DFS nodes entered within budget.
     pub nodes: u64,
     /// Nodes with every op placed (each one ran the leaf check).
@@ -47,6 +49,7 @@ impl PlaceStats {
     pub fn merge(&mut self, other: &PlaceStats) {
         self.calls += other.calls;
         self.exhausted += other.exhausted;
+        self.floored += other.floored;
         self.nodes += other.nodes;
         self.leaves += other.leaves;
     }
@@ -59,6 +62,13 @@ impl PlaceStats {
 /// earliest feasible modular slot on its resource (one candidate per
 /// circular gap, bounded by [`PlaceConfig::max_alternatives`]); a leaf is
 /// accepted iff the exact checker validates it (including memory).
+///
+/// Two prefilters answer before any node: a resource loaded beyond the
+/// period, and a GPU whose memory floor ([`Checker::memory_floor`])
+/// exceeds its memory. The search returns only checker-validated
+/// patterns, compacted leaves included, so it would find none at such a
+/// period anyway: the floor changes which calls search, not what any
+/// call returns.
 pub fn schedule_at_period(
     chain: &Chain,
     platform: &Platform,
@@ -91,6 +101,13 @@ pub fn schedule_at_period(
         loads[checker.resource_id(u)] += unit.total_time();
     }
     if loads.iter().any(|&l| l > period + EPS) {
+        return None;
+    }
+    if checker
+        .memory_floor(period)
+        .any(|bytes| bytes > platform.memory_bytes)
+    {
+        stats.floored += 1;
         return None;
     }
 
@@ -382,24 +399,37 @@ mod tests {
         let tight = Platform::new(2, 3100, 1000.0).unwrap();
         let seq = UnitSequence::from_allocation(&c, &tight, &alloc);
         let mut stats = PlaceStats::default();
-        // 3 units, 6 ops: the first leaf is the 7th node. At T = 4 it
-        // fails on memory, and a 7-node budget ends the search there.
+        // 3 units, 6 ops: the first leaf is the 7th node.
         let cfg = PlaceConfig {
             node_budget: 7,
             ..PlaceConfig::default()
         };
+        // At T = 4 stage 0 needs ⌈8/4⌉ = 2 live batches, 2000 B over its
+        // 2000 B of buffers: the floor answers before any node.
         assert!(schedule_at_period(&c, &tight, &alloc, &seq, 4.0, &cfg, &mut stats).is_none());
-        let exhausted = PlaceStats {
+        let floored = PlaceStats {
             calls: 1,
+            floored: 1,
+            ..PlaceStats::default()
+        };
+        assert_eq!(stats, floored);
+        // At T = 9 the floor asks for one batch, but B_0 collides with
+        // F_0 modulo T and slides past the period boundary: the first
+        // leaf holds 2 batches, fails on memory, and a 7-node budget
+        // ends the search there.
+        assert!(schedule_at_period(&c, &tight, &alloc, &seq, 9.0, &cfg, &mut stats).is_none());
+        let exhausted = PlaceStats {
+            calls: 2,
             exhausted: 1,
+            floored: 1,
             nodes: 7,
             leaves: 1,
         };
         assert_eq!(stats, exhausted);
-        // The load prefilter rejects T = 1 before any node.
+        // The load prefilter rejects T = 1 before any node or floor.
         assert!(schedule_at_period(&c, &tight, &alloc, &seq, 1.0, &cfg, &mut stats).is_none());
-        assert_eq!(stats.calls, 2);
-        assert_eq!(stats.nodes, 7);
+        assert_eq!(stats.calls, 3);
+        assert_eq!((stats.nodes, stats.floored), (7, 1));
         // At T = 10 the first leaf is valid: found, not exhausted.
         let p = schedule_at_period(&c, &tight, &alloc, &seq, 10.0, &cfg, &mut stats);
         assert!(p.is_some());

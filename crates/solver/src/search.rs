@@ -16,6 +16,24 @@ pub struct SolvedSchedule {
     pub report: PatternReport,
 }
 
+/// A period a search must beat to matter: the incumbent of a fold that
+/// keeps the first of equal periods in submission order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cutoff {
+    /// The incumbent's period.
+    pub period: f64,
+    /// Whether a tie beats the incumbent: true for a candidate folded
+    /// before it, false for one folded after it.
+    pub ties_win: bool,
+}
+
+impl Cutoff {
+    /// Whether a schedule of period `t` would beat the incumbent.
+    pub fn admits(&self, t: f64) -> bool {
+        t < self.period || (self.ties_win && t == self.period)
+    }
+}
+
 /// Find (approximately) the smallest period at which `alloc` admits a
 /// valid pattern, and build it, adding every placement call's work to
 /// `stats`.
@@ -30,16 +48,36 @@ pub struct SolvedSchedule {
 /// needs only shrink. It does not hold for the budgeted placer, which
 /// can fail at a period above one where it succeeds, so the search may
 /// skip a lower ladder point that placement would reach.
+///
+/// With `cutoff` set, the search stops with `Ok(None)` once it can prove
+/// its result would not beat the cutoff ([`Cutoff::admits`]):
+///
+/// * the load bound `t_lo` misses it, so no placement runs;
+/// * the sequential period `t_hi` fails to place: the error is not
+///   diagnosed, since a caller with an incumbent never reports it;
+/// * the smallest ladder point the bisection can still return,
+///   `candidates[lo + 1]`, misses it: the result is always
+///   `candidates[hi]` with `hi > lo`, or `t_hi`, so it lies at or above
+///   that point.
+///
+/// Otherwise it probes exactly the periods it would without a cutoff and
+/// returns the same schedule. Without a cutoff the result is never
+/// `Ok(None)`.
 pub fn best_period(
     chain: &Chain,
     platform: &Platform,
     alloc: &Allocation,
     cfg: &PlaceConfig,
+    cutoff: Option<Cutoff>,
     stats: &mut PlaceStats,
-) -> Result<SolvedSchedule, ScheduleError> {
+) -> Result<Option<SolvedSchedule>, ScheduleError> {
     let seq = UnitSequence::from_allocation(chain, platform, alloc);
     let t_lo = alloc.load_bound(chain, platform).max(seq.max_unit_load());
     let t_hi = seq.total_load().max(t_lo);
+    let misses = |t: f64| cutoff.is_some_and(|c| !c.admits(t));
+    if misses(t_lo) {
+        return Ok(None);
+    }
 
     let mut candidates = vec![t_lo];
     // Window sums of consecutive unit loads.
@@ -69,6 +107,9 @@ pub fn best_period(
     // Most relaxed candidate first: if the sequential period fails, the
     // allocation does not fit in memory at all.
     let Some(relaxed) = try_t(t_hi) else {
+        if cutoff.is_some() {
+            return Ok(None);
+        }
         // Produce the precise error by checking the sequential pattern of
         // a contiguous-style relaxation; fall back to a generic error.
         return Err(diagnose_infeasible(
@@ -83,7 +124,13 @@ pub fn best_period(
         best_pattern = p;
         hi = 0;
     }
-    while lo + 1 < hi {
+    while lo < hi {
+        if misses(candidates[lo + 1]) {
+            return Ok(None);
+        }
+        if lo + 1 == hi {
+            break;
+        }
         let mid = (lo + hi) / 2;
         if let Some(p) = try_t(candidates[mid]) {
             best_pattern = p;
@@ -95,11 +142,11 @@ pub fn best_period(
 
     let report = check_pattern(chain, platform, alloc, &seq, &best_pattern)
         .expect("pattern was validated during placement");
-    Ok(SolvedSchedule {
+    Ok(Some(SolvedSchedule {
         period: best_pattern.period,
         pattern: best_pattern,
         report,
-    })
+    }))
 }
 
 /// Build a descriptive error for an allocation that has no valid pattern
@@ -164,7 +211,7 @@ mod tests {
         Chain::new("t", act, layers).unwrap()
     }
 
-    /// [`best_period`] under the default configuration.
+    /// [`best_period`] under the default configuration, without a cutoff.
     fn solve(
         c: &Chain,
         platform: &Platform,
@@ -175,8 +222,10 @@ mod tests {
             platform,
             alloc,
             &PlaceConfig::default(),
+            None,
             &mut PlaceStats::default(),
         )
+        .map(|s| s.expect("no cutoff"))
     }
 
     #[test]
@@ -226,6 +275,59 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert!(best_contig >= 12.0 - 1e-9);
         assert!(solved.period < best_contig);
+    }
+
+    #[test]
+    fn a_cutoff_stops_only_searches_that_cannot_beat_it() {
+        let c = chain(&[(2.0, 2.0), (4.0, 4.0), (2.0, 2.0)], 1);
+        let platform = Platform::new(2, 1 << 40, 1e9).unwrap();
+        let alloc = Allocation::new(
+            vec![
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 1),
+                Stage::new(2..3, 0),
+            ],
+            3,
+            2,
+        )
+        .unwrap();
+        let cfg = PlaceConfig::default();
+        let search = |cutoff: Option<Cutoff>| {
+            let mut stats = PlaceStats::default();
+            let solved = best_period(&c, &platform, &alloc, &cfg, cutoff, &mut stats).unwrap();
+            (solved.map(|s| s.period.to_bits()), stats)
+        };
+        let (free, free_stats) = search(None);
+        let t = f64::from_bits(free.expect("no cutoff"));
+        let cut = |period: f64, ties_win: bool| Some(Cutoff { period, ties_win });
+
+        // A cutoff the result beats changes nothing, not even the work.
+        assert_eq!(search(cut(t * 2.0, false)), (free, free_stats));
+        // A tie wins only for a candidate folded before the incumbent.
+        assert_eq!(search(cut(t, true)), (free, free_stats));
+        let (tied, tied_stats) = search(cut(t, false));
+        assert_eq!(tied, None);
+        assert!(tied_stats.calls <= free_stats.calls);
+        // Below the load bound no placement runs at all.
+        let load = alloc.load_bound(&c, &platform);
+        assert_eq!(search(cut(load * 0.5, true)), (None, PlaceStats::default()));
+    }
+
+    #[test]
+    fn a_cutoff_skips_diagnosing_an_allocation_that_never_fits() {
+        let c = chain(&[(1.0, 1.0), (1.0, 1.0)], 1_000_000);
+        let platform = Platform::new(2, 100, 1e9).unwrap();
+        let part = Partition::from_cuts(&[1], 2).unwrap();
+        let alloc = Allocation::contiguous(&part, 2).unwrap();
+        let cfg = PlaceConfig::default();
+        let cutoff = Some(Cutoff {
+            period: f64::INFINITY,
+            ties_win: false,
+        });
+        let mut stats = PlaceStats::default();
+        let solved = best_period(&c, &platform, &alloc, &cfg, cutoff, &mut stats);
+        assert_eq!(solved.map(|s| s.is_none()), Ok(true));
+        assert_eq!(stats.calls, 1, "only the t_hi probe ran");
     }
 
     #[test]

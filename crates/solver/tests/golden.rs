@@ -9,10 +9,15 @@
 //! there the search exhausts its node budget, and memory compaction
 //! turns failing leaves into valid patterns. The digest changes only
 //! when phase 2's results change on purpose.
+//!
+//! `exact_optimum`, the oracle of `certify`'s exact cross-check and of
+//! the test suites, is pinned the same way on tiny instances: period
+//! bits and allocation, so a faster exhaustive search must still find
+//! the same optimum.
 
 use madpipe_model::{Allocation, Chain, Layer, Platform, Stage, UnitSequence};
 use madpipe_schedule::{check_pattern, one_f1b_star, Dir, ScheduleError};
-use madpipe_solver::{best_period, PlaceConfig, PlaceStats, SolvedSchedule};
+use madpipe_solver::{best_period, exact_optimum, PlaceConfig, PlaceStats, SolvedSchedule};
 
 /// SplitMix64: a tiny, fixed generator so the instances never depend on
 /// a library's sampling.
@@ -159,7 +164,15 @@ fn best_period_digest_is_pinned() {
     let mut h = Fnv::new();
     for seed in seeds() {
         let (chain, platform, alloc) = instance(seed);
-        let solved = best_period(&chain, &platform, &alloc, &cfg, &mut PlaceStats::default());
+        let solved = best_period(
+            &chain,
+            &platform,
+            &alloc,
+            &cfg,
+            None,
+            &mut PlaceStats::default(),
+        )
+        .map(|s| s.expect("no cutoff"));
         feed(&mut h, &solved);
     }
     assert_eq!(h.0, GOLDEN, "digest {:#018x}", h.0);
@@ -175,13 +188,89 @@ fn compaction_decides_the_pinned_rescues() {
     for seed in COMPACTION_DECIDES {
         let (chain, platform, alloc) = instance(seed);
         let mut stats = PlaceStats::default();
-        let with = best_period(&chain, &platform, &alloc, &on, &mut stats).expect("solves");
-        let without = best_period(&chain, &platform, &alloc, &off, &mut stats).expect("solves");
+        let mut solve = |cfg| {
+            best_period(&chain, &platform, &alloc, cfg, None, &mut stats)
+                .expect("solves")
+                .expect("no cutoff")
+        };
+        let with = solve(&on);
+        let without = solve(&off);
         assert!(
             with.period < without.period,
             "seed {seed}: {} with compaction, {} without",
             with.period,
             without.period
+        );
+    }
+}
+
+/// A 3–5-layer chain on 2–3 GPUs, each GPU's memory the sequential
+/// 1F1B* peak of the whole chain on one GPU times `1 + k/8`, `k ∈ 0..6`.
+fn tiny_instance(seed: u64) -> (Chain, Platform) {
+    let mut rng = SplitMix(seed);
+    let n_layers = 3 + rng.below(3) as usize;
+    let n_gpus = 2 + rng.below(2) as usize;
+    let layers = (0..n_layers)
+        .map(|i| {
+            let f = rng.uniform(0.1, 5.0);
+            let b = rng.uniform(0.1, 5.0);
+            let w = rng.below(1_000);
+            let a = 1 + rng.below(20_000);
+            Layer::new(format!("l{i}"), f, b, w, a)
+        })
+        .collect();
+    let chain = Chain::new("exact", 2_000, layers).expect("well-formed");
+    let whole = Allocation::new(vec![Stage::new(0..n_layers, 0)], n_layers, n_gpus).unwrap();
+    let roomy = Platform::new(n_gpus, u64::MAX / 4, 500.0).unwrap();
+    let seq = UnitSequence::from_allocation(&chain, &roomy, &whole);
+    let relaxed = one_f1b_star(&seq, seq.total_load());
+    let peak = check_pattern(&chain, &roomy, &whole, &seq, &relaxed)
+        .expect("the sequential pattern is valid")
+        .gpu_peak_bytes[0];
+    let k = rng.below(6);
+    (
+        chain,
+        Platform::new(n_gpus, peak + peak * k / 8, 500.0).unwrap(),
+    )
+}
+
+/// `exact_optimum` on the seeds in 0..24 whose exhaustive search takes
+/// at most a few seconds unoptimized: seed, period bits, and the
+/// allocation as `layers@gpu` stages.
+const EXACT: [(u64, u64, &str); 16] = [
+    (0, 4622991524980270298, "0..2@0 2..4@1"),
+    (2, 4627454829391191080, "0..4@0"),
+    (3, 4625133844476622274, "0..2@0 2..3@0"),
+    (5, 4627763376525828374, "0..1@0 1..2@0 2..5@0"),
+    (6, 4624351162212667717, "0..5@0"),
+    (7, 4625473073242085756, "0..3@0"),
+    (8, 4628050264751787019, "0..1@0 1..4@0"),
+    (11, 4623261332418212647, "0..3@0"),
+    (12, 4625884400696615188, "0..3@0"),
+    (13, 4627285531595553201, "0..4@0"),
+    (15, 4625081563206700788, "0..2@0 2..3@0 3..5@1"),
+    (17, 4617763725066720584, "0..1@0 1..3@1"),
+    (18, 4625523569101835976, "0..1@0 1..2@0 2..4@1"),
+    (19, 4625445590815989142, "0..3@0"),
+    (20, 4623839601681041002, "0..3@0"),
+    (21, 4626729012739701148, "0..3@0 3..4@0"),
+];
+
+#[test]
+fn exact_optimum_is_pinned() {
+    for (seed, bits, stages) in EXACT {
+        let (chain, platform) = tiny_instance(seed);
+        let opt = exact_optimum(&chain, &platform).expect("the sequential schedule fits");
+        let got: Vec<String> = opt
+            .allocation
+            .stages()
+            .iter()
+            .map(|s| format!("{}..{}@{}", s.layers.start, s.layers.end, s.gpu))
+            .collect();
+        assert_eq!(
+            (opt.schedule.period.to_bits(), got.join(" ").as_str()),
+            (bits, stages),
+            "seed {seed}"
         );
     }
 }

@@ -5,8 +5,10 @@
 use proptest::prelude::*;
 
 use madpipe_model::{Allocation, Chain, Layer, Partition, Platform, Stage, UnitSequence};
-use madpipe_schedule::{best_contiguous_period, check_pattern, one_f1b_star, ScheduleError};
-use madpipe_solver::{best_period, PlaceConfig, PlaceStats, SolvedSchedule};
+use madpipe_schedule::{
+    best_contiguous_period, check_pattern, one_f1b_star, Checker, Dir, ScheduleError,
+};
+use madpipe_solver::{best_period, schedule_at_period, PlaceConfig, PlaceStats, SolvedSchedule};
 
 fn arb_chain() -> impl Strategy<Value = Chain> {
     prop::collection::vec((0.1f64..5.0, 0.1f64..5.0, 0u64..1_000, 1u64..20_000), 2..=7).prop_map(
@@ -132,8 +134,9 @@ proptest! {
         let platform = Platform::new(n_gpus, peak + peak * k / 8, 500.0).unwrap();
 
         let mut work = PlaceStats::default();
-        match best_period(&chain, &platform, &alloc, &PlaceConfig::default(), &mut work) {
-            Ok(solved) => {
+        match best_period(&chain, &platform, &alloc, &PlaceConfig::default(), None, &mut work) {
+            Ok(None) => prop_assert!(false, "no cutoff, yet cut"),
+            Ok(Some(solved)) => {
                 prop_assert!(solved.period + 1e-9 >= alloc.load_bound(&chain, &platform));
                 let seq = UnitSequence::from_allocation(&chain, &platform, &alloc);
                 let report = check_pattern(&chain, &platform, &alloc, &seq, &solved.pattern);
@@ -149,9 +152,65 @@ proptest! {
         }
         prop_assert!(work.calls > 0 && work.leaves <= work.nodes);
     }
+
+    /// The memory floor is a lower bound on every valid pattern's peak.
+    /// On the memory-tight allocations above, and on the same ones with
+    /// room to spare (where no floor stops the search), a large-budget
+    /// search with compaction runs at periods from the load bound to the
+    /// sequential period; wherever it finds a pattern, no GPU's floor at
+    /// that period exceeds the pattern's checked peak — so the floor
+    /// admits every period at which a pattern fits.
+    #[test]
+    fn the_memory_floor_never_exceeds_a_found_pattern_peak(
+        (chain, cuts, gpu_seed) in arb_chain().prop_flat_map(|c| {
+            let n = c.len();
+            (Just(c), arb_cuts(n), any::<u64>())
+        }),
+        k in 0u64..6
+    ) {
+        let alloc = random_allocation(&chain, &cuts, gpu_seed);
+        let n_gpus = alloc.n_gpus();
+        let roomy = Platform::new(n_gpus, u64::MAX / 4, 500.0).unwrap();
+        let seq = UnitSequence::from_allocation(&chain, &roomy, &alloc);
+        let relaxed = one_f1b_star(&seq, seq.total_load());
+        let peak = check_pattern(&chain, &roomy, &alloc, &seq, &relaxed)
+            .unwrap()
+            .gpu_peak_bytes
+            .into_iter()
+            .max()
+            .unwrap();
+        let tight = Platform::new(n_gpus, peak + peak * k / 8, 500.0).unwrap();
+        let big = PlaceConfig {
+            node_budget: 1 << 13,
+            max_alternatives: 6,
+            compaction: true,
+        };
+        let t_lo = alloc.load_bound(&chain, &roomy).max(seq.max_unit_load());
+        let t_hi = seq.total_load().max(t_lo);
+        for platform in [&roomy, &tight] {
+            for i in 0..=6 {
+                let t = t_lo * (t_hi / t_lo).powf(i as f64 / 6.0);
+                let mut work = PlaceStats::default();
+                let Some(p) = schedule_at_period(&chain, platform, &alloc, &seq, t, &big, &mut work)
+                else {
+                    continue;
+                };
+                let report = check_pattern(&chain, platform, &alloc, &seq, &p).unwrap();
+                let layout: Vec<(usize, Dir)> = p.ops.iter().map(|o| (o.unit, o.dir)).collect();
+                let checker = Checker::new(&chain, platform, &alloc, &seq, &layout);
+                for (gpu, floor) in checker.memory_floor(t).enumerate() {
+                    prop_assert!(
+                        floor <= report.gpu_peak_bytes[gpu],
+                        "GPU {gpu} at T = {t}: floor {floor} B over the peak {} B",
+                        report.gpu_peak_bytes[gpu]
+                    );
+                }
+            }
+        }
+    }
 }
 
-/// [`best_period`] under the default configuration.
+/// [`best_period`] under the default configuration, without a cutoff.
 fn solve(
     chain: &Chain,
     platform: &Platform,
@@ -162,8 +221,10 @@ fn solve(
         platform,
         alloc,
         &PlaceConfig::default(),
+        None,
         &mut PlaceStats::default(),
     )
+    .map(|s| s.expect("no cutoff"))
 }
 
 /// A stage→GPU map of `chain` cut at `cuts` on up to 3 GPUs: the first
