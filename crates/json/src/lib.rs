@@ -13,7 +13,7 @@
 //! rejected on write).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,11 @@ impl Value {
     /// Parse a JSON document (strict: no trailing garbage).
     pub fn parse(s: &str) -> Result<Value, JsonError> {
         let bytes = s.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src: s,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -83,8 +87,13 @@ impl Value {
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append the compact rendering to `out`, a buffer the caller owns.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation.
@@ -98,18 +107,14 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::Float(x) => {
-                assert!(x.is_finite(), "JSON cannot represent {x}");
-                let s = format!("{x}");
-                out.push_str(&s);
-                // Keep the float/integer distinction across a round trip.
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
+            Value::UInt(u) => {
+                let _ = write!(out, "{u}");
             }
-            Value::Str(s) => write_string(out, s),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::Float(x) => write_f64(out, *x),
+            Value::Str(s) => write_str(out, s),
             Value::Array(items) => write_seq(
                 out,
                 indent,
@@ -127,7 +132,7 @@ impl Value {
                 '}',
                 fields.iter(),
                 |out, (k, v), ind, d| {
-                    write_string(out, k);
+                    write_str(out, k);
                     out.push(':');
                     if ind.is_some() {
                         out.push(' ');
@@ -231,25 +236,47 @@ fn write_seq<T>(
     out.push(close);
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `x` as a JSON number, exactly as [`Value::Float`] renders:
+/// Rust's shortest round-trip decimal, with `.0` added to an integral
+/// value so it parses back as a float.
+///
+/// # Panics
+/// If `x` is NaN or infinite, which JSON cannot represent.
+pub fn write_f64(out: &mut String, x: f64) {
+    assert!(x.is_finite(), "JSON cannot represent {x}");
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Append `s` as a quoted JSON string literal, exactly as [`Value::Str`]
+/// renders.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -378,59 +405,71 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one step: the input is a `&str` and the run
+            // ends at an ASCII byte, so it is whole UTF-8.
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for our files;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    out.push(self.scalar_from(code));
                 }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, starting at `pos`.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err("invalid \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The character a decoded `\u` escape stands for. A high surrogate
+    /// directly followed by an escaped low surrogate is one astral
+    /// character, and both escapes are consumed; any other surrogate is a
+    /// lone one and becomes U+FFFD.
+    fn scalar_from(&mut self, code: u32) -> char {
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            match self.hex4() {
+                Ok(low @ 0xdc00..=0xdfff) => {
+                    let scalar = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                    return char::from_u32(scalar).expect("a surrogate pair is a scalar value");
+                }
+                // Not a low surrogate: leave that escape for the caller.
+                _ => self.pos = resume,
+            }
+        }
+        char::from_u32(code).unwrap_or('\u{fffd}')
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
@@ -471,15 +510,6 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -631,5 +661,221 @@ mod tests {
     fn unicode_passes_through() {
         let v = Value::parse("\"héllo → 🚀\"").unwrap();
         assert_eq!(v.as_str().unwrap(), "héllo → 🚀");
+    }
+
+    /// A tree holding every number shape and every escape the writer
+    /// knows, plus empty containers and non-ASCII text.
+    fn golden_tree() -> Value {
+        Value::Object(vec![
+            (
+                "floats".into(),
+                Value::Array(vec![
+                    Value::Float(3.0),
+                    Value::Float(-0.0),
+                    Value::Float(1e-300),
+                    Value::Float(1.7976931348623157e308),
+                    Value::Float(0.1),
+                    Value::Float(-2.5e-7),
+                ]),
+            ),
+            (
+                "ints".into(),
+                Value::Array(vec![
+                    Value::UInt(u64::MAX),
+                    Value::Int(i64::MIN),
+                    Value::UInt(0),
+                    Value::Int(-1),
+                ]),
+            ),
+            (
+                "esc \"k\"".into(),
+                Value::Str("q\" b\\ n\n r\r t\t u\u{1f} é → 🚀".into()),
+            ),
+            (
+                "nested".into(),
+                Value::Object(vec![
+                    ("empty_obj".into(), Value::Object(vec![])),
+                    ("empty_arr".into(), Value::Array(vec![])),
+                    ("null".into(), Value::Null),
+                    (
+                        "flags".into(),
+                        Value::Array(vec![Value::Bool(true), Value::Bool(false)]),
+                    ),
+                ]),
+            ),
+        ])
+    }
+
+    /// `1e-300` and `f64::MAX` as Rust's `Display` writes them: plain
+    /// decimals, never exponent form.
+    fn tiny_and_max() -> (String, String) {
+        (
+            format!("0.{}1", "0".repeat(299)),
+            format!("17976931348623157{}.0", "0".repeat(292)),
+        )
+    }
+
+    #[test]
+    fn compact_rendering_matches_the_golden_bytes() {
+        let (tiny, max) = tiny_and_max();
+        let expected = format!(
+            concat!(
+                r#"{{"floats":[3.0,-0.0,{tiny},{max},0.1,-0.00000025],"#,
+                r#""ints":[18446744073709551615,-9223372036854775808,0,-1],"#,
+                r#""esc \"k\"":"q\" b\\ n\n r\r t\t u\u001f é → 🚀","#,
+                r#""nested":{{"empty_obj":{{}},"empty_arr":[],"null":null,"flags":[true,false]}}}}"#,
+            ),
+            tiny = tiny,
+            max = max
+        );
+        let tree = golden_tree();
+        assert_eq!(tree.to_string_compact(), expected);
+        // `write_compact` appends to what the buffer already holds.
+        let mut out = String::from("prefix:");
+        tree.write_compact(&mut out);
+        assert_eq!(out, format!("prefix:{expected}"));
+        assert_eq!(Value::parse(&expected).unwrap(), tree);
+    }
+
+    #[test]
+    fn pretty_rendering_matches_the_golden_bytes() {
+        let (tiny, max) = tiny_and_max();
+        let expected = format!(
+            concat!(
+                "{{\n",
+                "  \"floats\": [\n",
+                "    3.0,\n",
+                "    -0.0,\n",
+                "    {tiny},\n",
+                "    {max},\n",
+                "    0.1,\n",
+                "    -0.00000025\n",
+                "  ],\n",
+                "  \"ints\": [\n",
+                "    18446744073709551615,\n",
+                "    -9223372036854775808,\n",
+                "    0,\n",
+                "    -1\n",
+                "  ],\n",
+                "  \"esc \\\"k\\\"\": \"q\\\" b\\\\ n\\n r\\r t\\t u\\u001f é → 🚀\",\n",
+                "  \"nested\": {{\n",
+                "    \"empty_obj\": {{}},\n",
+                "    \"empty_arr\": [],\n",
+                "    \"null\": null,\n",
+                "    \"flags\": [\n",
+                "      true,\n",
+                "      false\n",
+                "    ]\n",
+                "  }}\n",
+                "}}",
+            ),
+            tiny = tiny,
+            max = max
+        );
+        assert_eq!(golden_tree().to_string_pretty(), expected);
+        assert_eq!(Value::parse(&expected).unwrap(), golden_tree());
+    }
+
+    #[test]
+    fn parse_errors_keep_their_message_and_byte_position() {
+        for (doc, message) in [
+            ("{\"a\":\"abc", "unterminated string at byte 9"),
+            ("[\"x\\q\"]", "unknown escape at byte 5"),
+            ("\"ab\\", "unterminated escape at byte 4"),
+            ("\"\\u12\"", "truncated \\u escape at byte 3"),
+            ("\"\\uZZZZ\"", "invalid \\u escape at byte 3"),
+            ("\"\\ud83d\\uZZZZ\"", "invalid \\u escape at byte 9"),
+        ] {
+            assert_eq!(
+                Value::parse(doc).unwrap_err().message,
+                message,
+                "parsing {doc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_their_character() {
+        let grin = Value::parse(r#""\ud83d\ude00""#).unwrap();
+        let wink = Value::parse(r#""\ud83d\ude01""#).unwrap();
+        assert_eq!(grin, Value::Str("\u{1f600}".into()));
+        assert_eq!(wink, Value::Str("\u{1f601}".into()));
+        for v in [&grin, &wink] {
+            assert_eq!(&Value::parse(&v.to_string_compact()).unwrap(), v);
+        }
+        // Lone surrogates, in either order or before a non-surrogate
+        // escape, still become U+FFFD, and nothing after them is lost.
+        for (doc, text) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00x""#, "\u{fffd}x"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+        ] {
+            assert_eq!(Value::parse(doc).unwrap(), Value::Str(text.into()), "{doc}");
+        }
+    }
+
+    /// splitmix64: the random trees below are a pure function of a seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A string mixing plain ASCII, every escape and non-ASCII text.
+        fn text(&mut self) -> String {
+            const PIECES: [&str; 12] = [
+                "a", "layer", " ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "🚀",
+            ];
+            (0..self.below(8))
+                .map(|_| PIECES[self.below(PIECES.len() as u64) as usize])
+                .collect()
+        }
+
+        fn float(&mut self) -> f64 {
+            match self.below(4) {
+                0 => self.below(1 << 20) as f64,
+                1 => f64::from_bits(self.next() >> 2),
+                2 => -(self.next() as f64) / (self.next() | 1) as f64,
+                _ => (self.below(1000) as f64) * 10f64.powi(self.below(600) as i32 - 300),
+            }
+        }
+
+        fn tree(&mut self, depth: u32) -> Value {
+            match self.below(if depth == 0 { 6 } else { 8 }) {
+                0 => Value::Null,
+                1 => Value::Bool(self.below(2) == 1),
+                2 => Value::UInt(self.next() >> self.below(64)),
+                3 => Value::Int(-((self.next() >> 1) as i64) - 1),
+                4 => Value::Float(self.float()),
+                5 => Value::Str(self.text()),
+                6 => Value::Array((0..self.below(5)).map(|_| self.tree(depth - 1)).collect()),
+                _ => Value::Object(
+                    (0..self.below(5))
+                        .map(|_| (self.text(), self.tree(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn random_trees_round_trip_through_both_renderings(seed in proptest::prelude::any::<u64>()) {
+            let v = Mix(seed).tree(4);
+            proptest::prop_assert_eq!(Value::parse(&v.to_string_compact()).unwrap(), v.clone());
+            proptest::prop_assert_eq!(Value::parse(&v.to_string_pretty()).unwrap(), v);
+        }
     }
 }

@@ -67,7 +67,13 @@ impl Registry {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Allocate the name only the first time the counter appears.
+        match inner.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Increment the counter `name` by one.
@@ -95,7 +101,11 @@ impl Registry {
     /// Record one observation into the log₂ histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().unwrap();
-        let h = inner.histograms.entry(name.to_string()).or_default();
+        let histograms = &mut inner.histograms;
+        let h = match histograms.get_mut(name) {
+            Some(h) => h,
+            None => histograms.entry(name.to_string()).or_default(),
+        };
         if h.buckets.is_empty() {
             h.buckets = vec![0; BUCKETS];
             h.min = value;

@@ -1,9 +1,11 @@
 //! Sharded LRU cache of finished plans, keyed by the canonical instance
 //! string.
 //!
-//! The 64-bit FNV-1a hash of the key only selects a shard; inside the
-//! shard the *full* canonical string is the map key, so a hash collision
-//! costs a shared lock at worst, never a wrong plan. Recency is a
+//! A SipHash-1-3 of the key with fixed keys (`DefaultHasher::new`,
+//! deterministic, a word at a time) only selects a shard; inside the
+//! shard the *full* canonical string is the key of a map seeded with its
+//! own `RandomState`, so crafted keys cannot degrade a lookup and a hash
+//! collision costs a shared lock at worst, never a wrong plan. Recency is a
 //! monotone stamp from one shared counter; eviction scans the (small,
 //! bounded) shard for the minimum stamp — O(capacity/shards), no
 //! intrusive list to get wrong under contention.
@@ -17,6 +19,7 @@
 //! stays unchanged and the plan is simply served uncached.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -75,14 +78,12 @@ fn lock_shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a, 64-bit — enough to spread keys over 8 shards.
+/// The shard of `key`: the same on every call, so tests can pick
+/// same-shard keys.
 fn shard_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() % SHARDS as u64) as usize
 }
 
 impl PlanCache {

@@ -39,11 +39,13 @@ use madpipe_json::Value;
 
 use crate::server::lock_unpoisoned;
 
-/// FNV-1a, the same cheap stable hash the cache shards and router ring
-/// use. Not cryptographic — it detects torn frames, not adversaries
-/// (anyone who can forge a checksummed record can also replace the
-/// whole file).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a: cheap, and stable across builds and hosts, which both
+/// of its uses need — the journal's frame checksum, which is on disk, and
+/// the router ring's placement of keys. Not cryptographic: it detects
+/// torn frames, not adversaries (anyone who can forge a checksummed
+/// record can also replace the whole file), and the ring only needs
+/// uniformity.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -43,8 +43,10 @@
 //! answered byte-identically to a build without tracing; the context is
 //! advisory and never fails a request.
 
+use std::fmt::Write as _;
+
 use madpipe_core::{MadPipePlan, PlannerConfig};
-use madpipe_json::{FromJson, ToJson, Value};
+use madpipe_json::{write_f64, write_str, FromJson, ToJson, Value};
 use madpipe_model::{Chain, Platform, PlatformFault};
 
 /// A structured protocol-level error: `kind` is a small closed set a
@@ -347,64 +349,66 @@ fn config_from_json(v: Option<&Value>) -> Result<PlannerConfig, ServeError> {
     Ok(cfg)
 }
 
-/// Recursively sort every object's keys. Arrays keep their order (layer
-/// order is meaningful).
-pub fn sort_keys(v: Value) -> Value {
-    match v {
-        Value::Object(mut fields) => {
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, val)| (k, sort_keys(val)))
-                    .collect(),
-            )
-        }
-        Value::Array(items) => Value::Array(items.into_iter().map(sort_keys).collect()),
-        other => other,
-    }
-}
-
-/// The canonical form of a planning instance: rebuilt from the *typed*
-/// chain/platform/config (so units are already normalized to bytes and
-/// derived state is dropped), keys recursively sorted, rendered compact.
-/// Two requests meaning the same instance — whatever key order or units
-/// they used on the wire — produce byte-identical canonical strings.
+/// The canonical form of a planning instance, and its cache key: the
+/// *typed* chain, platform and config (units already normalized to bytes,
+/// derived state dropped) rendered compact, with every object's keys in
+/// byte order. Two requests meaning the same instance — whatever key
+/// order or units they used on the wire — produce byte-identical
+/// canonical strings.
+///
+/// The plan journal and the router ring depend on these bytes. They are
+/// written field by field with `madpipe_json`'s number and string
+/// writers, and equal the compact rendering of the key-sorted tree
+/// `{chain: chain.to_json(), config, platform}` (the tests pin both).
 pub fn canonical_instance(chain: &Chain, platform: &Platform, cfg: &PlannerConfig) -> String {
-    let inst = Value::Object(vec![
-        ("chain".into(), chain.to_json()),
-        (
-            "config".into(),
-            Value::Object(vec![
-                (
-                    "iterations".into(),
-                    Value::UInt(cfg.algorithm1.iterations as u64),
-                ),
-                (
-                    "recompute".into(),
-                    Value::Str(cfg.policy.recompute.as_str().into()),
-                ),
-                (
-                    "refine_probes".into(),
-                    Value::UInt(cfg.refine_probes as u64),
-                ),
-                ("threads".into(), Value::UInt(cfg.threads as u64)),
-                (
-                    "weights".into(),
-                    Value::Str(cfg.policy.weights.as_str().into()),
-                ),
-            ]),
-        ),
-        (
-            "platform".into(),
-            Value::Object(vec![
-                ("bandwidth_bytes".into(), Value::Float(platform.bandwidth)),
-                ("memory_bytes".into(), Value::UInt(platform.memory_bytes)),
-                ("n_gpus".into(), Value::UInt(platform.n_gpus as u64)),
-            ]),
-        ),
-    ]);
-    sort_keys(inst).to_string_compact()
+    let mut out = String::with_capacity(256 + 192 * chain.layers().len());
+    let _ = write!(
+        out,
+        r#"{{"chain":{{"input_bytes":{},"layers":["#,
+        chain.input_bytes()
+    );
+    for (i, l) in chain.layers().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            r#"{{"activation_bytes":{},"backward_time":"#,
+            l.activation_bytes
+        );
+        write_f64(&mut out, l.backward_time);
+        out.push_str(r#","forward_time":"#);
+        write_f64(&mut out, l.forward_time);
+        let _ = write!(
+            out,
+            r#","internal_stored_bytes":{},"name":"#,
+            l.internal_stored_bytes
+        );
+        write_str(&mut out, &l.name);
+        let _ = write!(out, r#","weight_bytes":{}}}"#, l.weight_bytes);
+    }
+    out.push_str(r#"],"name":"#);
+    write_str(&mut out, chain.name());
+    let _ = write!(
+        out,
+        r#"}},"config":{{"iterations":{},"recompute":"#,
+        cfg.algorithm1.iterations
+    );
+    write_str(&mut out, cfg.policy.recompute.as_str());
+    let _ = write!(
+        out,
+        r#","refine_probes":{},"threads":{},"weights":"#,
+        cfg.refine_probes, cfg.threads
+    );
+    write_str(&mut out, cfg.policy.weights.as_str());
+    out.push_str(r#"},"platform":{"bandwidth_bytes":"#);
+    write_f64(&mut out, platform.bandwidth);
+    let _ = write!(
+        out,
+        r#","memory_bytes":{},"n_gpus":{}}}}}"#,
+        platform.memory_bytes, platform.n_gpus
+    );
+    out
 }
 
 /// Render a plan as its response JSON. `period`, `phase1_period` and
@@ -444,12 +448,22 @@ pub fn plan_to_json(plan: &MadPipePlan) -> Value {
 
 /// `{"ok":true,"cached":…,"plan":…}` as one line (no trailing newline).
 pub fn plan_response(plan: &Value, cached: bool) -> String {
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("cached".into(), Value::Bool(cached)),
-        ("plan".into(), plan.clone()),
-    ])
-    .to_string_compact()
+    let mut out = plan_envelope(plan, cached);
+    out.push('}');
+    out
+}
+
+/// `{"ok":true,"cached":…,"plan":…` — a plan response without its closing
+/// brace, the plan rendered straight into the response buffer.
+fn plan_envelope(plan: &Value, cached: bool) -> String {
+    let mut out = String::with_capacity(512);
+    out.push_str(if cached {
+        r#"{"ok":true,"cached":true,"plan":"#
+    } else {
+        r#"{"ok":true,"cached":false,"plan":"#
+    });
+    plan.write_compact(&mut out);
+    out
 }
 
 /// `{"ok":true,"cached":…,"plan":…,"replan":{…}}` as one line: the
@@ -512,13 +526,11 @@ pub fn replan_response(
             Value::Float(base_period / deg_period - 1.0),
         ),
     ]);
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("cached".into(), Value::Bool(degraded_cached)),
-        ("plan".into(), degraded.clone()),
-        ("replan".into(), replan),
-    ])
-    .to_string_compact()
+    let mut out = plan_envelope(degraded, degraded_cached);
+    out.push_str(r#","replan":"#);
+    replan.write_compact(&mut out);
+    out.push('}');
+    out
 }
 
 /// `{"ok":false,"error":{…}}` as one line.
@@ -750,6 +762,258 @@ mod tests {
         assert_eq!(keys, ["chain", "config", "platform"]);
     }
 
+    /// Recursively sort every object's keys. Arrays keep their order
+    /// (layer order is meaningful).
+    fn sort_keys(v: Value) -> Value {
+        match v {
+            Value::Object(mut fields) => {
+                fields.sort_by(|a, b| a.0.cmp(&b.0));
+                Value::Object(
+                    fields
+                        .into_iter()
+                        .map(|(k, val)| (k, sort_keys(val)))
+                        .collect(),
+                )
+            }
+            Value::Array(items) => Value::Array(items.into_iter().map(sort_keys).collect()),
+            other => other,
+        }
+    }
+
+    /// The oracle for `canonical_instance`: the instance as a `Value`
+    /// tree (the chain through its own `to_json`), keys sorted, rendered
+    /// compact. A field added to `Layer::to_json` or `Chain::to_json`
+    /// shows up here and not in the direct renderer.
+    fn canonical_by_tree(chain: &Chain, platform: &Platform, cfg: &PlannerConfig) -> String {
+        let inst = Value::Object(vec![
+            ("chain".into(), chain.to_json()),
+            (
+                "config".into(),
+                Value::Object(vec![
+                    (
+                        "iterations".into(),
+                        Value::UInt(cfg.algorithm1.iterations as u64),
+                    ),
+                    (
+                        "recompute".into(),
+                        Value::Str(cfg.policy.recompute.as_str().into()),
+                    ),
+                    (
+                        "refine_probes".into(),
+                        Value::UInt(cfg.refine_probes as u64),
+                    ),
+                    ("threads".into(), Value::UInt(cfg.threads as u64)),
+                    (
+                        "weights".into(),
+                        Value::Str(cfg.policy.weights.as_str().into()),
+                    ),
+                ]),
+            ),
+            (
+                "platform".into(),
+                Value::Object(vec![
+                    ("bandwidth_bytes".into(), Value::Float(platform.bandwidth)),
+                    ("memory_bytes".into(), Value::UInt(platform.memory_bytes)),
+                    ("n_gpus".into(), Value::UInt(platform.n_gpus as u64)),
+                ]),
+            ),
+        ]);
+        sort_keys(inst).to_string_compact()
+    }
+
+    fn plan_of(line: &str) -> Box<PlanRequest> {
+        match parse_request(line) {
+            Ok(Request::Plan(p)) => p,
+            other => panic!("{line} must parse as a plan: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn canonical_keys_match_the_golden_bytes() {
+        // Escapes and non-ASCII names; an integral-float bandwidth.
+        let escaped = plan_of(
+            r#"{"cmd":"plan","chain":{"name":"res\"net\\50\n\r\t\u001f → é","input_bytes":4096,"layers":[{"name":"conv\"1\\a","forward_time":0.00125,"backward_time":0.0025,"weight_bytes":1000,"activation_bytes":2000},{"name":"層-λ 🚀","forward_time":3,"backward_time":4.5,"weight_bytes":0,"activation_bytes":18446744073709551615,"internal_stored_bytes":77}]},"platform":{"n_gpus":2,"memory_gb":1.5,"bandwidth_gb":12}}"#,
+        );
+        assert_eq!(
+            escaped.canonical,
+            r#"{"chain":{"input_bytes":4096,"layers":[{"activation_bytes":2000,"backward_time":0.0025,"forward_time":0.00125,"internal_stored_bytes":0,"name":"conv\"1\\a","weight_bytes":1000},{"activation_bytes":18446744073709551615,"backward_time":4.5,"forward_time":3.0,"internal_stored_bytes":77,"name":"層-λ 🚀","weight_bytes":0}],"name":"res\"net\\50\n\r\t\u001f → é"},"config":{"iterations":10,"recompute":"never","refine_probes":8,"threads":1,"weights":"3w"},"platform":{"bandwidth_bytes":12884901888.0,"memory_bytes":1610612736,"n_gpus":2}}"#
+        );
+
+        // Extreme magnitudes: Rust's `Display` writes 1e-300, the smallest
+        // subnormal and f64::MAX as plain decimals, never in exponent form.
+        let extreme = plan_of(
+            r#"{"cmd":"plan","chain":{"name":"tiny","input_bytes":0,"layers":[{"name":"eps","forward_time":1e-300,"backward_time":5e-324,"weight_bytes":0,"activation_bytes":1},{"name":"big","forward_time":1.7976931348623157e308,"backward_time":0.1,"weight_bytes":18446744073709551615,"activation_bytes":3}]},"platform":{"n_gpus":8,"memory_bytes":18446744073709551615,"bandwidth_bytes":1.2345e9}}"#,
+        );
+        assert_eq!(
+            extreme.canonical,
+            format!(
+                concat!(
+                    r#"{{"chain":{{"input_bytes":0,"layers":[{{"activation_bytes":1,"backward_time":{subnormal},"#,
+                    r#""forward_time":{tiny},"internal_stored_bytes":0,"name":"eps","weight_bytes":0}},"#,
+                    r#"{{"activation_bytes":3,"backward_time":0.1,"forward_time":{max},"internal_stored_bytes":0,"#,
+                    r#""name":"big","weight_bytes":18446744073709551615}}],"name":"tiny"}},"#,
+                    r#""config":{{"iterations":10,"recompute":"never","refine_probes":8,"threads":1,"weights":"3w"}},"#,
+                    r#""platform":{{"bandwidth_bytes":1234500000.0,"memory_bytes":18446744073709551615,"n_gpus":8}}}}"#,
+                ),
+                tiny = format!("0.{}1", "0".repeat(299)),
+                subnormal = format!("0.{}5", "0".repeat(323)),
+                max = format!("17976931348623157{}.0", "0".repeat(292)),
+            )
+        );
+
+        // A non-default config, every object's keys sent out of order.
+        let configured = plan_of(
+            r#"{"platform":{"bandwidth_gb":24.5,"memory_gb":3,"n_gpus":4},"config":{"recompute":"auto","weights":"2bw","threads":4,"refine_probes":2,"iterations":9},"chain":{"layers":[{"activation_bytes":4,"weight_bytes":5,"backward_time":0.3,"forward_time":0.2,"name":"a"},{"internal_stored_bytes":12,"activation_bytes":6,"weight_bytes":7,"backward_time":1e21,"forward_time":123456.789e10,"name":"b"}],"input_bytes":10,"name":"cfg"},"cmd":"plan"}"#,
+        );
+        assert_eq!(
+            configured.canonical,
+            r#"{"chain":{"input_bytes":10,"layers":[{"activation_bytes":4,"backward_time":0.3,"forward_time":0.2,"internal_stored_bytes":0,"name":"a","weight_bytes":5},{"activation_bytes":6,"backward_time":1000000000000000000000.0,"forward_time":1234567890000000.0,"internal_stored_bytes":12,"name":"b","weight_bytes":7}],"name":"cfg"},"config":{"iterations":9,"recompute":"auto","refine_probes":2,"threads":4,"weights":"2bw"},"platform":{"bandwidth_bytes":26306674688.0,"memory_bytes":3221225472,"n_gpus":4}}"#
+        );
+
+        for p in [&escaped, &extreme, &configured] {
+            assert_eq!(
+                p.canonical,
+                canonical_by_tree(&p.chain, &p.platform, &p.cfg)
+            );
+        }
+    }
+
+    #[test]
+    fn names_differing_only_in_an_escaped_astral_character_get_distinct_keys() {
+        // U+1F600 and U+1F601 as escaped surrogate pairs; both used to
+        // decode to the same two U+FFFD and share one cache key.
+        let line = |name: &str| {
+            plan_line(r#"{"n_gpus":2,"memory_bytes":1073741824,"bandwidth_gb":12.0}"#).replacen(
+                r#""name":"t""#,
+                &format!(r#""name":"{name}""#),
+                1,
+            )
+        };
+        let grin = plan_of(&line(r"smile\ud83d\ude00"));
+        let wink = plan_of(&line(r"smile\ud83d\ude01"));
+        assert_eq!(grin.chain.name(), "smile\u{1f600}");
+        assert_eq!(wink.chain.name(), "smile\u{1f601}");
+        assert_ne!(grin.canonical, wink.canonical);
+        // The key carries the character itself, and equals the key of a
+        // request that sent it unescaped.
+        assert!(
+            grin.canonical.contains("\"name\":\"smile\u{1f600}\""),
+            "{}",
+            grin.canonical
+        );
+        assert_eq!(grin.canonical, plan_of(&line("smile\u{1f600}")).canonical);
+    }
+
+    mod differential {
+        use super::*;
+        use madpipe_model::{Layer, RecomputeMode, WeightPolicy};
+        use proptest::prelude::*;
+
+        /// Name fragments: plain text, every escape the writer knows and
+        /// non-ASCII characters.
+        const PIECES: [&str; 12] = [
+            "conv", "_", " ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "🚀",
+        ];
+
+        fn name() -> impl Strategy<Value = String> {
+            prop::collection::vec(0..PIECES.len(), 0..8)
+                .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+        }
+
+        /// Finite non-negative timings across the whole f64 range:
+        /// integral values, round decimals from 1e-300 to 1e300, and
+        /// arbitrary bit patterns (subnormals included).
+        fn time() -> impl Strategy<Value = f64> {
+            (0u32..4, any::<u64>(), 0u32..600).prop_map(|(shape, bits, exp)| match shape {
+                0 => (bits % 4096) as f64,
+                1 => (bits % 1000) as f64 * 10f64.powi(exp as i32 - 300),
+                // Sign bit and top exponent bit clear: finite, >= 0.
+                2 => f64::from_bits(bits >> 2),
+                _ => [0.0, -0.0, 1e-300, 5e-324, f64::MAX][(bits % 5) as usize],
+            })
+        }
+
+        /// Byte counts the chain sums into its prefixes: at most 2^57, so
+        /// 128 of them never overflow.
+        fn summed_bytes() -> impl Strategy<Value = u64> {
+            (any::<u64>(), 7u32..64).prop_map(|(x, shift)| x >> shift)
+        }
+
+        fn layer() -> impl Strategy<Value = Layer> {
+            (
+                name(),
+                (time(), time()),
+                (summed_bytes(), summed_bytes(), summed_bytes()),
+            )
+                .prop_map(|(name, (f, b), (w, a, internal))| {
+                    Layer::new(name, f, b, w, a).with_internal_stored(internal)
+                })
+        }
+
+        fn chain() -> impl Strategy<Value = Chain> {
+            (
+                name(),
+                summed_bytes(),
+                prop::collection::vec(layer(), 1..=64),
+                any::<u64>(),
+                prop::bool::ANY,
+            )
+                .prop_map(|(name, input, mut layers, last, max)| {
+                    // The last layer's output is never summed: any u64.
+                    let out = &mut layers.last_mut().expect("1..=64 layers").activation_bytes;
+                    *out = if max { u64::MAX } else { last };
+                    Chain::new(name, input, layers).expect("finite, non-negative timings")
+                })
+        }
+
+        fn platform() -> impl Strategy<Value = Platform> {
+            (1usize..=64, any::<u64>(), time()).prop_map(|(n, memory, bandwidth)| {
+                let bandwidth = if bandwidth > 0.0 { bandwidth } else { 1.0 };
+                Platform::new(n, memory.max(1), bandwidth).expect("valid platform")
+            })
+        }
+
+        fn config() -> impl Strategy<Value = PlannerConfig> {
+            (
+                1usize..=64,
+                0usize..=16,
+                1usize..=64,
+                0usize..3,
+                prop::bool::ANY,
+            )
+                .prop_map(|(iterations, refine_probes, threads, recompute, two_bw)| {
+                    let mut cfg = PlannerConfig::default();
+                    cfg.algorithm1.iterations = iterations;
+                    cfg.refine_probes = refine_probes;
+                    cfg.threads = threads;
+                    cfg.policy.recompute = [
+                        RecomputeMode::Never,
+                        RecomputeMode::Always,
+                        RecomputeMode::Auto,
+                    ][recompute];
+                    if two_bw {
+                        cfg.policy.weights = WeightPolicy::TwoBw;
+                    }
+                    cfg
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn direct_rendering_equals_the_sorted_tree(
+                chain in chain(),
+                platform in platform(),
+                cfg in config(),
+            ) {
+                prop_assert_eq!(
+                    canonical_instance(&chain, &platform, &cfg),
+                    canonical_by_tree(&chain, &platform, &cfg)
+                );
+            }
+        }
+    }
+
     #[test]
     fn config_changes_the_canonical_key() {
         let base = plan_line(r#"{"n_gpus":2,"memory_bytes":1073741824,"bandwidth_gb":12.0}"#);
@@ -841,5 +1105,42 @@ mod tests {
             v.field("error").unwrap().field("kind").unwrap().as_str(),
             Ok("invalid")
         );
+    }
+
+    #[test]
+    fn plan_and_replan_responses_render_the_envelope_tree() {
+        let plan = Value::Object(vec![
+            ("period".into(), Value::Float(0.25)),
+            ("throughput".into(), Value::Float(4.0)),
+            (
+                "stages".into(),
+                Value::Array(vec![Value::Str("s\"0".into())]),
+            ),
+        ]);
+        let envelope = |cached: bool| {
+            vec![
+                ("ok".to_string(), Value::Bool(true)),
+                ("cached".to_string(), Value::Bool(cached)),
+                ("plan".to_string(), plan.clone()),
+            ]
+        };
+        let platform = Platform::new(3, 1 << 30, 12e9).unwrap();
+        let fault = PlatformFault::GpuLoss { count: 1 };
+        for cached in [false, true] {
+            assert_eq!(
+                plan_response(&plan, cached),
+                Value::Object(envelope(cached)).to_string_compact()
+            );
+            let replan = replan_response(&fault, &platform, &plan, !cached, &plan, cached);
+            let Value::Object(mut fields) = Value::parse(&replan).unwrap() else {
+                panic!("{replan}")
+            };
+            let tail = fields.pop().expect("a replan field");
+            assert_eq!(tail.0, "replan");
+            assert_eq!(fields, envelope(cached));
+            let mut tree = envelope(cached);
+            tree.push(tail);
+            assert_eq!(replan, Value::Object(tree).to_string_compact());
+        }
     }
 }

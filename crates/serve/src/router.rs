@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 use madpipe_json::Value;
 use madpipe_obs::Registry;
 
+use crate::journal::fnv1a;
 use crate::protocol::{
     error_response, inject_context, ok_response, parse_line, Request, ServeError, TraceContext,
 };
@@ -258,17 +259,6 @@ impl Breaker {
             BreakerState::HalfOpen { .. } => "half_open",
         }
     }
-}
-
-/// 64-bit FNV-1a — the same cheap, dependency-free hash the plan cache
-/// shards with. Ring placement only needs uniformity, not cryptography.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A consistent-hash ring: each backend contributes `vnodes` points,
