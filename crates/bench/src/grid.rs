@@ -145,9 +145,9 @@ impl CellResult {
         self.stats.dp.solves
     }
 
-    /// Probes answered without a solve (outcome cache + monotone bound).
+    /// Probes answered without a solve (the outcome cache).
     pub fn dp_probes_saved(&self) -> usize {
-        self.stats.dp.probes_saved()
+        self.stats.dp.outcome_hits
     }
 
     /// Memoized DP states created across this cell's solves.

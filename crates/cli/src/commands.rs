@@ -543,28 +543,26 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             stats.dp.memo_hits, stats.dp.load_prunes, stats.dp.memory_prunes
         );
         println!(
-            "  {:<12} {:>12} {:>8} {:>12} {:>8} {:>10}",
-            "probe", "T-hat ms", "special", "period ms", "states", "answer"
+            "  {:<12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>10}",
+            "probe", "T-hat ms", "special", "period ms", "cap ms", "states", "answer"
         );
         for p in &stats.probes {
-            let answer = if p.cached {
-                "cached"
-            } else if p.pruned {
-                "pruned"
-            } else {
-                "solved"
-            };
+            let answer = if p.cached { "cached" } else { "solved" };
             let period = if p.period.is_finite() {
                 format!("{:.3}", p.period * 1e3)
             } else {
                 "inf".to_string()
             };
+            let cap = p
+                .cap
+                .map_or_else(|| "-".to_string(), |c| format!("{:.3}", c * 1e3));
             println!(
-                "  {:<12} {:>12.3} {:>8} {:>12} {:>8} {:>10}",
+                "  {:<12} {:>12.3} {:>8} {:>12} {:>12} {:>8} {:>10}",
                 p.source.to_string(),
                 p.t_hat * 1e3,
                 p.use_special,
                 period,
+                cap,
                 p.states,
                 answer
             );

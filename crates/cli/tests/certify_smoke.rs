@@ -126,7 +126,14 @@ fn plan_artifacts_validate(name: &str, instance: &[&str], spans: &str) {
         &metrics,
     ]);
     let text = std::fs::read_to_string(&stats).expect("stats JSON written");
-    Value::parse(&text).expect("stats JSON parses");
+    let json = Value::parse(&text).expect("stats JSON parses");
+    // The DP cap counters are exported everywhere, a zero miss count too.
+    let dp = json.field("dp").expect("dp counters");
+    assert_eq!(dp.field("cap_misses").unwrap().as_u64().unwrap(), 0);
+    assert!(dp.field("capped").unwrap().as_u64().unwrap() > 0);
+    let prom = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(prom.contains("\nmadpipe_dp_cap_misses 0\n"), "{prom}");
+    assert!(prom.contains("\nmadpipe_dp_capped "), "{prom}");
     std::fs::remove_dir_all(&dir).expect("remove artifact dir");
 }
 

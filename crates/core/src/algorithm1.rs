@@ -1,14 +1,27 @@
 //! Algorithm 1: the modified binary search over the target period `T̂`.
 //!
-//! `MadPipe-DP(T̂)` is non-increasing in `T̂` (a larger target stores
-//! fewer activations, relaxing the memory constraints), while any
-//! schedule of the produced allocation needs a period of at least `T̂`
-//! for its memory estimates to hold. The best target therefore minimizes
-//! `max(MadPipe-DP(T̂), T̂)`; with `T = MadPipe-DP(T̂)`, `min(T, T̂)`
-//! lower-bounds and `max(T, T̂)` upper-bounds that optimum, giving the
-//! bisection below (the paper's Algorithm 1; the pseudocode's line 7
-//! reuses the *raw* DP value in `min(T_i, T̂_i)` — after line 6's
-//! overwrite the minimum would always equal `T̂_i`).
+//! The paper's argument: `MadPipe-DP(T̂)` is non-increasing in `T̂` (a
+//! larger target stores fewer activations, relaxing the memory
+//! constraints), while any schedule of the produced allocation needs a
+//! period of at least `T̂` for its memory estimates to hold. The best
+//! target therefore minimizes `max(MadPipe-DP(T̂), T̂)`; with
+//! `T = MadPipe-DP(T̂)`, `min(T, T̂)` lower-bounds and `max(T, T̂)`
+//! upper-bounds that optimum, giving the bisection below (the paper's
+//! Algorithm 1; the pseudocode's line 7 reuses the *raw* DP value in
+//! `min(T_i, T̂_i)` — after line 6's overwrite the minimum would always
+//! equal `T̂_i`).
+//!
+//! The bisection assumes that monotonicity, as the paper does, but the
+//! discretized DP does not have it: `T̂` moves the `V` grid and the group
+//! counts `g = ⌈(V+u)/T̂⌉`, and both round. In a whole-plan differential
+//! (395 plans, 10,884 distinct probes), 156 probes returned a larger
+//! value than a smaller target of the same plan. Feasibility is not
+//! monotone either: on seed 239 of the random chains (14 layers, 5 GPUs
+//! of 1 GiB, see `dp::tests`), `T̂ = 0.09917` is feasible with period
+//! 0.05538 and the larger `T̂ = 0.10178` is infeasible. The bisection
+//! still runs as the paper wrote it (only the search order rests on the
+//! assumption), but no exactness argument may: the DP session keeps no
+//! bound derived from it.
 
 use madpipe_model::{Allocation, Chain, Platform};
 
@@ -108,9 +121,9 @@ pub fn madpipe_allocation(
 
 /// [`madpipe_allocation`] probing through a shared [`ProbeSession`], so
 /// the bisection benefits from (and feeds) the cross-probe outcome cache
-/// and infeasibility bound. `use_special` overrides the config flag — the
-/// planner runs the contiguous-fallback bisection through the same
-/// session with the special processor off.
+/// and the caps of held allocations. `use_special` overrides the config
+/// flag — the planner runs the contiguous-fallback bisection through the
+/// same session with the special processor off.
 pub fn madpipe_allocation_session(
     chain: &Chain,
     platform: &Platform,

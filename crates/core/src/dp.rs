@@ -50,6 +50,35 @@
 //! counts of *untouched* subtrees differ — and those states are simply
 //! never created).
 //!
+//! The spread and largest-layer terms are scaled by [`FLOOR_SLACK`]
+//! `= 1 − 10⁻⁴`, and the spread is capped at the `t_P` axis maximum,
+//! because the special processor's load is rounded onto its grid and
+//! [`Axis::index_up`] counts a value up to `10⁻⁹` (relative) above a grid
+//! point as *on* it. So each special step can lose up to `δ = 10⁻⁹ +
+//! 4·2⁻⁵³` of `t_P + u` (the guard, the division, the guard product and
+//! the grid product each round once, the sum once more), and a tiny
+//! stage can vanish into `t_P` altogether. Proof that the scaled bound
+//! is a true lower bound on a subtree's exact value `V`:
+//!
+//! * `t_P` never decreases along a path (`index_up` is monotone and
+//!   `index_up(value(i)) = i`), so the `t_P` term is exact;
+//! * if the path's rounded `t_P` ever reaches the axis maximum, it stays
+//!   there, and `V ≥ t_P = value(last)`: the cap on the spread covers it;
+//! * otherwise, by induction over its `m` special steps, the final
+//!   `t_P ≥ (1−δ)^m · (t_acc + Σ special loads)`. Each normal stage's
+//!   load is at most `V`, and there are at most `bins` processors, so
+//!   `bins · V ≥ (1−δ)^m · (U(0,k) + t_acc)` (recompute only adds load).
+//!   `m ≤ 65,535` (the longest chain `validate` admits) gives
+//!   `(1−δ)^m ≥ 1 − 6.56·10⁻⁵`; the rest of the slack covers the float
+//!   error of the prefix sums and the division, a few ulps;
+//! * a layer placed on a normal processor bounds `V` exactly; on the
+//!   special one its step rounds once, so `V ≥ (1−δ) · layer`.
+//!
+//! Each candidate's own `u` and `cut` stay exact. Without the slack, a
+//! floor could exceed the exact value by a few ulps and prune an optimum
+//! whose value ties a capped incumbent (below); with it, the capped and
+//! uncapped solvers both agree with the unpruned reference.
+//!
 //! # Cross-probe reuse
 //!
 //! Algorithm 1 and the planner probe the DP at many target periods `T̂`
@@ -63,12 +92,39 @@
 //!   the refinement grid and the contiguous fallback regularly revisit
 //!   the same target, and a revisit (reconstructed allocation included)
 //!   costs one hash lookup instead of a full solve;
-//! * the **monotone infeasibility bound**: `MadPipe-DP(T̂)` is
-//!   non-increasing in `T̂` (the same fact Algorithm 1's bisection relies
-//!   on — see `crate::algorithm1`), so a target proven infeasible makes
-//!   every smaller target infeasible without solving. The bound is kept
-//!   per `use_special` flag because the two DP variants explore
-//!   different feasible sets.
+//! * the **cap**: every distinct allocation the session already holds
+//!   for the same DP variant. A new target's solve replays each of them
+//!   through the recurrence at the new `T̂` ([`Dp::path_value`], with the
+//!   very [`Dp::step`] that [`Dp::reconstruct`] uses), and the smallest
+//!   replayed value `C` upper-bounds `MadPipe-DP(T̂)`, because the replay
+//!   is one of the paths the DP minimizes over. Every state's incumbent
+//!   then starts at `C⁺ = C.next_up()` instead of `∞`, so
+//!   branch-and-bound skips every subtree that cannot reach `C`.
+//!
+//! Why the capped solve is exact, by induction over the memo (`v*` is a
+//! state's exact value, the uncapped solve's answer):
+//!
+//! 1. a state with `v* ≤ C` computes `v*` and makes the same choice as an
+//!    uncapped solve: the first candidate in scan order to reach `v*`.
+//!    Every candidate before it computes to more than `v*`: exactly its
+//!    own value if that is `≤ C`, otherwise at least `C⁺`. The chosen
+//!    candidate's child has value `≤ C`, so it falls under (1) too, and
+//!    no prune skips the candidate: every floor is a true lower bound
+//!    (above), so it is `≤ v* <` the incumbent;
+//! 2. every other state computes to at least `C⁺`.
+//!
+//! Some path attains `C`, so the root has `v* ≤ C` and falls under (1):
+//! its value, and every choice [`Dp::reconstruct`] follows from it, are
+//! those of the uncapped solve. A root above `C` would therefore mean a
+//! bug; the session then re-solves uncapped, counts a `dp.cap_misses`,
+//! and returns the uncapped result, so exactness never rests on the cap
+//! alone. An uncapped solve is the same code with `C = ∞`.
+//!
+//! Caps come only from shards absorbed before a batch, so a batch's
+//! caps, states and counters are the same for every thread count.
+//! `MadPipe-DP(T̂)` is *not* monotone in `T̂` (see `crate::algorithm1`),
+//! so neither the value at a smaller target nor a larger infeasible
+//! target bounds anything: the session keeps no such bound.
 //!
 //! [`ProbeSession::probe_many`] evaluates independent targets on a
 //! scoped thread pool; results are merged in submission order, so the
@@ -103,16 +159,6 @@ pub struct DpOutcome {
     pub allocation: Option<Allocation>,
     /// Number of distinct memoized states of the solve.
     pub states: usize,
-}
-
-impl DpOutcome {
-    fn infeasible() -> Self {
-        Self {
-            period: f64::INFINITY,
-            allocation: None,
-            states: 0,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,6 +335,17 @@ impl DenseMemo {
     fn len(&self) -> usize {
         self.filled
     }
+
+    /// Forget every entry, keeping the allocations. A memo never
+    /// touched is left alone (its row table may still be untouched
+    /// zeroed pages).
+    fn clear(&mut self) {
+        if !self.arena.is_empty() {
+            self.rows.fill(0);
+            self.arena.clear();
+            self.filled = 0;
+        }
+    }
 }
 
 /// Per-`(k, l)` stage costs hoisted out of the DP inner loop, shared by
@@ -371,6 +428,10 @@ impl StageTables {
 struct Shard {
     t_hat: f64,
     use_special: bool,
+    /// The cap the solve ran under (`None` when uncapped).
+    cap: Option<f64>,
+    /// The capped root came out above the cap and was re-solved uncapped.
+    cap_missed: bool,
     memo_hits: u64,
     load_prunes: u64,
     memory_prunes: u64,
@@ -382,8 +443,6 @@ struct Shard {
 enum Resolution {
     /// Served from a shard absorbed before this batch.
     Cached(usize),
-    /// Killed by the monotone infeasibility bound.
-    Pruned,
     /// Solved in this batch (index into the batch's pending list).
     Solved(usize),
     /// Duplicate of a target solved earlier in this batch.
@@ -411,8 +470,9 @@ pub struct ProbeSession<'a> {
     shards: Vec<Shard>,
     /// `(T̂ bits, use_special)` → shard index.
     index: FxHashMap<(u64, bool), usize>,
-    /// Largest target proven infeasible, per `use_special` flag.
-    max_infeasible: [Option<f64>; 2],
+    /// Per `use_special` flag, the shards holding each distinct feasible
+    /// allocation (first holder): the paths a new solve's cap replays.
+    held: [Vec<usize>; 2],
     /// The session's metrics: every counter behind [`DpStats`] plus the
     /// per-solve timing/state histograms. Bumped only on the absorbing
     /// (main) thread, so values are bit-identical across thread counts.
@@ -468,7 +528,7 @@ impl<'a> ProbeSession<'a> {
             tables: StageTables::new(chain),
             shards: Vec::new(),
             index: FxHashMap::default(),
-            max_infeasible: [None, None],
+            held: [Vec::new(), Vec::new()],
             registry: Registry::new(),
             records: Vec::new(),
             arena_hint: std::sync::atomic::AtomicUsize::new(0),
@@ -521,10 +581,11 @@ impl<'a> ProbeSession<'a> {
     }
 
     /// Probe the DP at several independent targets, solving uncached ones
-    /// on up to `threads` scoped workers. Outcomes keep the input order
+    /// on up to `threads` scoped workers, each under the cap of the
+    /// allocations held before the batch. Outcomes keep the input order
     /// and the session ends up in the same state as `threads = 1` — the
-    /// solves are pure functions of `(chain, platform, T̂)` and are merged
-    /// in submission order.
+    /// solves are pure functions of `(chain, platform, T̂)` and the
+    /// session's earlier shards, and are merged in submission order.
     pub fn probe_many(
         &mut self,
         targets: &[f64],
@@ -543,8 +604,6 @@ impl<'a> ProbeSession<'a> {
         for &t_hat in targets {
             if let Some(&i) = self.index.get(&(t_hat.to_bits(), use_special)) {
                 resolutions.push(Resolution::Cached(i));
-            } else if self.max_infeasible[use_special as usize].is_some_and(|b| t_hat <= b) {
-                resolutions.push(Resolution::Pruned);
             } else if let Some(&j) = pending_index.get(&t_hat.to_bits()) {
                 resolutions.push(Resolution::Duplicate(j));
             } else {
@@ -569,63 +628,34 @@ impl<'a> ProbeSession<'a> {
         // Emit outcomes and the timeline in target order.
         let mut out = Vec::with_capacity(targets.len());
         for (&t_hat, resolution) in targets.iter().zip(&resolutions) {
-            let (outcome, states, cached, pruned, secs) = match *resolution {
-                Resolution::Cached(i) => {
-                    let shard = &self.shards[i];
-                    self.registry.inc(counters::DP_OUTCOME_HITS);
-                    self.registry
-                        .add(counters::DP_STATES_REUSED, shard.outcome.states as u64);
-                    (
-                        shard.outcome.clone(),
-                        shard.outcome.states,
-                        true,
-                        false,
-                        0.0,
-                    )
-                }
-                Resolution::Pruned => {
-                    self.registry.inc(counters::DP_BOUND_PRUNES);
-                    (DpOutcome::infeasible(), 0, false, true, 0.0)
-                }
-                Resolution::Solved(j) => {
-                    let shard = &self.shards[first_new_shard + j];
-                    self.registry
-                        .observe(counters::DP_SOLVE_SECONDS, seconds[j]);
-                    self.registry
-                        .observe(counters::DP_SOLVE_STATES, shard.outcome.states as f64);
-                    (
-                        shard.outcome.clone(),
-                        shard.outcome.states,
-                        false,
-                        false,
-                        seconds[j],
-                    )
-                }
-                Resolution::Duplicate(j) => {
-                    let shard = &self.shards[first_new_shard + j];
-                    self.registry.inc(counters::DP_OUTCOME_HITS);
-                    self.registry
-                        .add(counters::DP_STATES_REUSED, shard.outcome.states as u64);
-                    (
-                        shard.outcome.clone(),
-                        shard.outcome.states,
-                        true,
-                        false,
-                        0.0,
-                    )
-                }
+            let (shard, solved_secs) = match *resolution {
+                Resolution::Cached(i) => (&self.shards[i], None),
+                Resolution::Solved(j) => (&self.shards[first_new_shard + j], Some(seconds[j])),
+                Resolution::Duplicate(j) => (&self.shards[first_new_shard + j], None),
             };
+            let states = shard.outcome.states;
+            match solved_secs {
+                Some(secs) => {
+                    self.registry.observe(counters::DP_SOLVE_SECONDS, secs);
+                    self.registry
+                        .observe(counters::DP_SOLVE_STATES, states as f64);
+                }
+                None => {
+                    self.registry.inc(counters::DP_OUTCOME_HITS);
+                    self.registry.add(counters::DP_STATES_REUSED, states as u64);
+                }
+            }
             self.records.push(ProbeRecord {
                 source,
                 t_hat,
                 use_special,
-                period: outcome.period,
+                period: shard.outcome.period,
                 states,
-                cached,
-                pruned,
-                seconds: secs,
+                cached: solved_secs.is_none(),
+                cap: solved_secs.and(shard.cap),
+                seconds: solved_secs.unwrap_or(0.0),
             });
-            out.push(outcome);
+            out.push(shard.outcome.clone());
         }
         out
     }
@@ -678,13 +708,28 @@ impl<'a> ProbeSession<'a> {
             .collect()
     }
 
-    /// One full DP solve at `t_hat`. Pure: reads only the shared session
-    /// state, so independent solves can run concurrently.
+    /// One full DP solve at `t_hat`, capped by the allocations the
+    /// session held before this batch. Pure: reads only the shared
+    /// session state, so independent solves can run concurrently.
     fn run_solve(&self, t_hat: f64, use_special: bool) -> Shard {
         let mut sp = madpipe_obs::span("dp.solve");
+        let dp = self.dp(t_hat, use_special);
+        let cap = self.held[use_special as usize]
+            .iter()
+            .filter_map(|&i| self.shards[i].outcome.allocation.as_ref())
+            .map(|alloc| dp.path_value(alloc))
+            .fold(f64::INFINITY, f64::min);
         if let Some(sp) = sp.as_mut() {
             sp.arg("t_hat", t_hat);
+            if cap.is_finite() {
+                sp.arg("cap", cap);
+            }
         }
+        self.solve_under(dp, cap)
+    }
+
+    /// A fresh solver at `t_hat` over the session's shared tables.
+    fn dp(&self, t_hat: f64, use_special: bool) -> Dp<'_> {
         let p_normal = if use_special {
             self.platform.n_gpus - 1
         } else {
@@ -715,14 +760,23 @@ impl<'a> ProbeSession<'a> {
             RecomputeMode::Auto => 2,
             _ => 1,
         };
-        let mut dp = Dp {
+        Dp {
             platform: self.platform,
             t_hat,
             use_special,
+            root: State {
+                l: self.chain.len(),
+                p: p_normal,
+                it: 0,
+                im: 0,
+                iv: 0,
+            },
+            ceiling: f64::INFINITY,
             policy: self.policy,
             w_mult: self.policy.weights.multiplier(),
             n_pol,
             t_axis: &self.t_axis,
+            t_top: self.t_axis.value((self.t_axis.len() - 1) as u16),
             m_axis: &self.m_axis,
             v_axis: Axis::new(self.v_max.max(t_hat), self.disc.v_points),
             cut_times: &self.cut_times,
@@ -737,10 +791,20 @@ impl<'a> ProbeSession<'a> {
             load_prunes: 0,
             memory_prunes: 0,
             branch_prunes: 0,
-        };
-        let period = dp.solve(self.chain.len(), p_normal, 0, 0, 0);
+        }
+    }
+
+    /// Solve `dp` under `cap` (`∞` for an uncapped solve) and reconstruct
+    /// its allocation. A root above a finite cap is a fault: the target
+    /// is re-solved uncapped and the shard says so.
+    fn solve_under(&self, mut dp: Dp<'_>, cap: f64) -> Shard {
+        let mut period = dp.solve_root(cap);
+        let cap_missed = period > cap;
+        if cap_missed {
+            period = dp.solve_root(f64::INFINITY);
+        }
         let allocation = if period.is_finite() {
-            dp.reconstruct(self.chain.len(), p_normal)
+            dp.reconstruct()
         } else {
             None
         };
@@ -748,8 +812,10 @@ impl<'a> ProbeSession<'a> {
         self.arena_hint
             .fetch_max(dp.memo.arena.len(), std::sync::atomic::Ordering::Relaxed);
         Shard {
-            t_hat,
-            use_special,
+            t_hat: dp.t_hat,
+            use_special: dp.use_special,
+            cap: cap.is_finite().then_some(cap),
+            cap_missed,
             memo_hits: dp.memo_hits,
             load_prunes: dp.load_prunes,
             memory_prunes: dp.memory_prunes,
@@ -762,8 +828,8 @@ impl<'a> ProbeSession<'a> {
         }
     }
 
-    /// Merge a solved shard into the session (counters, infeasibility
-    /// bound, outcome cache).
+    /// Merge a solved shard into the session (counters, held
+    /// allocations, outcome cache).
     fn absorb(&mut self, shard: Shard) {
         self.registry.inc(counters::DP_SOLVES);
         self.registry
@@ -775,9 +841,19 @@ impl<'a> ProbeSession<'a> {
             .add(counters::DP_MEMORY_PRUNES, shard.memory_prunes);
         self.registry
             .add(counters::DP_BRANCH_PRUNES, shard.branch_prunes);
-        if shard.outcome.period.is_infinite() {
-            let bound = &mut self.max_infeasible[shard.use_special as usize];
-            *bound = Some(bound.map_or(shard.t_hat, |b| b.max(shard.t_hat)));
+        self.registry
+            .add(counters::DP_CAPPED, shard.cap.is_some() as u64);
+        self.registry
+            .add(counters::DP_CAP_MISSES, shard.cap_missed as u64);
+        if let Some(alloc) = &shard.outcome.allocation {
+            let shards = &self.shards;
+            let held = &mut self.held[shard.use_special as usize];
+            if !held
+                .iter()
+                .any(|&i| shards[i].outcome.allocation.as_ref() == Some(alloc))
+            {
+                held.push(shards.len());
+            }
         }
         self.index.insert(
             (shard.t_hat.to_bits(), shard.use_special),
@@ -802,10 +878,31 @@ const MODE_NEVER: u8 = 0;
 const MODE_ALWAYS: u8 = 1;
 const MODE_AUTO: u8 = 2;
 
+/// Relative slack of the two subtree-bound terms that sum loads the
+/// special processor may have rounded down; the module docs
+/// ("Branch-and-bound pruning") prove it covers 65,535 special steps.
+const FLOOR_SLACK: f64 = 1.0 - 1e-4;
+
+/// A DP state's grid coordinates: `l` layers left, `p` normal GPUs left,
+/// and the `t_P`, `m_P` and `V` grid indices.
+#[derive(Debug, Clone, Copy)]
+struct State {
+    l: usize,
+    p: usize,
+    it: u16,
+    im: u16,
+    iv: u16,
+}
+
 struct Dp<'a> {
     platform: &'a Platform,
     t_hat: f64,
     use_special: bool,
+    /// `(L, p_normal, 0, 0, 0)`: the whole chain, nothing placed yet.
+    root: State,
+    /// Every state's starting incumbent: `C.next_up()` under a cap `C`,
+    /// `∞` uncapped (see the module docs, "Cross-probe reuse").
+    ceiling: f64,
     /// The session's solve-level policy configuration.
     policy: PolicySpec,
     /// Weight bytes multiplier (`3` full versioning, `2` 2BW) applied to
@@ -815,6 +912,8 @@ struct Dp<'a> {
     /// effective load), 1 under the fixed modes.
     n_pol: usize,
     t_axis: &'a Axis,
+    /// The `t_P` axis's last grid value, where a rounded load clamps.
+    t_top: f64,
     m_axis: &'a Axis,
     v_axis: Axis,
     cut_times: &'a [f64],
@@ -844,9 +943,11 @@ impl Dp<'_> {
     /// 1F1B* load argument: the remaining compute `U(0, k)` plus the
     /// already-accumulated special load must be carried by at most
     /// `p` normal processors and the special one, no stage can beat its
-    /// largest layer, and the special load itself only ever rounds up.
-    /// Exact (a true lower bound), so branch-and-bound on it never
-    /// changes any DP value.
+    /// largest layer, and the special load never decreases. The first
+    /// two terms carry [`FLOOR_SLACK`] (and the spread stops at the
+    /// `t_P` axis maximum) for the special load's round-downs, which
+    /// makes the bound a true lower bound (proof in the module docs), so
+    /// branch-and-bound on it never changes any DP value.
     #[inline]
     fn subtree_bound(&self, k: usize, p: usize, t_acc: f64) -> f64 {
         if k == 0 {
@@ -858,7 +959,103 @@ impl Dp<'_> {
             return f64::INFINITY;
         }
         let spread = (self.tables.u_prefix[k] + t_acc) / bins as f64;
-        spread.max(self.tables.max_layer_prefix[k]).max(t_acc)
+        (spread * FLOOR_SLACK)
+            .min(self.t_top)
+            .max(self.tables.max_layer_prefix[k] * FLOOR_SLACK)
+            .max(t_acc)
+    }
+
+    /// Solve from the root with every state's incumbent starting at
+    /// `cap.next_up()` (`∞` when `cap` is), on a cleared memo. The
+    /// transition caches do not depend on the cap and are kept.
+    fn solve_root(&mut self, cap: f64) -> f64 {
+        self.memo.clear();
+        self.ceiling = cap.next_up();
+        let State { l, p, it, im, iv } = self.root;
+        self.solve_uncached(l, p, it, im, iv)
+    }
+
+    /// Take stage `[k, s.l)` from state `s` exactly as the solver does:
+    /// the stage's effective load `u` (with its recompute flag),
+    /// `g = ⌈(V+u)/T̂⌉` and the ⊕ round-up of `V`, then the memory test
+    /// of the processor it goes to. A normal stage needs
+    /// `w·W + g·live + static + buffers ≤ M` and uses up one of the `p`
+    /// normal GPUs; a special one tests the rounded-up `m_P` and rounds
+    /// `t_P` and `m_P` up. Returns the step's own period term (`max(u,
+    /// cut)` on a normal GPU, `max(t_P', cut)` on the special one) and
+    /// the next state, or `None` when the memory test fails.
+    fn step(&self, s: State, k: usize, special: bool, rec: bool) -> Option<(f64, State)> {
+        let i = s.l * self.tables.stride + k;
+        let mut u = self.tables.u[i];
+        if rec {
+            u += self.tables.fwd[i];
+        }
+        let cut = self.cut_times[k];
+        let v_val = self.v_axis.value(s.iv);
+        let g = ceil_div(v_val + u, self.t_hat).max(1);
+        let iv = self
+            .v_axis
+            .index_up(oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat));
+        let stored = self.tables.stored[i];
+        let a_in = self.tables.a_in[k];
+        let (live, static_extra) = if rec {
+            (a_in, stored - a_in)
+        } else {
+            (stored, 0)
+        };
+        let weights = self.w_mult * self.tables.weights[i];
+        let buffers = self.tables.buffers[i];
+        let memory = self.platform.memory_bytes;
+        if special {
+            let m_next = self.m_axis.value(s.im)
+                + (weights + (g - 1) * live + static_extra + buffers) as f64;
+            if !self.use_special || self.m_axis.overflows(m_next) || m_next > memory as f64 {
+                return None;
+            }
+            let it = self.t_axis.index_up(self.t_axis.value(s.it) + u);
+            let im = self.m_axis.index_up(m_next);
+            let next = State {
+                l: k,
+                it,
+                im,
+                iv,
+                ..s
+            };
+            Some((self.t_axis.value(it).max(cut), next))
+        } else {
+            if s.p == 0 || weights + g * live + static_extra + buffers > memory {
+                return None;
+            }
+            let next = State {
+                l: k,
+                p: s.p - 1,
+                iv,
+                ..s
+            };
+            Some((u.max(cut), next))
+        }
+    }
+
+    /// The value this solve's recurrence gives `alloc`'s path at `T̂`:
+    /// the max of every [`Self::step`]'s term and the final `t_P`, or `∞`
+    /// when a step's memory test fails. The DP minimizes over this path
+    /// among others, so `MadPipe-DP(T̂)` is at most this value.
+    fn path_value(&self, alloc: &Allocation) -> f64 {
+        let mut s = self.root;
+        let mut value = 0.0f64;
+        for stage in alloc.stages().iter().rev() {
+            debug_assert_eq!(stage.layers.end, s.l, "stages tile the chain");
+            let special = self.use_special && stage.gpu == 0;
+            let rec = stage.policy.recomputes();
+            match self.step(s, stage.layers.start, special, rec) {
+                Some((term, next)) => {
+                    value = value.max(term);
+                    s = next;
+                }
+                None => return f64::INFINITY,
+            }
+        }
+        value.max(self.t_axis.value(s.it))
     }
 
     /// `(g, iv_next)` for extending the plan with stage `k..l` from delay
@@ -908,12 +1105,6 @@ impl Dp<'_> {
         self.solve_uncached(l, p, it, im, iv)
     }
 
-    /// Root entry point — identical to [`Self::child`], kept under the
-    /// conventional name for the callers outside the hot loop.
-    fn solve(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
-        self.child(l, p, it, im, iv)
-    }
-
     /// Evaluate a state known to be absent from the memo. One-time
     /// dispatch into the mode-monomorphized body: the recompute stance
     /// is fixed for a whole session, so baking it in as a const lets
@@ -961,8 +1152,9 @@ impl Dp<'_> {
         // prefix, per branch), constant across the candidate scan.
         let bins_n = (p + self.use_special as usize).saturating_sub(1) as f64;
         let bins_s = (p + self.use_special as usize) as f64;
+        let t_top = self.t_top;
 
-        let mut best = f64::INFINITY;
+        let mut best = self.ceiling;
         let mut choice = Choice::Infeasible;
 
         // Policy facts as consts of the monomorphized mode: the
@@ -1052,8 +1244,9 @@ impl Dp<'_> {
                     } else if bins_n == 0.0 {
                         f64::INFINITY
                     } else {
-                        ((u_prefix[k] + t_val) / bins_n)
-                            .max(max_layer_prefix[k])
+                        ((u_prefix[k] + t_val) / bins_n * FLOOR_SLACK)
+                            .min(t_top)
+                            .max(max_layer_prefix[k] * FLOOR_SLACK)
                             .max(t_val)
                     };
                     debug_assert_eq!(
@@ -1093,8 +1286,9 @@ impl Dp<'_> {
                     let bound = if k == 0 {
                         t_next_val
                     } else {
-                        ((u_prefix[k] + t_next_val) / bins_s)
-                            .max(max_layer_prefix[k])
+                        ((u_prefix[k] + t_next_val) / bins_s * FLOOR_SLACK)
+                            .min(t_top)
+                            .max(max_layer_prefix[k] * FLOOR_SLACK)
                             .max(t_next_val)
                     };
                     debug_assert_eq!(
@@ -1160,82 +1354,40 @@ impl Dp<'_> {
         })
     }
 
-    /// Walk the memoized choices from the root and emit the allocation,
-    /// each stage carrying the policy of its recompute bit.
-    fn reconstruct(&self, l0: usize, p0: usize) -> Option<Allocation> {
+    /// Walk the memoized choices from the root with [`Self::step`] and
+    /// emit the allocation, each stage carrying the policy of its
+    /// recompute bit.
+    fn reconstruct(&self) -> Option<Allocation> {
         let n_gpus = self.platform.n_gpus;
         let mut stages_rev: Vec<Stage> = Vec::new();
-        let (mut l, mut p, mut it, mut im, mut iv) = (l0, p0, 0u16, 0u16, 0u16);
+        let mut s = self.root;
         let mut next_normal_gpu = n_gpus - 1; // count down; GPU 0 is special
-        loop {
-            // Terminal: the solve loop computes `k == 0` children
-            // directly, so the memo holds no `l == 0` states.
-            if l == 0 {
-                break;
-            }
-            let (_, choice) = self.memo.get(l, p, it, im, iv)?;
-            let row = l * self.tables.stride;
-            match choice {
+                                              // Terminal: the solve loop computes `k == 0` children directly,
+                                              // so the memo holds no `l == 0` states.
+        while s.l > 0 {
+            let (_, choice) = self.memo.get(s.l, s.p, s.it, s.im, s.iv)?;
+            let (k, special, recompute) = match choice {
                 Choice::Infeasible => return None,
                 Choice::Done => break,
-                Choice::Normal { k: k16, recompute } => {
-                    let k = k16 as usize;
-                    stages_rev.push(Stage {
-                        layers: k..l,
-                        gpu: next_normal_gpu,
-                        policy: self.stage_policy(recompute),
-                    });
-                    next_normal_gpu = next_normal_gpu.saturating_sub(1);
-                    let v_val = self.v_axis.value(iv);
-                    let mut u = self.tables.u[row + k];
-                    if recompute {
-                        u += self.tables.fwd[row + k];
-                    }
-                    let cut = self.cut_times[k];
-                    iv = self
-                        .v_axis
-                        .index_up(oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat));
-                    l = k;
-                    p -= 1;
-                }
-                Choice::Special { k: k16, recompute } => {
-                    let k = k16 as usize;
-                    stages_rev.push(Stage {
-                        layers: k..l,
-                        gpu: 0,
-                        policy: self.stage_policy(recompute),
-                    });
-                    let v_val = self.v_axis.value(iv);
-                    let t_val = self.t_axis.value(it);
-                    let m_val = self.m_axis.value(im);
-                    let mut u = self.tables.u[row + k];
-                    if recompute {
-                        u += self.tables.fwd[row + k];
-                    }
-                    let g = ceil_div(v_val + u, self.t_hat).max(1);
-                    let cut = self.cut_times[k];
-                    let stored = self.tables.stored[row + k];
-                    let a_in = self.tables.a_in[k];
-                    let (live, static_extra) = if recompute {
-                        (a_in, stored - a_in)
-                    } else {
-                        (stored, 0)
-                    };
-                    let stage_mem = self.w_mult * self.tables.weights[row + k]
-                        + (g - 1) * live
-                        + static_extra
-                        + self.tables.buffers[row + k];
-                    it = self.t_axis.index_up(t_val + u);
-                    im = self.m_axis.index_up(m_val + stage_mem as f64);
-                    iv = self
-                        .v_axis
-                        .index_up(oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat));
-                    l = k;
-                }
-            }
+                Choice::Normal { k, recompute } => (k as usize, false, recompute),
+                Choice::Special { k, recompute } => (k as usize, true, recompute),
+            };
+            let gpu = if special {
+                0
+            } else {
+                let gpu = next_normal_gpu;
+                next_normal_gpu = next_normal_gpu.saturating_sub(1);
+                gpu
+            };
+            stages_rev.push(Stage {
+                layers: k..s.l,
+                gpu,
+                policy: self.stage_policy(recompute),
+            });
+            s = self.step(s, k, special, recompute)?.1;
         }
         stages_rev.reverse();
-        Allocation::new(stages_rev, l0, n_gpus).ok()
+        Allocation::new(stages_rev, self.root.l, n_gpus).ok()
     }
 }
 
@@ -1393,7 +1545,9 @@ mod tests {
             let one_shot = madpipe_dp(&c, &platform, t_hat, &disc());
             let probed = session.probe(t_hat, true, ProbeSource::Bisection);
             assert_eq!(probed.period, one_shot.period, "T̂ = {t_hat}");
-            assert_eq!(probed.states, one_shot.states);
+            // Later probes run under the cap of the allocations held so
+            // far, so they may create fewer states, never more.
+            assert!(probed.states <= one_shot.states, "T̂ = {t_hat}");
             assert_eq!(
                 probed.allocation.map(|a| a.stages().to_vec()),
                 one_shot.allocation.map(|a| a.stages().to_vec())
@@ -1418,21 +1572,121 @@ mod tests {
         assert_eq!(session.stats().solves, 2);
     }
 
+    /// The seed-239 instance: 14 random layers on 5 GPUs with 1 GiB each.
+    fn seed_239() -> (Chain, Platform) {
+        let cfg = madpipe_dnn::RandomChainConfig {
+            layers: 14,
+            forward_range: (0.5e-3, 5e-3),
+            weight_range: (1 << 16, 1 << 24),
+            activation_range: (1 << 20, 256 << 20),
+            cnn_profile: false,
+        };
+        let chain = madpipe_dnn::random_chain(&cfg, 239);
+        let platform = Platform::new(5, 1 << 30, 12.0 * (1u64 << 30) as f64).unwrap();
+        (chain, platform)
+    }
+
     #[test]
-    fn infeasibility_bound_prunes_smaller_targets() {
-        // Memory-hopeless at small targets: activations dominate.
-        let c = chain(&[(1.0, 1.0); 6], 1 << 20, 0);
-        let tight = Platform::new(3, 4 << 20, 1e9).unwrap();
-        let mut session = ProbeSession::new(&c, &tight, &disc());
-        let at_four = session.probe(4.0, true, ProbeSource::Bisection);
-        if at_four.period.is_infinite() {
-            let smaller = session.probe(2.0, true, ProbeSource::Bisection);
-            assert!(smaller.period.is_infinite());
-            assert_eq!(session.stats().bound_prunes, 1, "2.0 ≤ 4.0 must be pruned");
-            assert_eq!(session.stats().solves, 1);
-            // A larger target is *not* covered by the bound.
-            session.probe(50.0, true, ProbeSource::Bisection);
-            assert_eq!(session.stats().solves, 2);
+    fn an_infeasible_larger_target_does_not_answer_a_smaller_one() {
+        // DP feasibility is not monotone in T̂: here T̂₅₈ is infeasible and
+        // the smaller T̂₅₆ is feasible. A session that has solved T̂₅₈ must
+        // still solve T̂₅₆, and agree with a fresh solve bit for bit.
+        let (c, platform) = seed_239();
+        let target = |i: u32| c.total_compute_time() / 5.0 * (1.0 + 0.05 * i as f64);
+        let (t56, t58) = (target(56), target(58));
+        assert_eq!(t56, 0.09916638661947808);
+        assert_eq!(t58, 0.10177602837262223);
+        let mut session = ProbeSession::new(&c, &platform, &disc());
+        assert!(session
+            .probe(t58, true, ProbeSource::Bisection)
+            .period
+            .is_infinite());
+        let probed = session.probe(t56, true, ProbeSource::Bisection);
+        assert_eq!(probed.period, 0.0553822989450276);
+        let fresh = madpipe_dp(&c, &platform, t56, &disc());
+        assert_eq!(probed.period.to_bits(), fresh.period.to_bits());
+        assert_eq!(probed.allocation, fresh.allocation);
+        assert_eq!(session.stats().solves, 2);
+    }
+
+    #[test]
+    fn a_cap_below_the_exact_value_is_caught_and_re_solved() {
+        let c = chain(
+            &[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (1.0, 1.0), (2.0, 3.0)],
+            1 << 18,
+            1 << 10,
+        );
+        let platform = Platform::new(3, 3 << 20, 1e8).unwrap();
+        let exact = madpipe_dp(&c, &platform, 5.0, &disc());
+        assert!(exact.period.is_finite());
+        let mut session = ProbeSession::new(&c, &platform, &disc());
+        let cap = exact.period * 0.9;
+        let shard = session.solve_under(session.dp(5.0, true), cap);
+        assert_eq!(shard.cap, Some(cap));
+        assert!(shard.cap_missed);
+        assert_eq!(shard.outcome.period.to_bits(), exact.period.to_bits());
+        assert_eq!(shard.outcome.allocation, exact.allocation);
+        session.absorb(shard);
+        let stats = session.stats();
+        assert_eq!((stats.capped, stats.cap_misses), (1, 1));
+        // A revisit is served from the outcome cache, exact answer and all.
+        let again = session.probe(5.0, true, ProbeSource::Refinement);
+        assert_eq!(again.period.to_bits(), exact.period.to_bits());
+    }
+
+    #[test]
+    fn held_allocations_cap_later_solves_exactly() {
+        let c = chain(
+            &[
+                (1.0, 2.0),
+                (3.0, 1.0),
+                (2.0, 2.0),
+                (1.0, 1.0),
+                (2.0, 3.0),
+                (0.5, 0.5),
+            ],
+            1 << 14,
+            1 << 9,
+        );
+        let platform = Platform::new(4, 8 << 20, 1e8).unwrap();
+        let mut session = ProbeSession::new(&c, &platform, &disc());
+        for t_hat in [3.0, 4.5, 3.5, 6.0, 3.2] {
+            let probed = session.probe(t_hat, true, ProbeSource::Bisection);
+            let fresh = madpipe_dp(&c, &platform, t_hat, &disc());
+            assert_eq!(probed.period.to_bits(), fresh.period.to_bits());
+            assert_eq!(probed.allocation, fresh.allocation);
+        }
+        let stats = session.stats();
+        assert_eq!(stats.capped, 4, "every solve after the first is capped");
+        assert_eq!(stats.cap_misses, 0);
+        let caps: Vec<_> = session.records().iter().map(|r| r.cap).collect();
+        assert!(caps[0].is_none() && caps[1..].iter().all(Option::is_some));
+        // The cap is the held path's value at the new target, so it is
+        // never below the answer.
+        for r in &session.records()[1..] {
+            assert!(r.period <= r.cap.unwrap(), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn a_path_replays_to_its_own_dp_value() {
+        // Replaying a solve's own allocation at its own target gives
+        // exactly the solve's root value: the walk and the recurrence
+        // apply the same step.
+        let c = chain(
+            &[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (1.0, 1.0), (2.0, 3.0)],
+            1 << 18,
+            1 << 10,
+        );
+        let platform = Platform::new(3, 3 << 20, 1e8).unwrap();
+        let session = ProbeSession::new(&c, &platform, &disc());
+        for (t_hat, special) in [(2.0, true), (3.5, true), (5.0, false), (8.0, true)] {
+            let shard = session.run_solve(t_hat, special);
+            let Some(alloc) = &shard.outcome.allocation else {
+                continue;
+            };
+            let replayed = session.dp(t_hat, special).path_value(alloc);
+            assert_eq!(replayed.to_bits(), shard.outcome.period.to_bits());
         }
     }
 

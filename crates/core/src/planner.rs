@@ -3,8 +3,8 @@
 //!
 //! All DP probes of one plan — the bisection, the contiguous-fallback
 //! ablation and the refinement grid — go through one shared
-//! [`ProbeSession`], so revisited targets cost a hash lookup and targets
-//! below a proven-infeasible one are answered by the monotone bound.
+//! [`ProbeSession`], so revisited targets cost a hash lookup and every
+//! new target's solve is capped by the best allocation already held.
 //! Independent work (the refinement probes and the phase-2 scheduling of
 //! distinct candidate allocations) fans out over
 //! [`PlannerConfig::threads`] scoped workers; candidates are deduplicated
@@ -373,6 +373,11 @@ pub fn madpipe_plan_with_session(
 /// registry, so machine consumers (`--metrics-out`, `--stats-json`)
 /// see one namespace alongside the DP counters.
 fn mirror_into_metrics(stats: &mut PlannerStats) {
+    // The cap counters are exported even at zero: a cap miss is a solver
+    // bug, so its absence should read as a visible 0.
+    for name in [counters::DP_CAPPED, counters::DP_CAP_MISSES] {
+        stats.metrics.bump_counter(name, 0);
+    }
     if stats.schedules_attempted > 0 {
         stats.metrics.bump_counter(
             counters::SCHEDULES_ATTEMPTED,
@@ -718,8 +723,8 @@ mod tests {
             assert_eq!(x.t_hat.to_bits(), y.t_hat.to_bits());
             assert_eq!(x.period.to_bits(), y.period.to_bits());
             assert_eq!(
-                (x.cached, x.pruned, x.states),
-                (y.cached, y.pruned, y.states)
+                (x.cached, x.cap.map(f64::to_bits), x.states),
+                (y.cached, y.cap.map(f64::to_bits), y.states)
             );
         }
     }
@@ -809,14 +814,11 @@ mod tests {
         let platform = Platform::new(3, 6 << 20, 1e9).unwrap();
         let (plan, stats) = madpipe_plan_with_stats(&c, &platform, &PlannerConfig::default());
         plan.unwrap();
-        assert_eq!(
-            stats.probes.len(),
-            stats.dp.solves + stats.dp.probes_saved()
-        );
+        assert_eq!(stats.probes.len(), stats.dp.solves + stats.dp.outcome_hits);
         assert!(stats.dp.solves > 0);
         assert!(
-            stats.dp.probes_saved() > 0,
-            "low refinement targets must be answered by the infeasibility bound: {stats:?}"
+            stats.dp.outcome_hits > 0,
+            "repeated targets must be answered by the outcome cache: {stats:?}"
         );
         assert!(stats.schedules_attempted >= stats.schedules_solved);
         assert!(stats.schedules_solved > 0);

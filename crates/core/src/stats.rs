@@ -8,9 +8,9 @@
 //! * [`DpStats`] — the named counters of the cross-probe DP session
 //!   ([`crate::dp::ProbeSession`]), derived from the registry with
 //!   [`DpStats::from_registry`]: how many DP solves actually ran, how
-//!   many probes were answered from the outcome cache or the monotone
-//!   infeasibility bound, and the memoization/prune behaviour inside the
-//!   solves that did run;
+//!   many probes were answered from the outcome cache, how many solves
+//!   ran under a cap from the session's held allocations, and the
+//!   memoization/prune behaviour inside the solves that did run;
 //! * [`PlannerStats`] — the end-to-end picture: the probe timeline (every
 //!   target period evaluated, tagged with the planner stage that asked
 //!   for it), phase wall-clock times, phase-2 scheduling and placement
@@ -26,7 +26,11 @@ use madpipe_solver::PlaceStats;
 pub mod counters {
     pub const DP_SOLVES: &str = "dp.solves";
     pub const DP_OUTCOME_HITS: &str = "dp.outcome_hits";
-    pub const DP_BOUND_PRUNES: &str = "dp.bound_prunes";
+    /// Solves run under a finite cap (the best held allocation).
+    pub const DP_CAPPED: &str = "dp.capped";
+    /// Capped solves whose root came out above the cap and were re-solved
+    /// uncapped (a bug if ever non-zero).
+    pub const DP_CAP_MISSES: &str = "dp.cap_misses";
     pub const DP_STATES_CREATED: &str = "dp.states_created";
     pub const DP_STATES_REUSED: &str = "dp.states_reused";
     pub const DP_MEMO_HITS: &str = "dp.memo_hits";
@@ -59,9 +63,13 @@ pub struct DpStats {
     pub solves: usize,
     /// Probes answered from the cross-probe outcome cache.
     pub outcome_hits: usize,
-    /// Probes answered by the monotone infeasibility bound (a target no
-    /// larger than one already proven infeasible).
-    pub bound_prunes: usize,
+    /// Solves run under a finite cap from the allocations the session
+    /// already held.
+    pub capped: usize,
+    /// Capped solves whose root exceeded the cap and were re-solved
+    /// uncapped. The cap is a proven bound, so this stays 0 unless the
+    /// solver has a bug.
+    pub cap_misses: usize,
     /// Distinct memoized states created across all solves.
     pub states_created: u64,
     /// States of the solves whose outcomes the outcome cache served
@@ -85,7 +93,8 @@ impl DpStats {
         Self {
             solves: registry.counter(DP_SOLVES) as usize,
             outcome_hits: registry.counter(DP_OUTCOME_HITS) as usize,
-            bound_prunes: registry.counter(DP_BOUND_PRUNES) as usize,
+            capped: registry.counter(DP_CAPPED) as usize,
+            cap_misses: registry.counter(DP_CAP_MISSES) as usize,
             states_created: registry.counter(DP_STATES_CREATED),
             states_reused: registry.counter(DP_STATES_REUSED),
             memo_hits: registry.counter(DP_MEMO_HITS),
@@ -99,18 +108,14 @@ impl DpStats {
     pub fn merge(&mut self, other: &DpStats) {
         self.solves += other.solves;
         self.outcome_hits += other.outcome_hits;
-        self.bound_prunes += other.bound_prunes;
+        self.capped += other.capped;
+        self.cap_misses += other.cap_misses;
         self.states_created += other.states_created;
         self.states_reused += other.states_reused;
         self.memo_hits += other.memo_hits;
         self.load_prunes += other.load_prunes;
         self.memory_prunes += other.memory_prunes;
         self.branch_prunes += other.branch_prunes;
-    }
-
-    /// Probes answered without running a DP solve.
-    pub fn probes_saved(&self) -> usize {
-        self.outcome_hits + self.bound_prunes
     }
 }
 
@@ -150,9 +155,9 @@ pub struct ProbeRecord {
     pub states: usize,
     /// Answered from the cross-probe outcome cache (no solve ran).
     pub cached: bool,
-    /// Answered by the monotone infeasibility bound (no solve ran).
-    pub pruned: bool,
-    /// Wall-clock seconds spent answering (≈ 0 for cached/pruned).
+    /// The cap the solve ran under (`None` when uncapped or cached).
+    pub cap: Option<f64>,
+    /// Wall-clock seconds spent answering (≈ 0 for cached).
     pub seconds: f64,
 }
 
@@ -210,13 +215,14 @@ impl PlannerStats {
     /// One-line summary suitable for CLI output.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "probes {} ({} solved, {} cached, {} pruned), states {} (+{} reused), \
+            "probes {} ({} solved, {} cached, {} capped, {} cap misses), states {} (+{} reused), \
              schedules {}/{} ({} cut), place {} calls ({} exhausted, {} floored, {} nodes, \
              {} leaves), {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
             self.dp.outcome_hits,
-            self.dp.bound_prunes,
+            self.dp.capped,
+            self.dp.cap_misses,
             self.dp.states_created,
             self.dp.states_reused,
             self.schedules_solved,
@@ -268,7 +274,7 @@ impl PlannerStats {
                 ),
                 ("states".into(), Value::UInt(p.states as u64)),
                 ("cached".into(), Value::Bool(p.cached)),
-                ("pruned".into(), Value::Bool(p.pruned)),
+                ("cap".into(), p.cap.map_or(Value::Null, Value::Float)),
                 ("seconds".into(), Value::Float(p.seconds)),
             ])
         };
@@ -281,10 +287,8 @@ impl PlannerStats {
                         "outcome_hits".into(),
                         Value::UInt(self.dp.outcome_hits as u64),
                     ),
-                    (
-                        "bound_prunes".into(),
-                        Value::UInt(self.dp.bound_prunes as u64),
-                    ),
+                    ("capped".into(), Value::UInt(self.dp.capped as u64)),
+                    ("cap_misses".into(), Value::UInt(self.dp.cap_misses as u64)),
                     ("states_created".into(), Value::UInt(self.dp.states_created)),
                     ("states_reused".into(), Value::UInt(self.dp.states_reused)),
                     ("memo_hits".into(), Value::UInt(self.dp.memo_hits)),
@@ -353,7 +357,8 @@ mod tests {
         let mut a = DpStats {
             solves: 2,
             outcome_hits: 1,
-            bound_prunes: 0,
+            capped: 1,
+            cap_misses: 0,
             states_created: 100,
             states_reused: 40,
             memo_hits: 7,
@@ -364,7 +369,8 @@ mod tests {
         let b = DpStats {
             solves: 1,
             outcome_hits: 2,
-            bound_prunes: 3,
+            capped: 1,
+            cap_misses: 1,
             states_created: 10,
             states_reused: 0,
             memo_hits: 1,
@@ -375,10 +381,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.solves, 3);
         assert_eq!(a.outcome_hits, 3);
-        assert_eq!(a.bound_prunes, 3);
+        assert_eq!((a.capped, a.cap_misses), (2, 1));
         assert_eq!(a.states_created, 110);
         assert_eq!(a.branch_prunes, 15);
-        assert_eq!(a.probes_saved(), 6);
+        assert_eq!(a.outcome_hits, 3);
     }
 
     #[test]
@@ -388,11 +394,20 @@ mod tests {
             schedules_attempted: 5,
             schedules_solved: 3,
             schedules_cut: 1,
+            dp: DpStats {
+                solves: 28,
+                capped: 23,
+                ..DpStats::default()
+            },
             ..PlannerStats::default()
         };
         let s = stats.summary();
         assert!(s.contains("schedules 3/5 (1 cut)"));
         assert!(s.contains("4 threads"));
+        assert!(s.contains("(28 solved, 0 cached, 23 capped, 0 cap misses)"));
+        let dp = stats.to_json().field("dp").unwrap().clone();
+        assert_eq!(dp.field("capped").unwrap().as_u64().unwrap(), 23);
+        assert_eq!(dp.field("cap_misses").unwrap().as_u64().unwrap(), 0);
     }
 
     #[test]
@@ -427,11 +442,13 @@ mod tests {
         r.add(counters::DP_SOLVES, 3);
         r.add(counters::DP_STATES_CREATED, 1000);
         r.add(counters::DP_OUTCOME_HITS, 2);
-        r.add(counters::DP_BOUND_PRUNES, 1);
+        r.add(counters::DP_CAPPED, 2);
+        r.add(counters::DP_CAP_MISSES, 1);
         let dp = DpStats::from_registry(&r);
         assert_eq!(dp.solves, 3);
         assert_eq!(dp.states_created, 1000);
-        assert_eq!(dp.probes_saved(), 3);
+        assert_eq!(dp.outcome_hits, 2);
+        assert_eq!((dp.capped, dp.cap_misses), (2, 1));
         assert_eq!(dp.memo_hits, 0);
     }
 
@@ -446,7 +463,7 @@ mod tests {
                     period: 0.75,
                     states: 12,
                     cached: false,
-                    pruned: false,
+                    cap: Some(0.8),
                     seconds: 0.01,
                 },
                 ProbeRecord {
@@ -454,10 +471,10 @@ mod tests {
                     t_hat: 0.1,
                     use_special: true,
                     period: f64::INFINITY,
-                    states: 0,
+                    states: 40,
                     cached: false,
-                    pruned: true,
-                    seconds: 0.0,
+                    cap: None,
+                    seconds: 0.002,
                 },
             ],
             schedules_attempted: 2,
@@ -473,6 +490,8 @@ mod tests {
         let probes = back.field("probes").unwrap().as_array().unwrap();
         assert_eq!(probes[0].field("period").unwrap().as_f64().unwrap(), 0.75);
         assert_eq!(probes[1].field("period").unwrap(), &Value::Null);
+        assert_eq!(probes[0].field("cap").unwrap().as_f64().unwrap(), 0.8);
+        assert_eq!(probes[1].field("cap").unwrap(), &Value::Null);
         assert_eq!(
             back.field("phase_seconds")
                 .unwrap()

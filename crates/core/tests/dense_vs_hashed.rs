@@ -12,16 +12,26 @@
 //! ulp, these tests catch it: periods must match **bit for bit** and the
 //! reconstructed stage lists must be identical.
 //!
+//! The reference also covers the solve-level policies (recompute `auto`
+//! and `always`, 2BW weights), and a second family of tests runs the
+//! production DP through one [`ProbeSession`] visiting targets up and
+//! down, so every probe after the first runs under the cap of the
+//! allocations the session already holds. The reference never prunes,
+//! so these also check that the branch-and-bound floor is a true lower
+//! bound.
+//!
 //! Coverage: real profiled networks over a fig6-style platform slice,
-//! plus proptest-generated chains/platforms/targets.
+//! plus proptest-generated chains/platforms/targets/policies.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use madpipe_core::{madpipe_dp_with, oplus, Discretization};
+use madpipe_core::{madpipe_dp_with, oplus, Discretization, DpOutcome, ProbeSession, ProbeSource};
 use madpipe_dnn::{networks, GpuModel};
 use madpipe_model::util::ceil_div;
-use madpipe_model::{Chain, Layer, Platform, StagePolicy};
+use madpipe_model::{
+    ActivationPolicy, Chain, Layer, Platform, PolicySpec, RecomputeMode, StagePolicy, WeightPolicy,
+};
 
 /// Mirror of `core::discrete::Axis` (not public API): `n` points
 /// uniformly covering `[0, max]`, round-up indexing with the relative
@@ -60,13 +70,17 @@ impl RefAxis {
     }
 }
 
+/// A chosen stage: split point `k` and whether it recomputes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum RefChoice {
     Infeasible,
     Done,
-    Normal(usize),
-    Special(usize),
+    Normal(usize, bool),
+    Special(usize, bool),
 }
+
+/// A reconstructed stage: layers, GPU and recompute flag.
+type RefStage = (Range<usize>, usize, bool);
 
 /// Memo key `(l, p, it, im, iv)` — the five DP grid coordinates.
 type RefKey = (usize, usize, u16, u16, u16);
@@ -77,6 +91,7 @@ struct RefSolver<'a> {
     platform: &'a Platform,
     t_hat: f64,
     use_special: bool,
+    spec: PolicySpec,
     t_axis: RefAxis,
     m_axis: RefAxis,
     v_axis: RefAxis,
@@ -91,18 +106,26 @@ impl<'a> RefSolver<'a> {
         t_hat: f64,
         disc: &Discretization,
         use_special: bool,
+        spec: PolicySpec,
     ) -> Self {
-        let total_u = chain.total_compute_time();
+        // Recompute can add a stage's forward time to its load, so the
+        // `t_P` and `V` ranges widen by the total forward time.
+        let total = chain.total_compute_time()
+            + match spec.recompute {
+                RecomputeMode::Never => 0.0,
+                _ => chain.forward_time(0..chain.len()),
+            };
         let cut_times: Vec<f64> = (0..=chain.len())
             .map(|k| platform.cut_time(chain, k))
             .collect();
-        let v_max = total_u + cut_times.iter().sum::<f64>();
+        let v_max = total + cut_times.iter().sum::<f64>();
         Self {
             chain,
             platform,
             t_hat,
             use_special,
-            t_axis: RefAxis::new(total_u, disc.t_points),
+            spec,
+            t_axis: RefAxis::new(total, disc.t_points),
             m_axis: RefAxis::new(platform.memory_bytes as f64, disc.m_points),
             v_axis: RefAxis::new(v_max.max(t_hat), disc.v_points),
             cut_times,
@@ -128,39 +151,43 @@ impl<'a> RefSolver<'a> {
         let mut best = f64::INFINITY;
         let mut choice = RefChoice::Infeasible;
 
-        // Full scan over every split point — no load prune, no
-        // branch-and-bound, no memory early-break. Same scan direction
-        // and the same strict `<` incumbent update as the production
-        // solver, so choices (not just values) must agree.
+        // Full scan over every split point and offered activation
+        // policy (store before recompute) — no load prune, no
+        // branch-and-bound, no memory early-break. Same scan order and
+        // the same strict `<` incumbent update as the production solver,
+        // so choices (not just values) must agree.
         for k in (0..l).rev() {
-            let u = self.chain.compute_time(k..l);
-            let g = ceil_div(v_val + u, self.t_hat).max(1);
-            let cut = self.cut_times[k];
-            let v_next = oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat);
-            let iv_next = self.v_axis.index_up(v_next);
+            for &rec in self.lanes() {
+                let policy = self.policy(rec);
+                let u = self.load(k..l, rec);
+                let g = ceil_div(v_val + u, self.t_hat).max(1);
+                let cut = self.cut_times[k];
+                let v_next = oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat);
+                let iv_next = self.v_axis.index_up(v_next);
 
-            if p >= 1 && self.chain.stage_memory(k..l, g, StagePolicy::default()) <= memory {
-                let sub = self.solve(k, p - 1, it, im, iv_next);
-                let t_n = u.max(cut).max(sub);
-                if t_n < best {
-                    best = t_n;
-                    choice = RefChoice::Normal(k);
+                if p >= 1 && self.chain.stage_memory(k..l, g, policy) <= memory {
+                    let sub = self.solve(k, p - 1, it, im, iv_next);
+                    let t_n = u.max(cut).max(sub);
+                    if t_n < best {
+                        best = t_n;
+                        choice = RefChoice::Normal(k, rec);
+                    }
                 }
-            }
 
-            // The special processor pins `g - 1` copies (the deliberate
-            // under-estimate), i.e. exactly `stage_memory` at `g - 1`.
-            let m_next =
-                m_val + self.chain.stage_memory(k..l, g - 1, StagePolicy::default()) as f64;
-            if self.use_special && !self.m_axis.overflows(m_next) && m_next <= memory as f64 {
-                let it_next = self.t_axis.index_up(t_val + u);
-                let im_next = self.m_axis.index_up(m_next);
-                let t_next_val = self.t_axis.value(it_next);
-                let sub = self.solve(k, p, it_next, im_next, iv_next);
-                let t_s = t_next_val.max(cut).max(sub);
-                if t_s < best {
-                    best = t_s;
-                    choice = RefChoice::Special(k);
+                // The special processor pins `g - 1` copies (the
+                // deliberate under-estimate), i.e. exactly `stage_memory`
+                // at `g - 1`.
+                let m_next = m_val + self.chain.stage_memory(k..l, g - 1, policy) as f64;
+                if self.use_special && !self.m_axis.overflows(m_next) && m_next <= memory as f64 {
+                    let it_next = self.t_axis.index_up(t_val + u);
+                    let im_next = self.m_axis.index_up(m_next);
+                    let t_next_val = self.t_axis.value(it_next);
+                    let sub = self.solve(k, p, it_next, im_next, iv_next);
+                    let t_s = t_next_val.max(cut).max(sub);
+                    if t_s < best {
+                        best = t_s;
+                        choice = RefChoice::Special(k, rec);
+                    }
                 }
             }
         }
@@ -169,11 +196,37 @@ impl<'a> RefSolver<'a> {
         best
     }
 
+    /// The recompute flags the spec offers each stage, in scan order.
+    fn lanes(&self) -> &'static [bool] {
+        match self.spec.recompute {
+            RecomputeMode::Never => &[false],
+            RecomputeMode::Always => &[true],
+            RecomputeMode::Auto => &[false, true],
+        }
+    }
+
+    fn policy(&self, rec: bool) -> StagePolicy {
+        self.spec.stage_policy(if rec {
+            ActivationPolicy::Recompute
+        } else {
+            ActivationPolicy::Store
+        })
+    }
+
+    /// A stage's effective load: recompute runs its forward pass twice.
+    fn load(&self, range: Range<usize>, rec: bool) -> f64 {
+        let u = self.chain.compute_time(range.clone());
+        if rec {
+            u + self.chain.forward_time(range)
+        } else {
+            u
+        }
+    }
+
     /// Run from the root; returns the period and the stage list in
     /// chain order as `(layers, gpu)` with the production numbering
     /// (special = GPU 0, normal GPUs counting down from the back).
-    #[allow(clippy::type_complexity)] // one-off test-local return shape
-    fn run(&mut self) -> (f64, Option<Vec<(Range<usize>, usize)>>) {
+    fn run(&mut self) -> (f64, Option<Vec<RefStage>>) {
         let p0 = if self.use_special {
             self.platform.n_gpus - 1
         } else {
@@ -185,7 +238,7 @@ impl<'a> RefSolver<'a> {
             return (period, None);
         }
 
-        let mut stages_rev: Vec<(Range<usize>, usize)> = Vec::new();
+        let mut stages_rev: Vec<RefStage> = Vec::new();
         let (mut l, mut p, mut it, mut im, mut iv) = (l0, p0, 0u16, 0u16, 0u16);
         let mut next_normal_gpu = self.platform.n_gpus - 1;
         loop {
@@ -193,10 +246,10 @@ impl<'a> RefSolver<'a> {
             match choice {
                 RefChoice::Infeasible => return (period, None),
                 RefChoice::Done => break,
-                RefChoice::Normal(k) => {
-                    stages_rev.push((k..l, next_normal_gpu));
+                RefChoice::Normal(k, rec) => {
+                    stages_rev.push((k..l, next_normal_gpu, rec));
                     next_normal_gpu = next_normal_gpu.saturating_sub(1);
-                    let u = self.chain.compute_time(k..l);
+                    let u = self.load(k..l, rec);
                     let v_val = self.v_axis.value(iv);
                     iv = self.v_axis.index_up(oplus(
                         oplus(v_val, u, self.t_hat),
@@ -206,16 +259,16 @@ impl<'a> RefSolver<'a> {
                     l = k;
                     p -= 1;
                 }
-                RefChoice::Special(k) => {
-                    stages_rev.push((k..l, 0));
-                    let u = self.chain.compute_time(k..l);
+                RefChoice::Special(k, rec) => {
+                    stages_rev.push((k..l, 0, rec));
+                    let u = self.load(k..l, rec);
                     let v_val = self.v_axis.value(iv);
                     let t_val = self.t_axis.value(it);
                     let m_val = self.m_axis.value(im);
                     let g = ceil_div(v_val + u, self.t_hat).max(1);
                     it = self.t_axis.index_up(t_val + u);
                     im = self.m_axis.index_up(
-                        m_val + self.chain.stage_memory(k..l, g - 1, StagePolicy::default()) as f64,
+                        m_val + self.chain.stage_memory(k..l, g - 1, self.policy(rec)) as f64,
                     );
                     iv = self.v_axis.index_up(oplus(
                         oplus(v_val, u, self.t_hat),
@@ -231,8 +284,44 @@ impl<'a> RefSolver<'a> {
     }
 }
 
-/// Assert the production solver and the reference agree bit-for-bit on
-/// one `(chain, platform, T̂, use_special)` instance.
+/// Assert a production outcome and the reference agree bit-for-bit on
+/// one `(chain, platform, T̂, use_special, spec)` instance: period bits,
+/// stage layers, GPUs and policies.
+fn assert_matches_reference(
+    dense: &DpOutcome,
+    chain: &Chain,
+    platform: &Platform,
+    t_hat: f64,
+    disc: &Discretization,
+    use_special: bool,
+    spec: PolicySpec,
+) {
+    let (ref_period, ref_stages) =
+        RefSolver::new(chain, platform, t_hat, disc, use_special, spec).run();
+    assert_eq!(
+        dense.period.to_bits(),
+        ref_period.to_bits(),
+        "period diverged at T̂ = {t_hat}, special = {use_special}, {spec:?}: \
+         dense {} vs reference {ref_period}",
+        dense.period
+    );
+    let dense_stages = dense.allocation.as_ref().map(|a| {
+        a.stages()
+            .iter()
+            .map(|s| (s.layers.clone(), s.gpu, s.policy.recomputes()))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        dense_stages, ref_stages,
+        "stage lists diverged at T̂ = {t_hat}, special = {use_special}, {spec:?}"
+    );
+    if let Some(a) = &dense.allocation {
+        assert!(a.stages().iter().all(|s| s.policy.weights == spec.weights));
+    }
+}
+
+/// One-shot (uncapped) production solve against the reference under the
+/// default policy.
 fn assert_differential(
     chain: &Chain,
     platform: &Platform,
@@ -241,25 +330,45 @@ fn assert_differential(
     use_special: bool,
 ) {
     let dense = madpipe_dp_with(chain, platform, t_hat, disc, use_special);
-    let (ref_period, ref_stages) = RefSolver::new(chain, platform, t_hat, disc, use_special).run();
-    assert_eq!(
-        dense.period.to_bits(),
-        ref_period.to_bits(),
-        "period diverged at T̂ = {t_hat}, special = {use_special}: \
-         dense {} vs reference {ref_period}",
-        dense.period
-    );
-    let dense_stages = dense.allocation.map(|a| {
-        a.stages()
-            .iter()
-            .map(|s| (s.layers.clone(), s.gpu))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(
-        dense_stages, ref_stages,
-        "stage lists diverged at T̂ = {t_hat}, special = {use_special}"
-    );
+    let spec = PolicySpec::default();
+    assert_matches_reference(&dense, chain, platform, t_hat, disc, use_special, spec);
 }
+
+/// Probe `targets` in order through one production session per DP
+/// variant (so every probe after the first runs capped) and check each
+/// against the reference; the session must report no cap miss.
+fn assert_session_differential(
+    chain: &Chain,
+    platform: &Platform,
+    targets: &[f64],
+    disc: &Discretization,
+    spec: PolicySpec,
+) {
+    for use_special in [true, false] {
+        let mut session = ProbeSession::new_with_policy(chain, platform, disc, spec);
+        for &t_hat in targets {
+            let dense = session.probe(t_hat, use_special, ProbeSource::Bisection);
+            assert_matches_reference(&dense, chain, platform, t_hat, disc, use_special, spec);
+        }
+        assert_eq!(session.stats().cap_misses, 0, "{spec:?}");
+    }
+}
+
+/// The default policy, recompute `auto` and `always`, and 2BW weights.
+fn specs() -> [PolicySpec; 4] {
+    let spec = |recompute, weights| PolicySpec { recompute, weights };
+    [
+        PolicySpec::default(),
+        spec(RecomputeMode::Auto, WeightPolicy::Full),
+        spec(RecomputeMode::Always, WeightPolicy::Full),
+        spec(RecomputeMode::Never, WeightPolicy::TwoBw),
+    ]
+}
+
+/// Per-GPU-load multiples in bisection-like order: a first guess, an
+/// upper target, then halving steps down and back up, plus the tight and
+/// loose ends, so later probes land above and below held targets.
+const SESSION_FACTORS: [f64; 9] = [1.0, 3.0, 2.0, 1.5, 1.25, 1.375, 0.6, 1.1, 0.9];
 
 fn synthetic(costs: &[(f64, f64)], act: u64, w: u64) -> Chain {
     let layers = costs
@@ -350,5 +459,97 @@ proptest::proptest! {
         for special in [true, false] {
             assert_differential(&chain, &platform, t_hat, &disc, special);
         }
+    }
+}
+
+#[test]
+fn capped_session_probes_match_bit_for_bit_on_a_profiled_network() {
+    let chain = networks::by_name("resnet50")
+        .unwrap()
+        .profile(1, 100, &GpuModel::default())
+        .unwrap();
+    let disc = Discretization::coarse();
+    let total = chain.total_compute_time();
+    for (p, m_gb) in [(2usize, 4u64), (4, 2), (4, 8)] {
+        let platform = Platform::gb(p, m_gb, 12.0).unwrap();
+        // Fewer targets than the synthetic cases (the unpruned reference
+        // is slow on a real network in debug builds), still up and down.
+        let targets: Vec<f64> = [1.0, 2.0, 1.25, 0.6, 1.1]
+            .iter()
+            .map(|f| total / p as f64 * f)
+            .collect();
+        for spec in specs() {
+            assert_session_differential(&chain, &platform, &targets, &disc, spec);
+        }
+    }
+}
+
+#[test]
+fn capped_session_probes_match_bit_for_bit_on_synthetic_chains() {
+    let cases = [
+        (
+            synthetic(&[(2.0, 2.0), (4.0, 4.0), (2.0, 2.0)], 1, 0),
+            2usize,
+            1u64 << 30,
+        ),
+        (synthetic(&[(1.0, 1.0); 8], 1 << 18, 1 << 10), 4, 3 << 20),
+        (
+            synthetic(
+                &[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0), (1.0, 1.0), (2.0, 3.0)],
+                1 << 18,
+                1 << 10,
+            ),
+            3,
+            3 << 20,
+        ),
+        (synthetic(&[(1.0, 1.0); 6], 1 << 20, 0), 3, 4 << 20),
+        // One GPU: every stage lands on the special processor, whose
+        // rounded load clamps at the top of its axis.
+        (
+            synthetic(
+                &[(1.0, 0.5), (0.3, 0.2), (2.0, 1.0), (0.1, 0.1)],
+                1 << 10,
+                0,
+            ),
+            1,
+            1 << 30,
+        ),
+    ];
+    let disc = Discretization::default();
+    for (chain, p, mem) in &cases {
+        let platform = Platform::new(*p, *mem, 1e8).unwrap();
+        let total = chain.total_compute_time();
+        let targets: Vec<f64> = SESSION_FACTORS
+            .iter()
+            .map(|f| total / *p as f64 * f)
+            .collect();
+        for spec in specs() {
+            assert_session_differential(chain, &platform, &targets, &disc, spec);
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn capped_session_probes_match_bit_for_bit_on_random_chains(
+        seed in (
+            2usize..7,        // layers
+            1usize..5,        // gpus
+            1u64..64,         // activation KiB
+            0u64..16,         // weight KiB
+            0usize..4,        // policy spec
+        ),
+        costs in proptest::prop::collection::vec((0.1f64..4.0, 0.1f64..4.0), 7),
+        factors in proptest::prop::collection::vec(0.3f64..3.0, 6),
+    ) {
+        let (n_layers, gpus, act_kib, w_kib, spec) = seed;
+        let chain = synthetic(&costs[..n_layers], act_kib << 10, w_kib << 10);
+        let platform = Platform::new(gpus, 2 << 20, 1e8).unwrap();
+        let per_gpu = chain.total_compute_time() / gpus as f64;
+        let targets: Vec<f64> = factors.iter().map(|f| per_gpu * f).collect();
+        let disc = Discretization::coarse();
+        assert_session_differential(&chain, &platform, &targets, &disc, specs()[spec]);
     }
 }
