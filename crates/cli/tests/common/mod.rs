@@ -1,6 +1,7 @@
 //! Helpers shared by the CLI drills that run the built `madpipe` binary:
-//! a daemon child that is killed if a test fails before it exits, a
-//! one-shot command runner, and a line-per-request exchange.
+//! a daemon child that is killed if a test fails before it exits (or
+//! when a drill crashes it), a one-shot command runner, and a
+//! line-per-request exchange.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -82,12 +83,17 @@ impl Daemon {
         stdout.join().expect("stdout reader");
         (status.code(), stderr.join().expect("stderr reader"))
     }
+
+    /// Send the daemon a `SIGKILL` (`Child::kill`) and reap it.
+    pub fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        self.kill();
     }
 }
 

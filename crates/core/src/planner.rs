@@ -401,6 +401,7 @@ fn mirror_into_metrics(stats: &mut PlannerStats) {
         (counters::PLACE_FLOORED, place.floored),
         (counters::PLACE_NODES, place.nodes),
         (counters::PLACE_LEAVES, place.leaves),
+        (counters::PLACE_LEAVES_FLOORED, place.leaves_floored),
     ] {
         if value > 0 {
             stats.metrics.bump_counter(name, value);
@@ -714,6 +715,7 @@ mod tests {
             (counters::PLACE_FLOORED, sa.place.floored),
             (counters::PLACE_NODES, sa.place.nodes),
             (counters::PLACE_LEAVES, sa.place.leaves),
+            (counters::PLACE_LEAVES_FLOORED, sa.place.leaves_floored),
         ] {
             assert_eq!(sa.metrics.counter(name), value, "{name}");
         }

@@ -52,6 +52,7 @@ pub mod counters {
     pub const PLACE_FLOORED: &str = "planner.place.floored";
     pub const PLACE_NODES: &str = "planner.place.nodes";
     pub const PLACE_LEAVES: &str = "planner.place.leaves";
+    pub const PLACE_LEAVES_FLOORED: &str = "planner.place.leaves_floored";
     pub const CERTIFY_PASSED: &str = "planner.certifications_passed";
     pub const CERTIFY_FAILED: &str = "planner.certifications_failed";
 }
@@ -181,7 +182,7 @@ pub struct PlannerStats {
     /// Placement work of phase 2 over every candidate, failed ones
     /// included: `schedule_at_period` calls, calls that used up the node
     /// budget without a pattern, calls the memory floor answered, DFS
-    /// nodes and leaves.
+    /// nodes and leaves, and leaves the leaf floor answered.
     pub place: PlaceStats,
     /// Wall time of the phase-1 bisection (including its DP solves).
     pub phase1_seconds: f64,
@@ -217,7 +218,7 @@ impl PlannerStats {
         let mut s = format!(
             "probes {} ({} solved, {} cached, {} capped, {} cap misses), states {} (+{} reused), \
              schedules {}/{} ({} cut), place {} calls ({} exhausted, {} floored, {} nodes, \
-             {} leaves), {:.3}s total ({} thread{})",
+             {} leaves, {} leaves floored), {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
             self.dp.outcome_hits,
@@ -233,6 +234,7 @@ impl PlannerStats {
             self.place.floored,
             self.place.nodes,
             self.place.leaves,
+            self.place.leaves_floored,
             self.total_seconds,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
@@ -321,6 +323,10 @@ impl PlannerStats {
                     ("floored".into(), Value::UInt(self.place.floored)),
                     ("nodes".into(), Value::UInt(self.place.nodes)),
                     ("leaves".into(), Value::UInt(self.place.leaves)),
+                    (
+                        "leaves_floored".into(),
+                        Value::UInt(self.place.leaves_floored),
+                    ),
                 ]),
             ),
             (
@@ -419,13 +425,15 @@ mod tests {
                 floored: 3,
                 nodes: 30_123,
                 leaves: 17_000,
+                leaves_floored: 16_500,
             },
             schedules_cut: 2,
             ..PlannerStats::default()
         };
-        assert!(stats
-            .summary()
-            .contains("place 21 calls (8 exhausted, 3 floored, 30123 nodes, 17000 leaves)"));
+        assert!(stats.summary().contains(
+            "place 21 calls (8 exhausted, 3 floored, 30123 nodes, 17000 leaves, \
+                 16500 leaves floored)"
+        ));
         let json = stats.to_json();
         assert_eq!(json.field("schedules_cut").unwrap().as_u64().unwrap(), 2);
         let place = json.field("place").unwrap();
@@ -434,6 +442,10 @@ mod tests {
         assert_eq!(place.field("floored").unwrap().as_u64().unwrap(), 3);
         assert_eq!(place.field("nodes").unwrap().as_u64().unwrap(), 30_123);
         assert_eq!(place.field("leaves").unwrap().as_u64().unwrap(), 17_000);
+        assert_eq!(
+            place.field("leaves_floored").unwrap().as_u64().unwrap(),
+            16_500
+        );
     }
 
     #[test]

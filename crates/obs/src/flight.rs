@@ -24,7 +24,7 @@
 //! from different daemons merge onto one cluster timeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use madpipe_json::Value;
 
@@ -114,6 +114,9 @@ pub struct FlightRing {
     read_cursor: AtomicU64,
     /// Events overwritten before any reader consumed them.
     dropped: AtomicU64,
+    /// Held for a whole drain: two drains that read the same cursor
+    /// would both yield every event past it.
+    draining: Mutex<()>,
 }
 
 impl FlightRing {
@@ -126,6 +129,7 @@ impl FlightRing {
             next: AtomicU64::new(0),
             read_cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            draining: Mutex::new(()),
         }
     }
 
@@ -230,8 +234,12 @@ impl FlightRing {
 
     /// Snapshot every consistent, not-yet-consumed event, oldest first,
     /// and advance the read cursor past them. Slots mid-write are
-    /// skipped (their loss, if lapped, is already in `dropped`).
+    /// skipped (their loss, if lapped, is already in `dropped`). Drains
+    /// run one at a time, so each event is yielded at most once;
+    /// writers never wait for them.
     pub fn drain(&self) -> Vec<FlightEvent> {
+        // The lock guards no data, so a poisoned one is still sound.
+        let _one_at_a_time = self.draining.lock().unwrap_or_else(PoisonError::into_inner);
         let cursor = self.read_cursor.load(Ordering::SeqCst);
         let mut events: Vec<FlightEvent> = Vec::new();
         for slot in &self.slots {

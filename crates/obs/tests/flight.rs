@@ -134,8 +134,8 @@ proptest! {
         }
     }
 
-    /// Drains racing the writers stay sound: every event ever observed
-    /// is untorn and no seq is yielded twice across drains.
+    /// Drains racing the writers and each other stay sound: every event
+    /// ever observed is untorn and no seq is yielded twice across drains.
     #[test]
     fn concurrent_drains_see_each_event_at_most_once(
         cap_exp in 3u32..6,
@@ -152,12 +152,23 @@ proptest! {
                     }
                 });
             }
+            let drainer = s.spawn(|| {
+                let mut seen = Vec::new();
+                for _ in 0..8 {
+                    for e in ring.drain() {
+                        assert_untorn(&e);
+                        seen.push(e.seq);
+                    }
+                }
+                seen
+            });
             for _ in 0..8 {
                 for e in ring.drain() {
                     assert_untorn(&e);
                     observed.push(e.seq);
                 }
             }
+            observed.extend(drainer.join().expect("drainer thread"));
         });
         for e in ring.drain() {
             assert_untorn(&e);

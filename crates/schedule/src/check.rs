@@ -151,6 +151,11 @@ pub fn check_pattern(
 /// numbered by first use in unit order. Resources are checked in id
 /// order, so the reported violation is the same on every call. A failed
 /// check allocates nothing beyond an op/unit mismatch's message.
+///
+/// Two proven lower bounds on the sweep's peak share one per-GPU loop:
+/// [`Checker::memory_floor`] for every pattern of a period, from each
+/// stage's dependency path, and [`Checker::leaf_exceeds`] for the
+/// patterns of one placement leaf, from where its backwards sit.
 pub struct Checker<'a> {
     seq: &'a UnitSequence,
     memory_limit: u64,
@@ -298,6 +303,61 @@ impl<'a> Checker<'a> {
     ///
     /// [`check`]: Checker::check
     pub fn memory_floor(&self, period: f64) -> impl Iterator<Item = u64> + '_ {
+        self.floor_with(period, |s| s.lag)
+    }
+
+    /// Whether some GPU's memory floor exceeds the limit for every
+    /// pattern that phase 2's placer can check at one leaf: `gap[u]` is
+    /// the leaf's `z_{B_u} + b_u − end_u`, with `end_{n−1} = z_{B_{n−1}}`
+    /// and `end_{u−1} = end_u − f_u` (the latest any compaction can
+    /// finish `F_u`), and `scale` the leaf's last completion
+    /// `z_{B_0} + b_0`. Where it does, the checker rejects the leaf and
+    /// every pattern compaction makes from it, so the placer skips both.
+    ///
+    /// Proof. Write `r` for one rounding of a value of magnitude at most
+    /// `2Z + EPS`, `Z = scale`: `r ≤ ε·(Z + EPS)`, `ε = f64::EPSILON`.
+    /// Every time and sum below is such a value.
+    ///
+    /// * (i) The placer puts every op at or after its ready time, the
+    ///   rounded completion of its predecessor, so a forward ends at most
+    ///   `r` after its successor starts.
+    /// * (ii) Compaction moves only forwards, only later, and never past
+    ///   `zc_{u+1} − f_u` rounded: `latest_fit` returns at most its `hi`.
+    ///   It never moves a backward. So in every pattern the leaf or its
+    ///   compaction checks, `F_u` completes at most `(n − u)·r` after the
+    ///   packed bound `z_{B_{n−1}} − Σ_{v>u} f_v`, and `end_u` is within
+    ///   `(n − 1 − u)·r` of that bound; with `gap`'s two roundings, every
+    ///   stage's `C_B − C_F ≥ gap − (2n + 1)·r`.
+    /// * (iii) Folding moves an op's virtual start by at most `5r`, or
+    ///   up to `EPS + 5r` later at the snap to `T`; the sweep's completion
+    ///   arithmetic adds `3r` and keeps each phase in `[−3r, T + 2r]`. So
+    ///   the sweep's completions `V = κ·T + φ` satisfy `V_B − V_F ≥ gap −
+    ///   EPS − (2n + 17)·r`. [`memory_floor`]'s live-count argument, run
+    ///   with that difference less `EPS + 5r` for the phase comparison
+    ///   (`fl(τ + EPS)`) and the phase range, gives `D ≥ gap − 2·EPS −
+    ///   (2n + 22)·r` with `live ≥ ⌈D/T⌉` at `τ = φ_F` and `⌊D/T⌋`
+    ///   elsewhere.
+    /// * (iv) The floor's own `(gap − slack)/T` rounds twice, so `slack
+    ///   = 2·EPS + (2n + 24)·ε·(Z + EPS)` keeps `q ≤ D/T`. A pattern the
+    ///   checker accepts therefore never has a floored GPU. Non-finite
+    ///   times make `slack` infinite and every `q` zero: no leaf is
+    ///   floored.
+    ///
+    /// [`memory_floor`]: Checker::memory_floor
+    pub fn leaf_exceeds(&self, period: f64, gap: &[f64], scale: f64) -> bool {
+        let slack = 2.0 * EPS + (2 * gap.len() + 24) as f64 * f64::EPSILON * (scale + EPS);
+        self.floor_with(period, move |s| gap[s.unit] - slack)
+            .any(|bytes| bytes > self.memory_limit)
+    }
+
+    /// Each GPU's memory floor when stage `s` holds at least `lag(s)/T`
+    /// live batches: the per-GPU loop of [`Checker::memory_floor`] and
+    /// [`Checker::leaf_exceeds`].
+    fn floor_with<'s>(
+        &'s self,
+        period: f64,
+        lag: impl Fn(&LiveStage) -> f64 + 's,
+    ) -> impl Iterator<Item = u64> + 's {
         self.per_gpu
             .iter()
             .zip(&self.gpu_static_bytes)
@@ -305,7 +365,7 @@ impl<'a> Checker<'a> {
                 let mut always = 0u64; // Σ ⌊q⌋·bytes
                 let mut at_forward = 0u64; // max (⌈q⌉ − ⌊q⌋)·bytes
                 for s in stages {
-                    let q = (s.lag / period).max(0.0);
+                    let q = (lag(s) / period).max(0.0);
                     let batches = q.floor() as u64;
                     always = always.saturating_add(batches.saturating_mul(s.stored_bytes));
                     if q > q.floor() {

@@ -40,8 +40,11 @@ pub struct PlaceStats {
     pub floored: u64,
     /// DFS nodes entered within budget.
     pub nodes: u64,
-    /// Nodes with every op placed (each one ran the leaf check).
+    /// Nodes with every op placed.
     pub leaves: u64,
+    /// Leaves the leaf floor ([`Checker::leaf_exceeds`]) answered
+    /// without the checker or compaction.
+    pub leaves_floored: u64,
 }
 
 impl PlaceStats {
@@ -52,6 +55,7 @@ impl PlaceStats {
         self.floored += other.floored;
         self.nodes += other.nodes;
         self.leaves += other.leaves;
+        self.leaves_floored += other.leaves_floored;
     }
 }
 
@@ -62,6 +66,9 @@ impl PlaceStats {
 /// earliest feasible modular slot on its resource (one candidate per
 /// circular gap, bounded by [`PlaceConfig::max_alternatives`]); a leaf is
 /// accepted iff the exact checker validates it (including memory).
+/// Each leaf first asks its own memory floor
+/// ([`Checker::leaf_exceeds`]), which answers most failing leaves
+/// without the checker or compaction and never one they would accept.
 ///
 /// Two prefilters answer before any node: a resource loaded beyond the
 /// period, and a GPU whose memory floor ([`Checker::memory_floor`])
@@ -139,12 +146,15 @@ pub fn schedule_at_period(
         pattern: Pattern { period, ops },
         z: Vec::with_capacity(2 * n),
         zc: Vec::with_capacity(2 * n),
+        gap: vec![0.0; n],
         nodes: 0,
         leaves: 0,
+        leaves_floored: 0,
     };
     let found = dfs.go(0);
     stats.nodes += dfs.nodes as u64;
     stats.leaves += dfs.leaves as u64;
+    stats.leaves_floored += dfs.leaves_floored as u64;
     if found.is_none() && dfs.nodes >= cfg.node_budget {
         stats.exhausted += 1;
     }
@@ -169,8 +179,11 @@ struct Dfs<'a> {
     z: Vec<f64>,
     /// Compaction's working copy of `z`.
     zc: Vec<f64>,
+    /// The leaf floor's per-unit gaps.
+    gap: Vec<f64>,
     nodes: usize,
     leaves: usize,
+    leaves_floored: usize,
 }
 
 impl Dfs<'_> {
@@ -184,15 +197,15 @@ impl Dfs<'_> {
         self.nodes += 1;
         if idx == self.pattern.ops.len() {
             self.leaves += 1;
-            return match self.check_at(false) {
-                Ok(()) => Some(self.pattern.clone()),
-                // Memory, not structure, failed: stagger the forwards
-                // (Figure 5's best case) and retry.
-                Err(ScheduleError::MemoryExceeded { .. }) if self.cfg.compaction => {
-                    self.compact_and_check()
-                }
-                Err(_) => None,
-            };
+            if self.leaf_floored() {
+                self.leaves_floored += 1;
+                debug_assert!(
+                    self.check_leaf().is_none(),
+                    "the leaf floor refuted a leaf the checker accepts"
+                );
+                return None;
+            }
+            return self.check_leaf();
         }
         let d = self.pattern.ops[idx].duration;
         let ready = self.ready_time(idx);
@@ -234,6 +247,35 @@ impl Dfs<'_> {
                     z[bidx] + self.seq.units()[op.unit + 1].backward_time
                 }
             }
+        }
+    }
+
+    /// Whether the leaf's memory floor ([`Checker::leaf_exceeds`])
+    /// exceeds some GPU's memory: no pattern this leaf or its compaction
+    /// can check fits. `end` walks the packed bound down from the start
+    /// of `B_{n−1}`, the latest any compaction can finish each forward.
+    fn leaf_floored(&mut self) -> bool {
+        let n = self.seq.len();
+        let ops = &self.pattern.ops;
+        let mut end = self.z[n];
+        for u in (0..n).rev() {
+            let b = 2 * n - 1 - u; // op B_u
+            self.gap[u] = self.z[b] + ops[b].duration - end;
+            end -= ops[u].duration;
+        }
+        let scale = self.z[2 * n - 1] + ops[2 * n - 1].duration;
+        self.checker.leaf_exceeds(self.period, &self.gap, scale)
+    }
+
+    /// Check the leaf as placed; when memory, not structure, fails,
+    /// stagger the forwards (Figure 5's best case) and retry.
+    fn check_leaf(&mut self) -> Option<Pattern> {
+        match self.check_at(false) {
+            Ok(()) => Some(self.pattern.clone()),
+            Err(ScheduleError::MemoryExceeded { .. }) if self.cfg.compaction => {
+                self.compact_and_check()
+            }
+            Err(_) => None,
         }
     }
 
@@ -415,8 +457,8 @@ mod tests {
         assert_eq!(stats, floored);
         // At T = 9 the floor asks for one batch, but B_0 collides with
         // F_0 modulo T and slides past the period boundary: the first
-        // leaf holds 2 batches, fails on memory, and a 7-node budget
-        // ends the search there.
+        // leaf holds 2 batches however compaction moves F_0, so its leaf
+        // floor answers it, and a 7-node budget ends the search there.
         assert!(schedule_at_period(&c, &tight, &alloc, &seq, 9.0, &cfg, &mut stats).is_none());
         let exhausted = PlaceStats {
             calls: 2,
@@ -424,6 +466,7 @@ mod tests {
             floored: 1,
             nodes: 7,
             leaves: 1,
+            leaves_floored: 1,
         };
         assert_eq!(stats, exhausted);
         // The load prefilter rejects T = 1 before any node or floor.
@@ -435,6 +478,45 @@ mod tests {
         assert!(p.is_some());
         assert_eq!(stats.exhausted, 1);
         assert_eq!((stats.nodes, stats.leaves), (14, 2));
+    }
+
+    #[test]
+    fn the_leaf_floor_answers_every_leaf_the_period_floor_admits() {
+        // Units S0 (GPU 0), C (link), S1 (GPU 1), with f/b of 1/3, 1/1
+        // and 1/3; each GPU holds 2000 B of comm buffers and 1000 B per
+        // live batch. At T = 9 stage 0's dependency lag is exactly
+        // f_C + f_1 + b_1 + b_C + b_0 = 9, so the period floor asks for
+        // one batch: 3000 B, under 3100.
+        let c = chain(&[(1.0, 3.0), (1.0, 3.0)], 1000);
+        let part = Partition::from_cuts(&[1], 2).unwrap();
+        let alloc = Allocation::contiguous(&part, 2).unwrap();
+        let tight = Platform::new(2, 3100, 1000.0).unwrap();
+        let seq = UnitSequence::from_allocation(&c, &tight, &alloc);
+        // F_0 0..1, C 1..2, F_1 2..3, B_1 3..6 and C 6..7 leave F_0 no
+        // slack (end_0 = 3 − 1 − 1 = 1), and B_0, ready at 7, collides
+        // with F_0 modulo 9: its candidates 10, 13, 19 and 22 give gaps
+        // z + 3 − 1 of 12, 15, 21 and 24, so 2 or 3 batches and at least
+        // 4000 B. A 10-node budget stops after those 4 leaves.
+        let first_four = PlaceConfig {
+            node_budget: 10,
+            ..PlaceConfig::default()
+        };
+        let full = PlaceConfig::default();
+        // Results and node and leaf counts recorded before the leaf
+        // floor existed.
+        for (cfg, exhausted, nodes, leaves) in [(first_four, 1, 10, 4), (full, 0, 687, 512)] {
+            let mut stats = PlaceStats::default();
+            assert!(schedule_at_period(&c, &tight, &alloc, &seq, 9.0, &cfg, &mut stats).is_none());
+            let expected = PlaceStats {
+                calls: 1,
+                exhausted,
+                floored: 0,
+                nodes,
+                leaves,
+                leaves_floored: leaves,
+            };
+            assert_eq!(stats, expected);
+        }
     }
 
     #[test]

@@ -178,6 +178,33 @@ fn best_period_digest_is_pinned() {
     assert_eq!(h.0, GOLDEN, "digest {:#018x}", h.0);
 }
 
+/// The digest of every pinned seed's `PlaceStats` from `best_period`
+/// (calls, exhausted and floored calls, nodes, leaves), recorded before
+/// leaves had a memory floor: a change that makes a node or a leaf
+/// cheaper must visit the same nodes and leaves.
+const COUNTERS: u64 = 0x4871_d0b4_0749_b414;
+
+#[test]
+fn placement_counters_are_pinned() {
+    let cfg = PlaceConfig::default();
+    let mut h = Fnv::new();
+    for seed in seeds() {
+        let (chain, platform, alloc) = instance(seed);
+        let mut stats = PlaceStats::default();
+        let _ = best_period(&chain, &platform, &alloc, &cfg, None, &mut stats);
+        for count in [
+            stats.calls,
+            stats.exhausted,
+            stats.floored,
+            stats.nodes,
+            stats.leaves,
+        ] {
+            h.u64(count);
+        }
+    }
+    assert_eq!(h.0, COUNTERS, "digest {:#018x}", h.0);
+}
+
 #[test]
 fn compaction_decides_the_pinned_rescues() {
     let on = PlaceConfig::default();
