@@ -6,8 +6,11 @@
 //! `(network, P, M, β)` instance. [`parallel`] fans cells out over a
 //! scoped worker pool. The `fig6`/`fig7`/`fig8` modules
 //! aggregate cells into exactly the series the paper plots and render
-//! them as text tables + CSV files.
+//! them as text tables + CSV files. [`ablations`] plans no grid cell: it
+//! sweeps MadPipe's design choices and the baselines over one ResNet-50
+//! memory axis.
 
+pub mod ablations;
 pub mod baseline;
 pub mod csv;
 pub mod fig6;

@@ -163,7 +163,7 @@ pub fn run_plan_speed(
     out
 }
 
-fn median(values: &mut [f64]) -> f64 {
+pub(crate) fn median(values: &mut [f64]) -> f64 {
     values.sort_by(|a, b| a.total_cmp(b));
     let n = values.len();
     if n % 2 == 1 {

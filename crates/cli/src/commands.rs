@@ -3,8 +3,8 @@
 use std::path::PathBuf;
 
 use madpipe_bench::{
-    baseline, chains_for, fig6, fig7, fig8, paper_chains, plan_speed, run_cells, summary,
-    GridConfig,
+    ablations, baseline, chains_for, fig6, fig7, fig8, paper_chains, plan_speed, run_cells,
+    summary, CellResult, GridConfig,
 };
 use madpipe_core::{
     certify_plan, compare, madpipe_plan, madpipe_plan_with_stats, replan, CertifyConfig,
@@ -113,10 +113,15 @@ USAGE:
       when --baseline is given — gate against the committed reference:
       achieved periods bit-identical, DP time (phase1+fallback+refine)
       within F× (default 1.25).
-  madpipe experiments <fig6|fig7|fig8|summary|all> [--full] [--threads N]
+  madpipe experiments <{experiments}> [--full] [--threads N]
                [--out DIR]
       Regenerate the paper's figures (text + CSV under DIR, default
-      ./results). --full runs the paper's complete grid.
+      ./results). --full runs the paper's complete grid. `ablations`
+      plans no grid cell: it plans ResNet-50 on P = 4 at 12 GB/s and
+      M in {3,4,6,8,12,16} GB with MadPipe, MadPipe with one design
+      choice off or changed, PipeDream and GPipe, and prints each period
+      and each variant's median planning time. `all` runs every
+      experiment.
   madpipe replan <network> --fault SPEC [planning flags] [--stats]
       Degraded-mode replanning: plan the healthy platform, apply the
       fault, replan on the survivor and report the throughput delta.
@@ -214,7 +219,17 @@ CNN-profile chain. A flag the command does not read is an error
 (exit 2).
 
 Defaults: --gpus 4, --memory-gb 8, --bandwidth-gb 12, --batch 8,
---image 1000.";
+--image 1000.
+
+--help or -h anywhere on the command line prints this text.";
+
+/// The `experiments` names, in the order the usage line lists them.
+const EXPERIMENTS: [&str; 6] = ["fig6", "fig7", "fig8", "summary", "ablations", "all"];
+
+/// The usage text, its experiment names taken from [`EXPERIMENTS`].
+fn usage() -> String {
+    USAGE.replace("{experiments}", &EXPERIMENTS.join("|"))
+}
 
 /// The flags `load_chain`, `load_platform` and `planner_config` read:
 /// the "planning flags" of the usage text.
@@ -273,6 +288,10 @@ fn accepts(cmd: &str) -> Option<(bool, &'static str, &'static str)> {
 }
 
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
     let args = parse(
         argv,
         &["full", "quiet", "stats", "expect-hits", "trace", "once"],
@@ -311,10 +330,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         Some("route") => cmd_route(&args),
         Some("loadgen") => cmd_loadgen(&args),
         Some("help") | None => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        Some(other) => Err(format!("unknown command `{other}`\n\n{}", usage())),
     }
 }
 
@@ -1226,13 +1245,60 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 
 fn cmd_experiments(args: &Args) -> Result<(), String> {
     let which = args.positional.get(1).map(String::as_str).unwrap_or("all");
+    if !EXPERIMENTS.contains(&which) {
+        return Err(format!(
+            "unknown experiment `{which}` (expected one of {})",
+            EXPERIMENTS.join(", ")
+        ));
+    }
+    let out_dir: PathBuf = args.raw("out").unwrap_or("results").into();
+    let emit = |name: &str, text: String, table: madpipe_bench::csv::Table| -> Result<(), String> {
+        println!("{text}");
+        let path = out_dir.join(format!("{name}.csv"));
+        table.save(&path).map_err(|e| e.to_string())?;
+        eprintln!("wrote {}", path.display());
+        Ok(())
+    };
+
+    // Every experiment but the ablation table reads the grid's cells.
+    let results = if which == "ablations" {
+        Vec::new()
+    } else {
+        run_experiment_grid(args)?
+    };
+    if which == "fig6" || which == "all" {
+        let (text, table) = fig6::generate(&results);
+        emit("fig6_resnet50_periods", text, table)?;
+    }
+    if which == "fig7" || which == "all" {
+        let (text, table) = fig7::generate(&results);
+        emit("fig7_ratio_gmean", text, table)?;
+    }
+    if which == "fig8" || which == "all" {
+        let (text, table) = fig8::generate(&results);
+        emit("fig8_speedups", text, table)?;
+    }
+    if which == "summary" || which == "all" {
+        let (text, table) = summary::generate(&results);
+        emit("summary", text, table)?;
+    }
+    if which == "ablations" || which == "all" {
+        let (text, table) = ablations::generate();
+        emit("ablations", text, table)?;
+    }
+    Ok(())
+}
+
+/// Plan every cell the figures and the summary read: the quick grid (or
+/// the paper's with `--full`), Figure 6's dense ResNet-50 memory axis,
+/// and the policy-tagged cells below its leftmost point.
+fn run_experiment_grid(args: &Args) -> Result<Vec<CellResult>, String> {
     let grid = if args.has("full") {
         GridConfig::full()
     } else {
         GridConfig::quick()
     };
     let threads = args.get_or("threads", 0usize)?;
-    let out_dir: PathBuf = args.raw("out").unwrap_or("results").into();
     let quiet = args.has("quiet");
 
     // Figure 6 needs a dense memory axis for ResNet-50 only; figures 7
@@ -1289,8 +1355,7 @@ fn cmd_experiments(args: &Args) -> Result<(), String> {
         }
     );
     let chains = paper_chains(&grid);
-    let planner = PlannerConfig::default();
-    let results = run_cells(&chains, &cells, &planner, threads, !quiet);
+    let results = run_cells(&chains, &cells, &PlannerConfig::default(), threads, !quiet);
 
     let total_planning: f64 = results.iter().map(|r| r.planning_seconds).sum();
     let total_solves: usize = results.iter().map(|r| r.dp_solves()).sum();
@@ -1299,35 +1364,7 @@ fn cmd_experiments(args: &Args) -> Result<(), String> {
         "planning time over all cells: {total_planning:.1} s \
          ({total_solves} DP solves, {total_saved} probes saved by reuse)"
     );
-
-    let emit = |name: &str, text: String, table: madpipe_bench::csv::Table| -> Result<(), String> {
-        println!("{text}");
-        let path = out_dir.join(format!("{name}.csv"));
-        table.save(&path).map_err(|e| e.to_string())?;
-        eprintln!("wrote {}", path.display());
-        Ok(())
-    };
-
-    if which == "fig6" || which == "all" {
-        let (text, table) = fig6::generate(&results);
-        emit("fig6_resnet50_periods", text, table)?;
-    }
-    if which == "fig7" || which == "all" {
-        let (text, table) = fig7::generate(&results);
-        emit("fig7_ratio_gmean", text, table)?;
-    }
-    if which == "fig8" || which == "all" {
-        let (text, table) = fig8::generate(&results);
-        emit("fig8_speedups", text, table)?;
-    }
-    if which == "summary" || which == "all" {
-        let (text, table) = summary::generate(&results);
-        emit("summary", text, table)?;
-    }
-    if !["fig6", "fig7", "fig8", "summary", "all"].contains(&which) {
-        return Err(format!("unknown experiment `{which}`"));
-    }
-    Ok(())
+    Ok(results)
 }
 
 /// Split a comma-separated `--flag a,b,c` into its entries.
@@ -1389,7 +1426,7 @@ fn cmd_route(args: &Args) -> Result<(), String> {
     };
     madpipe_serve::install_signal_handlers();
     let router = madpipe_serve::Router::start(cfg).map_err(|e| format!("bind: {e}"))?;
-    // The cluster smoke harness waits for this exact line.
+    // The cluster and trace drills wait for this exact line.
     println!("routing on {} -> {n} backends", router.local_addr());
     std::io::stdout().flush().ok();
     while !router.is_draining() {
@@ -1482,7 +1519,8 @@ mod tests {
         // Each entry starts at a `  madpipe <cmd>` line and runs through
         // its deeper-indented continuation lines.
         let mut entries: Vec<(&str, String)> = Vec::new();
-        for line in USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1) {
+        let usage = usage();
+        for line in usage.lines().skip_while(|l| *l != "USAGE:").skip(1) {
             if let Some(rest) = line.strip_prefix("  madpipe ") {
                 let cmd = rest.split_whitespace().next().expect("command name");
                 entries.push((cmd, rest.to_string()));

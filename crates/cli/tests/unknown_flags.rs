@@ -1,15 +1,23 @@
 //! Every command rejects flags it does not read: a misspelt or retired
 //! flag exits 2 and names the flag, instead of planning at a default or
-//! starting a long-running process that silently ignores it.
+//! starting a long-running process that silently ignores it. An unknown
+//! experiment name is rejected the same way, before any cell is planned,
+//! and `--help` or `-h` anywhere prints the usage text and exits 0.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Run the built `madpipe` with `args`: it must exit 2 within 10 s and
-/// name `--flag` on stderr. A child still running at 10 s is killed and
-/// fails the test.
+/// name `--flag` on stderr.
 fn rejects(args: &[&str], flag: &str) {
+    fails(args, &format!("unknown flag --{flag} for {}", args[0]));
+}
+
+/// Run the built `madpipe` with `args`: it must exit 2 within 10 s with
+/// `message` on stderr. A child still running at 10 s is killed and
+/// fails the test.
+fn fails(args: &[&str], message: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_madpipe"))
         .args(args)
         .stdout(Stdio::null())
@@ -41,8 +49,8 @@ fn rejects(args: &[&str], flag: &str) {
         "madpipe {args:?}\nstderr:\n{stderr}"
     );
     assert!(
-        stderr.contains(&format!("unknown flag --{flag} for {}", args[0])),
-        "madpipe {args:?} must name --{flag}\nstderr:\n{stderr}"
+        stderr.contains(message),
+        "madpipe {args:?} must say {message:?}\nstderr:\n{stderr}"
     );
 }
 
@@ -115,4 +123,30 @@ fn experiments_rejects_a_misspelt_threads_flag() {
 #[test]
 fn loadgen_rejects_a_misspelt_address_flag() {
     rejects(&["loadgen", "--adress", "127.0.0.1:1"], "adress");
+}
+
+#[test]
+fn experiments_rejects_an_unknown_name_before_planning() {
+    fails(&["experiments", "fig9"], "unknown experiment `fig9`");
+}
+
+#[test]
+fn help_prints_the_usage_text_and_exits_0() {
+    for args in [&["--help"][..], &["gantt", "--help"], &["-h"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_madpipe"))
+            .args(args)
+            .output()
+            .expect("spawn madpipe");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "madpipe {args:?}\nstderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("USAGE:") && stdout.contains("madpipe experiments <fig6|"),
+            "madpipe {args:?} printed no usage text:\n{stdout}"
+        );
+    }
 }

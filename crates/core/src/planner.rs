@@ -177,15 +177,17 @@ fn validate(chain: &Chain, platform: &Platform) -> Result<(), PlanError> {
             "chain has zero total compute time (all layers are zero-cost)".into(),
         ));
     }
+    // `dp::Choice` stores a stage's split point in 16 bits.
     if chain.len() >= 1 << 16 {
         return Err(PlanError::Infeasible(format!(
-            "chain has {} layers; the packed DP key indexes at most 65535 (coarsen first)",
+            "chain has {} layers; the DP stores split points in 16 bits, \
+             so at most 65535 (coarsen first)",
             chain.len()
         )));
     }
     if platform.n_gpus >= 256 {
         return Err(PlanError::Infeasible(format!(
-            "platform has {} GPUs; the packed DP key indexes at most 255",
+            "platform has {} GPUs; the planner accepts at most 255",
             platform.n_gpus
         )));
     }
@@ -1022,7 +1024,16 @@ mod tests {
         let platform = Platform::new(300, 1 << 30, 1e9).unwrap();
         let err = madpipe_plan(&c, &platform, &PlannerConfig::default()).unwrap_err();
         assert!(matches!(err, PlanError::Infeasible(_)));
-        assert!(err.to_string().contains("255"));
+        assert!(err.to_string().contains("at most 255"), "{err}");
+    }
+
+    #[test]
+    fn oversized_chain_is_rejected_with_a_message() {
+        let c = chain(&vec![(1.0, 1.0); 1 << 16], 1 << 10, 0);
+        let platform = Platform::new(2, 1 << 30, 1e9).unwrap();
+        let err = madpipe_plan(&c, &platform, &PlannerConfig::default()).unwrap_err();
+        assert!(matches!(err, PlanError::Infeasible(_)));
+        assert!(err.to_string().contains("at most 65535"), "{err}");
     }
 
     #[test]
