@@ -558,8 +558,11 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             stats.schedule_seconds
         );
         println!(
-            "  dp      : memo hits {}, load prunes {}, memory prunes {}",
-            stats.dp.memo_hits, stats.dp.load_prunes, stats.dp.memory_prunes
+            "  dp      : memo hits {}, load prunes {}, memory prunes {}, memory floor prunes {}",
+            stats.dp.memo_hits,
+            stats.dp.load_prunes,
+            stats.dp.memory_prunes,
+            stats.dp.memory_floor_prunes
         );
         println!(
             "  {:<12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>10}",

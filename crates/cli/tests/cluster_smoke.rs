@@ -18,20 +18,7 @@ mod common;
 use std::thread;
 use std::time::Duration;
 
-use common::{exchange, madpipe, plan_lookups, take_loaded, throughput, Daemon};
-
-/// Run `madpipe loadgen` with `args`; it must exit 0. Returns its report.
-fn loadgen(args: &[&str]) -> String {
-    let out = madpipe(&[&["loadgen"][..], args].concat());
-    let report = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(
-        out.status.success(),
-        "loadgen {args:?} exited with {:?}\nstdout:\n{report}\nstderr:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    report
-}
+use common::{exchange, loadgen, madpipe, plan_lookups, take_loaded, throughput, Daemon};
 
 #[test]
 fn a_routed_cluster_outpaces_one_daemon_and_survives_losing_one() {

@@ -1,8 +1,9 @@
 //! Helpers shared by the CLI drills that run the built `madpipe` binary:
 //! a daemon or router child that is killed if a test fails before it
 //! exits (or when a drill crashes it), a one-shot command runner, a
-//! line-per-request exchange, a pick of the daemon a routed load
-//! reaches, and a reader for loadgen's throughput.
+//! `loadgen` run that must exit 0, a line-per-request exchange, a pick
+//! of the daemon a routed load reaches, and a reader for loadgen's
+//! throughput.
 
 // Every drill compiles its own copy of this module and uses part of it.
 #![allow(dead_code)]
@@ -163,6 +164,19 @@ pub fn madpipe(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn madpipe")
+}
+
+/// Run `madpipe loadgen` with `args`; it must exit 0. Returns its report.
+pub fn loadgen(args: &[&str]) -> String {
+    let out = madpipe(&[&["loadgen"][..], args].concat());
+    let report = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "loadgen {args:?} exited with {:?}\nstdout:\n{report}\nstderr:\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    report
 }
 
 /// Send `lines` on one fresh connection and read one response per line.

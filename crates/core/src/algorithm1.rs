@@ -120,8 +120,8 @@ pub fn madpipe_allocation(
 }
 
 /// [`madpipe_allocation`] probing through a shared [`ProbeSession`], so
-/// the bisection benefits from (and feeds) the cross-probe outcome cache
-/// and the caps of held allocations. `use_special` overrides the config
+/// the bisection's solves are capped by (and feed) the session's held
+/// allocations. `use_special` overrides the config
 /// flag — the planner runs the contiguous-fallback bisection through the
 /// same session with the special processor off.
 pub fn madpipe_allocation_session(

@@ -32,9 +32,12 @@
 //! megabytes per solve, while the rows actually touched are a few).
 //! A *normal*-processor transition keeps `(t_idx, m_idx)` fixed, so the
 //! whole `k` scan of a state reads rows of the same `(t, m)` column —
-//! the blocking order that makes the scan cache-friendly. The memo lives
-//! only as long as its solve: what the session keeps of a probe is its
-//! [`DpOutcome`].
+//! the blocking order that makes the scan cache-friendly. A memo's
+//! entries live only as long as its solve: what the session keeps of a
+//! probe is its [`DpOutcome`]. Its buffers outlive it: the session keeps
+//! a [`Workspace`] per worker (the memo, the transition caches and the
+//! memory floor's tables) and hands it to each solve, which unsets only
+//! the entries the previous solve set.
 //!
 //! # Branch-and-bound pruning
 //!
@@ -79,6 +82,79 @@
 //! whose value ties a capped incumbent (below); with it, the capped and
 //! uncapped solvers both agree with the unpruned reference.
 //!
+//! # Memory floor
+//!
+//! Memory is tested one stage at a time, so on a memory-tight cell most
+//! states only prove that the layers still to place cannot fit. Before
+//! solving a child `(k, p′, t_P′, m_P′, V′)` that is not memoized, the
+//! solver compares a lower bound `F` on the special processor's memory
+//! still needed to place layers `[0, k)` with what it has left, and
+//! answers `∞` without creating the state when
+//! `(m_P′ + F) · FLOOR_SLACK > M` ([`Dp::floor_exceeds`], counted as
+//! `dp.memory_floor_prunes`). The floor is always on. For every `p′` at
+//! once, per `(k, iv′)`, on first use in a solve ([`Dp::fill_floor`]):
+//!
+//! * each remaining layer `i` gets `g_i = max(1, ceil_div(min(V_top, V′ +
+//!   U(i, k)) · FLOOR_SLACK − 3·EPS·k, T̂))`, with `V_top` the `V` axis
+//!   maximum and `EPS` the tolerance of [`ceil_div`];
+//! * on the special processor layer `i` costs at least `c_i = w·W_i +
+//!   (g_i − 1)·ā_i` on the store lane, and `w·W_i + (ā_i − a_in(i)) +
+//!   min(g_i − 1, 1)·a_in(i)` on the recompute lane (the least of the
+//!   lanes the spec offers), `ā_i` being the layer's stored bytes;
+//! * a normal processor can take an interval `[a, b)` when `w·W(a, b) +
+//!   g_a·ā(a, b) ≤ M` on the store lane or `w·W(a, b) + ā(a, b) + (g_a −
+//!   1)·a_in(a) ≤ M` on the recompute lane, or when `[a, b)` lies inside
+//!   such an interval;
+//! * `F` is the cheapest covering: the least `Σ c_i` over the layers that
+//!   at most `p′` disjoint such intervals leave out. Since a sub-interval
+//!   of a fitting interval fits, the cheapest covering of a prefix never
+//!   falls as the prefix grows, so with `w[b]` the least start of a
+//!   fitting interval ending at `b`, `F_p′[b] = min(F_p′[b − 1] + c_{b−1},
+//!   F_{p′−1}[w[b]])`: a sliding-window minimum found at the window's
+//!   start, `O(k·P)` per `(k, iv′)`. The contiguous variant has no
+//!   special processor and skips the floor.
+//!
+//! Why a child the floor rejects has the value `∞`. Take a path from it
+//! that passes every memory test and derive a contradiction:
+//!
+//! 1. *Group counts.* A transition sets `V ← value(index_up((V ⊕ u) ⊕
+//!    C))`. [`ceil_div`] snaps a ratio within `EPS/T̂` of an integer onto
+//!    it, so `x ⊕ y ≥ x + y − EPS` up to rounding, and `C ≥ 0`;
+//!    [`Axis::index_up`] loses at most its `10⁻⁹` relative guard and
+//!    clamps at `V_top`. So `V_next ≥ min(V_top, V + u)·(1 − δ) − 2·EPS`
+//!    (`δ = 10⁻⁹` plus a few ulps), and by induction a stage `[j, e)`
+//!    taken after `m` transitions has `V + u ≥ min(V_top, V′ + U(j,
+//!    k))·(1 − δ)^m − 2·EPS·m`. Each earlier stage holds a layer of `[e,
+//!    k)`, so `m < k ≤ 65,535`: `(1 − δ)^m ≥ 1 − 6.56·10⁻⁵`, above
+//!    `FLOOR_SLACK`, and `3·EPS·k` covers `2·EPS·m` and the rounding.
+//!    `U(j, k) ≥ U(i, k)` for `j ≤ i` (recompute only adds load) and
+//!    `ceil_div` is monotone in its numerator, so the stage's `g ≥ g_i`
+//!    for each layer `i` it holds, `g ≥ g_a` for its first layer `a`.
+//!    The `−3·EPS·k` does not depend on `i`, so `g_i` never grows with `i`
+//!    and the interval tests are closed under sub-intervals on the store
+//!    lane; the "lies inside" clause closes them on the recompute lane.
+//! 2. *Costs.* A special stage adds `w·W + (g − 1)·live + static +
+//!    buffers`: per layer, `(g − 1)·ā_i` when storing; when recomputing,
+//!    `(g − 1)·a_in(j) + (ā_j − a_in(j))` for its first layer `j` and
+//!    `ā_i` for the others. With `g ≥ g_i` and buffers `≥ 0`, each layer
+//!    adds at least `c_i`. A normal stage `[a, b)` passes its test only if
+//!    `[a, b)` fits by the interval test, since `g ≥ g_a`. So the path's
+//!    at most `p′` normal stages are fitting intervals, and its special
+//!    stages add at least `F` bytes in all.
+//! 3. *Rounding of `m_P`.* A special step tests `m + c ≤ M` in `f64` and
+//!    moves to `value(index_up(m + c)) ≥ (m + c)·(1 − δ)`. Over at most
+//!    65,535 special steps, the last test sees at least `(m_P′ + F)·(1 −
+//!    6.56·10⁻⁵)`, which is above `M` whenever the computed `(m_P′ + F) ·
+//!    FLOOR_SLACK` is (its three roundings are ulps against a `3.4·10⁻⁵`
+//!    margin). That test fails: the contradiction.
+//!
+//! So, like branch-and-bound, the floor removes states without changing
+//! any value, choice, probe or plan: a rejected child's `∞` is what
+//! solving it would return, and since the floor depends only on the
+//! child's own coordinates, a rejected state is never memoized and the
+//! check runs on memo misses only. The caps below still hold: a held
+//! path that replays to a finite value passes every floor on its way.
+//!
 //! # Cross-probe reuse
 //!
 //! Algorithm 1 and the planner probe the DP at many target periods `T̂`
@@ -88,10 +164,14 @@
 //! * the `t_P`/`m_P` axes, the per-cut communication times and the
 //!   per-`(k, l)` stage cost/memory tables ([`StageTables`]), which do
 //!   not depend on `T̂` at all;
-//! * an **outcome cache** keyed by `(T̂, use_special)` — the bisection,
-//!   the refinement grid and the contiguous fallback regularly revisit
-//!   the same target, and a revisit (reconstructed allocation included)
-//!   costs one hash lookup instead of a full solve;
+//! * an **outcome cache** keyed by `(T̂, use_special)`: a target asked
+//!   again (reconstructed allocation included) costs one hash lookup
+//!   instead of a full solve. One plan rarely asks twice: on the paper
+//!   networks' cells no probe of a plan repeats a target, and `madpipe
+//!   plan --stats` reads `0 cached`. What the cache serves is a second
+//!   plan through the same session (the daemon re-plans a run of
+//!   same-instance jobs through one warm session, whose probes then all
+//!   hit) and callers that re-ask a probe for its allocation;
 //! * the **cap**: every distinct allocation the session already holds
 //!   for the same DP variant. A new target's solve replays each of them
 //!   through the recurrence at the new `T̂` ([`Dp::path_value`], with the
@@ -134,7 +214,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use madpipe_model::util::ceil_div;
+use madpipe_model::util::{ceil_div, EPS};
 use madpipe_model::{
     ActivationPolicy, Allocation, Chain, Layer, Platform, PolicySpec, RecomputeMode, Stage,
     StagePolicy,
@@ -215,7 +295,10 @@ const UNSET: MemoEntry = MemoEntry {
     choice: 0,
 };
 
-/// The per-solve dense memo — see the module docs for the layout.
+/// The dense memo — see the module docs for the layout. A session's
+/// [`Workspace`] keeps one across its solves; [`DenseMemo::shape`] clears
+/// it for the next.
+#[derive(Default)]
 struct DenseMemo {
     l_len: usize,
     p_len: usize,
@@ -223,7 +306,9 @@ struct DenseMemo {
     m_len: usize,
     v_len: usize,
     /// `rows[((l·p_len + p)·t_len + it)·m_len + im]` is the arena row id
-    /// (+1; `0` = not yet touched) of that coordinate's `v`-row.
+    /// (+1; `0` = not yet touched) of that coordinate's `v`-row. Only the
+    /// first `l_len·p_len·t_len·m_len` entries belong to the current
+    /// shape; every entry is `0` between solves.
     rows: Vec<u32>,
     /// Bump arena backing every `v`-row: row id `r` occupies
     /// `arena[r·v_len .. (r+1)·v_len]`. One contiguous allocation in
@@ -231,21 +316,30 @@ struct DenseMemo {
     /// half the size (u32 vs pointer) and successive rows share cache
     /// lines, which is where the solve loop spends its time.
     arena: Vec<MemoEntry>,
+    /// `owners[r]` is the `rows` index that points at arena row `r`, so
+    /// clearing unsets only the rows a solve touched.
+    owners: Vec<usize>,
     /// Number of set entries across all rows.
     filled: usize,
 }
 
 impl DenseMemo {
+    #[cfg(test)]
     fn new(l_len: usize, p_len: usize, t_len: usize, m_len: usize, v_len: usize) -> Self {
-        Self {
-            l_len,
-            p_len,
-            t_len,
-            m_len,
-            v_len,
-            rows: vec![0; l_len * p_len * t_len * m_len],
-            arena: Vec::new(),
-            filled: 0,
+        let mut memo = Self::default();
+        memo.shape(l_len, p_len, t_len, m_len, v_len);
+        memo
+    }
+
+    /// Forget every entry and take the given axis lengths, keeping the
+    /// allocations (the row table only grows).
+    fn shape(&mut self, l_len: usize, p_len: usize, t_len: usize, m_len: usize, v_len: usize) {
+        self.clear();
+        (self.l_len, self.p_len, self.t_len, self.m_len, self.v_len) =
+            (l_len, p_len, t_len, m_len, v_len);
+        let n = l_len * p_len * t_len * m_len;
+        if self.rows.len() < n {
+            self.rows.resize(n, 0);
         }
     }
 
@@ -256,7 +350,8 @@ impl DenseMemo {
         let mut r = self.rows[idx];
         if r == 0 {
             self.arena.resize(self.arena.len() + self.v_len, UNSET);
-            r = (self.arena.len() / self.v_len) as u32;
+            self.owners.push(idx);
+            r = self.owners.len() as u32;
             self.rows[idx] = r;
         }
         let start = (r as usize - 1) * self.v_len;
@@ -336,15 +431,15 @@ impl DenseMemo {
         self.filled
     }
 
-    /// Forget every entry, keeping the allocations. A memo never
-    /// touched is left alone (its row table may still be untouched
-    /// zeroed pages).
+    /// Forget every entry, keeping the allocations: unset the rows the
+    /// arena backs and empty the arena.
     fn clear(&mut self) {
-        if !self.arena.is_empty() {
-            self.rows.fill(0);
-            self.arena.clear();
-            self.filled = 0;
+        for &idx in &self.owners {
+            self.rows[idx] = 0;
         }
+        self.owners.clear();
+        self.arena.clear();
+        self.filled = 0;
     }
 }
 
@@ -424,7 +519,7 @@ impl StageTables {
 }
 
 /// One retained probe: a solve's outcome and work counters, kept so a
-/// revisit is free.
+/// target asked again is free.
 struct Shard {
     t_hat: f64,
     use_special: bool,
@@ -436,6 +531,7 @@ struct Shard {
     load_prunes: u64,
     memory_prunes: u64,
     branch_prunes: u64,
+    memory_floor_prunes: u64,
     outcome: DpOutcome,
 }
 
@@ -478,12 +574,9 @@ pub struct ProbeSession<'a> {
     /// (main) thread, so values are bit-identical across thread counts.
     registry: Registry,
     records: Vec<ProbeRecord>,
-    /// Largest memo-arena length seen so far (entries), used to
-    /// pre-reserve the next solve's arena instead of growing it through
-    /// doubling reallocations. Purely an allocation hint — never affects
-    /// any computed value. Atomic because solves may run on worker
-    /// threads behind `&self`.
-    arena_hint: std::sync::atomic::AtomicUsize,
+    /// The buffers every solve fills, one per worker of the widest batch
+    /// so far: a solve borrows one and leaves it for the next.
+    workspaces: Vec<Workspace>,
 }
 
 impl<'a> ProbeSession<'a> {
@@ -531,7 +624,7 @@ impl<'a> ProbeSession<'a> {
             held: [Vec::new(), Vec::new()],
             registry: Registry::new(),
             records: Vec::new(),
-            arena_hint: std::sync::atomic::AtomicUsize::new(0),
+            workspaces: Vec::new(),
         }
     }
 
@@ -615,7 +708,9 @@ impl<'a> ProbeSession<'a> {
 
         // Solve the pending targets (in parallel when asked to), then
         // absorb the shards in submission order for determinism.
-        let solved = self.solve_batch(&pending, use_special, threads);
+        let mut workspaces = std::mem::take(&mut self.workspaces);
+        let solved = self.solve_batch(&pending, use_special, threads, &mut workspaces);
+        self.workspaces = workspaces;
         let first_new_shard = self.shards.len();
         for (shard, _) in &solved {
             debug_assert!(shard.outcome.period.is_finite() || shard.outcome.allocation.is_none());
@@ -660,17 +755,27 @@ impl<'a> ProbeSession<'a> {
         out
     }
 
-    /// Solve `pending` targets, each with a fresh memo over the shared
-    /// axes/cut/stage tables. Returns `(shard, seconds)` in `pending`
-    /// order.
-    fn solve_batch(&self, pending: &[f64], use_special: bool, threads: usize) -> Vec<(Shard, f64)> {
+    /// Solve `pending` targets over the shared axes/cut/stage tables, one
+    /// worker per workspace (grown to `threads` when fewer are held).
+    /// Returns `(shard, seconds)` in `pending` order.
+    fn solve_batch(
+        &self,
+        pending: &[f64],
+        use_special: bool,
+        threads: usize,
+        workspaces: &mut Vec<Workspace>,
+    ) -> Vec<(Shard, f64)> {
         let threads = threads.max(1).min(pending.len().max(1));
+        if workspaces.len() < threads {
+            workspaces.resize_with(threads, Workspace::default);
+        }
         if threads == 1 || pending.len() == 1 {
+            let ws = &mut workspaces[0];
             return pending
                 .iter()
                 .map(|&t| {
                     let start = Instant::now();
-                    let shard = self.run_solve(t, use_special);
+                    let shard = self.run_solve(t, use_special, ws);
                     (shard, start.elapsed().as_secs_f64())
                 })
                 .collect();
@@ -679,7 +784,7 @@ impl<'a> ProbeSession<'a> {
         let mut slots: Vec<Option<(Shard, f64)>> = (0..pending.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
+            for ws in &mut workspaces[..threads] {
                 let cursor = &cursor;
                 let session = &*self;
                 handles.push(scope.spawn(move || {
@@ -690,7 +795,7 @@ impl<'a> ProbeSession<'a> {
                             break;
                         }
                         let start = Instant::now();
-                        let shard = session.run_solve(pending[i], use_special);
+                        let shard = session.run_solve(pending[i], use_special, ws);
                         local.push((i, shard, start.elapsed().as_secs_f64()));
                     }
                     local
@@ -708,12 +813,13 @@ impl<'a> ProbeSession<'a> {
             .collect()
     }
 
-    /// One full DP solve at `t_hat`, capped by the allocations the
-    /// session held before this batch. Pure: reads only the shared
-    /// session state, so independent solves can run concurrently.
-    fn run_solve(&self, t_hat: f64, use_special: bool) -> Shard {
+    /// One full DP solve at `t_hat` in `ws`, capped by the allocations
+    /// the session held before this batch. Reads only the shared session
+    /// state, so independent solves can run concurrently, each in its
+    /// own workspace.
+    fn run_solve(&self, t_hat: f64, use_special: bool, ws: &mut Workspace) -> Shard {
         let mut sp = madpipe_obs::span("dp.solve");
-        let dp = self.dp(t_hat, use_special);
+        let dp = self.dp(t_hat, use_special, ws);
         let cap = self.held[use_special as usize]
             .iter()
             .filter_map(|&i| self.shards[i].outcome.allocation.as_ref())
@@ -728,8 +834,9 @@ impl<'a> ProbeSession<'a> {
         self.solve_under(dp, cap)
     }
 
-    /// A fresh solver at `t_hat` over the session's shared tables.
-    fn dp(&self, t_hat: f64, use_special: bool) -> Dp<'_> {
+    /// A solver at `t_hat` over the session's shared tables, filling
+    /// `ws` (cleared and shaped for it here).
+    fn dp<'w>(&'w self, t_hat: f64, use_special: bool, ws: &'w mut Workspace) -> Dp<'w> {
         let p_normal = if use_special {
             self.platform.n_gpus - 1
         } else {
@@ -742,17 +849,6 @@ impl<'a> ProbeSession<'a> {
         } else {
             (1, 1)
         };
-        let mut memo = DenseMemo::new(
-            self.chain.len() + 1,
-            p_normal + 1,
-            t_len,
-            m_len,
-            self.disc.v_points,
-        );
-        // Grow the arena to the largest size any solve has needed yet in
-        // one reservation, instead of through doubling re-copies.
-        memo.arena
-            .reserve(self.arena_hint.load(std::sync::atomic::Ordering::Relaxed));
         // Under `Auto` the transition caches carry one lane per
         // activation choice (the effective stage load differs); fixed
         // modes collapse to a single lane.
@@ -760,6 +856,13 @@ impl<'a> ProbeSession<'a> {
             RecomputeMode::Auto => 2,
             _ => 1,
         };
+        let l_len = self.chain.len() + 1;
+        let v_len = self.disc.v_points;
+        ws.shape(
+            [l_len, p_normal + 1, t_len, m_len, v_len],
+            l_len * self.tables.stride * n_pol,
+        );
+        let v_axis = Axis::new(self.v_max.max(t_hat), v_len);
         Dp {
             platform: self.platform,
             t_hat,
@@ -778,19 +881,16 @@ impl<'a> ProbeSession<'a> {
             t_axis: &self.t_axis,
             t_top: self.t_axis.value((self.t_axis.len() - 1) as u16),
             m_axis: &self.m_axis,
-            v_axis: Axis::new(self.v_max.max(t_hat), self.disc.v_points),
+            v_top: v_axis.value((v_len - 1) as u16),
+            v_axis,
             cut_times: &self.cut_times,
             tables: &self.tables,
-            memo,
-            trans: vec![
-                TransEntry { g: 0, iv_next: 0 };
-                (self.chain.len() + 1) * self.tables.stride * self.disc.v_points * n_pol
-            ],
-            trans_t: vec![u16::MAX; (self.chain.len() + 1) * self.tables.stride * t_len * n_pol],
+            ws,
             memo_hits: 0,
             load_prunes: 0,
             memory_prunes: 0,
             branch_prunes: 0,
+            memory_floor_prunes: 0,
         }
     }
 
@@ -808,9 +908,7 @@ impl<'a> ProbeSession<'a> {
         } else {
             None
         };
-        let states = dp.memo.len();
-        self.arena_hint
-            .fetch_max(dp.memo.arena.len(), std::sync::atomic::Ordering::Relaxed);
+        let states = dp.ws.memo.len();
         Shard {
             t_hat: dp.t_hat,
             use_special: dp.use_special,
@@ -820,6 +918,7 @@ impl<'a> ProbeSession<'a> {
             load_prunes: dp.load_prunes,
             memory_prunes: dp.memory_prunes,
             branch_prunes: dp.branch_prunes,
+            memory_floor_prunes: dp.memory_floor_prunes,
             outcome: DpOutcome {
                 period,
                 allocation,
@@ -841,6 +940,8 @@ impl<'a> ProbeSession<'a> {
             .add(counters::DP_MEMORY_PRUNES, shard.memory_prunes);
         self.registry
             .add(counters::DP_BRANCH_PRUNES, shard.branch_prunes);
+        self.registry
+            .add(counters::DP_MEMORY_FLOOR_PRUNES, shard.memory_floor_prunes);
         self.registry
             .add(counters::DP_CAPPED, shard.cap.is_some() as u64);
         self.registry
@@ -870,6 +971,74 @@ impl<'a> ProbeSession<'a> {
 struct TransEntry {
     g: u64,
     iv_next: u16,
+}
+
+/// The buffers a solve fills lazily: the memo, both transition caches
+/// and the memory floor's tables. The session keeps one per worker and
+/// hands it to each solve, so only a session's first solves allocate.
+/// Every lazily filled entry is recorded as it is set, and
+/// [`Workspace::shape`] unsets exactly those: a solve that touches a few
+/// hundred transitions does not pay for refilling a whole table.
+#[derive(Default)]
+struct Workspace {
+    memo: DenseMemo,
+    /// [`Dp::transition`]'s cache; an entry with `g = 0` is unset.
+    trans: Vec<TransEntry>,
+    /// [`Dp::transition_t`]'s cache; `u16::MAX` is unset.
+    trans_t: Vec<u16>,
+    /// The `trans` and `trans_t` slots this solve set.
+    trans_set: Vec<usize>,
+    trans_t_set: Vec<usize>,
+    /// The memory floor per child `(k, iv)`, one entry per `p′`:
+    /// `floors[(k·v_len + iv)·p_len + p′]`, valid where
+    /// `floor_ready[k·v_len + iv]`.
+    floors: Vec<u64>,
+    floor_ready: Vec<bool>,
+    /// The `floor_ready` slots this solve set.
+    floor_set: Vec<usize>,
+    /// Scratch of [`Dp::fill_floor`]: per remaining layer its group
+    /// count and special cost, the first start of each window, and the
+    /// covering's two rolling rows.
+    groups: Vec<u64>,
+    costs: Vec<u64>,
+    window: Vec<usize>,
+    cover: [Vec<u64>; 2],
+}
+
+impl Workspace {
+    /// Unset what the last solve filled and size the tables for a solve
+    /// over the memo axis lengths `[l, p, t, m, v]`, whose transition
+    /// tables have `rows` rows of `v_len` (and `t_len`) slots.
+    fn shape(&mut self, [l_len, p_len, t_len, m_len, v_len]: [usize; 5], rows: usize) {
+        self.memo.shape(l_len, p_len, t_len, m_len, v_len);
+        for &i in &self.trans_set {
+            self.trans[i].g = 0;
+        }
+        for &i in &self.trans_t_set {
+            self.trans_t[i] = u16::MAX;
+        }
+        for &i in &self.floor_set {
+            self.floor_ready[i] = false;
+        }
+        self.trans_set.clear();
+        self.trans_t_set.clear();
+        self.floor_set.clear();
+        grow(
+            &mut self.trans,
+            rows * v_len,
+            TransEntry { g: 0, iv_next: 0 },
+        );
+        grow(&mut self.trans_t, rows * t_len, u16::MAX);
+        grow(&mut self.floor_ready, l_len * v_len, false);
+        grow(&mut self.floors, l_len * v_len * p_len, 0);
+    }
+}
+
+/// Extend `v` with `fill` to at least `len` entries.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
+    }
 }
 
 /// Const-generic recompute modes for [`Dp::solve_mode`] — one
@@ -918,23 +1087,22 @@ struct Dp<'a> {
     v_axis: Axis,
     cut_times: &'a [f64],
     tables: &'a StageTables,
-    memo: DenseMemo,
-    /// Per-`(l, k)` rows (same `l * stride + k` indexing as the stage
-    /// tables) of per-`iv` transition terms, filled lazily. The group
-    /// count and the ⊕-chain depend only on the layer range and the
-    /// delay coordinate, so every `(p, t_P, m_P)` state sharing them can
-    /// reuse one computation instead of redoing four `ceil_div`s and a
-    /// grid round-up per candidate. Flat (`(l·stride + k)·v_len + iv`)
-    /// and zero-initialized: the table is small enough (stage pairs ×
-    /// `v` points) that direct indexing beats any lazy-row scheme.
-    trans: Vec<TransEntry>,
-    /// Same flat layout for the special branch's `t_P` round-up keyed by
-    /// `(l, k, it)`. `u16::MAX` marks unset (axes are capped far below).
-    trans_t: Vec<u16>,
+    /// The `V` axis's last grid value, where a rounded delay clamps.
+    v_top: f64,
+    /// The memo, the transition caches and the floor tables. The
+    /// transition caches hold per-`(l, k)` rows (same `l * stride + k`
+    /// indexing as the stage tables) of per-`iv` terms, filled lazily:
+    /// the group count and the ⊕-chain depend only on the layer range
+    /// and the delay coordinate, so every `(p, t_P, m_P)` state sharing
+    /// them reuses one computation instead of redoing four `ceil_div`s
+    /// and a grid round-up per candidate. The special branch's `t_P`
+    /// round-up is cached the same way per `(l, k, it)`.
+    ws: &'a mut Workspace,
     memo_hits: u64,
     load_prunes: u64,
     memory_prunes: u64,
     branch_prunes: u64,
+    memory_floor_prunes: u64,
 }
 
 impl Dp<'_> {
@@ -969,7 +1137,7 @@ impl Dp<'_> {
     /// `cap.next_up()` (`∞` when `cap` is), on a cleared memo. The
     /// transition caches do not depend on the cap and are kept.
     fn solve_root(&mut self, cap: f64) -> f64 {
-        self.memo.clear();
+        self.ws.memo.clear();
         self.ceiling = cap.next_up();
         let State { l, p, it, im, iv } = self.root;
         self.solve_uncached(l, p, it, im, iv)
@@ -1067,14 +1235,15 @@ impl Dp<'_> {
     /// policy's *effective* load), so caching is bit-transparent.
     #[inline]
     fn transition(&mut self, idx: usize, v_val: f64, u: f64, cut: f64) -> (u64, u16) {
-        let cached = self.trans[idx];
+        let cached = self.ws.trans[idx];
         if cached.g != 0 {
             return (cached.g, cached.iv_next);
         }
         let g = ceil_div(v_val + u, self.t_hat).max(1);
         let v_next = oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat);
         let iv_next = self.v_axis.index_up(v_next);
-        self.trans[idx] = TransEntry { g, iv_next };
+        self.ws.trans[idx] = TransEntry { g, iv_next };
+        self.ws.trans_set.push(idx);
         (g, iv_next)
     }
 
@@ -1084,23 +1253,152 @@ impl Dp<'_> {
     /// those coordinates.
     #[inline]
     fn transition_t(&mut self, idx: usize, t_val: f64, u: f64) -> u16 {
-        let cached = self.trans_t[idx];
+        let cached = self.ws.trans_t[idx];
         if cached != u16::MAX {
             return cached;
         }
         let it_next = self.t_axis.index_up(t_val + u);
-        self.trans_t[idx] = it_next;
+        self.ws.trans_t[idx] = it_next;
+        self.ws.trans_t_set.push(idx);
         it_next
+    }
+
+    /// Whether the state `(k, p, ·, im, iv)` cannot be completed: the
+    /// special GPU, already holding `m_P = value(im)`, would need more
+    /// than `M` to take whatever `p` normal GPUs cannot of layers
+    /// `[0, k)`. The floor is a true lower bound (module docs, "Memory
+    /// floor"), so a state it rejects has the value `∞`. `k > 0`.
+    #[inline]
+    fn floor_exceeds(&mut self, k: usize, p: usize, im: u16, iv: u16) -> bool {
+        if !self.use_special {
+            return false;
+        }
+        let floor = self.floor(k, p, iv);
+        let m_p = self.m_axis.value(im);
+        floor > 0 && (m_p + floor as f64) * FLOOR_SLACK > self.platform.memory_bytes as f64
+    }
+
+    /// The memory floor of the child `(k, p, ·, ·, iv)`, filled on first
+    /// use for every `p` of that `(k, iv)`.
+    #[inline]
+    fn floor(&mut self, k: usize, p: usize, iv: u16) -> u64 {
+        let slot = k * self.v_axis.len() + iv as usize;
+        if !self.ws.floor_ready[slot] {
+            self.fill_floor(k, iv);
+        }
+        self.ws.floors[slot * (self.root.p + 1) + p]
+    }
+
+    /// Fill the floors of every `p′` at child `(k, iv)`: the least
+    /// special-GPU memory over the coverings of layers `[0, k)` by at
+    /// most `p′` intervals that fit on a normal GPU, each layer left
+    /// uncovered costing the least it can cost on the special one.
+    fn fill_floor(&mut self, k: usize, iv: u16) {
+        let tables = self.tables;
+        let stride = tables.stride;
+        let memory = self.platform.memory_bytes;
+        let (store, rec) = (
+            self.policy.recompute != RecomputeMode::Always,
+            self.policy.recompute != RecomputeMode::Never,
+        );
+        let w_mult = self.w_mult;
+        // `V` at the child, and what ⊕ may lose over fewer than `k`
+        // transitions to the stage holding a layer.
+        let v_child = self.v_axis.value(iv);
+        let loss = 3.0 * EPS * k as f64;
+        let ws = &mut *self.ws;
+        ws.groups.clear();
+        ws.costs.clear();
+        for i in 0..k {
+            // `g_i`: the group count of any stage holding layer `i`.
+            let lb = (v_child + tables.u[k * stride + i]).min(self.v_top) * FLOOR_SLACK - loss;
+            let g = ceil_div(lb, self.t_hat).max(1);
+            let one = (i + 1) * stride + i;
+            let weights = w_mult * tables.weights[one];
+            let stored = tables.stored[one];
+            let a_in = tables.a_in[i];
+            let store_cost = weights.saturating_add((g - 1).saturating_mul(stored));
+            let rec_cost = weights + (stored - a_in) + (g - 1).min(1) * a_in;
+            ws.groups.push(g);
+            ws.costs.push(match (store, rec) {
+                (true, false) => store_cost,
+                (false, true) => rec_cost,
+                _ => store_cost.min(rec_cost),
+            });
+        }
+        // `window[b]`: the least `a < b` such that `[a, b)` lies inside
+        // an interval that fits on a normal GPU (`usize::MAX` if none).
+        // For a fixed start the fit is monotone in the end, so one
+        // forward pointer over the furthest reachable end finds them all.
+        let fits = |groups: &[u64], a: usize, b: usize| {
+            let weights = w_mult * tables.weights[b * stride + a];
+            let stored = tables.stored[b * stride + a];
+            let g = groups[a];
+            (store && weights.saturating_add(g.saturating_mul(stored)) <= memory)
+                || (rec
+                    && (weights + stored).saturating_add((g - 1).saturating_mul(tables.a_in[a]))
+                        <= memory)
+        };
+        ws.window.clear();
+        ws.window.resize(k + 1, usize::MAX);
+        let mut reach = 0;
+        for a in 0..k {
+            reach = reach.max(a);
+            while reach < k && fits(&ws.groups, a, reach + 1) {
+                reach += 1;
+                ws.window[reach] = a;
+            }
+        }
+        // The covering with at most `p′` intervals, one `p′` per pass.
+        // Its cost never falls as the prefix grows, so the cheapest start
+        // of a window is its first.
+        let p_len = self.root.p + 1;
+        let row = (k * self.v_axis.len() + iv as usize) * p_len;
+        let [prev, next] = &mut ws.cover;
+        prev.clear();
+        prev.push(0);
+        for b in 0..k {
+            let last = prev[b];
+            prev.push(last.saturating_add(ws.costs[b]));
+        }
+        ws.floors[row] = prev[k];
+        for p in 1..p_len {
+            next.clear();
+            next.push(0);
+            for b in 1..=k {
+                let mut best = next[b - 1].saturating_add(ws.costs[b - 1]);
+                if let Some(&start) = prev.get(ws.window[b]) {
+                    best = best.min(start);
+                }
+                next.push(best);
+            }
+            ws.floors[row + p] = next[k];
+            if next[k] == 0 {
+                // Every wider covering is free too.
+                ws.floors[row + p..row + p_len].fill(0);
+                break;
+            }
+            std::mem::swap(prev, next);
+        }
+        let slot = k * self.v_axis.len() + iv as usize;
+        ws.floor_ready[slot] = true;
+        ws.floor_set.push(slot);
     }
 
     /// Child-state value: memo probe inlined ahead of the recursion so
     /// the (majority) hit path skips the full `solve_uncached` body and
-    /// misses probe the memo exactly once.
+    /// misses probe the memo exactly once. A miss the memory floor
+    /// rejects is `∞` without being solved or stored (a rejected state is
+    /// never stored, so a hit needs no floor).
     #[inline]
     fn child(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
-        if let Some(v) = self.memo.get_value(l, p, it, im, iv) {
+        if let Some(v) = self.ws.memo.get_value(l, p, it, im, iv) {
             self.memo_hits += 1;
             return v;
+        }
+        if self.floor_exceeds(l, p, im, iv) {
+            self.memory_floor_prunes += 1;
+            return f64::INFINITY;
         }
         self.solve_uncached(l, p, it, im, iv)
     }
@@ -1124,7 +1422,7 @@ impl Dp<'_> {
     fn solve_mode<const MODE: u8>(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
         if l == 0 {
             let v = self.t_axis.value(it);
-            self.memo.insert(l, p, it, im, iv, v, Choice::Done);
+            self.ws.memo.insert(l, p, it, im, iv, v, Choice::Done);
             return v;
         }
 
@@ -1254,7 +1552,9 @@ impl Dp<'_> {
                         self.subtree_bound(k, p - 1, t_val).to_bits()
                     );
                     let floor = u.max(cut).max(bound);
-                    if floor < best {
+                    if floor >= best {
+                        self.branch_prunes += 1;
+                    } else {
                         // `k == 0` is the terminal state: its value is
                         // exactly the rounded special load `t_val`, no
                         // recursion or memo traffic needed.
@@ -1271,8 +1571,6 @@ impl Dp<'_> {
                                 recompute: rec,
                             };
                         }
-                    } else {
-                        self.branch_prunes += 1;
                     }
                 }
 
@@ -1296,7 +1594,9 @@ impl Dp<'_> {
                         self.subtree_bound(k, p, t_next_val).to_bits()
                     );
                     let floor = t_next_val.max(cut).max(bound);
-                    if floor < best {
+                    if floor >= best {
+                        self.branch_prunes += 1;
+                    } else {
                         let sub = if k == 0 {
                             t_next_val
                         } else {
@@ -1310,8 +1610,6 @@ impl Dp<'_> {
                                 recompute: rec,
                             };
                         }
-                    } else {
-                        self.branch_prunes += 1;
                     }
                 }
             }
@@ -1340,7 +1638,7 @@ impl Dp<'_> {
             }
         }
 
-        self.memo.insert(l, p, it, im, iv, best, choice);
+        self.ws.memo.insert(l, p, it, im, iv, best, choice);
         best
     }
 
@@ -1365,7 +1663,7 @@ impl Dp<'_> {
                                               // Terminal: the solve loop computes `k == 0` children directly,
                                               // so the memo holds no `l == 0` states.
         while s.l > 0 {
-            let (_, choice) = self.memo.get(s.l, s.p, s.it, s.im, s.iv)?;
+            let (_, choice) = self.ws.memo.get(s.l, s.p, s.it, s.im, s.iv)?;
             let (k, special, recompute) = match choice {
                 Choice::Infeasible => return None,
                 Choice::Done => break,
@@ -1621,7 +1919,8 @@ mod tests {
         assert!(exact.period.is_finite());
         let mut session = ProbeSession::new(&c, &platform, &disc());
         let cap = exact.period * 0.9;
-        let shard = session.solve_under(session.dp(5.0, true), cap);
+        let mut ws = Workspace::default();
+        let shard = session.solve_under(session.dp(5.0, true, &mut ws), cap);
         assert_eq!(shard.cap, Some(cap));
         assert!(shard.cap_missed);
         assert_eq!(shard.outcome.period.to_bits(), exact.period.to_bits());
@@ -1680,12 +1979,13 @@ mod tests {
         );
         let platform = Platform::new(3, 3 << 20, 1e8).unwrap();
         let session = ProbeSession::new(&c, &platform, &disc());
+        let mut ws = Workspace::default();
         for (t_hat, special) in [(2.0, true), (3.5, true), (5.0, false), (8.0, true)] {
-            let shard = session.run_solve(t_hat, special);
+            let shard = session.run_solve(t_hat, special, &mut ws);
             let Some(alloc) = &shard.outcome.allocation else {
                 continue;
             };
-            let replayed = session.dp(t_hat, special).path_value(alloc);
+            let replayed = session.dp(t_hat, special, &mut ws).path_value(alloc);
             assert_eq!(replayed.to_bits(), shard.outcome.period.to_bits());
         }
     }
@@ -1906,7 +2206,109 @@ mod tests {
             .all(|s| s.policy.weights == madpipe_model::WeightPolicy::TwoBw));
     }
 
+    /// The least special-GPU bytes over every completion of `s` that
+    /// passes each memory test of [`Dp::step`], or `None` when none does.
+    /// A special stage adds its exact `stage_memory` at `g − 1`.
+    fn least_special_bytes(dp: &Dp<'_>, chain: &Chain, s: State, lanes: &[bool]) -> Option<u64> {
+        if s.l == 0 {
+            return Some(0);
+        }
+        let mut least: Option<u64> = None;
+        for k in 0..s.l {
+            for &rec in lanes {
+                for special in [false, true] {
+                    let Some((_, next)) = dp.step(s, k, special, rec) else {
+                        continue;
+                    };
+                    let Some(rest) = least_special_bytes(dp, chain, next, lanes) else {
+                        continue;
+                    };
+                    let here = if special {
+                        let mut u = chain.compute_time(k..s.l);
+                        if rec {
+                            u += chain.forward_time(k..s.l);
+                        }
+                        let g = ceil_div(dp.v_axis.value(s.iv) + u, dp.t_hat).max(1);
+                        chain.stage_memory(k..s.l, g - 1, dp.stage_policy(rec))
+                    } else {
+                        0
+                    };
+                    least = Some(least.map_or(here + rest, |b| b.min(here + rest)));
+                }
+            }
+        }
+        least
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn the_memory_floor_never_exceeds_a_feasible_completion(
+            seed in (
+                2usize..7,        // layers
+                1usize..5,        // gpus
+                0usize..4,        // policy spec
+                0.5f64..1.5,      // budget / sequential peak
+                0.3f64..3.0,      // T̂ / per-GPU load
+            ),
+            layers in proptest::prop::collection::vec(
+                (0.1f64..4.0, 0.1f64..4.0, 1u64..64, 0u64..16),
+                6,
+            ),
+            picks in proptest::prop::collection::vec((0usize..64, 0usize..64), 3),
+        ) {
+            let (n, gpus, spec_i, budget, t_scale) = seed;
+            let built = layers[..n]
+                .iter()
+                .enumerate()
+                .map(|(i, &(f, b, act, w))| Layer::new(format!("l{i}"), f, b, w << 10, act << 10))
+                .collect();
+            let c = Chain::new("t", 8 << 10, built).unwrap();
+            let peak = c.stage_memory(0..n, 1, StagePolicy::default());
+            let platform = Platform::new(gpus, (peak as f64 * budget) as u64, 1e8).unwrap();
+            let spec = [
+                PolicySpec::default(),
+                spec(RecomputeMode::Auto, madpipe_model::WeightPolicy::Full),
+                spec(RecomputeMode::Always, madpipe_model::WeightPolicy::Full),
+                spec(RecomputeMode::Never, madpipe_model::WeightPolicy::TwoBw),
+            ][spec_i];
+            let lanes: &[bool] = match spec.recompute {
+                RecomputeMode::Never => &[false],
+                RecomputeMode::Always => &[true],
+                RecomputeMode::Auto => &[false, true],
+            };
+            let t_hat = c.total_compute_time() / gpus as f64 * t_scale;
+            let session = ProbeSession::new_with_policy(&c, &platform, &disc(), spec);
+            let mut ws = Workspace::default();
+            let mut dp = session.dp(t_hat, true, &mut ws);
+            let (v_len, m_len) = (dp.v_axis.len(), dp.m_axis.len());
+            for k in 1..=n {
+                for p in 0..=dp.root.p {
+                    for &(iv, im) in &picks {
+                        let (iv, im) = ((iv % v_len) as u16, (im % m_len) as u16);
+                        let floor = dp.floor(k, p, iv);
+                        let exceeds = dp.floor_exceeds(k, p, im, iv);
+                        let s = State { l: k, p, it: 0, im, iv };
+                        let least = least_special_bytes(&dp, &c, s, lanes);
+                        let from_zero = least_special_bytes(&dp, &c, State { im: 0, ..s }, lanes);
+                        if let Some(bytes) = from_zero {
+                            prop_assert!(
+                                floor <= bytes,
+                                "k {} p {} iv {}: floor {} above a completion's {}",
+                                k, p, iv, floor, bytes
+                            );
+                        }
+                        prop_assert!(
+                            !(exceeds && least.is_some()),
+                            "k {} p {} iv {} im {}: floored, yet a completion fits",
+                            k, p, iv, im
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn choice_encoding_round_trips(k in 0u16..=u16::MAX, rec_bit in 0u8..2) {
             let rec = rec_bit == 1;

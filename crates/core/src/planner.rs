@@ -3,8 +3,9 @@
 //!
 //! All DP probes of one plan — the bisection, the contiguous-fallback
 //! ablation and the refinement grid — go through one shared
-//! [`ProbeSession`], so revisited targets cost a hash lookup and every
-//! new target's solve is capped by the best allocation already held.
+//! [`ProbeSession`], so every new target's solve is capped by the best
+//! allocation already held (a target asked again would cost a hash
+//! lookup, but on the paper networks no plan asks one twice).
 //! Independent work (the refinement probes and the phase-2 scheduling of
 //! distinct candidate allocations) fans out over
 //! [`PlannerConfig::threads`] scoped workers; candidates are deduplicated
@@ -337,10 +338,12 @@ pub fn madpipe_plan_with_stats(
 
 /// Plan through a caller-owned [`ProbeSession`] — the entry point for
 /// long-lived callers (the `madpipe serve` worker pool) that plan the
-/// same `(chain, platform)` instance repeatedly. Revisited DP targets
-/// are answered from the session's outcome cache, so a warm session
-/// skips every solve while producing a plan **bit-identical** to a
-/// fresh one (the probes are pure functions of the session inputs).
+/// same `(chain, platform)` instance repeatedly. A second plan of the
+/// same instance asks the same targets, so the session's outcome cache
+/// answers every probe of it without a solve, and the plan is
+/// **bit-identical** to a fresh one (the probes are pure functions of
+/// the session inputs). A first plan gains little from the cache: on
+/// the paper networks none of its probes repeats a target.
 ///
 /// The returned [`PlannerStats`] snapshot the session's *cumulative*
 /// counters: on a reused session, DP counters include earlier plans.
@@ -376,8 +379,13 @@ pub fn madpipe_plan_with_session(
 /// see one namespace alongside the DP counters.
 fn mirror_into_metrics(stats: &mut PlannerStats) {
     // The cap counters are exported even at zero: a cap miss is a solver
-    // bug, so its absence should read as a visible 0.
-    for name in [counters::DP_CAPPED, counters::DP_CAP_MISSES] {
+    // bug, so its absence should read as a visible 0. The memory floor is
+    // always on, so a cell where it never fires reads 0 too.
+    for name in [
+        counters::DP_CAPPED,
+        counters::DP_CAP_MISSES,
+        counters::DP_MEMORY_FLOOR_PRUNES,
+    ] {
         stats.metrics.bump_counter(name, 0);
     }
     if stats.schedules_attempted > 0 {
@@ -808,6 +816,26 @@ mod tests {
             assert_eq!(winner(&got, incumbent), winner(&reference, incumbent));
         }
         assert!(cut > 0, "the cutoff must stop some candidate");
+    }
+
+    #[test]
+    fn the_memory_floor_keeps_a_tight_resnet50_plan_small() {
+        // A host-independent guard on the DP's work: the memory floor cut
+        // this cell from 126,687 states to under 14,000.
+        let chain = madpipe_dnn::networks::by_name("resnet50")
+            .unwrap()
+            .profile(8, 1000, &madpipe_dnn::GpuModel::default())
+            .unwrap();
+        let platform = Platform::gb(4, 3, 12.0).unwrap();
+        let (plan, stats) = madpipe_plan_with_stats(&chain, &platform, &PlannerConfig::default());
+        plan.unwrap();
+        assert!(
+            stats.dp.states_created <= 20_000,
+            "{} DP states: {:?}",
+            stats.dp.states_created,
+            stats.dp
+        );
+        assert!(stats.dp.memory_floor_prunes > 0, "{:?}", stats.dp);
     }
 
     #[test]

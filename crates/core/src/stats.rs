@@ -37,6 +37,9 @@ pub mod counters {
     pub const DP_LOAD_PRUNES: &str = "dp.load_prunes";
     pub const DP_MEMORY_PRUNES: &str = "dp.memory_prunes";
     pub const DP_BRANCH_PRUNES: &str = "dp.branch_prunes";
+    /// Child states skipped because the special GPU's memory floor for
+    /// their remaining layers exceeded what it had left.
+    pub const DP_MEMORY_FLOOR_PRUNES: &str = "dp.memory_floor_prunes";
     /// Log₂ histogram of per-solve wall time (seconds).
     pub const DP_SOLVE_SECONDS: &str = "dp.solve.seconds";
     /// Log₂ histogram of per-solve memoized state counts.
@@ -85,6 +88,10 @@ pub struct DpStats {
     /// Candidate recursions skipped because the 1F1B* subtree lower
     /// bound already met the incumbent (branch-and-bound, exact).
     pub branch_prunes: u64,
+    /// Child states skipped because the special GPU could not hold what
+    /// the normal GPUs cannot take of their remaining layers (the memory
+    /// floor, exact).
+    pub memory_floor_prunes: u64,
 }
 
 impl DpStats {
@@ -102,6 +109,7 @@ impl DpStats {
             load_prunes: registry.counter(DP_LOAD_PRUNES),
             memory_prunes: registry.counter(DP_MEMORY_PRUNES),
             branch_prunes: registry.counter(DP_BRANCH_PRUNES),
+            memory_floor_prunes: registry.counter(DP_MEMORY_FLOOR_PRUNES),
         }
     }
 
@@ -117,6 +125,7 @@ impl DpStats {
         self.load_prunes += other.load_prunes;
         self.memory_prunes += other.memory_prunes;
         self.branch_prunes += other.branch_prunes;
+        self.memory_floor_prunes += other.memory_floor_prunes;
     }
 }
 
@@ -297,6 +306,10 @@ impl PlannerStats {
                     ("load_prunes".into(), Value::UInt(self.dp.load_prunes)),
                     ("memory_prunes".into(), Value::UInt(self.dp.memory_prunes)),
                     ("branch_prunes".into(), Value::UInt(self.dp.branch_prunes)),
+                    (
+                        "memory_floor_prunes".into(),
+                        Value::UInt(self.dp.memory_floor_prunes),
+                    ),
                 ]),
             ),
             (
@@ -371,6 +384,7 @@ mod tests {
             load_prunes: 3,
             memory_prunes: 1,
             branch_prunes: 11,
+            memory_floor_prunes: 5,
         };
         let b = DpStats {
             solves: 1,
@@ -383,6 +397,7 @@ mod tests {
             load_prunes: 1,
             memory_prunes: 0,
             branch_prunes: 4,
+            memory_floor_prunes: 2,
         };
         a.merge(&b);
         assert_eq!(a.solves, 3);
@@ -390,6 +405,7 @@ mod tests {
         assert_eq!((a.capped, a.cap_misses), (2, 1));
         assert_eq!(a.states_created, 110);
         assert_eq!(a.branch_prunes, 15);
+        assert_eq!(a.memory_floor_prunes, 7);
         assert_eq!(a.outcome_hits, 3);
     }
 

@@ -21,7 +21,11 @@
 //! bound.
 //!
 //! Coverage: real profiled networks over a fig6-style platform slice,
-//! plus proptest-generated chains/platforms/targets/policies.
+//! plus proptest-generated chains/platforms/targets/policies. The
+//! memory-tight cases at the end (the paper-size ResNet-50 at 3 and 4 GB,
+//! and random chains with budgets near their sequential peak) also
+//! require the memory floor to fire, so the unpruned reference checks
+//! that every child it rejects is infeasible.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -336,14 +340,16 @@ fn assert_differential(
 
 /// Probe `targets` in order through one production session per DP
 /// variant (so every probe after the first runs capped) and check each
-/// against the reference; the session must report no cap miss.
+/// against the reference; the session must report no cap miss. Returns
+/// the memory floor prunes the sessions made.
 fn assert_session_differential(
     chain: &Chain,
     platform: &Platform,
     targets: &[f64],
     disc: &Discretization,
     spec: PolicySpec,
-) {
+) -> u64 {
+    let mut prunes = 0;
     for use_special in [true, false] {
         let mut session = ProbeSession::new_with_policy(chain, platform, disc, spec);
         for &t_hat in targets {
@@ -351,7 +357,9 @@ fn assert_session_differential(
             assert_matches_reference(&dense, chain, platform, t_hat, disc, use_special, spec);
         }
         assert_eq!(session.stats().cap_misses, 0, "{spec:?}");
+        prunes += session.stats().memory_floor_prunes;
     }
+    prunes
 }
 
 /// The default policy, recompute `auto` and `always`, and 2BW weights.
@@ -551,5 +559,73 @@ proptest::proptest! {
         let targets: Vec<f64> = factors.iter().map(|f| per_gpu * f).collect();
         let disc = Discretization::coarse();
         assert_session_differential(&chain, &platform, &targets, &disc, specs()[spec]);
+    }
+}
+
+#[test]
+fn memory_tight_resnet50_cells_match_and_fire_the_floor() {
+    // The paper-size ResNet-50 (batch 8, 1000×1000) where the memory
+    // floor does most of its work, under every policy spec; the floor
+    // must fire, so the unpruned reference checks the children it skips.
+    let chain = networks::by_name("resnet50")
+        .unwrap()
+        .profile(8, 1000, &GpuModel::default())
+        .unwrap();
+    let disc = Discretization::coarse();
+    let total = chain.total_compute_time();
+    for (p, m_gb) in [(4usize, 3u64), (2, 4)] {
+        let platform = Platform::gb(p, m_gb, 12.0).unwrap();
+        let targets: Vec<f64> = [1.0, 2.3, 1.7]
+            .iter()
+            .map(|f| total / p as f64 * f)
+            .collect();
+        for spec in specs() {
+            let prunes = assert_session_differential(&chain, &platform, &targets, &disc, spec);
+            assert!(
+                prunes > 0,
+                "P = {p}, M = {m_gb} GB, {spec:?}: the floor never fired"
+            );
+        }
+    }
+}
+
+#[test]
+fn near_peak_random_chains_match_and_fire_the_floor() {
+    // Random chains whose budget sits near the memory one GPU needs to
+    // run the whole chain with one batch in flight, under every spec.
+    // Each instance is checked on its own; the floor must fire on some
+    // of them under every spec.
+    let mut rng = proptest::test_runner::TestRng::from_seed(0x6d65_6d66);
+    let mut prunes = [0u64; 4];
+    for _ in 0..24 {
+        let n_layers = 3 + rng.below(5) as usize;
+        let costs: Vec<(f64, f64)> = (0..n_layers)
+            .map(|_| (0.1 + 3.9 * rng.next_f64(), 0.1 + 3.9 * rng.next_f64()))
+            .collect();
+        let layers = costs
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, b))| {
+                let act = (1 + rng.below(64)) << 10;
+                let w = rng.below(16) << 10;
+                Layer::new(format!("l{i}"), f, b, w, act)
+            })
+            .collect();
+        let chain = Chain::new("t", 8 << 10, layers).unwrap();
+        let gpus = 1 + rng.below(4) as usize;
+        let peak = chain.stage_memory(0..n_layers, 1, StagePolicy::default());
+        let budget = (peak as f64 * (0.5 + rng.next_f64())) as u64;
+        let platform = Platform::new(gpus, budget.max(1), 1e8).unwrap();
+        let per_gpu = chain.total_compute_time() / gpus as f64;
+        let targets: Vec<f64> = (0..4)
+            .map(|_| per_gpu * (0.3 + 2.7 * rng.next_f64()))
+            .collect();
+        let disc = Discretization::coarse();
+        for (i, spec) in specs().into_iter().enumerate() {
+            prunes[i] += assert_session_differential(&chain, &platform, &targets, &disc, spec);
+        }
+    }
+    for (spec, n) in specs().iter().zip(prunes) {
+        assert!(n > 0, "{spec:?}: the floor never fired");
     }
 }

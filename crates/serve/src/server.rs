@@ -640,7 +640,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Plan `job`'s instance, then keep serving consecutive jobs for the
 /// *same* canonical instance through the same warm [`ProbeSession`]:
-/// repeated probes cost a memo lookup, and the result is bit-identical
+/// every probe of a repeat plan is an outcome-cache lookup, and the result is bit-identical
 /// to a cold run because every probe is a pure function of
 /// (chain, platform, T̂). A job for a different instance is handed back
 /// via `pending`.
