@@ -30,7 +30,6 @@ pub fn generate(results: &[CellResult]) -> (String, Table) {
         "pipedream_ms",
         "planning_s",
         "dp_solves",
-        "dp_probes_saved",
         "certified",
         "jitter_margin",
     ]);
@@ -101,7 +100,6 @@ pub fn generate(results: &[CellResult]) -> (String, Table) {
             ms(r.pipedream),
             format!("{:.3}", r.planning_seconds),
             r.dp_solves().to_string(),
-            r.dp_probes_saved().to_string(),
             r.certified.map(|c| c.to_string()).unwrap_or_default(),
             ratio(r.jitter_margin),
         ]);
@@ -129,7 +127,7 @@ mod tests {
             pipedream_estimate: Some(0.1),
             pipedream: Some(0.14),
             planning_seconds: 0.5,
-            stats: crate::grid::test_stats(3, 1, 10),
+            stats: crate::grid::test_stats(3, 10),
             certified: Some(true),
             jitter_margin: Some(0.12),
         }

@@ -91,7 +91,7 @@ mod tests {
             pipedream_estimate: pd,
             pipedream: pd,
             planning_seconds: 0.1,
-            stats: crate::grid::test_stats(3, 0, 10),
+            stats: crate::grid::test_stats(3, 10),
             certified: mp.map(|_| true),
             jitter_margin: mp.map(|_| 0.1),
         }

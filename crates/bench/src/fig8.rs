@@ -103,7 +103,7 @@ mod tests {
             pipedream_estimate: None,
             pipedream: None,
             planning_seconds: 0.1,
-            stats: crate::grid::test_stats(3, 0, 10),
+            stats: crate::grid::test_stats(3, 10),
             certified: Some(true),
             jitter_margin: Some(0.1),
         }

@@ -145,11 +145,6 @@ impl CellResult {
         self.stats.dp.solves
     }
 
-    /// Probes answered without a solve (the outcome cache).
-    pub fn dp_probes_saved(&self) -> usize {
-        self.stats.dp.outcome_hits
-    }
-
     /// Memoized DP states created across this cell's solves.
     pub fn dp_states(&self) -> u64 {
         self.stats.dp.states_created
@@ -230,11 +225,10 @@ pub fn run_cell(chain: &Chain, cell: &Cell, planner: &PlannerConfig) -> CellResu
 
 /// Planner stats with just the DP counters set, for figure-module tests.
 #[cfg(test)]
-pub(crate) fn test_stats(solves: usize, probes_saved: usize, states: u64) -> PlannerStats {
+pub(crate) fn test_stats(solves: usize, states: u64) -> PlannerStats {
     PlannerStats {
         dp: madpipe_core::DpStats {
             solves,
-            outcome_hits: probes_saved,
             states_created: states,
             ..Default::default()
         },

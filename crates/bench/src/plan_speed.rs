@@ -11,8 +11,9 @@
 //!   deliberately.
 //! * **Times gate loosely.** What is measured is the *DP portion* of
 //!   planning (phase 1 bisection + contiguous fallback + refinement).
-//!   Phase-2 scheduling has no time gate yet (ROADMAP item 6); the
-//!   period bits above are its exactness gate. Its node counts are not:
+//!   Phase-2 scheduling has no time gate yet (ROADMAP item 6): its
+//!   median is recorded and reported, not gated, and the period bits
+//!   above are its exactness gate. Its node counts are not:
 //!   they fall by design whenever phase 2 learns to skip a search whose
 //!   result cannot change the plan. Wall time
 //!   is hostage to the CI runner, so the gate only fails beyond a
@@ -45,6 +46,10 @@ pub struct PlanSpeedRecord {
     /// Median end-to-end planning seconds across repeats (includes the
     /// phase-2 scheduler; informational, not gated).
     pub total_seconds: f64,
+    /// Median phase-2 scheduling seconds across repeats, from the
+    /// planner's `schedule` phase clock (informational, not gated).
+    /// `None` in a document written before it was recorded.
+    pub schedule_seconds: Option<f64>,
     /// Raw IEEE-754 bits of the achieved period (`None` = infeasible).
     /// Stored as bits, not a float, so the JSON round trip and the gate
     /// are exact by construction.
@@ -76,6 +81,10 @@ impl PlanSpeedRecord {
             ("dp_seconds".into(), Value::Float(self.dp_seconds)),
             ("total_seconds".into(), Value::Float(self.total_seconds)),
             (
+                "schedule_seconds".into(),
+                self.schedule_seconds.map_or(Value::Null, Value::Float),
+            ),
+            (
                 "period_bits".into(),
                 match self.period_bits {
                     Some(b) => Value::UInt(b),
@@ -93,6 +102,10 @@ impl PlanSpeedRecord {
             beta_gb: v.field("beta_gb")?.as_f64()?,
             dp_seconds: v.field("dp_seconds")?.as_f64()?,
             total_seconds: v.field("total_seconds")?.as_f64()?,
+            schedule_seconds: match v.get("schedule_seconds") {
+                None | Some(Value::Null) => None,
+                Some(s) => Some(s.as_f64()?),
+            },
             period_bits: match v.get("period_bits") {
                 None | Some(Value::Null) => None,
                 Some(b) => Some(b.as_u64()?),
@@ -131,6 +144,7 @@ pub fn run_plan_speed(
                 Platform::gb(cell.p, cell.m_gb, cell.beta_gb).expect("valid grid platform");
             let mut dp_times = Vec::with_capacity(repeats);
             let mut totals = Vec::with_capacity(repeats);
+            let mut schedule_times = Vec::with_capacity(repeats);
             let mut bits: Option<Option<u64>> = None;
             for _ in 0..repeats {
                 let wall = Instant::now();
@@ -148,6 +162,7 @@ pub fn run_plan_speed(
                 }
                 dp_times.push(dp);
                 totals.push(total);
+                schedule_times.push(stats.schedule_seconds);
             }
             out.push(PlanSpeedRecord {
                 network: cell.network.clone(),
@@ -156,6 +171,7 @@ pub fn run_plan_speed(
                 beta_gb: cell.beta_gb,
                 dp_seconds: median(&mut dp_times),
                 total_seconds: median(&mut totals),
+                schedule_seconds: Some(median(&mut schedule_times)),
                 period_bits: bits.expect("repeats > 0"),
             });
         }
@@ -286,18 +302,33 @@ mod tests {
             beta_gb: 12.0,
             dp_seconds: dp,
             total_seconds: dp * 2.0,
+            schedule_seconds: Some(dp / 2.0),
             period_bits: period.map(f64::to_bits),
         }
     }
 
     #[test]
     fn json_round_trip_is_lossless() {
-        let records = vec![
+        let mut records = vec![
             record(4, 6, Some(0.103_712_345_678_9), 0.42),
             record(4, 3, None, 0.01),
         ];
+        records[1].schedule_seconds = None;
         let parsed = parse(&render(&records)).unwrap();
         assert_eq!(parsed, records);
+    }
+
+    #[test]
+    fn a_baseline_without_schedule_seconds_loads() {
+        let text = r#"{"version": 1, "records": [{"network": "resnet50", "p": 2,
+            "m_gb": 3, "beta_gb": 12.0, "dp_seconds": 0.01,
+            "total_seconds": 0.2, "period_bits": 4600460563504974830}]}"#;
+        let records = parse(text).unwrap();
+        assert_eq!(records[0].schedule_seconds, None);
+        // Phase 2's time is not gated: only the period bits and DP time.
+        let mut cur = records.clone();
+        cur[0].schedule_seconds = Some(10.0);
+        assert!(compare_plan_speed(&cur, &records, 1.25).is_empty());
     }
 
     #[test]
@@ -390,5 +421,7 @@ mod tests {
         assert!(records[0].period_bits.is_some());
         assert!(records[0].dp_seconds > 0.0);
         assert!(records[0].total_seconds >= records[0].dp_seconds);
+        let schedule = records[0].schedule_seconds.expect("recorded");
+        assert!(schedule >= 0.0 && schedule <= records[0].total_seconds);
     }
 }

@@ -36,8 +36,6 @@ pub struct Summary {
     pub planning_seconds: f64,
     /// DP solves that actually ran across all cells (planner cost).
     pub dp_solves: usize,
-    /// Probes answered by cross-probe reuse instead of a solve.
-    pub dp_probes_saved: usize,
     /// Memoized DP states created across all cells.
     pub dp_states: u64,
     /// MadPipe plans that passed differential certification.
@@ -63,7 +61,6 @@ pub fn summarize(results: &[CellResult]) -> Summary {
         madpipe_optimism: None,
         planning_seconds: results.iter().map(|r| r.planning_seconds).sum(),
         dp_solves: results.iter().map(|r| r.dp_solves()).sum(),
-        dp_probes_saved: results.iter().map(|r| r.dp_probes_saved()).sum(),
         dp_states: results.iter().map(|r| r.dp_states()).sum(),
         certified_pass: results.iter().filter(|r| r.certified == Some(true)).count(),
         certified_fail: results
@@ -149,8 +146,8 @@ pub fn generate(results: &[CellResult]) -> (String, Table) {
     let _ = writeln!(text, "  total planning time: {:.1} s", s.planning_seconds);
     let _ = writeln!(
         text,
-        "  planner cost: {} DP solves ({} probes saved by reuse), {} states",
-        s.dp_solves, s.dp_probes_saved, s.dp_states
+        "  planner cost: {} DP solves, {} states",
+        s.dp_solves, s.dp_states
     );
     let _ = writeln!(
         text,
@@ -174,7 +171,6 @@ pub fn generate(results: &[CellResult]) -> (String, Table) {
         "madpipe_optimism",
         "planning_seconds",
         "dp_solves",
-        "dp_probes_saved",
         "dp_states",
         "certified_pass",
         "certified_fail",
@@ -194,7 +190,6 @@ pub fn generate(results: &[CellResult]) -> (String, Table) {
         fmt(s.madpipe_optimism),
         format!("{:.1}", s.planning_seconds),
         s.dp_solves.to_string(),
-        s.dp_probes_saved.to_string(),
         s.dp_states.to_string(),
         s.certified_pass.to_string(),
         s.certified_fail.to_string(),
@@ -223,7 +218,7 @@ mod tests {
             pipedream_estimate: pd.map(|x| x * 0.5),
             pipedream: pd,
             planning_seconds: 1.0,
-            stats: crate::grid::test_stats(5, 2, 100),
+            stats: crate::grid::test_stats(5, 100),
             certified: mp.map(|_| true),
             jitter_margin: mp.map(|_| 0.1),
         }
@@ -248,7 +243,6 @@ mod tests {
         assert!((s.pipedream_optimism.unwrap() - 2.0).abs() < 1e-12);
         assert_eq!(s.planning_seconds, 4.0);
         assert_eq!(s.dp_solves, 20);
-        assert_eq!(s.dp_probes_saved, 8);
         assert_eq!(s.dp_states, 400);
         assert_eq!(s.certified_pass, 3);
         assert_eq!(s.certified_fail, 0);

@@ -96,7 +96,8 @@
 //!
 //! * each remaining layer `i` gets `g_i = max(1, ceil_div(min(V_top, V′ +
 //!   U(i, k)) · FLOOR_SLACK − 3·EPS·k, T̂))`, with `V_top` the `V` axis
-//!   maximum and `EPS` the tolerance of [`ceil_div`];
+//!   maximum and `EPS` the tolerance of
+//!   [`ceil_div`](madpipe_model::util::ceil_div);
 //! * on the special processor layer `i` costs at least `c_i = w·W_i +
 //!   (g_i − 1)·ā_i` on the store lane, and `w·W_i + (ā_i − a_in(i)) +
 //!   min(g_i − 1, 1)·a_in(i)` on the recompute lane (the least of the
@@ -118,8 +119,9 @@
 //! that passes every memory test and derive a contradiction:
 //!
 //! 1. *Group counts.* A transition sets `V ← value(index_up((V ⊕ u) ⊕
-//!    C))`. [`ceil_div`] snaps a ratio within `EPS/T̂` of an integer onto
-//!    it, so `x ⊕ y ≥ x + y − EPS` up to rounding, and `C ≥ 0`;
+//!    C))`. [`ceil_div`](madpipe_model::util::ceil_div) snaps a ratio
+//!    within `EPS/T̂` of an integer onto it, so `x ⊕ y ≥ x + y − EPS` up
+//!    to rounding, and `C ≥ 0`;
 //!    [`Axis::index_up`] loses at most its `10⁻⁹` relative guard and
 //!    clamps at `V_top`. So `V_next ≥ min(V_top, V + u)·(1 − δ) − 2·EPS`
 //!    (`δ = 10⁻⁹` plus a few ulps), and by induction a stage `[j, e)`
@@ -214,7 +216,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use madpipe_model::util::{ceil_div, EPS};
+use madpipe_model::util::{ceil_div_with, group_step_with, EPS};
 use madpipe_model::{
     ActivationPolicy, Allocation, Chain, Layer, Platform, PolicySpec, RecomputeMode, Stage,
     StagePolicy,
@@ -223,7 +225,6 @@ use madpipe_obs::Registry;
 
 use crate::discrete::{Axis, Discretization};
 use crate::fxhash::FxHashMap;
-use crate::oplus::oplus;
 use crate::stats::{counters, DpStats, ProbeRecord, ProbeSource};
 
 /// Result of one MadPipe-DP run at a fixed target period `T̂`.
@@ -863,9 +864,14 @@ impl<'a> ProbeSession<'a> {
             l_len * self.tables.stride * n_pol,
         );
         let v_axis = Axis::new(self.v_max.max(t_hat), v_len);
+        let tol = EPS / t_hat;
+        ws.v_groups.clear();
+        ws.v_groups
+            .extend((0..v_len as u16).map(|iv| ceil_div_with(v_axis.value(iv), t_hat, tol)));
         Dp {
             platform: self.platform,
             t_hat,
+            tol,
             use_special,
             root: State {
                 l: self.chain.len(),
@@ -1003,6 +1009,8 @@ struct Workspace {
     costs: Vec<u64>,
     window: Vec<usize>,
     cover: [Vec<u64>; 2],
+    /// `⌈V/T̂⌉` per `V` grid index, filled per solve.
+    v_groups: Vec<u64>,
 }
 
 impl Workspace {
@@ -1052,6 +1060,29 @@ const MODE_AUTO: u8 = 2;
 /// ("Branch-and-bound pruning") prove it covers 65,535 special steps.
 const FLOOR_SLACK: f64 = 1.0 - 1e-4;
 
+/// One stage's step of the delay coordinate at `T̂ = t_hat`: from delay
+/// `v`, with `gv = ⌈v/T̂⌉`, through a stage of effective load `u` and its
+/// boundary cut `cut`, the stage's group count `g = max(1, ⌈(v+u)/T̂⌉)`
+/// and the next delay `(v ⊕ u) ⊕ cut`. `tol` is `EPS / T̂`.
+///
+/// Bit for bit `ceil_div(v + u, T̂).max(1)` and `group_step(group_step(v,
+/// u, T̂), cut, T̂)`, with fewer divisions: `⌈(v+u)/T̂⌉` is computed once
+/// and reused by the first `⊕`, and `⌈v/T̂⌉` comes from the caller's
+/// per-solve table.
+#[inline]
+fn delay_step(v: f64, gv: u64, u: f64, cut: f64, t_hat: f64, tol: f64) -> (u64, f64) {
+    let vu = v + u;
+    let gvu = ceil_div_with(vu, t_hat, tol);
+    let v_u = if u == 0.0 {
+        v
+    } else if gv == gvu {
+        vu
+    } else {
+        t_hat * gv as f64 + u
+    };
+    (gvu.max(1), group_step_with(v_u, cut, t_hat, tol))
+}
+
 /// A DP state's grid coordinates: `l` layers left, `p` normal GPUs left,
 /// and the `t_P`, `m_P` and `V` grid indices.
 #[derive(Debug, Clone, Copy)]
@@ -1066,6 +1097,8 @@ struct State {
 struct Dp<'a> {
     platform: &'a Platform,
     t_hat: f64,
+    /// `EPS / T̂`: [`ceil_div_with`]'s tolerance at this solve's `T̂`.
+    tol: f64,
     use_special: bool,
     /// `(L, p_normal, 0, 0, 0)`: the whole chain, nothing placed yet.
     root: State,
@@ -1159,11 +1192,7 @@ impl Dp<'_> {
             u += self.tables.fwd[i];
         }
         let cut = self.cut_times[k];
-        let v_val = self.v_axis.value(s.iv);
-        let g = ceil_div(v_val + u, self.t_hat).max(1);
-        let iv = self
-            .v_axis
-            .index_up(oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat));
+        let (g, iv) = self.advance(s.iv, u, cut);
         let stored = self.tables.stored[i];
         let a_in = self.tables.a_in[k];
         let (live, static_extra) = if rec {
@@ -1230,21 +1259,32 @@ impl Dp<'_> {
     /// coordinate `iv` under policy lane `pol`, computed once per
     /// distinct `(l, k, iv, pol)` and then served from the cache.
     /// `idx` is the caller-computed flat cache slot
-    /// `((l·stride + k)·v_len + iv)·n_pol + pol`; `v_val`, `u` and
-    /// `cut` are pure functions of those coordinates (`u` is the
+    /// `((l·stride + k)·v_len + iv)·n_pol + pol`; `u` and `cut` are
+    /// pure functions of those coordinates (`u` is the
     /// policy's *effective* load), so caching is bit-transparent.
     #[inline]
-    fn transition(&mut self, idx: usize, v_val: f64, u: f64, cut: f64) -> (u64, u16) {
+    fn transition(&mut self, idx: usize, iv: u16, u: f64, cut: f64) -> (u64, u16) {
         let cached = self.ws.trans[idx];
         if cached.g != 0 {
             return (cached.g, cached.iv_next);
         }
-        let g = ceil_div(v_val + u, self.t_hat).max(1);
-        let v_next = oplus(oplus(v_val, u, self.t_hat), cut, self.t_hat);
-        let iv_next = self.v_axis.index_up(v_next);
+        let (g, iv_next) = self.advance(iv, u, cut);
         self.ws.trans[idx] = TransEntry { g, iv_next };
         self.ws.trans_set.push(idx);
         (g, iv_next)
+    }
+
+    /// `(g, iv_next)` of a stage of effective load `u` and cut `cut`
+    /// taken at delay coordinate `iv`: [`delay_step`] at this solve's
+    /// `T̂`, then the grid round-up. [`Self::step`] and
+    /// [`Self::transition`] both take it, because the cap proof needs
+    /// them to be the same arithmetic.
+    #[inline]
+    fn advance(&self, iv: u16, u: f64, cut: f64) -> (u64, u16) {
+        let v = self.v_axis.value(iv);
+        let gv = self.ws.v_groups[iv as usize];
+        let (g, v_next) = delay_step(v, gv, u, cut, self.t_hat, self.tol);
+        (g, self.v_axis.index_up(v_next))
     }
 
     /// Rounded-up special-processor load index after taking stage `k..l`
@@ -1312,7 +1352,7 @@ impl Dp<'_> {
         for i in 0..k {
             // `g_i`: the group count of any stage holding layer `i`.
             let lb = (v_child + tables.u[k * stride + i]).min(self.v_top) * FLOOR_SLACK - loss;
-            let g = ceil_div(lb, self.t_hat).max(1);
+            let g = ceil_div_with(lb, self.t_hat, self.tol).max(1);
             let one = (i + 1) * stride + i;
             let weights = w_mult * tables.weights[one];
             let stored = tables.stored[one];
@@ -1428,7 +1468,6 @@ impl Dp<'_> {
 
         let t_val = self.t_axis.value(it);
         let m_val = self.m_axis.value(im);
-        let v_val = self.v_axis.value(iv);
         let memory = self.platform.memory_bytes;
         let row = l * self.tables.stride;
         // Hoisted table slices: every candidate index is `k < l`, which
@@ -1504,7 +1543,7 @@ impl Dp<'_> {
                     continue;
                 }
                 let idx = ((row + k) * v_len + iv as usize) * n_pol + pol;
-                let (g, iv_next) = self.transition(idx, v_val, u, cut);
+                let (g, iv_next) = self.transition(idx, iv, u, cut);
 
                 // Memory terms of `M(k, l, g)` under this policy: a
                 // storing stage pins `ā` per live batch; a recomputing
@@ -1720,6 +1759,7 @@ pub fn madpipe_dp_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use madpipe_model::util::{ceil_div, group_step};
     use proptest::prelude::*;
 
     fn chain(costs: &[(f64, f64)], act: u64, w: u64) -> Chain {
@@ -2320,6 +2360,40 @@ mod tests {
             ] {
                 prop_assert_eq!(decode_choice(encode_choice(c)), c);
             }
+        }
+    }
+
+    /// `k·t` moved by `[0, ±EPS/2, ±EPS, ±2·EPS][off]`, or by `frac·t`
+    /// when `off` is 7; never negative.
+    fn near_multiple(t: f64, k: u64, off: usize, frac: f64) -> f64 {
+        let shift = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+            .get(off)
+            .map_or(frac * t, |m| m * EPS);
+        (k as f64 * t + shift).max(0.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The DP's delay step, with `⌈v/T̂⌉` and `EPS/T̂` computed once,
+        /// is bit for bit `ceil_div` and two `group_step`s, at exact
+        /// multiples of `T̂` and within `EPS` of them.
+        #[test]
+        fn delay_step_is_ceil_div_and_group_step_bit_for_bit(
+            t in 1e-3f64..10.0,
+            v in (0u64..40, 0usize..8, 0.0f64..1.0),
+            u in (0u64..6, 0usize..8, 0.0f64..1.0),
+            cut in (0u64..3, 0usize..8, 0.0f64..1.0),
+        ) {
+            let v = near_multiple(t, v.0, v.1, v.2);
+            let u = near_multiple(t, u.0, u.1, u.2);
+            let cut = near_multiple(t, cut.0, cut.1, cut.2);
+            let tol = EPS / t;
+            prop_assert_eq!(ceil_div_with(v, t, tol), ceil_div(v, t));
+            let (g, v_next) = delay_step(v, ceil_div_with(v, t, tol), u, cut, t, tol);
+            prop_assert_eq!(g, ceil_div(v + u, t).max(1));
+            let reference = group_step(group_step(v, u, t), cut, t);
+            prop_assert_eq!(v_next.to_bits(), reference.to_bits());
         }
     }
 }

@@ -45,13 +45,22 @@ pub fn feq(a: f64, b: f64) -> bool {
 /// and inflate every memory estimate.
 #[inline]
 pub fn ceil_div(x: f64, y: f64) -> u64 {
+    ceil_div_with(x, y, EPS / y)
+}
+
+/// [`ceil_div`] with its snapping tolerance `tol = EPS / y` computed by
+/// the caller, so a loop over one divisor divides once per call, not
+/// twice.
+#[inline]
+pub fn ceil_div_with(x: f64, y: f64, tol: f64) -> u64 {
     debug_assert!(y > 0.0, "ceil_div requires a positive divisor");
+    debug_assert_eq!(tol.to_bits(), (EPS / y).to_bits(), "tol is EPS / y");
     if x <= EPS {
         return 0;
     }
     let q = x / y;
     let r = q.round();
-    if (q - r).abs() <= EPS / y {
+    if (q - r).abs() <= tol {
         r as u64
     } else {
         q.ceil() as u64
@@ -78,13 +87,20 @@ pub fn ceil_div(x: f64, y: f64) -> u64 {
 /// the same number of groups in the estimate and in the schedule.
 #[inline]
 pub fn group_step(x: f64, y: f64, t: f64) -> f64 {
+    group_step_with(x, y, t, EPS / t)
+}
+
+/// [`group_step`] with [`ceil_div_with`]'s tolerance `tol = EPS / t`
+/// computed by the caller.
+#[inline]
+pub fn group_step_with(x: f64, y: f64, t: f64, tol: f64) -> f64 {
     debug_assert!(t > 0.0, "group_step requires a positive target period");
     debug_assert!(x >= 0.0 && y >= 0.0);
     if y == 0.0 {
         return x;
     }
-    let gx = ceil_div(x, t);
-    let gxy = ceil_div(x + y, t);
+    let gx = ceil_div_with(x, t, tol);
+    let gxy = ceil_div_with(x + y, t, tol);
     if gx == gxy {
         x + y
     } else {

@@ -326,8 +326,8 @@ impl<'a> Checker<'a> {
     ///   It never moves a backward. So in every pattern the leaf or its
     ///   compaction checks, `F_u` completes at most `(n − u)·r` after the
     ///   packed bound `z_{B_{n−1}} − Σ_{v>u} f_v`, and `end_u` is within
-    ///   `(n − 1 − u)·r` of that bound; with `gap`'s two roundings, every
-    ///   stage's `C_B − C_F ≥ gap − (2n + 1)·r`.
+    ///   `(n − 1 − u)·r` of that bound; with `gap`'s roundings (at most
+    ///   two), every stage's `C_B − C_F ≥ gap − (2n + 1)·r`.
     /// * (iii) Folding moves an op's virtual start by at most `5r`, or
     ///   up to `EPS + 5r` later at the snap to `T`; the sweep's completion
     ///   arithmetic adds `3r` and keeps each phase in `[−3r, T + 2r]`. So
@@ -343,11 +343,34 @@ impl<'a> Checker<'a> {
     ///   times make `slack` infinite and every `q` zero: no leaf is
     ///   floored.
     ///
+    /// Shared slack. The proof uses `scale` only through `Z`, to bound
+    /// the magnitude of the leaf's times, so any `scale` at least the
+    /// leaf's last completion keeps it sound. The placer asks all the
+    /// sibling leaves below the node that places `B_0` with the slack of
+    /// the last (largest) candidate. With that slack fixed only `gap[0]`
+    /// moves between siblings, and no GPU's floor falls as it grows
+    /// ([`Checker::leaf_floor`]): when stage 0's `q` passes an integer,
+    /// `⌊q⌋·bytes` gains its `bytes` and the `⌈q⌉ − ⌊q⌋` term loses at
+    /// most that. So once one sibling is floored, every later one is.
+    ///
     /// [`memory_floor`]: Checker::memory_floor
     pub fn leaf_exceeds(&self, period: f64, gap: &[f64], scale: f64) -> bool {
+        self.leaf_floor(period, gap, scale)
+            .any(|bytes| bytes > self.memory_limit)
+    }
+
+    /// Each GPU's memory floor, in GPU order, over the patterns one leaf
+    /// can check: the bound [`Checker::leaf_exceeds`] compares with the
+    /// limit. With `scale` fixed, no GPU's floor falls when any `gap`
+    /// grows.
+    pub fn leaf_floor<'s>(
+        &'s self,
+        period: f64,
+        gap: &'s [f64],
+        scale: f64,
+    ) -> impl Iterator<Item = u64> + 's {
         let slack = 2.0 * EPS + (2 * gap.len() + 24) as f64 * f64::EPSILON * (scale + EPS);
         self.floor_with(period, move |s| gap[s.unit] - slack)
-            .any(|bytes| bytes > self.memory_limit)
     }
 
     /// Each GPU's memory floor when stage `s` holds at least `lag(s)/T`

@@ -26,7 +26,7 @@
 //! # Where the time goes
 //!
 //! Nearly all of phase 2 is spent proving periods infeasible, so the
-//! cheapest search is the one that never starts. Four rules skip work
+//! cheapest search is the one that never starts. Five rules skip work
 //! without changing any result:
 //!
 //! * [`best_period`] takes an optional [`Cutoff`], the period a caller's
@@ -53,7 +53,21 @@
 //!   [`Timeline`]s live in a vector indexed by dense resource id and are
 //!   updated in place (insert before descending, [`Timeline::remove`] on
 //!   backtrack); compaction moves forwards within the live timelines and
-//!   undoes every move before it returns.
+//!   undoes every move before it returns;
+//! * a floored leaf costs almost nothing, with the same nodes counted:
+//!   the node that places `B_0`, the last op, asks the leaf floor for
+//!   its leaves itself, with every gap but `B_0`'s computed once and the
+//!   slack of its last candidate. Along its candidates only `B_0`'s gap
+//!   moves and the floor never falls
+//!   ([`madpipe_schedule::Checker::leaf_floor`]), so the first floored
+//!   sibling and every one after it are counted as nodes, leaves and
+//!   floored leaves in one step, capped at the node budget where the
+//!   search would stop, and none of them is inserted or recursed into.
+//!   Every internal node writes its candidates into its own slice of one
+//!   buffer per call ([`Timeline::candidate_fits`]), so no node
+//!   allocates. On the sweep below this took phase 2 from 0.105 to
+//!   0.063 s (medians of 3 runs), with the same counters and 231,983
+//!   floored leaves.
 //!
 //! On the 42-cell ResNet-50 plan-speed sweep the planner makes 451
 //! placement calls: 75 answered by the floor, 107 that use up the node

@@ -1,6 +1,8 @@
 //! Topological placement with bounded backtracking. The crate
 //! documentation says where its time goes and how a node stays cheap.
 
+use std::ops::Range;
+
 use madpipe_model::util::EPS;
 use madpipe_model::{Allocation, Chain, Platform, UnitSequence};
 use madpipe_schedule::{Checker, Dir, Op, Pattern, ScheduleError};
@@ -66,9 +68,11 @@ impl PlaceStats {
 /// earliest feasible modular slot on its resource (one candidate per
 /// circular gap, bounded by [`PlaceConfig::max_alternatives`]); a leaf is
 /// accepted iff the exact checker validates it (including memory).
-/// Each leaf first asks its own memory floor
-/// ([`Checker::leaf_exceeds`]), which answers most failing leaves
-/// without the checker or compaction and never one they would accept.
+/// Each leaf first asks a memory floor ([`Checker::leaf_exceeds`]),
+/// which answers most failing leaves without the checker or compaction
+/// and never one they would accept; the node that places the last op
+/// asks it for all of its leaves, and counts the floored ones in one
+/// step.
 ///
 /// Two prefilters answer before any node: a resource loaded beyond the
 /// period, and a GPU whose memory floor ([`Checker::memory_floor`])
@@ -136,6 +140,7 @@ pub fn schedule_at_period(
             }
         })
         .collect();
+    let width = cfg.max_alternatives.max(1);
     let mut dfs = Dfs {
         seq,
         period,
@@ -147,6 +152,8 @@ pub fn schedule_at_period(
         z: Vec::with_capacity(2 * n),
         zc: Vec::with_capacity(2 * n),
         gap: vec![0.0; n],
+        width,
+        candidates: vec![0.0; 2 * n * width],
         nodes: 0,
         leaves: 0,
         leaves_floored: 0,
@@ -181,6 +188,12 @@ struct Dfs<'a> {
     zc: Vec<f64>,
     /// The leaf floor's per-unit gaps.
     gap: Vec<f64>,
+    /// Candidate slots per op: [`PlaceConfig::max_alternatives`], and at
+    /// least one.
+    width: usize,
+    /// Each depth's candidates, in `width`-long slices indexed by op: a
+    /// node fills its own slice, so no node allocates.
+    candidates: Vec<f64>,
     nodes: usize,
     leaves: usize,
     leaves_floored: usize,
@@ -195,32 +208,116 @@ impl Dfs<'_> {
             return None;
         }
         self.nodes += 1;
-        if idx == self.pattern.ops.len() {
+        let n_ops = self.pattern.ops.len();
+        if idx == n_ops {
+            // A leaf its parent's floor left open.
             self.leaves += 1;
-            if self.leaf_floored() {
-                self.leaves_floored += 1;
-                debug_assert!(
-                    self.check_leaf().is_none(),
-                    "the leaf floor refuted a leaf the checker accepts"
-                );
-                return None;
-            }
             return self.check_leaf();
         }
         let d = self.pattern.ops[idx].duration;
         let ready = self.ready_time(idx);
         let r = self.resource[idx];
-        let candidates = self.timelines[r].candidate_fits(ready, d, self.cfg.max_alternatives);
-        for cand in candidates {
-            self.timelines[r].insert(cand, d);
-            self.z.push(cand);
-            if let Some(p) = self.go(idx + 1) {
+        let base = idx * self.width;
+        let slots = &mut self.candidates[base..base + self.width];
+        let cands = base..base + self.timelines[r].candidate_fits(ready, d, slots);
+        if idx + 1 == n_ops {
+            return self.leaves_at(cands);
+        }
+        for j in cands {
+            if let Some(p) = self.descend(idx, self.candidates[j]) {
                 return Some(p);
             }
-            self.z.pop();
-            self.timelines[r].remove(cand, d);
         }
         None
+    }
+
+    /// Place op `idx` at `z`, search below it, and undo the placement
+    /// unless the search found a pattern.
+    fn descend(&mut self, idx: usize, z: f64) -> Option<Pattern> {
+        let (r, d) = (self.resource[idx], self.pattern.ops[idx].duration);
+        self.timelines[r].insert(z, d);
+        self.z.push(z);
+        let found = self.go(idx + 1);
+        if found.is_none() {
+            self.z.pop();
+            self.timelines[r].remove(z, d);
+        }
+        found
+    }
+
+    /// The leaves below the node that places `B_0`, the last op, at the
+    /// candidates `self.candidates[cands]`, smallest first.
+    ///
+    /// The leaf floor ([`Checker::leaf_exceeds`]) is asked once per
+    /// sibling, with every gap but `B_0`'s computed once and the slack
+    /// taken from the last candidate's end, the largest `scale` of any
+    /// sibling: a larger `scale` only widens the slack, so the floor
+    /// stays sound for every sibling. Only `B_0`'s gap moves, and it
+    /// grows with the candidate, so the floor never falls along the
+    /// siblings: the first floored sibling and every one after it are
+    /// counted as nodes, leaves and floored leaves in one step, up to the
+    /// node budget, where the search would stop. A sibling the floor
+    /// leaves open is placed and checked.
+    fn leaves_at(&mut self, cands: Range<usize>) -> Option<Pattern> {
+        let b_0 = self.pattern.ops.len() - 1;
+        let d = self.pattern.ops[b_0].duration;
+        let scale = self.candidates[cands.clone()].last()? + d;
+        let end_0 = self.fixed_gaps();
+        for j in cands.clone() {
+            let z = self.candidates[j];
+            self.gap[0] = end_0.map_or(d, |end| z + d - end);
+            if self.checker.leaf_exceeds(self.period, &self.gap, scale) {
+                let reached = (cands.end - j).min(self.cfg.node_budget - self.nodes);
+                self.nodes += reached;
+                self.leaves += reached;
+                self.leaves_floored += reached;
+                if cfg!(debug_assertions) {
+                    for j in j..j + reached {
+                        self.audit_floored(self.candidates[j]);
+                    }
+                }
+                return None;
+            }
+            if let Some(p) = self.descend(b_0, z) {
+                return Some(p);
+            }
+        }
+        None
+    }
+
+    /// Fill the leaf floor's gaps of `B_1 … B_{n−1}`, which do not depend
+    /// on where `B_0` goes, and return `end_0`, the latest any compaction
+    /// can finish `F_0`: `end` walks the packed bound down from the start
+    /// of `B_{n−1}`. With one unit, `B_{n−1}` is `B_0` itself and there
+    /// is no fixed `end_0`: `B_0`'s gap `z_{B_0} + b_0 − z_{B_0}` is `b_0`.
+    fn fixed_gaps(&mut self) -> Option<f64> {
+        let n = self.seq.len();
+        if n == 1 {
+            return None;
+        }
+        let ops = &self.pattern.ops;
+        let mut end = self.z[n];
+        for u in (1..n).rev() {
+            let b = 2 * n - 1 - u; // op B_u
+            self.gap[u] = self.z[b] + ops[b].duration - end;
+            end -= ops[u].duration;
+        }
+        Some(end)
+    }
+
+    /// Debug builds' audit of a floored leaf, `B_0` at `z`: the checker
+    /// and compaction must find nothing.
+    fn audit_floored(&mut self, z: f64) {
+        let b_0 = self.pattern.ops.len() - 1;
+        let (r, d) = (self.resource[b_0], self.pattern.ops[b_0].duration);
+        self.timelines[r].insert(z, d);
+        self.z.push(z);
+        debug_assert!(
+            self.check_leaf().is_none(),
+            "the leaf floor refuted a leaf the checker accepts"
+        );
+        self.z.pop();
+        self.timelines[r].remove(z, d);
     }
 
     /// Dependency-ready time of op `idx` given the placed times.
@@ -248,23 +345,6 @@ impl Dfs<'_> {
                 }
             }
         }
-    }
-
-    /// Whether the leaf's memory floor ([`Checker::leaf_exceeds`])
-    /// exceeds some GPU's memory: no pattern this leaf or its compaction
-    /// can check fits. `end` walks the packed bound down from the start
-    /// of `B_{n−1}`, the latest any compaction can finish each forward.
-    fn leaf_floored(&mut self) -> bool {
-        let n = self.seq.len();
-        let ops = &self.pattern.ops;
-        let mut end = self.z[n];
-        for u in (0..n).rev() {
-            let b = 2 * n - 1 - u; // op B_u
-            self.gap[u] = self.z[b] + ops[b].duration - end;
-            end -= ops[u].duration;
-        }
-        let scale = self.z[2 * n - 1] + ops[2 * n - 1].duration;
-        self.checker.leaf_exceeds(self.period, &self.gap, scale)
     }
 
     /// Check the leaf as placed; when memory, not structure, fails,
@@ -496,15 +576,26 @@ mod tests {
         // slack (end_0 = 3 − 1 − 1 = 1), and B_0, ready at 7, collides
         // with F_0 modulo 9: its candidates 10, 13, 19 and 22 give gaps
         // z + 3 − 1 of 12, 15, 21 and 24, so 2 or 3 batches and at least
-        // 4000 B. A 10-node budget stops after those 4 leaves.
-        let first_four = PlaceConfig {
-            node_budget: 10,
-            ..PlaceConfig::default()
-        };
-        let full = PlaceConfig::default();
-        // Results and node and leaf counts recorded before the leaf
-        // floor existed.
-        for (cfg, exhausted, nodes, leaves) in [(first_four, 1, 10, 4), (full, 0, 687, 512)] {
+        // 4000 B. Six internal nodes lead to them, so a budget of 6 + j
+        // nodes stops after j of those leaves, and one of 11 at the
+        // next internal node. Results and node and leaf counts recorded
+        // before the leaf floor existed (budgets 10 and the default) or
+        // before a node counted its floored leaves in one step (the
+        // budgets that end among or just after `B_0`'s siblings).
+        let budgets = [
+            (6, 1, 6, 0),
+            (7, 1, 7, 1),
+            (8, 1, 8, 2),
+            (9, 1, 9, 3),
+            (10, 1, 10, 4),
+            (11, 1, 11, 4),
+            (PlaceConfig::default().node_budget, 0, 687, 512),
+        ];
+        for (node_budget, exhausted, nodes, leaves) in budgets {
+            let cfg = PlaceConfig {
+                node_budget,
+                ..PlaceConfig::default()
+            };
             let mut stats = PlaceStats::default();
             assert!(schedule_at_period(&c, &tight, &alloc, &seq, 9.0, &cfg, &mut stats).is_none());
             let expected = PlaceStats {
@@ -515,7 +606,7 @@ mod tests {
                 leaves,
                 leaves_floored: leaves,
             };
-            assert_eq!(stats, expected);
+            assert_eq!(stats, expected, "budget {node_budget}");
         }
     }
 

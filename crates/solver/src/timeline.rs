@@ -74,35 +74,40 @@ impl Timeline {
         best
     }
 
-    /// Up to `max_n` distinct feasible absolute times `≥ ready` for an op
-    /// of length `d`, smallest first — the minimal candidate of each
-    /// circular gap (plus later laps of the earliest gap when fewer gaps
-    /// than `max_n` exist). Used by the placer to branch.
-    pub fn candidate_fits(&self, ready: f64, d: f64, max_n: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(max_n.max(1));
+    /// Fill `out` with up to `out.len()` distinct feasible absolute times
+    /// `≥ ready` for an op of length `d`, smallest first, and return how
+    /// many it wrote: the minimal candidate of each circular gap (plus
+    /// later laps of the earliest gap when fewer gaps than `out.len()`
+    /// exist). Used by the placer to branch.
+    pub fn candidate_fits(&self, ready: f64, d: f64, out: &mut [f64]) -> usize {
         let Some(first) = self.earliest_fit(ready, d) else {
-            return out;
+            return 0;
         };
-        out.push(first);
+        let Some(slot) = out.first_mut() else {
+            return 0;
+        };
+        *slot = first;
         // Subsequent candidates: restart the query just past each found
         // slot; `d + EPS*2` offset guarantees progress into another gap
         // or another lap.
+        let mut found = 1;
         let mut probe = first;
-        while out.len() < max_n {
+        while found < out.len() {
             let Some(next) = self.earliest_fit(probe + d.max(EPS) + 2.0 * EPS, d) else {
                 break;
             };
             if next <= probe + EPS {
                 break;
             }
-            out.push(next);
+            out[found] = next;
+            found += 1;
             probe = next;
             // Avoid unbounded lap enumeration on an empty resource.
             if self.busy.is_empty() {
                 break;
             }
         }
-        out
+        found
     }
 
     /// Latest absolute `z ∈ [lo, hi]` whose modular interval of length
@@ -355,6 +360,24 @@ mod tests {
             }
             prop_assert_eq!(bits(&tl), bits(&rest));
         }
+    }
+
+    #[test]
+    fn candidates_fill_the_slice_smallest_first() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(2.0, 2.0);
+        tl.insert(6.0, 2.0);
+        // Free [4, 6) and the wrapping [8, 12): each gap once, then the
+        // next laps.
+        let mut out = [f64::NAN; 5];
+        assert_eq!(tl.candidate_fits(0.0, 2.0, &mut out), 5);
+        assert_eq!(out, [0.0, 4.0, 8.0, 14.0, 18.0]);
+        let mut two = [f64::NAN; 2];
+        assert_eq!(tl.candidate_fits(0.0, 2.0, &mut two), 2);
+        assert_eq!(two, [0.0, 4.0]);
+        assert_eq!(tl.candidate_fits(0.0, 2.0, &mut []), 0);
+        // No gap is long enough.
+        assert_eq!(tl.candidate_fits(0.0, 4.5, &mut out), 0);
     }
 
     #[test]

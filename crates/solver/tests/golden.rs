@@ -205,6 +205,41 @@ fn placement_counters_are_pinned() {
     assert_eq!(h.0, COUNTERS, "digest {:#018x}", h.0);
 }
 
+/// The digest of every pinned seed's result and `PlaceStats` (calls,
+/// exhausted and floored calls, nodes, leaves) from `best_period` under
+/// node budgets small enough to run out between the sibling leaves of
+/// one node, recorded before a node counted its floored leaves in one
+/// step: the count must stop exactly where the search would.
+const SMALL_BUDGETS: u64 = 0x5c52_8f69_e760_6c7d;
+
+#[test]
+fn small_budget_counters_are_pinned() {
+    let mut h = Fnv::new();
+    for node_budget in [5, 17, 100, 1000] {
+        let cfg = PlaceConfig {
+            node_budget,
+            ..PlaceConfig::default()
+        };
+        for seed in seeds() {
+            let (chain, platform, alloc) = instance(seed);
+            let mut stats = PlaceStats::default();
+            let solved = best_period(&chain, &platform, &alloc, &cfg, None, &mut stats)
+                .map(|s| s.expect("no cutoff"));
+            feed(&mut h, &solved);
+            for count in [
+                stats.calls,
+                stats.exhausted,
+                stats.floored,
+                stats.nodes,
+                stats.leaves,
+            ] {
+                h.u64(count);
+            }
+        }
+    }
+    assert_eq!(h.0, SMALL_BUDGETS, "digest {:#018x}", h.0);
+}
+
 #[test]
 fn compaction_decides_the_pinned_rescues() {
     let on = PlaceConfig::default();

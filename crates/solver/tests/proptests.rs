@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use madpipe_model::util::EPS;
 use madpipe_model::{Allocation, Chain, Layer, Partition, Platform, Stage, UnitSequence};
 use madpipe_schedule::{
     best_contiguous_period, check_pattern, one_f1b_star, Checker, Dir, ScheduleError,
@@ -206,6 +207,69 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// With its slack fixed, the leaf floor never falls as the last
+    /// backward's gap grows: on random allocations, periods and gaps,
+    /// every GPU's [`Checker::leaf_floor`] is non-decreasing along an
+    /// ascending run of `B_0` gaps, which is what lets the placer count a
+    /// floored leaf's later siblings without asking the floor again. The
+    /// run walks across several periods and steps ulp by ulp through
+    /// each point where stage 0's live-batch count turns integral.
+    #[test]
+    fn the_leaf_floor_never_falls_as_the_last_gap_grows(
+        (chain, cuts, gpu_seed) in arb_chain().prop_flat_map(|c| {
+            let n = c.len();
+            (Just(c), arb_cuts(n), any::<u64>())
+        }),
+        t_frac in 0.0f64..1.0,
+        gaps in prop::collection::vec(0.0f64..4.0, 13),
+        walk in prop::collection::vec(0.0f64..4.0, 12),
+        scale_frac in 1.0f64..100.0,
+    ) {
+        let alloc = random_allocation(&chain, &cuts, gpu_seed);
+        let platform = Platform::new(alloc.n_gpus(), u64::MAX / 4, 500.0).unwrap();
+        let seq = UnitSequence::from_allocation(&chain, &platform, &alloc);
+        let n = seq.len();
+        let t_lo = alloc.load_bound(&chain, &platform).max(seq.max_unit_load());
+        let t = t_lo + t_frac * (seq.total_load() - t_lo);
+        let mut layout: Vec<(usize, Dir)> = (0..n).map(|u| (u, Dir::Forward)).collect();
+        layout.extend((0..n).rev().map(|u| (u, Dir::Backward)));
+        let checker = Checker::new(&chain, &platform, &alloc, &seq, &layout);
+        let mut gap: Vec<f64> = gaps[..n].iter().map(|g| g * t).collect();
+        let scale = scale_frac * t;
+        // The floor's slack, to find where `(gap − slack)/T` is an integer.
+        let slack = 2.0 * EPS + (2 * n + 24) as f64 * f64::EPSILON * (scale + EPS);
+        let mut run: Vec<f64> = walk.iter().map(|w| w * t).collect();
+        for k in 1..=4 {
+            let mut z = k as f64 * t + slack;
+            for _ in 0..4 {
+                z = z.next_down();
+            }
+            for _ in 0..9 {
+                run.push(z);
+                z = z.next_up();
+            }
+        }
+        run.sort_by(f64::total_cmp);
+        let mut prev: Option<Vec<u64>> = None;
+        for &g in &run {
+            gap[0] = g;
+            let floor: Vec<u64> = checker.leaf_floor(t, &gap, scale).collect();
+            if let Some(prev) = &prev {
+                for (gpu, (&before, &after)) in prev.iter().zip(&floor).enumerate() {
+                    prop_assert!(
+                        after >= before,
+                        "GPU {gpu}: floor {before} B fell to {after} B as gap[0] grew to {g}"
+                    );
+                }
+            }
+            prev = Some(floor);
         }
     }
 }
