@@ -19,6 +19,10 @@
 //!   is hostage to the CI runner, so the gate only fails beyond a
 //!   multiple of the baseline (default 1.25×), and the per-cell number
 //!   is a median over repeats.
+//!
+//! Each record also carries the DP states its cell's plan creates
+//! (`dp_states`): a count that repeats exactly on any host, so a change
+//! to the DP's work shows without a clock. It is reported, not gated.
 
 use std::io;
 use std::path::Path;
@@ -50,6 +54,10 @@ pub struct PlanSpeedRecord {
     /// planner's `schedule` phase clock (informational, not gated).
     /// `None` in a document written before it was recorded.
     pub schedule_seconds: Option<f64>,
+    /// DP states the cell's plan creates (`dp.states_created`), a count
+    /// that repeats exactly on any host (informational, not gated).
+    /// `None` in a document written before it was recorded.
+    pub dp_states: Option<u64>,
     /// Raw IEEE-754 bits of the achieved period (`None` = infeasible).
     /// Stored as bits, not a float, so the JSON round trip and the gate
     /// are exact by construction.
@@ -85,6 +93,10 @@ impl PlanSpeedRecord {
                 self.schedule_seconds.map_or(Value::Null, Value::Float),
             ),
             (
+                "dp_states".into(),
+                self.dp_states.map_or(Value::Null, Value::UInt),
+            ),
+            (
                 "period_bits".into(),
                 match self.period_bits {
                     Some(b) => Value::UInt(b),
@@ -105,6 +117,10 @@ impl PlanSpeedRecord {
             schedule_seconds: match v.get("schedule_seconds") {
                 None | Some(Value::Null) => None,
                 Some(s) => Some(s.as_f64()?),
+            },
+            dp_states: match v.get("dp_states") {
+                None | Some(Value::Null) => None,
+                Some(n) => Some(n.as_u64()?),
             },
             period_bits: match v.get("period_bits") {
                 None | Some(Value::Null) => None,
@@ -128,8 +144,9 @@ pub fn plan_speed_grid() -> GridConfig {
 
 /// Run the plan-speed grid: every cell planned `repeats` times on a
 /// cold session, medians recorded. Panics if repeats is 0 or a cell's
-/// period is not bit-identical across its own repeats (that would mean
-/// the planner went non-deterministic, which no baseline can gate).
+/// period or DP state count is not identical across its own repeats
+/// (that would mean the planner went non-deterministic, which no
+/// baseline can gate).
 pub fn run_plan_speed(
     cfg: &GridConfig,
     planner: &PlannerConfig,
@@ -145,18 +162,21 @@ pub fn run_plan_speed(
             let mut dp_times = Vec::with_capacity(repeats);
             let mut totals = Vec::with_capacity(repeats);
             let mut schedule_times = Vec::with_capacity(repeats);
-            let mut bits: Option<Option<u64>> = None;
+            let mut bits: Option<(Option<u64>, u64)> = None;
             for _ in 0..repeats {
                 let wall = Instant::now();
                 let (plan, stats) = madpipe_plan_with_stats(chain, &platform, planner);
                 let total = wall.elapsed().as_secs_f64();
                 let dp = stats.phase1_seconds + stats.fallback_seconds + stats.refine_seconds;
-                let these = plan.ok().map(|p| p.period().to_bits());
+                let these = (
+                    plan.ok().map(|p| p.period().to_bits()),
+                    stats.dp.states_created,
+                );
                 match &bits {
                     None => bits = Some(these),
                     Some(prev) => assert_eq!(
                         *prev, these,
-                        "{} P={} M={}GB: period changed across repeats",
+                        "{} P={} M={}GB: period or DP states changed across repeats",
                         cell.network, cell.p, cell.m_gb
                     ),
                 }
@@ -164,6 +184,7 @@ pub fn run_plan_speed(
                 totals.push(total);
                 schedule_times.push(stats.schedule_seconds);
             }
+            let (period_bits, dp_states) = bits.expect("repeats > 0");
             out.push(PlanSpeedRecord {
                 network: cell.network.clone(),
                 p: cell.p,
@@ -172,7 +193,8 @@ pub fn run_plan_speed(
                 dp_seconds: median(&mut dp_times),
                 total_seconds: median(&mut totals),
                 schedule_seconds: Some(median(&mut schedule_times)),
-                period_bits: bits.expect("repeats > 0"),
+                dp_states: Some(dp_states),
+                period_bits,
             });
         }
     }
@@ -303,6 +325,7 @@ mod tests {
             dp_seconds: dp,
             total_seconds: dp * 2.0,
             schedule_seconds: Some(dp / 2.0),
+            dp_states: Some(1234),
             period_bits: period.map(f64::to_bits),
         }
     }
@@ -314,6 +337,7 @@ mod tests {
             record(4, 3, None, 0.01),
         ];
         records[1].schedule_seconds = None;
+        records[1].dp_states = None;
         let parsed = parse(&render(&records)).unwrap();
         assert_eq!(parsed, records);
     }
@@ -325,9 +349,12 @@ mod tests {
             "total_seconds": 0.2, "period_bits": 4600460563504974830}]}"#;
         let records = parse(text).unwrap();
         assert_eq!(records[0].schedule_seconds, None);
-        // Phase 2's time is not gated: only the period bits and DP time.
+        assert_eq!(records[0].dp_states, None);
+        // Phase 2's time and the DP states are not gated: only the
+        // period bits and DP time.
         let mut cur = records.clone();
         cur[0].schedule_seconds = Some(10.0);
+        cur[0].dp_states = Some(10);
         assert!(compare_plan_speed(&cur, &records, 1.25).is_empty());
     }
 
@@ -421,6 +448,7 @@ mod tests {
         assert!(records[0].period_bits.is_some());
         assert!(records[0].dp_seconds > 0.0);
         assert!(records[0].total_seconds >= records[0].dp_seconds);
+        assert!(records[0].dp_states.expect("recorded") > 0);
         let schedule = records[0].schedule_seconds.expect("recorded");
         assert!(schedule >= 0.0 && schedule <= records[0].total_seconds);
     }

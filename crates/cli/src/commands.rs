@@ -1203,8 +1203,10 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
     plan_speed::save(&records, &out).map_err(|e| e.to_string())?;
     let dp_total: f64 = records.iter().map(|r| r.dp_seconds).sum();
     let schedule_total: f64 = records.iter().filter_map(|r| r.schedule_seconds).sum();
+    let dp_states: u64 = records.iter().filter_map(|r| r.dp_states).sum();
     println!(
-        "wrote {} ({} cells, {:.2} s median DP time total, {:.3} s median phase-2 time total)",
+        "wrote {} ({} cells, {:.2} s median DP time total over {dp_states} DP states, \
+         {:.3} s median phase-2 time total)",
         out.display(),
         records.len(),
         dp_total,

@@ -113,7 +113,15 @@
 //!   fitting interval ending at `b`, `F_p′[b] = min(F_p′[b − 1] + c_{b−1},
 //!   F_{p′−1}[w[b]])`: a sliding-window minimum found at the window's
 //!   start, `O(k·P)` per `(k, iv′)`. The contiguous variant has no
-//!   special processor and skips the floor.
+//!   special processor and skips the floor;
+//! * most calls need no covering. Every `p′`'s floor is at most `U`, the
+//!   cost of leaving every layer to the special processor at layer 0's
+//!   group count `g₀`, the largest: `w·W(0, k) + (g₀ − 1)·ā(0, k)` under
+//!   `Never`, and `w·W(0, k) + ā(0, k)` when a recompute lane is offered
+//!   (that lane's `c_i` is at most `w·W_i + ā_i`). `U` is computed once
+//!   per `(k, iv′)` ([`Dp::floor_bound`]), and a call with `(m_P′ + U) ·
+//!   FLOOR_SLACK ≤ M` answers "fits" without filling: the answer the
+//!   covering would give.
 //!
 //! Why a child the floor rejects has the value `∞`. Take a path from it
 //! that passes every memory test and derive a contradiction:
@@ -154,8 +162,8 @@
 //! any value, choice, probe or plan: a rejected child's `∞` is what
 //! solving it would return, and since the floor depends only on the
 //! child's own coordinates, a rejected state is never memoized and the
-//! check runs on memo misses only. The caps below still hold: a held
-//! path that replays to a finite value passes every floor on its way.
+//! check runs on memo misses only. The caps and the ceiling below still
+//! hold: a path of finite value passes every floor on its way.
 //!
 //! # Cross-probe reuse
 //!
@@ -179,28 +187,15 @@
 //!   through the recurrence at the new `T̂` ([`Dp::path_value`], with the
 //!   very [`Dp::step`] that [`Dp::reconstruct`] uses), and the smallest
 //!   replayed value `C` upper-bounds `MadPipe-DP(T̂)`, because the replay
-//!   is one of the paths the DP minimizes over. Every state's incumbent
-//!   then starts at `C⁺ = C.next_up()` instead of `∞`, so
-//!   branch-and-bound skips every subtree that cannot reach `C`.
+//!   is one of the paths the DP minimizes over. The solve's ceiling
+//!   (below) then starts at `C⁺ = C.next_up()` instead of `∞`, so
+//!   branch-and-bound skips every subtree that cannot reach `C` from the
+//!   first state on.
 //!
-//! Why the capped solve is exact, by induction over the memo (`v*` is a
-//! state's exact value, the uncapped solve's answer):
-//!
-//! 1. a state with `v* ≤ C` computes `v*` and makes the same choice as an
-//!    uncapped solve: the first candidate in scan order to reach `v*`.
-//!    Every candidate before it computes to more than `v*`: exactly its
-//!    own value if that is `≤ C`, otherwise at least `C⁺`. The chosen
-//!    candidate's child has value `≤ C`, so it falls under (1) too, and
-//!    no prune skips the candidate: every floor is a true lower bound
-//!    (above), so it is `≤ v* <` the incumbent;
-//! 2. every other state computes to at least `C⁺`.
-//!
-//! Some path attains `C`, so the root has `v* ≤ C` and falls under (1):
-//! its value, and every choice [`Dp::reconstruct`] follows from it, are
-//! those of the uncapped solve. A root above `C` would therefore mean a
-//! bug; the session then re-solves uncapped, counts a `dp.cap_misses`,
-//! and returns the uncapped result, so exactness never rests on the cap
-//! alone. An uncapped solve is the same code with `C = ∞`.
+//! A root above `C` would mean a bug (see below); the session then
+//! re-solves uncapped, counts a `dp.cap_misses`, and returns the uncapped
+//! result, so exactness never rests on the cap alone. An uncapped solve is
+//! the same code with `C = ∞`.
 //!
 //! Caps come only from shards absorbed before a batch, so a batch's
 //! caps, states and counters are the same for every thread count.
@@ -212,6 +207,58 @@
 //! scoped thread pool; results are merged in submission order, so the
 //! session state (and therefore every downstream decision) is identical
 //! whatever the thread count.
+//!
+//! # The falling ceiling
+//!
+//! Every state's incumbent starts at the solve's *ceiling* in force when
+//! the state is solved ([`Dp::ceiling`]). The ceiling starts at `C⁺` and
+//! only falls. The solver carries `prefix`, the largest step term on the
+//! path from the root to the state it is solving. Whenever a candidate's
+//! value `t` is known (a solved child, a memo hit or the `k = 0`
+//! terminal), `max(prefix, t)` is the value of a complete path, so the
+//! ceiling drops to its `next_up()` if that is lower ([`Dp::fall`]). Only
+//! a candidate that improves its state's incumbent can lower it: the
+//! incumbent is either the ceiling the state started from or an earlier
+//! candidate's value, whose path already lowered the ceiling to at most
+//! `max(prefix, incumbent)⁺`, so the solver asks only then. So a
+//! solve without a cap, or whose held allocations no longer fit, prunes
+//! against the best path found so far rather than `∞`: on the ResNet-50
+//! P = 4, M = 3 GB plan the uncapped probes at `T̂` = 535 and 311 ms
+//! create 537 and 968 states, against 3,319 and 3,678 with the ceiling
+//! fixed at `∞`.
+//!
+//! Why the solve is exact, by induction over the memo (`v*` is a state's
+//! exact value, the unpruned solve's answer, and `C_s` the ceiling when
+//! state `s` is stored; states are stored children first, and the ceiling
+//! only falls, so a child's `C` is at least its parent's):
+//!
+//! 1. a state with `v* < C_s` computes `v*` and makes the same choice as
+//!    an unpruned solve: the first candidate in scan order to reach `v*`.
+//!    Every candidate before it computes to more than `v*`: exactly its
+//!    own value if its child falls under (1), otherwise at least the
+//!    child's `C ≥ C_s` by (2). So until that candidate the incumbent is
+//!    a ceiling or such a value, above `v*`, and no prune skips the
+//!    candidate: every floor is a true lower bound (above), so it is `≤
+//!    v* <` the incumbent. Its child has value `≤ v* < C_s ≤` the child's
+//!    `C`, so it falls under (1) too;
+//! 2. every other state computes to at least `C_s`: its incumbent starts
+//!    at a ceiling `≥ C_s`, and every candidate value is at least the
+//!    candidate's exact value `≥ v* ≥ C_s` or, by (2), a child's `C ≥
+//!    C_s`.
+//!
+//! Every value the ceiling takes is attained: a candidate value `t` below
+//! the ceiling has its child under (1) (a child under (2) would give `t ≥`
+//! the child's `C ≥` the ceiling), so `t` is the value of a real path
+//! from the state, and the steps that reached the state, each with its
+//! memory test passed, complete it. The cap is a replayed path too. So the
+//! root's `v*` is below the final ceiling and the root falls under (1):
+//! its value, and every choice [`Dp::reconstruct`] follows from it, are
+//! those of the unpruned solve. Every path found while a state is being
+//! solved runs through it and its own candidate already reached that
+//! path's value, so the ceiling never falls below the incumbent of a state
+//! on the stack (a debug assertion checks this). On the 42-cell sweep of
+//! each paper network the falling ceiling creates 25–36% fewer states than
+//! a ceiling fixed at `C⁺`, with the same plans.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -997,9 +1044,13 @@ struct Workspace {
     trans_t_set: Vec<usize>,
     /// The memory floor per child `(k, iv)`, one entry per `p′`:
     /// `floors[(k·v_len + iv)·p_len + p′]`, valid where
-    /// `floor_ready[k·v_len + iv]`.
+    /// `floor_ready[k·v_len + iv]` is [`FLOOR_FILLED`].
     floors: Vec<u64>,
-    floor_ready: Vec<bool>,
+    /// Per child `(k, iv)`, an upper bound on every `p′`'s floor
+    /// ([`Dp::floor_bound`]), valid where `floor_ready` is not
+    /// [`FLOOR_UNSEEN`] and the floors are not filled.
+    floor_bounds: Vec<u64>,
+    floor_ready: Vec<u8>,
     /// The `floor_ready` slots this solve set.
     floor_set: Vec<usize>,
     /// Scratch of [`Dp::fill_floor`]: per remaining layer its group
@@ -1026,7 +1077,7 @@ impl Workspace {
             self.trans_t[i] = u16::MAX;
         }
         for &i in &self.floor_set {
-            self.floor_ready[i] = false;
+            self.floor_ready[i] = FLOOR_UNSEEN;
         }
         self.trans_set.clear();
         self.trans_t_set.clear();
@@ -1037,10 +1088,17 @@ impl Workspace {
             TransEntry { g: 0, iv_next: 0 },
         );
         grow(&mut self.trans_t, rows * t_len, u16::MAX);
-        grow(&mut self.floor_ready, l_len * v_len, false);
+        grow(&mut self.floor_ready, l_len * v_len, FLOOR_UNSEEN);
+        grow(&mut self.floor_bounds, l_len * v_len, 0);
         grow(&mut self.floors, l_len * v_len * p_len, 0);
     }
 }
+
+/// [`Workspace::floor_ready`] states of a child `(k, iv)`: nothing known,
+/// only its bound known, or its floors filled.
+const FLOOR_UNSEEN: u8 = 0;
+const FLOOR_BOUNDED: u8 = 1;
+const FLOOR_FILLED: u8 = 2;
 
 /// Extend `v` with `fill` to at least `len` entries.
 fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
@@ -1102,8 +1160,10 @@ struct Dp<'a> {
     use_special: bool,
     /// `(L, p_normal, 0, 0, 0)`: the whole chain, nothing placed yet.
     root: State,
-    /// Every state's starting incumbent: `C.next_up()` under a cap `C`,
-    /// `∞` uncapped (see the module docs, "Cross-probe reuse").
+    /// Every state's starting incumbent: just above the smallest value
+    /// of a complete path found so far, or of the cap `C` (`∞` when
+    /// neither exists). It starts at `C.next_up()` and only falls (see
+    /// the module docs, "Cross-probe reuse" and "The falling ceiling").
     ceiling: f64,
     /// The session's solve-level policy configuration.
     policy: PolicySpec,
@@ -1166,14 +1226,28 @@ impl Dp<'_> {
             .max(t_acc)
     }
 
-    /// Solve from the root with every state's incumbent starting at
-    /// `cap.next_up()` (`∞` when `cap` is), on a cleared memo. The
-    /// transition caches do not depend on the cap and are kept.
+    /// Solve from the root with the ceiling starting at `cap.next_up()`
+    /// (`∞` when `cap` is), on a cleared memo. The transition caches do
+    /// not depend on the cap and are kept.
     fn solve_root(&mut self, cap: f64) -> f64 {
         self.ws.memo.clear();
         self.ceiling = cap.next_up();
         let State { l, p, it, im, iv } = self.root;
-        self.solve_uncached(l, p, it, im, iv)
+        self.solve_uncached(l, p, it, im, iv, 0.0)
+    }
+
+    /// A candidate improved its state's incumbent to `t`, and `prefix` is
+    /// the largest step term on the way to that state: `max(prefix, t)`
+    /// is the value of a complete path, so the ceiling falls to just
+    /// above it if that is lower. A candidate that does not improve the
+    /// incumbent completes no lower path than the state's own incumbent
+    /// or ceiling already did, so it need not call this.
+    #[inline]
+    fn fall(&mut self, prefix: f64, t: f64) {
+        let path = prefix.max(t);
+        if path < self.ceiling {
+            self.ceiling = path.next_up();
+        }
     }
 
     /// Take stage `[k, s.l)` from state `s` exactly as the solver does:
@@ -1308,25 +1382,73 @@ impl Dp<'_> {
     /// than `M` to take whatever `p` normal GPUs cannot of layers
     /// `[0, k)`. The floor is a true lower bound (module docs, "Memory
     /// floor"), so a state it rejects has the value `∞`. `k > 0`.
+    ///
+    /// The floors are filled only for an `m_P` that [`Self::floor_bound`]
+    /// leaves open: when even the bound fits beside `m_P`, no floor of
+    /// that `(k, iv)` exceeds `M` and the answer is `false` unfilled.
     #[inline]
     fn floor_exceeds(&mut self, k: usize, p: usize, im: u16, iv: u16) -> bool {
         if !self.use_special {
             return false;
         }
-        let floor = self.floor(k, p, iv);
+        let slot = k * self.v_axis.len() + iv as usize;
         let m_p = self.m_axis.value(im);
-        floor > 0 && (m_p + floor as f64) * FLOOR_SLACK > self.platform.memory_bytes as f64
+        let memory = self.platform.memory_bytes as f64;
+        let ready = self.ws.floor_ready[slot];
+        if ready != FLOOR_FILLED {
+            if ready == FLOOR_UNSEEN {
+                self.ws.floor_bounds[slot] = self.floor_bound(k, iv);
+                self.ws.floor_ready[slot] = FLOOR_BOUNDED;
+                self.ws.floor_set.push(slot);
+            }
+            if (m_p + self.ws.floor_bounds[slot] as f64) * FLOOR_SLACK <= memory {
+                return false;
+            }
+            self.fill_floor(k, iv);
+        }
+        let floor = self.ws.floors[slot * (self.root.p + 1) + p];
+        floor > 0 && (m_p + floor as f64) * FLOOR_SLACK > memory
     }
 
     /// The memory floor of the child `(k, p, ·, ·, iv)`, filled on first
     /// use for every `p` of that `(k, iv)`.
-    #[inline]
+    #[cfg(test)]
     fn floor(&mut self, k: usize, p: usize, iv: u16) -> u64 {
         let slot = k * self.v_axis.len() + iv as usize;
-        if !self.ws.floor_ready[slot] {
+        if self.ws.floor_ready[slot] != FLOOR_FILLED {
             self.fill_floor(k, iv);
         }
         self.ws.floors[slot * (self.root.p + 1) + p]
+    }
+
+    /// An upper bound on every `p′`'s floor at child `(k, iv)`: no
+    /// covering costs more than leaving every layer of `[0, k)` uncovered,
+    /// and each layer's cost `c_i` is at most `w·W_i + (g₀ − 1)·ā_i` on
+    /// the store lane (`g_i ≤ g₀`, layer 0's group count, the largest)
+    /// and `w·W_i + ā_i` on the recompute lane. So the bound is `w·W(0,
+    /// k) + (g₀ − 1)·ā(0, k)` under `Never`, and `w·W(0, k) + ā(0, k)`
+    /// when a recompute lane is offered.
+    fn floor_bound(&self, k: usize, iv: u16) -> u64 {
+        let whole = k * self.tables.stride;
+        let weights = self.w_mult * self.tables.weights[whole];
+        let stored = self.tables.stored[whole];
+        if self.policy.recompute == RecomputeMode::Never {
+            let g0 = self.floor_group(k, self.v_axis.value(iv), 0);
+            weights.saturating_add((g0 - 1).saturating_mul(stored))
+        } else {
+            weights + stored
+        }
+    }
+
+    /// `g_i` of the floor at child `(k, ·)` whose delay is `v_child`: a
+    /// lower bound on the group count of any stage holding layer `i`.
+    /// `3·EPS·k` is what ⊕ may lose over fewer than `k` transitions.
+    #[inline]
+    fn floor_group(&self, k: usize, v_child: f64, i: usize) -> u64 {
+        let loss = 3.0 * EPS * k as f64;
+        let u = self.tables.u[k * self.tables.stride + i];
+        let lb = (v_child + u).min(self.v_top) * FLOOR_SLACK - loss;
+        ceil_div_with(lb, self.t_hat, self.tol).max(1)
     }
 
     /// Fill the floors of every `p′` at child `(k, iv)`: the least
@@ -1342,30 +1464,25 @@ impl Dp<'_> {
             self.policy.recompute != RecomputeMode::Never,
         );
         let w_mult = self.w_mult;
-        // `V` at the child, and what ⊕ may lose over fewer than `k`
-        // transitions to the stage holding a layer.
         let v_child = self.v_axis.value(iv);
-        let loss = 3.0 * EPS * k as f64;
-        let ws = &mut *self.ws;
-        ws.groups.clear();
-        ws.costs.clear();
+        self.ws.groups.clear();
+        self.ws.costs.clear();
         for i in 0..k {
-            // `g_i`: the group count of any stage holding layer `i`.
-            let lb = (v_child + tables.u[k * stride + i]).min(self.v_top) * FLOOR_SLACK - loss;
-            let g = ceil_div_with(lb, self.t_hat, self.tol).max(1);
+            let g = self.floor_group(k, v_child, i);
             let one = (i + 1) * stride + i;
             let weights = w_mult * tables.weights[one];
             let stored = tables.stored[one];
             let a_in = tables.a_in[i];
             let store_cost = weights.saturating_add((g - 1).saturating_mul(stored));
             let rec_cost = weights + (stored - a_in) + (g - 1).min(1) * a_in;
-            ws.groups.push(g);
-            ws.costs.push(match (store, rec) {
+            self.ws.groups.push(g);
+            self.ws.costs.push(match (store, rec) {
                 (true, false) => store_cost,
                 (false, true) => rec_cost,
                 _ => store_cost.min(rec_cost),
             });
         }
+        let ws = &mut *self.ws;
         // `window[b]`: the least `a < b` such that `[a, b)` lies inside
         // an interval that fits on a normal GPU (`usize::MAX` if none).
         // For a fixed start the fit is monotone in the end, so one
@@ -1421,17 +1538,20 @@ impl Dp<'_> {
             std::mem::swap(prev, next);
         }
         let slot = k * self.v_axis.len() + iv as usize;
-        ws.floor_ready[slot] = true;
-        ws.floor_set.push(slot);
+        if ws.floor_ready[slot] == FLOOR_UNSEEN {
+            ws.floor_set.push(slot);
+        }
+        ws.floor_ready[slot] = FLOOR_FILLED;
     }
 
     /// Child-state value: memo probe inlined ahead of the recursion so
     /// the (majority) hit path skips the full `solve_uncached` body and
     /// misses probe the memo exactly once. A miss the memory floor
     /// rejects is `∞` without being solved or stored (a rejected state is
-    /// never stored, so a hit needs no floor).
+    /// never stored, so a hit needs no floor). `prefix` is the largest
+    /// step term on the way to the child.
     #[inline]
-    fn child(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
+    fn child(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16, prefix: f64) -> f64 {
         if let Some(v) = self.ws.memo.get_value(l, p, it, im, iv) {
             self.memo_hits += 1;
             return v;
@@ -1440,7 +1560,7 @@ impl Dp<'_> {
             self.memory_floor_prunes += 1;
             return f64::INFINITY;
         }
-        self.solve_uncached(l, p, it, im, iv)
+        self.solve_uncached(l, p, it, im, iv, prefix)
     }
 
     /// Evaluate a state known to be absent from the memo. One-time
@@ -1450,16 +1570,35 @@ impl Dp<'_> {
     /// terms, and the `fwd`/`a_in` table loads from the `Never` (paper
     /// default) scan — keeping the default hot path's instruction
     /// stream and cache footprint identical to the pre-policy planner.
-    fn solve_uncached(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
+    fn solve_uncached(
+        &mut self,
+        l: usize,
+        p: usize,
+        it: u16,
+        im: u16,
+        iv: u16,
+        prefix: f64,
+    ) -> f64 {
         match self.policy.recompute {
-            RecomputeMode::Never => self.solve_mode::<MODE_NEVER>(l, p, it, im, iv),
-            RecomputeMode::Always => self.solve_mode::<MODE_ALWAYS>(l, p, it, im, iv),
-            RecomputeMode::Auto => self.solve_mode::<MODE_AUTO>(l, p, it, im, iv),
+            RecomputeMode::Never => self.solve_mode::<MODE_NEVER>(l, p, it, im, iv, prefix),
+            RecomputeMode::Always => self.solve_mode::<MODE_ALWAYS>(l, p, it, im, iv, prefix),
+            RecomputeMode::Auto => self.solve_mode::<MODE_AUTO>(l, p, it, im, iv, prefix),
         }
     }
 
     /// [`Self::solve_uncached`] body, monomorphized per recompute mode.
-    fn solve_mode<const MODE: u8>(&mut self, l: usize, p: usize, it: u16, im: u16, iv: u16) -> f64 {
+    /// `prefix` is the largest step term on the path that reached the
+    /// state: every candidate's value completes a path, which may lower
+    /// the ceiling ([`Self::fall`]).
+    fn solve_mode<const MODE: u8>(
+        &mut self,
+        l: usize,
+        p: usize,
+        it: u16,
+        im: u16,
+        iv: u16,
+        prefix: f64,
+    ) -> f64 {
         if l == 0 {
             let v = self.t_axis.value(it);
             self.ws.memo.insert(l, p, it, im, iv, v, Choice::Done);
@@ -1597,18 +1736,20 @@ impl Dp<'_> {
                         // `k == 0` is the terminal state: its value is
                         // exactly the rounded special load `t_val`, no
                         // recursion or memo traffic needed.
+                        let term = u.max(cut);
                         let sub = if k == 0 {
                             t_val
                         } else {
-                            self.child(k, p - 1, it, im, iv_next)
+                            self.child(k, p - 1, it, im, iv_next, prefix.max(term))
                         };
-                        let t_n = u.max(cut).max(sub);
+                        let t_n = term.max(sub);
                         if t_n < best {
                             best = t_n;
                             choice = Choice::Normal {
                                 k: k as u16,
                                 recompute: rec,
                             };
+                            self.fall(prefix, t_n);
                         }
                     }
                 }
@@ -1636,18 +1777,20 @@ impl Dp<'_> {
                     if floor >= best {
                         self.branch_prunes += 1;
                     } else {
+                        let term = t_next_val.max(cut);
                         let sub = if k == 0 {
                             t_next_val
                         } else {
-                            self.child(k, p, it_next, im_next, iv_next)
+                            self.child(k, p, it_next, im_next, iv_next, prefix.max(term))
                         };
-                        let t_s = t_next_val.max(cut).max(sub);
+                        let t_s = term.max(sub);
                         if t_s < best {
                             best = t_s;
                             choice = Choice::Special {
                                 k: k as u16,
                                 recompute: rec,
                             };
+                            self.fall(prefix, t_s);
                         }
                     }
                 }
@@ -1677,6 +1820,9 @@ impl Dp<'_> {
             }
         }
 
+        // The ceiling fell only through paths found below this state,
+        // which run through it: its own incumbent reached each of them.
+        debug_assert!(best <= self.ceiling);
         self.ws.memo.insert(l, p, it, im, iv, best, choice);
         best
     }
@@ -2030,6 +2176,69 @@ mod tests {
         }
     }
 
+    /// The unpruned recurrence over every completion of `s` under the
+    /// store lane, by [`Dp::step`] in the solver's scan order with its
+    /// strict `<`: the state's value and the stages `(k, special)` of its
+    /// first optimal path, root first.
+    fn scan_reference(dp: &Dp<'_>, s: State) -> (f64, Vec<(usize, bool)>) {
+        if s.l == 0 {
+            return (dp.t_axis.value(s.it), Vec::new());
+        }
+        let mut best = (f64::INFINITY, Vec::new());
+        for k in (0..s.l).rev() {
+            for special in [false, true] {
+                let Some((term, next)) = dp.step(s, k, special, false) else {
+                    continue;
+                };
+                let (sub, rest) = scan_reference(dp, next);
+                if term.max(sub) < best.0 {
+                    best = (term.max(sub), [vec![(k, special)], rest].concat());
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn a_candidate_that_ties_the_ceiling_keeps_the_first_choice() {
+        // Three layers of load 2 on one normal GPU and the special one,
+        // on a `t_P` grid of step 1 so no load rounds. The root's first
+        // candidate (layer 2 alone on the normal GPU) completes a path of
+        // value 4 and drops the ceiling to 4⁺; the next one (layer 2 on
+        // the special GPU) is solved under that ceiling and ties it at 4.
+        // The first choice stays, as in the unpruned recurrence.
+        let c = chain(&[(1.0, 1.0); 3], 1, 0);
+        let platform = Platform::new(2, 1 << 30, 1e9).unwrap();
+        let grid = Discretization {
+            t_points: 7,
+            ..disc()
+        };
+        let session = ProbeSession::new(&c, &platform, &grid);
+        let mut ws = Workspace::default();
+        let mut dp = session.dp(8.0, true, &mut ws);
+        let period = dp.solve_root(f64::INFINITY);
+        assert_eq!(period, 4.0);
+        assert_eq!(
+            dp.ceiling,
+            period.next_up(),
+            "the ceiling fell to the optimum"
+        );
+        for special in [false, true] {
+            let (term, next) = dp.step(dp.root, 2, special, false).unwrap();
+            let tied = term.max(scan_reference(&dp, next).0);
+            assert_eq!(tied, period, "special = {special}");
+        }
+        let (value, path) = scan_reference(&dp, dp.root);
+        assert_eq!(value.to_bits(), period.to_bits());
+        assert_eq!(path[0], (2, false));
+        let stages: Vec<_> = dp.reconstruct().unwrap().stages()[..]
+            .iter()
+            .rev()
+            .map(|s| (s.layers.start, s.gpu == 0))
+            .collect();
+        assert_eq!(stages, path);
+    }
+
     #[test]
     fn probe_many_is_deterministic_across_thread_counts() {
         let c = chain(
@@ -2327,8 +2536,15 @@ mod tests {
                 for p in 0..=dp.root.p {
                     for &(iv, im) in &picks {
                         let (iv, im) = ((iv % v_len) as u16, (im % m_len) as u16);
-                        let floor = dp.floor(k, p, iv);
+                        // Asked before the floors are filled, so a first
+                        // call may answer from the bound alone.
                         let exceeds = dp.floor_exceeds(k, p, im, iv);
+                        let floor = dp.floor(k, p, iv);
+                        let bound = dp.floor_bound(k, iv);
+                        prop_assert!(floor <= bound, "k {} p {} iv {}: floor {} above its bound {}", k, p, iv, floor, bound);
+                        let m_p = dp.m_axis.value(im);
+                        let memory = dp.platform.memory_bytes as f64;
+                        prop_assert_eq!(exceeds, floor > 0 && (m_p + floor as f64) * FLOOR_SLACK > memory);
                         let s = State { l: k, p, it: 0, im, iv };
                         let least = least_special_bytes(&dp, &c, s, lanes);
                         let from_zero = least_special_bytes(&dp, &c, State { im: 0, ..s }, lanes);

@@ -839,6 +839,28 @@ mod tests {
     }
 
     #[test]
+    fn the_falling_ceiling_keeps_a_tight_resnet50_plan_smaller() {
+        // A host-independent guard on the DP's work: with the ceiling
+        // falling as each solve finds paths, this cell's plan creates
+        // 8,411 states (13,912 with the ceiling fixed per solve), and
+        // no capped root comes out above its cap.
+        let chain = madpipe_dnn::networks::by_name("resnet50")
+            .unwrap()
+            .profile(8, 1000, &madpipe_dnn::GpuModel::default())
+            .unwrap();
+        let platform = Platform::gb(4, 3, 12.0).unwrap();
+        let (plan, stats) = madpipe_plan_with_stats(&chain, &platform, &PlannerConfig::default());
+        plan.unwrap();
+        assert!(
+            stats.dp.states_created <= 9_000,
+            "{} DP states: {:?}",
+            stats.dp.states_created,
+            stats.dp
+        );
+        assert_eq!(stats.dp.cap_misses, 0, "{:?}", stats.dp);
+    }
+
+    #[test]
     fn stats_expose_cross_probe_reuse() {
         // The bisection converges within its 10 iterations here, so the
         // last targets repeat exactly and are served from the cache.

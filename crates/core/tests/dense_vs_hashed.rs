@@ -629,3 +629,65 @@ fn near_peak_random_chains_match_and_fire_the_floor() {
         assert!(n > 0, "{spec:?}: the floor never fired");
     }
 }
+
+#[test]
+fn uncapped_solves_on_memory_tight_paper_networks_match_bit_for_bit() {
+    // One-shot solves have no held allocation to cap them: every bound
+    // they prune with comes from the paths they find. The four paper
+    // networks at P = 4 and 8 with 3 GB per GPU, targets from 1× to 6×
+    // the load bound; the ceiling falls 6 to 368 times in each feasible
+    // solve with the special GPU (11 of the 32 are infeasible).
+    let disc = Discretization::coarse();
+    for name in ["resnet50", "resnet101", "inception", "densenet121"] {
+        let chain = networks::by_name(name)
+            .unwrap()
+            .profile(8, 1000, &GpuModel::default())
+            .unwrap();
+        let total = chain.total_compute_time();
+        for p in [4usize, 8] {
+            let platform = Platform::gb(p, 3, 12.0).unwrap();
+            for factor in [1.0, 3.0, 4.5, 6.0] {
+                let t_hat = total / p as f64 * factor;
+                for special in [true, false] {
+                    assert_differential(&chain, &platform, t_hat, &disc, special);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn random_chains_whose_first_path_is_far_from_optimal_match_bit_for_bit() {
+    // With memory to spare, the first complete path in scan order puts
+    // the last `P − 1` layers on the normal GPUs, one each, and every
+    // other layer on the special GPU, so its value is at least `U(0, L −
+    // P + 1)`. Kept are the chains where that is twice the optimum or
+    // more: the ceiling starts far above the answer and falls to it.
+    let mut rng = proptest::test_runner::TestRng::from_seed(0x6365_696c);
+    let disc = Discretization::coarse();
+    let mut kept = 0;
+    for _ in 0..64 {
+        let n_layers = 6 + rng.below(5) as usize;
+        let gpus = 3 + rng.below(2) as usize;
+        let costs: Vec<(f64, f64)> = (0..n_layers)
+            .map(|_| (0.1 + 3.9 * rng.next_f64(), 0.1 + 3.9 * rng.next_f64()))
+            .collect();
+        let chain = synthetic(&costs, (1 + rng.below(64)) << 10, rng.below(16) << 10);
+        let platform = Platform::new(gpus, 1 << 30, 1e8).unwrap();
+        let per_gpu = chain.total_compute_time() / gpus as f64;
+        let t_hat = per_gpu * (1.0 + 5.0 * rng.next_f64());
+        let dense = madpipe_dp_with(&chain, &platform, t_hat, &disc, true);
+        let first = chain.compute_time(0..n_layers - (gpus - 1));
+        if !(dense.period.is_finite() && first >= 2.0 * dense.period) {
+            continue;
+        }
+        kept += 1;
+        let spec = PolicySpec::default();
+        assert_matches_reference(&dense, &chain, &platform, t_hat, &disc, true, spec);
+        assert_differential(&chain, &platform, t_hat, &disc, false);
+    }
+    assert!(
+        kept >= 32,
+        "only {kept} chains start twice the optimum away"
+    );
+}

@@ -65,9 +65,11 @@ impl PlaceStats {
 /// adding the call's work to `stats`.
 ///
 /// Operations are placed in topological order; each op is offered the
-/// earliest feasible modular slot on its resource (one candidate per
-/// circular gap, bounded by [`PlaceConfig::max_alternatives`]); a leaf is
-/// accepted iff the exact checker validates it (including memory).
+/// earliest feasible modular slots on its resource, at most
+/// [`PlaceConfig::max_alternatives`] of them ([`Timeline::candidate_fits`]:
+/// a gap longer than twice the op yields several slots one op length
+/// apart); a leaf is accepted iff the exact checker validates it
+/// (including memory).
 /// Each leaf first asks a memory floor ([`Checker::leaf_exceeds`]),
 /// which answers most failing leaves without the checker or compaction
 /// and never one they would accept; the node that places the last op

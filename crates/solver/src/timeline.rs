@@ -76,9 +76,11 @@ impl Timeline {
 
     /// Fill `out` with up to `out.len()` distinct feasible absolute times
     /// `≥ ready` for an op of length `d`, smallest first, and return how
-    /// many it wrote: the minimal candidate of each circular gap (plus
-    /// later laps of the earliest gap when fewer gaps than `out.len()`
-    /// exist). Used by the placer to branch.
+    /// many it wrote. The first is [`Self::earliest_fit`]`(ready, d)`;
+    /// each later one is the earliest fit at least `max(d, EPS) + 2·EPS`
+    /// past the one before. So a circular gap longer than `2d` yields
+    /// several candidates one op length apart, not one, before the scan
+    /// moves on to the next gap or lap. Used by the placer to branch.
     pub fn candidate_fits(&self, ready: f64, d: f64, out: &mut [f64]) -> usize {
         let Some(first) = self.earliest_fit(ready, d) else {
             return 0;
@@ -88,8 +90,8 @@ impl Timeline {
         };
         *slot = first;
         // Subsequent candidates: restart the query just past each found
-        // slot; `d + EPS*2` offset guarantees progress into another gap
-        // or another lap.
+        // slot; the `d + EPS*2` offset guarantees progress, to a later
+        // slot of the same gap, another gap or another lap.
         let mut found = 1;
         let mut probe = first;
         while found < out.len() {
@@ -378,6 +380,26 @@ mod tests {
         assert_eq!(tl.candidate_fits(0.0, 2.0, &mut []), 0);
         // No gap is long enough.
         assert_eq!(tl.candidate_fits(0.0, 4.5, &mut out), 0);
+    }
+
+    #[test]
+    fn a_long_gap_yields_a_candidate_per_op_length() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(2.0, 2.0);
+        tl.insert(6.0, 2.0);
+        // Free [0, 2), [4, 6) and the wrapping [8, 12). With d = 1 the
+        // wrapping gap gives three candidates, each `d + 2·EPS` past the
+        // one before.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut five = [f64::NAN; 5];
+        assert_eq!(tl.candidate_fits(1.0, 1.0, &mut five), 5);
+        assert_eq!(
+            bits(&five),
+            bits(&[1.0, 4.0, 8.0, 9.000000002, 10.000000004])
+        );
+        let mut four = [f64::NAN; 4];
+        assert_eq!(tl.candidate_fits(1.0, 1.0, &mut four), 4);
+        assert_eq!(bits(&four), bits(&five[..4]));
     }
 
     #[test]
