@@ -1,14 +1,14 @@
-//! Scoped worker pool fanning grid cells over CPU cores.
+//! Grid cells fanned out over CPU cores.
 //!
 //! The planners are pure CPU-bound functions of `(chain, cell)`, so the
-//! sweep parallelizes embarrassingly: a shared atomic cursor hands out
-//! cell indices, each worker owns nothing mutable but its slot in the
-//! results vector, and a scoped spawn keeps all borrows on the stack —
-//! no `Arc`, no channels, no locks on the hot path.
+//! sweep parallelizes embarrassingly on the workspace's one ordered pool
+//! ([`ordered_pool`]): results come back in cell order whatever the
+//! thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use madpipe_core::PlannerConfig;
+use madpipe_model::util::ordered_pool;
 use madpipe_model::Chain;
 
 use crate::grid::{run_cell, Cell, CellResult};
@@ -29,59 +29,23 @@ pub fn run_cells(
             .unwrap_or(1)
     } else {
         threads
-    }
-    .min(cells.len().max(1));
-
+    };
     let chain_for = |name: &str| -> &Chain {
         chains
             .iter()
             .find(|c| c.name() == name)
             .unwrap_or_else(|| panic!("no profiled chain for network {name}"))
     };
-
-    let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
-    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-
-    // Each worker pulls cell indices from a shared atomic cursor,
-    // collects its (index, result) pairs locally, and merges at join
-    // time — no `Arc`, no channels, no locks on the hot path.
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let done = &done;
-            let chain_for = &chain_for;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, CellResult)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let chain = chain_for(&cell.network);
-                    let result = run_cell(chain, cell, planner);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress && (finished.is_multiple_of(10) || finished == cells.len()) {
-                        eprintln!("  [{finished}/{}] cells evaluated", cells.len());
-                    }
-                    local.push((i, result));
-                }
-                local
-            }));
+    ordered_pool(cells.len(), &mut vec![(); threads], |_, i| {
+        let cell = &cells[i];
+        let result = run_cell(chain_for(&cell.network), cell, planner);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if progress && (finished.is_multiple_of(10) || finished == cells.len()) {
+            eprintln!("  [{finished}/{}] cells evaluated", cells.len());
         }
-        for h in handles {
-            for (i, r) in h.join().expect("worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every cell evaluated"))
-        .collect()
+        result
+    })
 }
 
 #[cfg(test)]

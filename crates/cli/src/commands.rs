@@ -566,11 +566,10 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             stats.dp.memory_floor_prunes
         );
         println!(
-            "  {:<12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>10}",
-            "probe", "T-hat ms", "special", "period ms", "cap ms", "states", "answer"
+            "  {:<12} {:>12} {:>8} {:>12} {:>12} {:>8}",
+            "probe", "T-hat ms", "special", "period ms", "cap ms", "states"
         );
         for p in &stats.probes {
-            let answer = if p.cached { "cached" } else { "solved" };
             let period = if p.period.is_finite() {
                 format!("{:.3}", p.period * 1e3)
             } else {
@@ -580,14 +579,13 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
                 .cap
                 .map_or_else(|| "-".to_string(), |c| format!("{:.3}", c * 1e3));
             println!(
-                "  {:<12} {:>12.3} {:>8} {:>12} {:>12} {:>8} {:>10}",
+                "  {:<12} {:>12.3} {:>8} {:>12} {:>12} {:>8}",
                 p.source.to_string(),
                 p.t_hat * 1e3,
                 p.use_special,
                 period,
                 cap,
-                p.states,
-                answer
+                p.states
             );
         }
     }

@@ -119,11 +119,12 @@ pub fn madpipe_allocation(
     madpipe_allocation_session(chain, platform, cfg, &mut session, cfg.use_special)
 }
 
-/// [`madpipe_allocation`] probing through a shared [`ProbeSession`], so
-/// the bisection's solves are capped by (and feed) the session's held
-/// allocations. `use_special` overrides the config
-/// flag — the planner runs the contiguous-fallback bisection through the
-/// same session with the special processor off.
+/// [`madpipe_allocation`] probing through the plan's [`ProbeSession`], so
+/// the bisection's solves are capped by (and feed) the allocations the
+/// session's earlier solves produced. Every probe is a solve: a target
+/// the bisection repeats once it converges is solved again. `use_special`
+/// overrides the config flag — the planner runs the contiguous-fallback
+/// bisection through the same session with the special processor off.
 pub fn madpipe_allocation_session(
     chain: &Chain,
     platform: &Platform,

@@ -14,8 +14,8 @@
 //! Both sides are ordinary cold plans. The `madpipe serve` daemon's
 //! `replan` submits the same two instances as two independent plan jobs,
 //! so each side is answered from the plan cache when it can be, and
-//! otherwise by a worker's [`crate::ProbeSession`] — bit-identical to the
-//! plans here either way.
+//! otherwise by a worker's cold plan — bit-identical to the plans here
+//! either way.
 
 use madpipe_model::{Chain, ModelError, Platform, PlatformFault};
 
@@ -116,8 +116,6 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::ProbeSession;
-    use crate::planner::madpipe_plan_with_session;
     use madpipe_model::Layer;
 
     fn chain() -> Chain {
@@ -163,34 +161,6 @@ mod tests {
             out.degraded_stats.metrics.counter("replan.fault.gpu_loss"),
             1
         );
-    }
-
-    #[test]
-    fn warm_session_replan_matches_cold_replan() {
-        // The daemon plans a replan's two sides as ordinary jobs, on
-        // sessions that may already have planned: both must match the
-        // cold replan to the bit.
-        let c = chain();
-        let p = platform();
-        let cfg = PlannerConfig::default();
-        for fault in [
-            PlatformFault::GpuLoss { count: 1 },
-            PlatformFault::MemoryReduction { fraction: 0.5 },
-        ] {
-            let cold = replan(&c, &p, fault, &cfg).unwrap();
-            for (platform, cold) in [
-                (&p, &cold.baseline),
-                (&cold.degraded_platform, &cold.degraded),
-            ] {
-                let disc = &cfg.algorithm1.discretization;
-                let mut session = ProbeSession::new(&c, platform, disc);
-                let _ = madpipe_plan_with_session(&mut session, &cfg);
-                let (warm, _) = madpipe_plan_with_session(&mut session, &cfg);
-                let (a, b) = (cold.as_ref().unwrap(), warm.unwrap());
-                assert_eq!(a.period().to_bits(), b.period().to_bits(), "{fault:?}");
-                assert_eq!(a.allocation, b.allocation);
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! A minimal Fx-style hasher for the DP session's outcome index.
+//! A minimal Fx-style hasher for maps keyed by a few integers.
 //!
-//! Its keys are a target period's bits and a flag; the default SipHash is
-//! overkill (it defends against HashDoS, irrelevant here) and shows up
-//! hot in profiles. This is the classic multiply-rotate mix used by
-//! rustc's `FxHasher`, specialized to our use.
+//! For such keys the default SipHash is overkill (it defends against
+//! HashDoS, irrelevant here). This is the classic multiply-rotate mix
+//! used by rustc's `FxHasher`. No map in the workspace uses it at
+//! present.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -1,6 +1,6 @@
 //! MadPipe: the paper's contribution (§4.2–§4.3).
 //!
-//! * [`oplus`] — the `⊕` delay-propagation algebra used to mimic 1F1B*
+//! * [`oplus`](mod@oplus) — the `⊕` delay-propagation algebra used to mimic 1F1B*
 //!   group formation inside the dynamic program;
 //! * [`discrete`] — the discretization grids for the continuous DP state
 //!   (`t_P`, `m_P`, `V`), with the paper's 101/11/51 default resolution;
@@ -15,7 +15,7 @@
 //! * [`stats`] — planner observability: DP memo/prune counters, the
 //!   probe timeline and per-phase wall times surfaced by
 //!   [`planner::madpipe_plan_with_stats`];
-//! * [`certify`] — differential certification of a finished plan: the
+//! * [`certify`](mod@certify) — differential certification of a finished plan: the
 //!   zero-fault replay is checked against the analytic checker and (on
 //!   tiny instances) the exhaustive optimum, and the same executor
 //!   measures jitter/bandwidth robustness margins per plan
@@ -47,7 +47,7 @@ pub use dp::{madpipe_dp, madpipe_dp_with, DpOutcome, ProbeSession};
 pub use hybrid::{best_hybrid, HybridPlan};
 pub use oplus::oplus;
 pub use planner::{
-    compare, madpipe_plan, madpipe_plan_with_session, madpipe_plan_with_stats, Comparison,
-    MadPipePlan, PlanError, PlannerConfig,
+    compare, madpipe_plan, madpipe_plan_with_stats, Comparison, MadPipePlan, PlanError,
+    PlannerConfig,
 };
 pub use stats::{DpStats, PlannerStats, ProbeRecord, ProbeSource};

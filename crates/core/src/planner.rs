@@ -2,10 +2,10 @@
 //! comparison against the PipeDream baseline used by the experiments.
 //!
 //! All DP probes of one plan — the bisection, the contiguous-fallback
-//! ablation and the refinement grid — go through one shared
-//! [`ProbeSession`], so every new target's solve is capped by the best
-//! allocation already held (a target asked again would cost a hash
-//! lookup, but on the paper networks no plan asks one twice).
+//! ablation and the refinement grid — go through one [`ProbeSession`],
+//! built by [`madpipe_plan_with_stats`] and dropped with the plan, so
+//! every target's solve is capped by the allocations the plan's earlier
+//! solves produced. Nothing carries over from one plan to the next.
 //! Independent work (the refinement probes and the phase-2 scheduling of
 //! distinct candidate allocations) fans out over
 //! [`PlannerConfig::threads`] scoped workers; candidates are deduplicated
@@ -16,8 +16,7 @@
 //! batch) stops its period search early: that skips work without
 //! changing the plan.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use madpipe_model::util::ordered_pool;
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec};
 use madpipe_schedule::ScheduleError;
 use madpipe_solver::{best_period, Cutoff, PlaceConfig, PlaceStats, SolvedSchedule};
@@ -75,16 +74,6 @@ pub enum PlanError {
     Phase1Infeasible,
     /// Phase 2 could not schedule the phase-1 allocation at any period.
     Phase2(ScheduleError),
-    /// A caller-owned [`ProbeSession`] was built under a different
-    /// [`PolicySpec`] than the requested plan. Policy shapes the DP axes
-    /// and transition set, so reusing the session would silently answer
-    /// probes under the wrong memory/time model — rejected instead.
-    PolicyMismatch {
-        /// Policy the session was built with.
-        session: PolicySpec,
-        /// Policy the planner config asked for.
-        requested: PolicySpec,
-    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -95,15 +84,6 @@ impl std::fmt::Display for PlanError {
                 write!(f, "no memory-feasible allocation at any target period")
             }
             PlanError::Phase2(e) => write!(f, "phase-1 allocation unschedulable: {e}"),
-            PlanError::PolicyMismatch { session, requested } => write!(
-                f,
-                "probe session solves under policy (recompute={}, weights={}) but the plan \
-                 requests (recompute={}, weights={}); build a session with the matching policy",
-                session.recompute.as_str(),
-                session.weights.as_str(),
-                requested.recompute.as_str(),
-                requested.weights.as_str(),
-            ),
         }
     }
 }
@@ -259,31 +239,11 @@ fn schedule_batch(
     let rest: Vec<usize> = (0..candidates.len())
         .filter(|&i| slots[i].is_none())
         .collect();
-    let threads = threads.max(1).min(rest.len().max(1));
-    if threads == 1 {
-        for &i in &rest {
-            slots[i] = Some(solve(i));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        while let Some(&i) = rest.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            local.push((i, solve(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("scheduling worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
+    let solved = ordered_pool(rest.len(), &mut vec![(); threads.max(1)], |_, j| {
+        solve(rest[j])
+    });
+    for (i, r) in rest.into_iter().zip(solved) {
+        slots[i] = Some(r);
     }
     slots
         .into_iter()
@@ -308,7 +268,8 @@ pub fn madpipe_plan(
 
 /// [`madpipe_plan`] returning the planner instrumentation alongside the
 /// result. Stats are populated even on failure — the counters say where
-/// the time went and why nothing planned.
+/// the time went and why nothing planned. Every plan goes through here
+/// and gets its own [`ProbeSession`], dropped with the plan.
 pub fn madpipe_plan_with_stats(
     chain: &Chain,
     platform: &Platform,
@@ -319,56 +280,8 @@ pub fn madpipe_plan_with_stats(
         threads: cfg.threads.max(1),
         ..PlannerStats::default()
     };
-    let result = match validate(chain, platform) {
-        Err(e) => Err(e),
-        Ok(()) => {
-            let mut session = ProbeSession::new_with_policy(
-                chain,
-                platform,
-                &cfg.algorithm1.discretization,
-                cfg.policy,
-            );
-            plan_inner(&mut session, cfg, &mut stats)
-        }
-    };
-    stats.total_seconds = total.finish();
-    mirror_into_metrics(&mut stats);
-    (result, stats)
-}
-
-/// Plan through a caller-owned [`ProbeSession`] — the entry point for
-/// long-lived callers (the `madpipe serve` worker pool) that plan the
-/// same `(chain, platform)` instance repeatedly. A second plan of the
-/// same instance asks the same targets, so the session's outcome cache
-/// answers every probe of it without a solve, and the plan is
-/// **bit-identical** to a fresh one (the probes are pure functions of
-/// the session inputs). A first plan gains little from the cache: on
-/// the paper networks none of its probes repeats a target.
-///
-/// The returned [`PlannerStats`] snapshot the session's *cumulative*
-/// counters: on a reused session, DP counters include earlier plans.
-pub fn madpipe_plan_with_session(
-    session: &mut ProbeSession<'_>,
-    cfg: &PlannerConfig,
-) -> (Result<MadPipePlan, PlanError>, PlannerStats) {
-    let total = madpipe_obs::timed("plan.total");
-    let mut stats = PlannerStats {
-        threads: cfg.threads.max(1),
-        ..PlannerStats::default()
-    };
-    let result = if session.policy() != cfg.policy {
-        // Reusing a session across policy specs would answer probes
-        // under the wrong axes/memory model; refuse loudly.
-        Err(PlanError::PolicyMismatch {
-            session: session.policy(),
-            requested: cfg.policy,
-        })
-    } else {
-        match validate(session.chain(), session.platform()) {
-            Err(e) => Err(e),
-            Ok(()) => plan_inner(session, cfg, &mut stats),
-        }
-    };
+    let result =
+        validate(chain, platform).and_then(|()| plan_inner(chain, platform, cfg, &mut stats));
     stats.total_seconds = total.finish();
     mirror_into_metrics(&mut stats);
     (result, stats)
@@ -447,12 +360,13 @@ fn mirror_into_metrics(stats: &mut PlannerStats) {
 }
 
 fn plan_inner(
-    session: &mut ProbeSession<'_>,
+    chain: &Chain,
+    platform: &Platform,
     cfg: &PlannerConfig,
     stats: &mut PlannerStats,
 ) -> Result<MadPipePlan, PlanError> {
-    let chain = session.chain();
-    let platform = session.platform();
+    let disc = &cfg.algorithm1.discretization;
+    let session = &mut ProbeSession::new_with_policy(chain, platform, disc, cfg.policy);
     let threads = cfg.threads.max(1);
 
     // Phase 1: Algorithm 1's bisection.
@@ -635,6 +549,7 @@ pub fn compare(chain: &Chain, platform: &Platform, cfg: &PlannerConfig) -> Compa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ProbeRecord;
     use madpipe_model::Layer;
 
     fn chain(costs: &[(f64, f64)], act: u64, w: u64) -> Chain {
@@ -735,8 +650,8 @@ mod tests {
             assert_eq!(x.t_hat.to_bits(), y.t_hat.to_bits());
             assert_eq!(x.period.to_bits(), y.period.to_bits());
             assert_eq!(
-                (x.cached, x.cap.map(f64::to_bits), x.states),
-                (y.cached, y.cap.map(f64::to_bits), y.states)
+                (x.cap.map(f64::to_bits), x.states),
+                (y.cap.map(f64::to_bits), y.states)
             );
         }
     }
@@ -863,17 +778,24 @@ mod tests {
     #[test]
     fn stats_expose_cross_probe_reuse() {
         // The bisection converges within its 10 iterations here, so the
-        // last targets repeat exactly and are served from the cache.
+        // last targets repeat exactly. Each is solved again, under the cap
+        // of the allocations the plan's earlier solves produced, to the
+        // same answer.
         let c = chain(&[(1.0, 1.0); 6], 1 << 19, 0);
         let platform = Platform::new(3, 6 << 20, 1e9).unwrap();
         let (plan, stats) = madpipe_plan_with_stats(&c, &platform, &PlannerConfig::default());
         plan.unwrap();
-        assert_eq!(stats.probes.len(), stats.dp.solves + stats.dp.outcome_hits);
-        assert!(stats.dp.solves > 0);
-        assert!(
-            stats.dp.outcome_hits > 0,
-            "repeated targets must be answered by the outcome cache: {stats:?}"
-        );
+        assert_eq!(stats.probes.len(), stats.dp.solves);
+        assert!(stats.dp.capped > 0, "{:?}", stats.dp);
+        let mut repeats = 0;
+        for (i, p) in stats.probes.iter().enumerate() {
+            let same = |q: &&ProbeRecord| q.t_hat == p.t_hat && q.use_special == p.use_special;
+            if let Some(first) = stats.probes[..i].iter().find(same) {
+                assert_eq!(first.period.to_bits(), p.period.to_bits());
+                repeats += 1;
+            }
+        }
+        assert!(repeats > 0, "the bisection must repeat a target: {stats:?}");
         assert!(stats.schedules_attempted >= stats.schedules_solved);
         assert!(stats.schedules_solved > 0);
         assert!(stats.total_seconds > 0.0);
@@ -921,41 +843,6 @@ mod tests {
         assert!(res.is_err());
         assert!(!stats.probes.is_empty());
         assert!(stats.probes.iter().all(|p| p.period.is_infinite()));
-    }
-
-    #[test]
-    fn session_reuse_under_a_different_policy_is_rejected() {
-        use madpipe_model::{RecomputeMode, WeightPolicy};
-        let c = chain(&[(1.0, 1.0); 4], 1 << 10, 1 << 8);
-        let platform = Platform::new(2, 1 << 20, 1e6).unwrap();
-        let cfg = PlannerConfig {
-            policy: PolicySpec {
-                recompute: RecomputeMode::Always,
-                weights: WeightPolicy::TwoBw,
-            },
-            ..PlannerConfig::default()
-        };
-        // Session built under the default policy, plan requested under a
-        // different one: must refuse with a structured error rather than
-        // silently answering probes under the wrong memory model.
-        let mut session = ProbeSession::new(&c, &platform, &cfg.algorithm1.discretization);
-        let (res, _) = madpipe_plan_with_session(&mut session, &cfg);
-        match res.unwrap_err() {
-            PlanError::PolicyMismatch { session, requested } => {
-                assert_eq!(session, PolicySpec::default());
-                assert_eq!(requested, cfg.policy);
-            }
-            other => panic!("expected PolicyMismatch, got {other:?}"),
-        }
-        // A session built with the matching policy plans fine.
-        let mut session = ProbeSession::new_with_policy(
-            &c,
-            &platform,
-            &cfg.algorithm1.discretization,
-            cfg.policy,
-        );
-        let (res, _) = madpipe_plan_with_session(&mut session, &cfg);
-        res.unwrap();
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //!
 //! * [`DpStats`] — the named counters of the cross-probe DP session
 //!   ([`crate::dp::ProbeSession`]), derived from the registry with
-//!   [`DpStats::from_registry`]: how many DP solves actually ran, how
-//!   many probes were answered from the outcome cache, how many solves
-//!   ran under a cap from the session's held allocations, and the
-//!   memoization/prune behaviour inside the solves that did run;
+//!   [`DpStats::from_registry`]: how many DP solves ran, how many of
+//!   them ran under a cap from the session's held allocations, and the
+//!   memoization/prune behaviour inside them;
 //! * [`PlannerStats`] — the end-to-end picture: the probe timeline (every
 //!   target period evaluated, tagged with the planner stage that asked
 //!   for it), phase wall-clock times, phase-2 scheduling and placement
@@ -25,14 +24,12 @@ use madpipe_solver::PlaceStats;
 /// Registry counter names of the DP session (the [`DpStats`] fields).
 pub mod counters {
     pub const DP_SOLVES: &str = "dp.solves";
-    pub const DP_OUTCOME_HITS: &str = "dp.outcome_hits";
     /// Solves run under a finite cap (the best held allocation).
     pub const DP_CAPPED: &str = "dp.capped";
     /// Capped solves whose root came out above the cap and were re-solved
     /// uncapped (a bug if ever non-zero).
     pub const DP_CAP_MISSES: &str = "dp.cap_misses";
     pub const DP_STATES_CREATED: &str = "dp.states_created";
-    pub const DP_STATES_REUSED: &str = "dp.states_reused";
     pub const DP_MEMO_HITS: &str = "dp.memo_hits";
     pub const DP_LOAD_PRUNES: &str = "dp.load_prunes";
     pub const DP_MEMORY_PRUNES: &str = "dp.memory_prunes";
@@ -63,10 +60,8 @@ pub mod counters {
 /// Aggregate counters of one [`crate::dp::ProbeSession`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DpStats {
-    /// DP solves that actually ran (memo built from scratch).
+    /// DP solves, one per probe (memo built from scratch).
     pub solves: usize,
-    /// Probes answered from the cross-probe outcome cache.
-    pub outcome_hits: usize,
     /// Solves run under a finite cap from the allocations the session
     /// already held.
     pub capped: usize,
@@ -76,9 +71,6 @@ pub struct DpStats {
     pub cap_misses: usize,
     /// Distinct memoized states created across all solves.
     pub states_created: u64,
-    /// States of the solves whose outcomes the outcome cache served
-    /// again.
-    pub states_reused: u64,
     /// Intra-solve memo lookups that hit an existing state.
     pub memo_hits: u64,
     /// Times the exact load prune (`u ≥ best`) cut a stage scan short.
@@ -100,32 +92,15 @@ impl DpStats {
         use counters::*;
         Self {
             solves: registry.counter(DP_SOLVES) as usize,
-            outcome_hits: registry.counter(DP_OUTCOME_HITS) as usize,
             capped: registry.counter(DP_CAPPED) as usize,
             cap_misses: registry.counter(DP_CAP_MISSES) as usize,
             states_created: registry.counter(DP_STATES_CREATED),
-            states_reused: registry.counter(DP_STATES_REUSED),
             memo_hits: registry.counter(DP_MEMO_HITS),
             load_prunes: registry.counter(DP_LOAD_PRUNES),
             memory_prunes: registry.counter(DP_MEMORY_PRUNES),
             branch_prunes: registry.counter(DP_BRANCH_PRUNES),
             memory_floor_prunes: registry.counter(DP_MEMORY_FLOOR_PRUNES),
         }
-    }
-
-    /// Fold another set of counters into this one.
-    pub fn merge(&mut self, other: &DpStats) {
-        self.solves += other.solves;
-        self.outcome_hits += other.outcome_hits;
-        self.capped += other.capped;
-        self.cap_misses += other.cap_misses;
-        self.states_created += other.states_created;
-        self.states_reused += other.states_reused;
-        self.memo_hits += other.memo_hits;
-        self.load_prunes += other.load_prunes;
-        self.memory_prunes += other.memory_prunes;
-        self.branch_prunes += other.branch_prunes;
-        self.memory_floor_prunes += other.memory_floor_prunes;
     }
 }
 
@@ -161,13 +136,11 @@ pub struct ProbeRecord {
     pub use_special: bool,
     /// Raw DP period (infinite when infeasible).
     pub period: f64,
-    /// Memoized states of the solve that answered this probe.
+    /// Memoized states of the probe's solve.
     pub states: usize,
-    /// Answered from the cross-probe outcome cache (no solve ran).
-    pub cached: bool,
-    /// The cap the solve ran under (`None` when uncapped or cached).
+    /// The cap the solve ran under (`None` when uncapped).
     pub cap: Option<f64>,
-    /// Wall-clock seconds spent answering (≈ 0 for cached).
+    /// Wall-clock seconds of the solve.
     pub seconds: f64,
 }
 
@@ -225,16 +198,14 @@ impl PlannerStats {
     /// One-line summary suitable for CLI output.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "probes {} ({} solved, {} cached, {} capped, {} cap misses), states {} (+{} reused), \
+            "probes {} ({} solved, {} capped, {} cap misses), states {}, \
              schedules {}/{} ({} cut), place {} calls ({} exhausted, {} floored, {} nodes, \
              {} leaves, {} leaves floored), {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
-            self.dp.outcome_hits,
             self.dp.capped,
             self.dp.cap_misses,
             self.dp.states_created,
-            self.dp.states_reused,
             self.schedules_solved,
             self.schedules_attempted,
             self.schedules_cut,
@@ -284,7 +255,6 @@ impl PlannerStats {
                     },
                 ),
                 ("states".into(), Value::UInt(p.states as u64)),
-                ("cached".into(), Value::Bool(p.cached)),
                 ("cap".into(), p.cap.map_or(Value::Null, Value::Float)),
                 ("seconds".into(), Value::Float(p.seconds)),
             ])
@@ -294,14 +264,9 @@ impl PlannerStats {
                 "dp".into(),
                 Value::Object(vec![
                     ("solves".into(), Value::UInt(self.dp.solves as u64)),
-                    (
-                        "outcome_hits".into(),
-                        Value::UInt(self.dp.outcome_hits as u64),
-                    ),
                     ("capped".into(), Value::UInt(self.dp.capped as u64)),
                     ("cap_misses".into(), Value::UInt(self.dp.cap_misses as u64)),
                     ("states_created".into(), Value::UInt(self.dp.states_created)),
-                    ("states_reused".into(), Value::UInt(self.dp.states_reused)),
                     ("memo_hits".into(), Value::UInt(self.dp.memo_hits)),
                     ("load_prunes".into(), Value::UInt(self.dp.load_prunes)),
                     ("memory_prunes".into(), Value::UInt(self.dp.memory_prunes)),
@@ -372,44 +337,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = DpStats {
-            solves: 2,
-            outcome_hits: 1,
-            capped: 1,
-            cap_misses: 0,
-            states_created: 100,
-            states_reused: 40,
-            memo_hits: 7,
-            load_prunes: 3,
-            memory_prunes: 1,
-            branch_prunes: 11,
-            memory_floor_prunes: 5,
-        };
-        let b = DpStats {
-            solves: 1,
-            outcome_hits: 2,
-            capped: 1,
-            cap_misses: 1,
-            states_created: 10,
-            states_reused: 0,
-            memo_hits: 1,
-            load_prunes: 1,
-            memory_prunes: 0,
-            branch_prunes: 4,
-            memory_floor_prunes: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.solves, 3);
-        assert_eq!(a.outcome_hits, 3);
-        assert_eq!((a.capped, a.cap_misses), (2, 1));
-        assert_eq!(a.states_created, 110);
-        assert_eq!(a.branch_prunes, 15);
-        assert_eq!(a.memory_floor_prunes, 7);
-        assert_eq!(a.outcome_hits, 3);
-    }
-
-    #[test]
     fn summary_mentions_the_key_counters() {
         let stats = PlannerStats {
             threads: 4,
@@ -426,7 +353,7 @@ mod tests {
         let s = stats.summary();
         assert!(s.contains("schedules 3/5 (1 cut)"));
         assert!(s.contains("4 threads"));
-        assert!(s.contains("(28 solved, 0 cached, 23 capped, 0 cap misses)"));
+        assert!(s.contains("(28 solved, 23 capped, 0 cap misses)"));
         let dp = stats.to_json().field("dp").unwrap().clone();
         assert_eq!(dp.field("capped").unwrap().as_u64().unwrap(), 23);
         assert_eq!(dp.field("cap_misses").unwrap().as_u64().unwrap(), 0);
@@ -469,13 +396,11 @@ mod tests {
         let r = Registry::new();
         r.add(counters::DP_SOLVES, 3);
         r.add(counters::DP_STATES_CREATED, 1000);
-        r.add(counters::DP_OUTCOME_HITS, 2);
         r.add(counters::DP_CAPPED, 2);
         r.add(counters::DP_CAP_MISSES, 1);
         let dp = DpStats::from_registry(&r);
         assert_eq!(dp.solves, 3);
         assert_eq!(dp.states_created, 1000);
-        assert_eq!(dp.outcome_hits, 2);
         assert_eq!((dp.capped, dp.cap_misses), (2, 1));
         assert_eq!(dp.memo_hits, 0);
     }
@@ -490,7 +415,6 @@ mod tests {
                     use_special: true,
                     period: 0.75,
                     states: 12,
-                    cached: false,
                     cap: Some(0.8),
                     seconds: 0.01,
                 },
@@ -500,7 +424,6 @@ mod tests {
                     use_special: true,
                     period: f64::INFINITY,
                     states: 40,
-                    cached: false,
                     cap: None,
                     seconds: 0.002,
                 },

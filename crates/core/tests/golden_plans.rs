@@ -10,13 +10,13 @@
 //! roomy cell, ResNet-50 under the three policy variants, and two random
 //! instances whose solves once hit the DP's edge cases: seed 34, where an
 //! optimum sits exactly at a capped incumbent, and seed 239, where DP
-//! feasibility is not monotone in the target. The pinned value was
-//! recorded before the session capped its solves, and the capped solver
-//! reproduces it. The digest changes only when plans change on purpose.
+//! feasibility is not monotone in the target. Each probe is re-asked
+//! through a fresh session, in the plan's order, and must answer the
+//! plan's period. The pinned value was recorded before the session capped
+//! its solves, and the capped solver reproduces it. The digest changes
+//! only when plans change on purpose.
 
-use madpipe_core::{
-    madpipe_plan_with_session, madpipe_plan_with_stats, PlannerConfig, ProbeSession,
-};
+use madpipe_core::{madpipe_plan_with_stats, PlannerConfig, ProbeSession};
 use madpipe_dnn::{networks, random_chain, GpuModel, RandomChainConfig};
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec, RecomputeMode, WeightPolicy};
 use madpipe_schedule::Dir;
@@ -60,17 +60,16 @@ impl Fnv {
     }
 }
 
-/// Plan one cell through a session, then feed the digest every probe
-/// (re-asked from the session's outcome cache for its allocation) and
-/// the plan.
+/// Plan one cell, then feed the digest every probe (re-asked through a
+/// fresh session for its allocation) and the plan.
 fn feed(h: &mut Fnv, chain: &Chain, platform: &Platform, policy: PolicySpec) {
     let cfg = PlannerConfig {
         policy,
         ..PlannerConfig::default()
     };
+    let (plan, stats) = madpipe_plan_with_stats(chain, platform, &cfg);
     let disc = cfg.algorithm1.discretization;
     let mut session = ProbeSession::new_with_policy(chain, platform, &disc, policy);
-    let (plan, stats) = madpipe_plan_with_session(&mut session, &cfg);
     h.u64(stats.probes.len() as u64);
     for p in &stats.probes {
         h.u64(p.source as u64);

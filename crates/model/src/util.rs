@@ -1,10 +1,16 @@
-//! Floating-point comparison helpers.
+//! Floating-point comparison helpers, and the ordered worker pool.
 //!
 //! Periods, start times and durations are `f64` seconds; schedule
 //! feasibility checks compare sums of such values and must tolerate
 //! rounding noise. All crates in the workspace use the helpers below with
 //! the shared [`EPS`] so that "fits within the period" means the same
 //! thing everywhere.
+//!
+//! [`ordered_pool`] is the one scoped worker pool of the workspace: the
+//! DP's probe batches, phase-2 scheduling and the experiment grid fan
+//! independent jobs out with it and get their results back in job order.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Absolute tolerance used by all schedule feasibility comparisons.
 ///
@@ -108,9 +114,77 @@ pub fn group_step_with(x: f64, y: f64, t: f64, tol: f64) -> f64 {
     }
 }
 
+/// Run `job(worker, i)` for every `i` in `0..n` and return the results
+/// in index order. Each element of `workers` is one worker's own state
+/// (a DP workspace, or `()`); up to `workers.len()` scoped threads pull
+/// indices from a shared cursor, so which worker runs which job varies,
+/// but the results do not when each depends only on `i`. With one
+/// worker, or at most one job, the loop runs on the caller's thread.
+/// `workers` must not be empty.
+pub fn ordered_pool<W, R, F>(n: usize, workers: &mut [W], job: F) -> Vec<R>
+where
+    W: Send,
+    R: Send,
+    F: Fn(&mut W, usize) -> R + Sync,
+{
+    assert!(!workers.is_empty(), "a pool needs at least one worker");
+    let threads = workers.len().min(n);
+    if threads <= 1 {
+        let worker = &mut workers[0];
+        return (0..n).map(|i| job(worker, i)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers[..threads]
+            .iter_mut()
+            .map(|worker| {
+                let (cursor, job) = (&cursor, &job);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, job(worker, i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every job ran"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_pool_keeps_job_order_and_per_worker_state() {
+        for threads in [1, 2, 3, 8] {
+            let mut counts = vec![0usize; threads];
+            let squares = ordered_pool(20, &mut counts, |count, i| {
+                *count += 1;
+                i * i
+            });
+            assert_eq!(squares, (0..20).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(counts.iter().sum::<usize>(), 20, "{threads} workers");
+        }
+        let mut one = [()];
+        assert!(ordered_pool(0, &mut one, |_, i| i).is_empty());
+    }
 
     #[test]
     fn comparisons_tolerate_eps() {

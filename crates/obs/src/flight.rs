@@ -3,7 +3,7 @@
 //! daemon-kill) as a JSONL artifact that `madpipe trace-merge` and
 //! `validate-trace` consume.
 //!
-//! Unlike the [`crate::span`] tracer — opt-in, unbounded, drained by the
+//! Unlike the [`crate::span`](mod@crate::span) tracer — opt-in, unbounded, drained by the
 //! process that enabled it — the flight recorder is always recording and
 //! never allocates after construction. Each slot is a per-slot seqlock:
 //! a writer claims a sequence number with one `fetch_add`, claims the

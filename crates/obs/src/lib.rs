@@ -3,7 +3,7 @@
 //!
 //! Three pieces, deliberately small and dependency-free:
 //!
-//! * [`span`]/[`span!`] — RAII span guards feeding a global, thread-safe
+//! * [`span`](fn@span)/[`span!`] — RAII span guards feeding a global, thread-safe
 //!   collector. Tracing is off by default; a disabled span is a single
 //!   relaxed atomic load (no clock read, no allocation), so permanently
 //!   instrumented hot paths cost nothing in production runs.

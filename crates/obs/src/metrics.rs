@@ -2,11 +2,11 @@
 //! histograms with deterministic iteration order.
 //!
 //! The registry is internally locked, so DP worker threads could bump it
-//! directly; the planner instead aggregates on the main thread (like the
-//! rest of the workspace) and merges per-session registries, keeping
-//! counter values bit-identical across thread counts. A [`snapshot`]
-//! freezes the registry into a plain value that renders as a
-//! Prometheus-style text dump or a JSON tree.
+//! directly; the planner instead bumps its session's one registry on the
+//! main thread, in a fixed order, and snapshots it at the end of the
+//! plan, keeping counter values bit-identical across thread counts. A
+//! [`snapshot`] freezes the registry into a plain value that renders as
+//! a Prometheus-style text dump or a JSON tree.
 //!
 //! [`snapshot`]: Registry::snapshot
 
@@ -49,8 +49,8 @@ struct Inner {
     histograms: BTreeMap<String, Hist>,
 }
 
-/// A live metrics registry. Cheap to create; merge session-scoped
-/// registries into a parent rather than sharing one globally.
+/// A live metrics registry. Cheap to create: each planning session,
+/// daemon and router owns one rather than sharing one globally.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -117,32 +117,6 @@ impl Registry {
         h.count += 1;
         h.sum += value;
         h.buckets[bucket_index(value)] += 1;
-    }
-
-    /// Fold every metric of `other` into this registry.
-    pub fn merge(&self, other: &Registry) {
-        let other = other.inner.lock().unwrap();
-        let mut inner = self.inner.lock().unwrap();
-        for (name, v) in &other.counters {
-            *inner.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            inner.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            let mine = inner.histograms.entry(name.clone()).or_default();
-            if mine.buckets.is_empty() {
-                *mine = h.clone();
-            } else {
-                mine.min = mine.min.min(h.min);
-                mine.max = mine.max.max(h.max);
-                mine.count += h.count;
-                mine.sum += h.sum;
-                for (a, b) in mine.buckets.iter_mut().zip(&h.buckets) {
-                    *a += b;
-                }
-            }
-        }
     }
 
     /// Freeze the registry into a plain, comparable snapshot.
@@ -432,29 +406,6 @@ mod tests {
         // One observation later, the quantile is defined again.
         let one = [(2.0, 1u64)];
         assert!(quantile_from_buckets(&one, 0.5).is_finite());
-    }
-
-    #[test]
-    fn merge_folds_counters_gauges_and_histograms() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.add("y", 5);
-        a.set_gauge("g", 1.0);
-        b.set_gauge("g", 2.0);
-        a.observe("h", 1.0);
-        b.observe("h", 4.0);
-        b.observe("h2", 8.0);
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("x"), 3);
-        assert_eq!(snap.counter("y"), 5);
-        assert_eq!(snap.gauges, vec![("g".into(), 2.0)]);
-        let h = &snap.histograms.iter().find(|(k, _)| k == "h").unwrap().1;
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, 4.0);
-        assert_eq!(snap.histograms.len(), 2);
     }
 
     #[test]

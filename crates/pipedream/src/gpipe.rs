@@ -1,4 +1,4 @@
-//! GPipe-style synchronous pipelining (Huang et al. [9]) — the second
+//! GPipe-style synchronous pipelining (Huang et al. \[9\]) — the second
 //! baseline of the paper's related work.
 //!
 //! GPipe splits each mini-batch into `m` micro-batches, pipelines all

@@ -1,7 +1,7 @@
 //! The PipeDream baseline: a contiguous partitioning dynamic program with
 //! PipeDream's rough memory estimate, scheduled with 1F1B*.
 //!
-//! PipeDream's partitioner [11] balances a contiguous split of the chain
+//! PipeDream's partitioner \[11\] balances a contiguous split of the chain
 //! over the GPUs, minimizing the bottleneck resource (the largest stage
 //! compute time or inter-stage communication time). Its memory accounting
 //! assumes the 1F1B steady state of a `S`-stage pipeline *without*

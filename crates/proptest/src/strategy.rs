@@ -140,7 +140,7 @@ impl_tuples! {
     (A: 0, B: 1, C: 2, D: 3, E: 4);
 }
 
-/// Accepted size arguments of [`vec`]: an exact length or a range.
+/// Accepted size arguments of [`vec`](fn@vec): an exact length or a range.
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -181,7 +181,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec`](fn@vec).
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -4,9 +4,9 @@
 //! The daemon turns the library planner into a long-lived service: an
 //! event-driven connection [`reactor`] (one thread, nonblocking sockets,
 //! readiness polling, pipelined requests answered in order), a bounded
-//! worker pool whose workers each keep a warm
-//! [`madpipe_core::ProbeSession`], and a sharded LRU cache keyed by the
-//! *canonical* instance — key-sorted, unit-normalized JSON — so the same
+//! worker pool that plans each cache miss from scratch with
+//! [`madpipe_core::madpipe_plan_with_stats`], and a sharded LRU cache
+//! keyed by the *canonical* instance — key-sorted, unit-normalized JSON — so the same
 //! problem asked twice (in any field order, in bytes or GiB) is answered
 //! from memory, bit-identical to a cold `madpipe plan`.
 //!

@@ -10,8 +10,8 @@
 //! span before forwarding, so the daemon's request span hangs off the
 //! router hop in the merged cluster trace — see
 //! [`crate::protocol::inject_context`].) The
-//! same instance always lands on the same daemon (maximizing warm
-//! [`ProbeSession`](madpipe_core::ProbeSession) and cache reuse), and
+//! same instance always lands on the same daemon (so its plan is
+//! computed once and then served from that daemon's cache), and
 //! adding or removing a daemon only remaps the keys the ring assigned to
 //! it — the consistent-hashing property, tested on [`Ring`] directly.
 //!
@@ -39,8 +39,9 @@
 //! the key once and serves it from its own cache from then on; a daemon
 //! restarted with `--journal` replays its cache before it listens.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,6 +63,10 @@ const POLL: Duration = Duration::from_millis(50);
 /// Cap on one backend response line (a rendered plan is well under
 /// [`MAX_LINE_BYTES`]; the backend enforces the same bound inbound).
 const MAX_RESPONSE_BYTES: usize = 4 << 20;
+
+/// One client connection's persistent backend connections, by backend
+/// index, each read through its own buffer.
+type Backends = HashMap<usize, BufReader<TcpStream>>;
 
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
@@ -452,7 +457,7 @@ fn connection_loop(stream: &TcpStream, ctx: &Arc<RouterCtx>) {
     // Persistent backend connections for this client connection: the
     // common case (one client hammering one hot instance) reuses one
     // upstream socket end to end.
-    let mut backends: HashMap<usize, TcpStream> = HashMap::new();
+    let mut backends = Backends::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut discarding = false;
@@ -514,11 +519,7 @@ fn write_line(stream: &TcpStream, line: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-fn handle_line(
-    line: &str,
-    ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
-) -> String {
+fn handle_line(line: &str, ctx: &Arc<RouterCtx>, backends: &mut Backends) -> String {
     ctx.registry.inc("router.requests");
     let (req, trace) = match parse_line(line) {
         Ok(parsed) => parsed,
@@ -549,7 +550,7 @@ fn traced_forward(
     key: &str,
     trace: Option<TraceContext>,
     ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
+    backends: &mut Backends,
 ) -> String {
     let Some(tc) = trace else {
         return forward(line, key, ctx, backends);
@@ -576,12 +577,7 @@ fn traced_forward(
 /// what the daemon would have sent a direct client. Backends with an
 /// open breaker are skipped outright; failover retries past the first
 /// attempt each spend a retry-budget token.
-fn forward(
-    line: &str,
-    key: &str,
-    ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
-) -> String {
+fn forward(line: &str, key: &str, ctx: &Arc<RouterCtx>, backends: &mut Backends) -> String {
     ctx.retry_budget.deposit();
     let candidates = ctx.ring.candidates(key);
     let primary = candidates.first().copied();
@@ -610,7 +606,6 @@ fn forward(
                 return response;
             }
             Err(_) => {
-                backends.remove(&idx);
                 ctx.mark_dead(idx);
                 ctx.registry.inc("router.backend_errors");
             }
@@ -623,21 +618,31 @@ fn forward(
     })
 }
 
-/// One line out, one line back on a persistent backend connection.
+/// One line out, one line back on a persistent backend connection. A
+/// failed exchange drops the connection, with whatever it had buffered.
 fn exchange(
-    backends: &mut HashMap<usize, TcpStream>,
+    backends: &mut Backends,
     idx: usize,
     addr: &str,
     line: &str,
     timeout: Duration,
 ) -> std::io::Result<String> {
-    if let std::collections::hash_map::Entry::Vacant(e) = backends.entry(idx) {
-        e.insert(dial(addr, timeout)?);
+    let conn = match backends.entry(idx) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert(BufReader::new(dial(addr, timeout)?)),
+    };
+    let response = round_trip(conn, line);
+    if response.is_err() {
+        backends.remove(&idx);
     }
-    let stream = backends.get_mut(&idx).expect("just inserted");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    read_response_line(stream)
+    response
+}
+
+/// Write `line` and its newline, then read one response line.
+fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<String> {
+    conn.get_mut().write_all(line.as_bytes())?;
+    conn.get_mut().write_all(b"\n")?;
+    read_response_line(conn)
 }
 
 fn dial(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
@@ -654,34 +659,27 @@ fn dial(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn read_response_line(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut out: Vec<u8> = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(String::from_utf8_lossy(&out).into_owned());
-                }
-                out.push(byte[0]);
-                if out.len() > MAX_RESPONSE_BYTES {
-                    return Err(ErrorKind::InvalidData.into());
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+/// Read one response line, without its newline, through `reader`'s
+/// buffer. A line longer than [`MAX_RESPONSE_BYTES`] is `InvalidData`;
+/// a connection that closes mid-line is `UnexpectedEof`.
+fn read_response_line(reader: &mut impl BufRead) -> std::io::Result<String> {
+    let mut out = Vec::new();
+    reader
+        .take(MAX_RESPONSE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut out)?;
+    if out.pop_if(|b| *b == b'\n').is_some() {
+        Ok(String::from_utf8_lossy(&out).into_owned())
+    } else if out.len() > MAX_RESPONSE_BYTES {
+        Err(ErrorKind::InvalidData.into())
+    } else {
+        Err(ErrorKind::UnexpectedEof.into())
     }
 }
 
 /// Round-trip one command line against a backend on a fresh connection
 /// (rollups are rare; freshness beats plumbing the per-client pools).
 fn probe(addr: &str, line: &str, timeout: Duration) -> std::io::Result<Value> {
-    let mut stream = dial(addr, timeout)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let response = read_response_line(&mut stream)?;
+    let response = round_trip(&mut BufReader::new(dial(addr, timeout)?), line)?;
     Value::parse(&response)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("bad response: {e}")))
 }
@@ -935,5 +933,49 @@ mod tests {
             again += 1;
         }
         assert_eq!(again, RETRY_CAP as usize);
+    }
+
+    /// A loopback backend: it answers the `i`-th request line it reads
+    /// with `replies[i]`, each in one `write_all`, and reads on until the
+    /// client hangs up.
+    fn fake_backend(replies: Vec<Vec<u8>>) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let backend = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(&stream);
+            let mut replies = replies.into_iter();
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                if let Some(reply) = replies.next() {
+                    (&stream).write_all(&reply).unwrap();
+                }
+                line.clear();
+            }
+        });
+        (addr, backend)
+    }
+
+    #[test]
+    fn two_lines_in_one_write_answer_two_exchanges_in_order() {
+        let (addr, backend) = fake_backend(vec![b"first\nsecond\n".to_vec()]);
+        let mut backends = Backends::new();
+        let timeout = Duration::from_secs(10);
+        let mut ask = |line| exchange(&mut backends, 0, &addr, line, timeout).unwrap();
+        assert_eq!(ask("one"), "first");
+        assert_eq!(ask("two"), "second");
+        drop(backends);
+        backend.join().unwrap();
+    }
+
+    #[test]
+    fn a_response_over_the_cap_is_an_error_and_drops_the_connection() {
+        let (addr, backend) = fake_backend(vec![vec![b'x'; MAX_RESPONSE_BYTES + 1]]);
+        let mut backends = Backends::new();
+        let timeout = Duration::from_secs(10);
+        let err = exchange(&mut backends, 0, &addr, "one", timeout).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(backends.is_empty(), "the connection is dropped");
+        backend.join().unwrap();
     }
 }

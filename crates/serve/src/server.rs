@@ -22,14 +22,13 @@
 //!    finish before its deadline — the server sheds load instead of
 //!    building a backlog whose every entry will miss its deadline. A
 //!    full queue is an immediate `overloaded` reject (`serve.rejects`).
-//! 4. A worker picks the job up — dropping it unrun with a structured
+//! 4. A worker pops the job — dropping it unrun with a structured
 //!    `timeout` (`serve.shed.expired`) if its deadline already passed
-//!    while queued — builds (or reuses) a [`ProbeSession`]
-//!    for the instance and plans. Consecutive same-instance jobs are
-//!    served through the same warm session, which is both faster and —
-//!    because probes are pure functions of (chain, platform, T̂) —
-//!    bit-identical to a cold `madpipe plan`. Finished replies ring the
-//!    reactor's waker so the response leaves immediately.
+//!    while queued — and re-probes the cache, since another worker may
+//!    have planned the same instance meanwhile. On a miss it plans with
+//!    [`madpipe_plan_with_stats`], exactly as `madpipe plan` does, so
+//!    the plan is bit-identical to an offline one. Finished replies ring
+//!    the reactor's waker so the response leaves immediately.
 //! 5. The slot waits in the connection's pipeline with the request
 //!    deadline; if the worker misses it, the client gets a `timeout`
 //!    error and the worker result (if any) still lands in the cache.
@@ -47,11 +46,10 @@
 //! Supervision: a planner panic is caught per job. The poisoned request
 //! is answered with a structured `internal` error (counter
 //! `serve.panics`), then the panic is *resumed* so the worker thread
-//! tears down its possibly-corrupt session state; the supervisor thread
-//! observes the death and respawns a fresh worker
-//! (`serve.workers.respawned`). One poisoned request can therefore never
-//! take the pool down, and `{"cmd":"health"}` reports live worker count
-//! and queue depth for external monitors.
+//! dies; the supervisor thread observes the death and respawns a fresh
+//! worker (`serve.workers.respawned`). One poisoned request can
+//! therefore never take the pool down, and `{"cmd":"health"}` reports
+//! live worker count and queue depth for external monitors.
 //!
 //! Draining: `shutdown()` (or a `{"cmd":"shutdown"}` request, or
 //! SIGTERM/SIGINT via [`install_signal_handlers`]) flips one flag. The
@@ -75,7 +73,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use madpipe_core::{madpipe_plan_with_session, ProbeSession};
+use madpipe_core::madpipe_plan_with_stats;
 use madpipe_json::Value;
 use madpipe_obs::Registry;
 
@@ -216,11 +214,6 @@ impl JobQueue {
             }
             q = self.avail.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Non-blocking pop — the worker lookahead.
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        lock_unpoisoned(&self.inner).jobs.pop_front()
     }
 
     /// Stop admitting and wake every blocked worker.
@@ -594,20 +587,10 @@ pub(crate) fn health_value(ctx: &Arc<Ctx>) -> Value {
 }
 
 fn worker_loop(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) {
-    let mut pending: Option<Job> = None;
-    loop {
-        let job = match pending.take() {
-            Some(j) => j,
-            None => match jobs.pop() {
-                Some(j) => {
-                    ctx.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                    j
-                }
-                // Queue closed and drained: exit.
-                None => return,
-            },
-        };
-        serve_instance(ctx, jobs, job, &mut pending);
+    // `None`: the queue is closed and drained.
+    while let Some(job) = jobs.pop() {
+        ctx.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        serve_job(ctx, job);
     }
 }
 
@@ -638,18 +621,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Plan `job`'s instance, then keep serving consecutive jobs for the
-/// *same* canonical instance through the same warm [`ProbeSession`]:
-/// every probe of a repeat plan is an outcome-cache lookup, and the result is bit-identical
-/// to a cold run because every probe is a pure function of
-/// (chain, platform, T̂). A job for a different instance is handed back
-/// via `pending`.
+/// Answer one job: from the cache if another worker planned the same
+/// instance while this job sat in the queue, otherwise with a fresh plan.
 ///
 /// A panic inside the planner is caught here: the waiting client gets a
 /// structured `internal` error, `serve.panics` is bumped, and the panic
-/// is resumed so this worker (and its possibly-poisoned session) tears
-/// down — the supervisor spawns a replacement.
-fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, job: Job, pending: &mut Option<Job>) {
+/// is resumed so this worker tears down — the supervisor spawns a
+/// replacement.
+fn serve_job(ctx: &Arc<Ctx>, job: Job) {
     record_queue_wait(ctx, &job);
     if Instant::now() >= job.deadline {
         // Sat in the queue past its deadline; the client already gave
@@ -665,149 +644,111 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, job: Job, pending: &mut 
         cfg,
         canonical,
     } = *job.req;
-    let mut reply = job.reply;
-    let (mut trace, mut parent) = (job.trace, job.span);
-    // The session must solve under the request's policy spec — a
-    // default-built session would (correctly) refuse any non-default
-    // request with `PlanError::PolicyMismatch`.
-    let mut session = ProbeSession::new_with_policy(
-        &chain,
-        &platform,
-        &cfg.algorithm1.discretization,
-        cfg.policy,
-    );
-    loop {
-        let worker_t0 = Instant::now();
-        let worker_ts = madpipe_obs::now_unix_us();
-        let worker_span = madpipe_obs::fresh_id();
-        // Re-probe the cache: another worker may have finished the same
-        // instance while this job sat in the queue.
-        let outcome: PlanOutcome = match ctx.cache.get(&canonical) {
-            Some(plan) => Ok((plan, true)),
-            None => {
-                let t0 = Instant::now();
-                let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(marker) = &ctx.panic_marker {
-                        if chain.name().contains(marker.as_str()) {
-                            panic!("chaos marker `{marker}` in chain name");
-                        }
+    let (trace, parent) = (job.trace, job.span);
+    let worker_t0 = Instant::now();
+    let worker_ts = madpipe_obs::now_unix_us();
+    let worker_span = madpipe_obs::fresh_id();
+    let outcome: PlanOutcome = match ctx.cache.get(&canonical) {
+        Some(plan) => Ok((plan, true)),
+        None => {
+            let t0 = Instant::now();
+            let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if let Some(marker) = &ctx.panic_marker {
+                    if chain.name().contains(marker.as_str()) {
+                        panic!("chaos marker `{marker}` in chain name");
                     }
-                    let dp_t0 = Instant::now();
-                    let dp_ts = madpipe_obs::now_unix_us();
-                    let out = madpipe_plan_with_session(&mut session, &cfg);
-                    madpipe_obs::flight::record_span(
-                        "serve.dp",
-                        dp_ts,
-                        dp_t0.elapsed().as_secs_f64() * 1e6,
+                }
+                let dp_t0 = Instant::now();
+                let dp_ts = madpipe_obs::now_unix_us();
+                let out = madpipe_plan_with_stats(&chain, &platform, &cfg);
+                madpipe_obs::flight::record_span(
+                    "serve.dp",
+                    dp_ts,
+                    dp_t0.elapsed().as_secs_f64() * 1e6,
+                    trace,
+                    madpipe_obs::fresh_id(),
+                    worker_span,
+                );
+                out
+            }));
+            let (result, _stats) = match planned {
+                Ok(r) => r,
+                Err(payload) => {
+                    ctx.registry.inc("serve.panics");
+                    let _ = job.reply.try_send(Err(ServeError::internal(format!(
+                        "planner worker panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))));
+                    ctx.waker.wake();
+                    // Post-mortem: the panic instant joins the request's
+                    // trace, and the ring reaches disk *now* — this
+                    // thread is about to die and take no dump with it.
+                    madpipe_obs::flight::record_instant(
+                        "serve.panic",
+                        madpipe_obs::now_unix_us(),
                         trace,
-                        madpipe_obs::fresh_id(),
                         worker_span,
                     );
-                    out
-                }));
-                let (result, _stats) = match planned {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        ctx.registry.inc("serve.panics");
-                        let _ = reply.try_send(Err(ServeError::internal(format!(
-                            "planner worker panicked: {}",
-                            panic_message(payload.as_ref())
-                        ))));
-                        ctx.waker.wake();
-                        // Post-mortem: the panic instant joins the request's
-                        // trace, and the ring reaches disk *now* — this
-                        // thread is about to die and take no dump with it.
-                        madpipe_obs::flight::record_instant(
-                            "serve.panic",
-                            madpipe_obs::now_unix_us(),
-                            trace,
-                            worker_span,
-                        );
-                        madpipe_obs::flight::record_span(
-                            "serve.worker",
-                            worker_ts,
-                            worker_t0.elapsed().as_secs_f64() * 1e6,
-                            trace,
-                            worker_span,
-                            parent,
-                        );
-                        if let Some(path) = &ctx.flight_dump {
-                            let _ = madpipe_obs::flight::write_dump(path);
-                        }
-                        // The session may be mid-update; never reuse it.
-                        // Resuming lets the thread die and the supervisor
-                        // replace it with a clean one.
-                        std::panic::resume_unwind(payload);
+                    madpipe_obs::flight::record_span(
+                        "serve.worker",
+                        worker_ts,
+                        worker_t0.elapsed().as_secs_f64() * 1e6,
+                        trace,
+                        worker_span,
+                        parent,
+                    );
+                    if let Some(path) = &ctx.flight_dump {
+                        let _ = madpipe_obs::flight::write_dump(path);
                     }
-                };
-                let plan_time = t0.elapsed();
-                ctx.registry
-                    .observe("serve.plan.seconds", plan_time.as_secs_f64());
-                ctx.plan_nanos
-                    .fetch_add(plan_time.as_nanos() as u64, Ordering::Relaxed);
-                ctx.plans_timed.fetch_add(1, Ordering::Relaxed);
-                ctx.registry.inc("serve.plans");
-                match result {
-                    Ok(plan) => {
-                        let rendered = Arc::new(plan_to_json(&plan));
-                        let evicted = ctx.cache.insert(canonical.clone(), Arc::clone(&rendered));
-                        ctx.registry.add("serve.cache.evictions", evicted);
-                        // Durability: the journal gets the plan exactly
-                        // as rendered, so replay warms byte-identical
-                        // responses. A failed append degrades recovery,
-                        // never this response.
-                        if let Some(j) = &ctx.journal {
-                            match j.append(&canonical, &rendered) {
-                                Ok(()) => ctx.registry.inc("serve.journal.appended"),
-                                Err(_) => ctx.registry.inc("serve.journal.errors"),
-                            }
-                        }
-                        Ok((rendered, false))
-                    }
-                    Err(e) => Err(ServeError::plan(e.to_string())),
+                    // No session outlives its job, so nothing can reuse
+                    // the one this panic left half-updated. Resuming
+                    // lets the thread die and the supervisor replace it
+                    // with a clean one.
+                    std::panic::resume_unwind(payload);
                 }
-            }
-        };
-        madpipe_obs::flight::record_span(
-            "serve.worker",
-            worker_ts,
-            worker_t0.elapsed().as_secs_f64() * 1e6,
-            trace,
-            worker_span,
-            parent,
-        );
-        // The reactor may have timed the slot out and dropped the
-        // receiver; the plan still went into the cache, so the retry
-        // will hit. The wake gets the response on the wire without
-        // waiting out the reactor's poll timeout.
-        let _ = reply.try_send(outcome);
-        ctx.waker.wake();
-
-        // Lookahead: pull the next queued job without blocking; keep it
-        // only if it is the same instance, otherwise hand it back.
-        loop {
-            match jobs.try_pop() {
-                Some(j) => {
-                    ctx.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                    if j.req.canonical == canonical {
-                        record_queue_wait(ctx, &j);
-                        if Instant::now() >= j.deadline {
-                            ctx.registry.inc("serve.shed.expired");
-                            let _ = j.reply.try_send(Err(ServeError::timeout()));
-                            ctx.waker.wake();
-                            continue;
+            };
+            let plan_time = t0.elapsed();
+            ctx.registry
+                .observe("serve.plan.seconds", plan_time.as_secs_f64());
+            ctx.plan_nanos
+                .fetch_add(plan_time.as_nanos() as u64, Ordering::Relaxed);
+            ctx.plans_timed.fetch_add(1, Ordering::Relaxed);
+            ctx.registry.inc("serve.plans");
+            match result {
+                Ok(plan) => {
+                    let rendered = Arc::new(plan_to_json(&plan));
+                    let evicted = ctx.cache.insert(canonical.clone(), Arc::clone(&rendered));
+                    ctx.registry.add("serve.cache.evictions", evicted);
+                    // Durability: the journal gets the plan exactly as
+                    // rendered, so replay warms byte-identical responses.
+                    // A failed append degrades recovery, never this
+                    // response.
+                    if let Some(j) = &ctx.journal {
+                        match j.append(&canonical, &rendered) {
+                            Ok(()) => ctx.registry.inc("serve.journal.appended"),
+                            Err(_) => ctx.registry.inc("serve.journal.errors"),
                         }
-                        reply = j.reply;
-                        (trace, parent) = (j.trace, j.span);
-                        break; // serve it through the warm session
                     }
-                    *pending = Some(j);
-                    return;
+                    Ok((rendered, false))
                 }
-                None => return, // queue empty (or closed)
+                Err(e) => Err(ServeError::plan(e.to_string())),
             }
         }
-    }
+    };
+    madpipe_obs::flight::record_span(
+        "serve.worker",
+        worker_ts,
+        worker_t0.elapsed().as_secs_f64() * 1e6,
+        trace,
+        worker_span,
+        parent,
+    );
+    // The reactor may have timed the slot out and dropped the receiver;
+    // the plan still went into the cache, so the retry will hit. The wake
+    // gets the response on the wire without waiting out the reactor's
+    // poll timeout.
+    let _ = job.reply.try_send(outcome);
+    ctx.waker.wake();
 }
 
 // --- signal handling (no libc dependency) --------------------------------
@@ -910,7 +851,7 @@ mod tests {
         assert!(q.try_push(job(4)).is_ok());
         q.close();
         assert!(q.try_push(job(5)).is_err(), "closed queue refuses");
-        let rest: Vec<u64> = std::iter::from_fn(|| q.try_pop().map(|j| j.trace)).collect();
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|j| j.trace)).collect();
         assert_eq!(rest, [1, 2, 4]);
         assert!(q.pop().is_none(), "closed and empty ends the worker");
     }

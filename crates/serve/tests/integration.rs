@@ -569,10 +569,9 @@ fn ping_and_metrics_commands() {
     server.join();
 }
 
-/// Regression: the worker must build its probe session under the
-/// request's policy spec. A default-built session refuses non-default
-/// requests with `PolicyMismatch`, which used to surface as a `plan`
-/// error for every `--recompute`/`--weights` request over the wire.
+/// Regression: the worker must plan under the request's policy spec, so
+/// a `--recompute`/`--weights` request over the wire gets the solo plan
+/// of that spec, not a `plan` error or a default-policy plan.
 #[test]
 fn policy_requests_plan_and_match_solo_planning() {
     use madpipe_model::{PolicySpec, RecomputeMode, WeightPolicy};

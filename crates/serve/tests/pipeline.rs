@@ -2,7 +2,9 @@
 //! pipelining client produces. Partial reads, several requests in one
 //! TCP segment, one request smeared over many segments, an oversized
 //! line in the middle of a pipeline — in every case responses come back
-//! complete, in request order, on a connection that survives.
+//! complete, in request order, on a connection that survives. Repeats of
+//! one instance on an uncached daemon are each planned afresh, to the
+//! offline plan's bytes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -11,7 +13,8 @@ use std::time::Duration;
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform};
-use madpipe_serve::{ServeConfig, Server};
+use madpipe_serve::protocol::plan_response;
+use madpipe_serve::{plan_to_json, ServeConfig, Server};
 
 /// Same deterministic instance family as the integration tests.
 fn instance(seed: u64) -> (Chain, Platform) {
@@ -305,6 +308,47 @@ fn interleaved_commands_pipeline_in_order() {
     let hit = read_json(&mut reader);
     assert_eq!(hit.field("cached").unwrap(), &Value::Bool(true));
 
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_uncached_daemon_plans_every_repeat_afresh_to_the_offline_bytes() {
+    // With the cache off, every repeat of one instance is a new plan: the
+    // same line pipelined 8 times on one connection, then sent once from
+    // each of two connections at the same time.
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        cache_entries: 0,
+        timeout: Duration::from_secs(60),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let (chain, platform) = instance(7);
+    let line = format!("{}\n", plan_line(&chain, &platform));
+    let offline = madpipe_plan(&chain, &platform, &PlannerConfig::default()).expect("offline");
+    let expected = plan_response(&plan_to_json(&offline), false);
+    let read_raw = |reader: &mut BufReader<TcpStream>| {
+        let mut l = String::new();
+        reader.read_line(&mut l).expect("read response");
+        l.trim_end().to_string()
+    };
+
+    let (mut stream, mut reader) = connect(server.local_addr());
+    stream.write_all(line.repeat(8).as_bytes()).unwrap();
+    for i in 0..8 {
+        assert_eq!(read_raw(&mut reader), expected, "pipelined response {i}");
+    }
+
+    let mut clients: Vec<_> = (0..2).map(|_| connect(server.local_addr())).collect();
+    for (stream, _) in &mut clients {
+        stream.write_all(line.as_bytes()).unwrap();
+    }
+    for (i, (_, reader)) in clients.iter_mut().enumerate() {
+        assert_eq!(read_raw(reader), expected, "connection {i}");
+    }
+    assert_eq!(server.registry().counter("serve.plans"), 10);
     server.shutdown();
     server.join();
 }

@@ -1,7 +1,7 @@
 //! Phase-2 scheduling of (possibly non-contiguous) allocations.
 //!
 //! The paper schedules the allocation produced by MadPipe-DP with an
-//! Integer Linear Program (from reference [1]) over the *quotient chain*
+//! Integer Linear Program (from reference \[1\]) over the *quotient chain*
 //! of stages. This crate substitutes a specialized branch-and-bound
 //! periodic scheduler exploring the same decision space — index shifts
 //! and intra-resource orderings — with the exact checker of
