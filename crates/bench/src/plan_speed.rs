@@ -142,8 +142,10 @@ pub fn plan_speed_grid() -> GridConfig {
     }
 }
 
-/// Run the plan-speed grid: every cell planned `repeats` times on a
-/// cold session, medians recorded. Panics if repeats is 0 or a cell's
+/// Run the plan-speed grid: every cell planned `repeats` times, each a
+/// cold plan: a fresh session from which no value carries over, though
+/// the DP's buffers are warm, left by the thread's previous plan.
+/// Medians recorded. Panics if repeats is 0 or a cell's
 /// period or DP state count is not identical across its own repeats
 /// (that would mean the planner went non-deterministic, which no
 /// baseline can gate).

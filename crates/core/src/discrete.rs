@@ -7,6 +7,8 @@
 //! always rounded *up* onto the grid, which is conservative for both the
 //! period (`t_P`) and the memory constraints (`m_P`, `V`).
 
+use madpipe_model::util::floor;
+
 /// Grid resolution for the three discretized coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Discretization {
@@ -97,12 +99,19 @@ impl Axis {
     /// guard is swamped on axes with large `max` and can round
     /// genuinely-above-grid values *down* on tiny ones, breaking the
     /// documented round-up conservatism.
+    ///
+    /// The ratio is positive (or NaN), and its ceiling is [`floor`] plus
+    /// one unless the ratio is an integer: `f64::ceil`'s value, without
+    /// the libm call.
+    #[inline]
     pub fn index_up(&self, x: f64) -> u16 {
         if self.max <= 0.0 || x <= 0.0 {
             return 0;
         }
-        let idx = ((x / self.step) * (1.0 - 1e-9)).ceil() as isize;
-        idx.clamp(0, (self.n - 1) as isize) as u16
+        let y = (x / self.step) * (1.0 - 1e-9);
+        let below = floor(y);
+        let up = if below < y { below + 1.0 } else { below };
+        (up as isize).clamp(0, (self.n - 1) as isize) as u16
     }
 
     /// Value of grid point `idx`.
@@ -164,6 +173,75 @@ mod tests {
         let ax = Axis::new(10.0, 11);
         // 3.0 + noise below the 1e-9 guard stays at index 3
         assert_eq!(ax.index_up(3.0 + 1e-11), 3);
+    }
+
+    #[test]
+    fn index_up_matches_the_std_ceil_formula_on_every_input() {
+        fn reference(ax: &Axis, x: f64) -> u16 {
+            if ax.max <= 0.0 || x <= 0.0 {
+                return 0;
+            }
+            let idx = ((x / ax.step) * (1.0 - 1e-9)).ceil() as isize;
+            idx.clamp(0, (ax.n - 1) as isize) as u16
+        }
+        // SplitMix64.
+        let mut state = 0x1d_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for round in 0..20_000 {
+            // Axes from picoseconds to 1e18, including `max = 0`, with the
+            // paper's point counts and arbitrary ones.
+            let max = if round % 50 == 0 {
+                0.0
+            } else {
+                10f64.powi((next() % 31) as i32 - 12) * (0.5 + unit(next()))
+            };
+            let n = [11, 51, 101, 2, 3][round % 5].max((next() % 400) as usize * (round % 2));
+            let ax = Axis::new(max, n);
+            let check = |x: f64| {
+                assert_eq!(
+                    ax.index_up(x),
+                    reference(&ax, x),
+                    "max {max:e}, n {n}, x {x:e}"
+                );
+            };
+            for x in edges {
+                check(x);
+            }
+            for _ in 0..20 {
+                // Grid points and the doubles around them, values off the
+                // grid, past its end, and any bit pattern.
+                let i = (next() % (n as u64 + 2)) as f64;
+                let on = ax.step * i;
+                let (mut lo, mut hi) = (on, on);
+                check(on);
+                check(on * (1.0 + 1e-9));
+                for _ in 0..3 {
+                    (lo, hi) = (lo.next_down(), hi.next_up());
+                    check(lo);
+                    check(hi);
+                }
+                check(max * 1.1 * unit(next()));
+                check(f64::from_bits(next()));
+            }
+        }
     }
 
     #[test]

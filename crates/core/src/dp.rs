@@ -34,10 +34,11 @@
 //! whole `k` scan of a state reads rows of the same `(t, m)` column —
 //! the blocking order that makes the scan cache-friendly. A memo's
 //! entries live only as long as its solve: what the session keeps of a
-//! probe is its allocation, for the caps below. Its buffers outlive it:
-//! the session keeps a [`Workspace`] per worker (the memo, the transition
-//! caches and the memory floor's tables) and hands it to each solve,
-//! which unsets only the entries the previous solve set.
+//! probe is its allocation, for the caps below. Its buffers outlive it,
+//! and the session too: a [`Workspace`] per worker (the memo, the
+//! transition caches and the memory floor's tables) goes to each solve,
+//! which unsets only the entries the previous solve set, and from one
+//! session to the thread's next (see "What a plan's probes share").
 //!
 //! # Branch-and-bound pruning
 //!
@@ -205,6 +206,25 @@
 //! session state (and therefore every downstream decision) is identical
 //! whatever the thread count.
 //!
+//! The session also owns the buffers its solves fill: one [`Workspace`]
+//! per worker of its widest batch, lent to the scoped workers and back.
+//! Between two solves a workspace holds no value (a solve records every
+//! entry it sets, and the next unsets them), so it need not die with its
+//! session. A new session takes the workspaces its thread's last session
+//! left ([`ProbeSession::new_with_policy`]) and leaves its own when it
+//! drops, unless it drops while unwinding: a solve cut short may not
+//! have recorded an entry. Whatever the next plan's chain length, GPU
+//! count, grid or policy lanes, its tables start with every entry unset,
+//! as freshly allocated ones would: no value carries over from one plan
+//! to the next, only capacity. So a daemon worker, `experiments` and
+//! `bench-plan-speed` allocate and zero-fill these tables once per
+//! thread rather than once per plan (0.7 MB for ResNet-50 at P = 2, M =
+//! 4 GB, 1.7 MB at P = 4, M = 3 GB). A thread keeps the largest
+//! capacity its plans reached, which it held while planning anyway: on
+//! the paper sweep, up to 8 MB for ResNet-50 at P = 8, 30 MB for
+//! ResNet-101 and 62 MB for DenseNet-121 at P = 8, M = 3 GB, most of it
+//! memo arena.
+//!
 //! # The falling ceiling
 //!
 //! Every state's incumbent starts at the solve's *ceiling* in force when
@@ -257,6 +277,7 @@
 //! each paper network the falling ceiling creates 25–36% fewer states than
 //! a ceiling fixed at `C⁺`, with the same plans.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use madpipe_model::util::{ceil_div_with, group_step_with, ordered_pool, EPS};
@@ -605,8 +626,30 @@ pub struct ProbeSession<'a> {
     registry: Registry,
     records: Vec<ProbeRecord>,
     /// The buffers every solve fills, one per worker of the widest batch
-    /// so far: a solve borrows one and leaves it for the next.
+    /// so far: a solve borrows one and leaves it for the next. Taken from
+    /// the thread's spares when the session starts, and returned when it
+    /// drops.
     workspaces: Vec<Workspace>,
+}
+
+thread_local! {
+    /// The workspaces of the last session this thread dropped, for its
+    /// next one. Every entry of them is unset (see [`Workspace`]).
+    static SPARE_WORKSPACES: Cell<Vec<Workspace>> = const { Cell::new(Vec::new()) };
+}
+
+impl Drop for ProbeSession<'_> {
+    /// Hand the workspaces to the thread's next session. A session that
+    /// unwinds drops them instead: a solve cut short by a panic may not
+    /// have recorded every entry it set.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let workspaces = std::mem::take(&mut self.workspaces);
+        // A thread tearing down its locals has no next session.
+        let _ = SPARE_WORKSPACES.try_with(|spare| spare.set(workspaces));
+    }
 }
 
 impl<'a> ProbeSession<'a> {
@@ -652,7 +695,7 @@ impl<'a> ProbeSession<'a> {
             held: [Vec::new(), Vec::new()],
             registry: Registry::new(),
             records: Vec::new(),
-            workspaces: Vec::new(),
+            workspaces: SPARE_WORKSPACES.with(Cell::take),
         }
     }
 
@@ -892,10 +935,11 @@ struct TransEntry {
 }
 
 /// The buffers a solve fills lazily: the memo, both transition caches
-/// and the memory floor's tables. The session keeps one per worker and
-/// hands it to each solve, so only a session's first solves allocate.
-/// Every lazily filled entry is recorded as it is set, and
-/// [`Workspace::shape`] unsets exactly those: a solve that touches a few
+/// and the memory floor's tables. A session keeps one per worker and
+/// hands it to each solve, and leaves them to its thread's next session,
+/// so only a thread's first solves allocate. Every lazily filled entry
+/// is recorded as it is set, and [`Workspace::shape`] unsets exactly
+/// those, whatever shape the next solve takes: a solve that touches a few
 /// hundred transitions does not pay for refilling a whole table.
 #[derive(Default)]
 struct Workspace {
@@ -2020,6 +2064,37 @@ mod tests {
         for r in &session.records()[1..] {
             assert!(r.period <= r.cap.unwrap(), "{r:?}");
         }
+    }
+
+    #[test]
+    fn a_dropped_session_leaves_its_workspaces_to_the_thread_unless_it_unwinds() {
+        let spares = || {
+            SPARE_WORKSPACES.with(|spare| {
+                let workspaces = spare.take();
+                let n = workspaces.len();
+                spare.set(workspaces);
+                n
+            })
+        };
+        let c = chain(&[(1.0, 2.0), (3.0, 1.0), (2.0, 2.0)], 1 << 14, 1 << 9);
+        let platform = Platform::new(2, 8 << 20, 1e8).unwrap();
+        std::thread::spawn(move || {
+            assert_eq!(spares(), 0, "a fresh thread has no spares");
+            let mut session = ProbeSession::new(&c, &platform, &disc());
+            session.probe_many(&[3.0, 4.0], true, ProbeSource::Refinement, 2);
+            drop(session);
+            assert_eq!(spares(), 2, "both workers' workspaces stay with the thread");
+            let unwound = std::panic::catch_unwind(|| {
+                let mut session = ProbeSession::new(&c, &platform, &disc());
+                assert_eq!(spares(), 0, "the next session takes them");
+                session.probe(3.0, true, ProbeSource::Bisection);
+                std::panic::resume_unwind(Box::new("unwinding"));
+            });
+            assert!(unwound.is_err());
+            assert_eq!(spares(), 0, "an unwinding session drops its workspaces");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod certify;
 pub mod degrade;
 pub mod discrete;
 pub mod dp;
-pub mod fxhash;
 pub mod hybrid;
 pub mod oplus;
 pub mod planner;

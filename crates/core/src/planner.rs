@@ -5,7 +5,9 @@
 //! ablation and the refinement grid — go through one [`ProbeSession`],
 //! built by [`madpipe_plan_with_stats`] and dropped with the plan, so
 //! every target's solve is capped by the allocations the plan's earlier
-//! solves produced. Nothing carries over from one plan to the next.
+//! solves produced. No value carries over from one plan to the next; the
+//! DP's buffers do, emptied, to the thread's next plan (see
+//! [`crate::dp`], "What a plan's probes share").
 //! Independent work (the refinement probes and the phase-2 scheduling of
 //! distinct candidate allocations) fans out over
 //! [`PlannerConfig::threads`] scoped workers; candidates are deduplicated
@@ -269,7 +271,8 @@ pub fn madpipe_plan(
 /// [`madpipe_plan`] returning the planner instrumentation alongside the
 /// result. Stats are populated even on failure — the counters say where
 /// the time went and why nothing planned. Every plan goes through here
-/// and gets its own [`ProbeSession`], dropped with the plan.
+/// and gets its own [`ProbeSession`], dropped with the plan (its emptied
+/// DP buffers stay with the thread).
 pub fn madpipe_plan_with_stats(
     chain: &Chain,
     platform: &Platform,
@@ -773,6 +776,80 @@ mod tests {
             stats.dp
         );
         assert_eq!(stats.dp.cap_misses, 0, "{:?}", stats.dp);
+    }
+
+    #[test]
+    fn a_thread_plans_every_shape_as_a_fresh_thread_does() {
+        use madpipe_model::RecomputeMode;
+        // A thread's next plan reuses the DP buffers of its last one, so
+        // plan, on one thread, instances whose chain length, GPU count,
+        // memory and policy lanes all change between plans, the largest
+        // first, and compare each with the same plan on a fresh thread.
+        let network = |name: &str| {
+            madpipe_dnn::networks::by_name(name)
+                .unwrap()
+                .profile(8, 1000, &madpipe_dnn::GpuModel::default())
+                .unwrap()
+        };
+        let (densenet, resnet) = (network("densenet121"), network("resnet50"));
+        let auto = PlannerConfig {
+            policy: PolicySpec {
+                recompute: RecomputeMode::Auto,
+                ..PolicySpec::default()
+            },
+            ..PlannerConfig::default()
+        };
+        let gb = |gpus, memory_gb| Platform::gb(gpus, memory_gb, 12.0).unwrap();
+        let paper = PlannerConfig::default();
+        let instances = [
+            (&densenet, gb(8, 4), paper),
+            (&resnet, gb(2, 4), paper),
+            (&resnet, gb(4, 3), paper),
+            (&resnet, gb(4, 6), auto),
+            (&resnet, gb(2, 1), paper),
+            (&resnet, gb(2, 4), paper),
+        ];
+        // Every bit a plan and its counters carry, wall clocks aside.
+        let fingerprint = |chain: &Chain, platform: &Platform, cfg: &PlannerConfig| {
+            let (plan, stats) = madpipe_plan_with_stats(chain, platform, cfg);
+            let plan = plan.map(|plan| {
+                let ops = plan.schedule.pattern.ops.iter();
+                let ops = ops.map(|op| (op.unit, op.dir, op.start.to_bits(), op.shift));
+                let bits = (plan.period().to_bits(), plan.phase1.period.to_bits());
+                (bits, ops.collect::<Vec<_>>(), plan.allocation)
+            });
+            let probes = stats.probes.iter().map(|p| {
+                let bits = (
+                    p.t_hat.to_bits(),
+                    p.period.to_bits(),
+                    p.cap.map(f64::to_bits),
+                );
+                (p.source, bits, p.states)
+            });
+            let probes = probes.collect::<Vec<_>>();
+            format!("{plan:?} {:?} {:?} {probes:?}", stats.dp, stats.place)
+        };
+        let fresh: Vec<String> = instances
+            .iter()
+            .map(|(chain, platform, cfg)| {
+                std::thread::scope(|s| s.spawn(|| fingerprint(chain, platform, cfg)).join())
+                    .unwrap()
+            })
+            .collect();
+        let reused: Vec<String> = std::thread::scope(|s| {
+            s.spawn(|| {
+                let plans = instances
+                    .iter()
+                    .map(|(chain, platform, cfg)| fingerprint(chain, platform, cfg));
+                plans.collect()
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(fresh[0].starts_with("Ok") && fresh[4].starts_with("Err"));
+        for (i, (a, b)) in fresh.iter().zip(&reused).enumerate() {
+            assert_eq!(a, b, "instance {i}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Floating-point comparison helpers, and the ordered worker pool.
+//! Floating-point comparison and rounding helpers, and the ordered
+//! worker pool.
 //!
 //! Periods, start times and durations are `f64` seconds; schedule
 //! feasibility checks compare sums of such values and must tolerate
@@ -9,6 +10,21 @@
 //! [`ordered_pool`] is the one scoped worker pool of the workspace: the
 //! DP's probe batches, phase-2 scheduling and the experiment grid fan
 //! independent jobs out with it and get their results back in job order.
+//!
+//! # Rounding without libm
+//!
+//! The planner rounds on every DP transition (`⌈·/T̂⌉`, the grid
+//! round-ups), every memory-floor fill and several times per phase-2
+//! node (folding a time into the period). On the x86-64 baseline target
+//! `f64::floor`, `ceil` and `round` are not instructions (SSE4.1's
+//! `roundsd` is not in the baseline): each is a call through the GOT
+//! into a software routine. A build that made each a `roundsd` planned
+//! the served ResNet-50 cells about 1.18× faster. So the planner's hot
+//! paths round with [`floor`] and [`ceil_div_with`], which handle the
+//! values the planner sees, non-negative and below `2⁵²`, with one add
+//! and one subtract of `2⁵²`, exactly, and give every other input to
+//! std. Both return std's answer on every input. Display code (gantt
+//! charts, histograms) keeps std's methods.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,6 +59,47 @@ pub fn feq(a: f64, b: f64) -> bool {
     (a - b).abs() <= EPS
 }
 
+/// `2⁵²`: from here up, doubles are spaced at least 1 apart.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// The integer nearest to `x` (ties to even), as a double and as an
+/// integer, for `+0 ≤ x < 2⁵²` only: in `[2⁵², 2⁵³]` doubles are exactly
+/// 1 apart, so `x + 2⁵²` rounds `x` to an integer with no other error.
+/// Subtracting `2⁵²` again is exact (Rust never reassociates the two
+/// operations), and the sum's bits exceed `2⁵²`'s by that integer, `2⁵³`
+/// included, with no float-to-integer conversion.
+#[inline]
+fn nearest_below_2_52(x: f64) -> (f64, u64) {
+    let shifted = x + TWO_52;
+    (shifted - TWO_52, shifted.to_bits() - TWO_52.to_bits())
+}
+
+/// Whether `x` lies in `[+0, 2⁵²)`: for a non-negative double, the bit
+/// pattern orders like the value, and `-0.0`, negatives and NaNs with
+/// the sign bit set compare above as unsigned integers, as do `+NaN`,
+/// `+∞` and `2⁵²` itself.
+#[inline]
+fn in_fast_range(x: f64) -> bool {
+    x.to_bits() < TWO_52.to_bits()
+}
+
+/// `x.floor()`, bit for bit on every input, without a libm call for
+/// `+0 ≤ x < 2⁵²` (see the module docs). Other inputs (negatives, `-0.0`,
+/// NaN, `±∞` and values `≥ 2⁵²`) go to `f64::floor`.
+#[inline]
+pub fn floor(x: f64) -> f64 {
+    if in_fast_range(x) {
+        let (n, _) = nearest_below_2_52(x);
+        if n > x {
+            n - 1.0
+        } else {
+            n
+        }
+    } else {
+        x.floor()
+    }
+}
+
 /// Ceiling of `x / y` as an integer, robust to `x` being within [`EPS`]
 /// of an exact multiple of `y` (in which case the exact ratio is used).
 ///
@@ -57,6 +114,12 @@ pub fn ceil_div(x: f64, y: f64) -> u64 {
 /// [`ceil_div`] with its snapping tolerance `tol = EPS / y` computed by
 /// the caller, so a loop over one divisor divides once per call, not
 /// twice.
+///
+/// For `q = x / y` in `[0, 2⁵²)` and `tol < 1/2` (any `y > 2·EPS`) it
+/// takes the nearest integer `n` without libm: `n` when `|q − n| ≤ tol`
+/// (then `n` is also `q.round()`, `q` being no tie) or `n ≥ q` (then `n`
+/// is `q.ceil()`, as `n − q ≤ 1/2`), else `n + 1` (`q.ceil()` again).
+/// That is the round-then-ceil below, which every other input takes.
 #[inline]
 pub fn ceil_div_with(x: f64, y: f64, tol: f64) -> u64 {
     debug_assert!(y > 0.0, "ceil_div requires a positive divisor");
@@ -65,6 +128,10 @@ pub fn ceil_div_with(x: f64, y: f64, tol: f64) -> u64 {
         return 0;
     }
     let q = x / y;
+    if in_fast_range(q) && tol < 0.5 {
+        let (n, whole) = nearest_below_2_52(q);
+        return whole + ((q - n).abs() > tol && n < q) as u64;
+    }
     let r = q.round();
     if (q - r).abs() <= tol {
         r as u64
@@ -204,6 +271,145 @@ mod tests {
         assert_eq!(ceil_div(0.0, 1.0), 0);
         assert_eq!(ceil_div(-1.0, 1.0), 0);
         assert_eq!(ceil_div(1e-12, 1.0), 0);
+    }
+
+    /// SplitMix64, the input source of the rounding differentials.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, hi)`.
+        fn below(&mut self, hi: f64) -> f64 {
+            (self.next() >> 11) as f64 / TWO_52 / 2.0 * hi
+        }
+    }
+
+    /// `10·n` inputs plus the edge cases: per round a random bit pattern,
+    /// a uniform value in `[0, 8)` and one in `[0, 10⁶)`, and an integer
+    /// (below 4096, or anywhere below `2⁵³`) with the 3 doubles either
+    /// side of it.
+    fn rounding_inputs(n: usize) -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            TWO_52 - 0.5,
+            TWO_52 - 1.0,
+            TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52,
+            -0.5,
+            -1.5,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ];
+        let mut mix = Mix(0x5eed);
+        for _ in 0..n {
+            xs.push(f64::from_bits(mix.next()));
+            xs.push(mix.below(8.0));
+            xs.push(mix.below(1e6));
+            let k = if mix.next() & 1 == 0 {
+                (mix.next() % 4096) as f64
+            } else {
+                (mix.next() >> 11) as f64
+            };
+            let (mut lo, mut hi) = (k, k);
+            xs.push(k);
+            for _ in 0..3 {
+                (lo, hi) = (lo.next_down(), hi.next_up());
+                xs.extend([lo, hi]);
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn floor_returns_std_bits_on_every_input() {
+        for x in rounding_inputs(300_000) {
+            let (got, want) = (floor(x), x.floor());
+            assert_eq!(got.to_bits(), want.to_bits(), "floor({x:e})");
+            assert_eq!(got.is_nan(), x.is_nan(), "floor({x:e})");
+        }
+    }
+
+    #[test]
+    fn ceil_div_matches_the_round_then_ceil_formula_on_every_input() {
+        fn reference(x: f64, y: f64, tol: f64) -> u64 {
+            if x <= EPS {
+                return 0;
+            }
+            let q = x / y;
+            let r = q.round();
+            if (q - r).abs() <= tol {
+                r as u64
+            } else {
+                q.ceil() as u64
+            }
+        }
+        // Divisors: the planner's `T̂` range, uniform in `(0, 8)`, any
+        // positive double, and the edges, `2·EPS` (where `tol` reaches
+        // 1/2) among them.
+        fn divisor(mix: &mut Mix, i: usize) -> f64 {
+            let y = match i % 4 {
+                0 => 1e-3 + mix.below(10.0),
+                1 => mix.below(8.0),
+                2 => f64::from_bits(mix.next() >> 1),
+                _ => [1.0, 0.3, 2.5, 2e-9, 2.000_000_1e-9, 1.9e-9, 1e-9, 1e300][i / 4 % 8],
+            };
+            if y > 0.0 && !y.is_nan() {
+                y
+            } else {
+                1.0
+            }
+        }
+        let mut mix = Mix(0xd1);
+        let check = |x: f64, y: f64| {
+            let tol = EPS / y;
+            assert_eq!(
+                ceil_div_with(x, y, tol),
+                reference(x, y, tol),
+                "ceil_div_with({x:e}, {y:e})"
+            );
+        };
+        for (i, x) in rounding_inputs(200_000).into_iter().enumerate() {
+            check(x, divisor(&mut mix, i));
+        }
+        // Numerators on and just off a multiple, inside and outside the
+        // snapping tolerance.
+        for i in 0..500_000 {
+            let y = divisor(&mut mix, i);
+            let k = (mix.next() % 100_000) as f64;
+            for d in [0.0, 1e-12, -1e-12, 5e-10, -5e-10] {
+                check(k * y + d, y);
+            }
+        }
+        // Ratios just below `2⁵²`, whose nearest integer may be `2⁵²`.
+        for x in [
+            TWO_52 - 1.0,
+            TWO_52 - 0.75,
+            TWO_52 - 0.5,
+            TWO_52.next_down(),
+        ] {
+            check(x, 1.0);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use madpipe_model::util::{feq, fge, fle, EPS};
+use madpipe_model::util::{feq, fge, fle, floor, EPS};
 use madpipe_model::{Allocation, Chain, Platform, Resource, UnitKind, UnitSequence};
 
 use crate::pattern::{Dir, Op, Pattern};
@@ -389,9 +389,10 @@ impl<'a> Checker<'a> {
                 let mut at_forward = 0u64; // max (⌈q⌉ − ⌊q⌋)·bytes
                 for s in stages {
                     let q = (lag(s) / period).max(0.0);
-                    let batches = q.floor() as u64;
+                    let whole = floor(q);
+                    let batches = whole as u64;
                     always = always.saturating_add(batches.saturating_mul(s.stored_bytes));
-                    if q > q.floor() {
+                    if q > whole {
                         at_forward = at_forward.max(s.stored_bytes);
                     }
                 }

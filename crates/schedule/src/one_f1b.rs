@@ -20,7 +20,7 @@
 //! minimum possible number of live mini-batches per stage among all valid
 //! patterns of period `T`; a stage of group `g` stores exactly `g`.
 
-use madpipe_model::util::{ceil_div, group_step};
+use madpipe_model::util::{ceil_div, floor, group_step};
 use madpipe_model::UnitSequence;
 
 use crate::pattern::{Dir, Op, Pattern};
@@ -134,7 +134,7 @@ fn wrap_op(
     unit: &madpipe_model::Unit,
     period: f64,
 ) -> Op {
-    let laps = (z / period).floor();
+    let laps = floor(z / period);
     // Guard against z being within EPS below a multiple of T, which
     // would otherwise leave start == period.
     let mut start = z - laps * period;

@@ -1,5 +1,6 @@
 //! The periodic pattern representation.
 
+use madpipe_model::util::floor;
 use madpipe_model::{Resource, UnitSequence};
 
 /// Direction of an operation: the forward or the backward half of a unit.
@@ -31,7 +32,7 @@ impl Op {
     pub fn completion_phase(&self, period: f64) -> f64 {
         let e = self.start + self.duration;
         if e >= period {
-            e - period * (e / period).floor()
+            e - period * floor(e / period)
         } else {
             e
         }
@@ -40,7 +41,7 @@ impl Op {
     /// Completion period offset `κ = h + ⌊(t + d)/T⌋`: mini-batch `b`
     /// completes at absolute time `(b + κ)·T + completion_phase`.
     pub fn completion_offset(&self, period: f64) -> u64 {
-        self.shift + ((self.start + self.duration) / period).floor() as u64
+        self.shift + floor((self.start + self.duration) / period) as u64
     }
 
     /// Absolute "virtual" start of the op for mini-batch 0:

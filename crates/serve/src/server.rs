@@ -700,10 +700,11 @@ fn serve_job(ctx: &Arc<Ctx>, job: Job) {
                     if let Some(path) = &ctx.flight_dump {
                         let _ = madpipe_obs::flight::write_dump(path);
                     }
-                    // No session outlives its job, so nothing can reuse
-                    // the one this panic left half-updated. Resuming
-                    // lets the thread die and the supervisor replace it
-                    // with a clean one.
+                    // No session outlives its job, and one that unwinds
+                    // drops its DP buffers instead of leaving them to the
+                    // thread, so nothing can reuse the state this panic
+                    // left half-updated. Resuming lets the thread die and
+                    // the supervisor replace it with a clean one.
                     std::panic::resume_unwind(payload);
                 }
             };

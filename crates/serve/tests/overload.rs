@@ -367,12 +367,17 @@ fn expired_work_is_dropped_at_dequeue_without_running_the_dp() {
     let addr = server.local_addr();
 
     // The daemon has timed no plan yet, so admission lets the whole
-    // burst in; a 16-layer head keeps the one worker busy until every
-    // deadline behind it has passed.
-    let head = plan_line(&chain_sized(1000, 16, "head".into()), &platform());
-    let batch: Vec<String> = std::iter::once(head)
+    // burst in; a 128-layer head keeps the one worker busy until every
+    // deadline behind it has passed: its plan takes 60-140 ms in a
+    // release build (0.4 s in debug), 30 deadlines or more.
+    let head = plan_line(&chain_sized(1000, 128, "head".into()), &platform());
+    let batch: Vec<String> = std::iter::once(head.clone())
         .chain((1001..1024u64).map(|s| plan_line(&chain(s), &platform())))
         .collect();
+    // A health probe first: it sets up the process's flight recorder,
+    // which the first cache miss would otherwise do inside the head's
+    // deadline (milliseconds in a debug build), dropping the head too.
+    roundtrip(addr, r#"{"cmd":"health"}"#);
     let (mut stream, mut reader) = connect(addr);
     let responses = pipeline(&mut stream, &mut reader, &batch);
     let timeouts = responses
@@ -403,6 +408,17 @@ fn expired_work_is_dropped_at_dequeue_without_running_the_dp() {
     assert!(
         plans + expired <= batch.len() as u64,
         "expired work must not also burn a DP run (plans {plans}, expired {expired})"
+    );
+    // The premise: the worker planned the head to the end rather than
+    // dropping it. Its own 2 ms deadline passed while it planned, so the
+    // burst got a timeout for it; asked again, it is answered with the
+    // plan the worker cached.
+    let again = roundtrip(addr, &head);
+    assert_eq!(
+        (again.field("ok").unwrap(), again.field("cached").ok()),
+        (&Value::Bool(true), Some(&Value::Bool(true))),
+        "the head is answered with a plan, not a timeout (plans {plans}, expired {expired}): {}",
+        again.to_string_compact()
     );
 
     server.shutdown();

@@ -3,7 +3,7 @@
 
 use std::ops::Range;
 
-use madpipe_model::util::EPS;
+use madpipe_model::util::{floor, EPS};
 use madpipe_model::{Allocation, Chain, Platform, UnitSequence};
 use madpipe_schedule::{Checker, Dir, Op, Pattern, ScheduleError};
 
@@ -431,7 +431,7 @@ impl Dfs<'_> {
 /// Fold an absolute time into `(start, shift)` consistently with the
 /// checker's tolerance.
 fn fold(z: f64, period: f64) -> (f64, u64) {
-    let laps = (z / period).floor().max(0.0);
+    let laps = floor(z / period).max(0.0);
     let mut start = z - laps * period;
     let mut shift = laps as u64;
     if period - start <= EPS {

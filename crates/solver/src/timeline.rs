@@ -13,7 +13,7 @@
 //! list after any sequence of inserts and removes is bit-identical to
 //! the list built by inserting only the ops still present.
 
-use madpipe_model::util::EPS;
+use madpipe_model::util::{floor, EPS};
 
 /// Busy/free bookkeeping of one resource over the cyclic period.
 #[derive(Debug, Clone)]
@@ -211,7 +211,7 @@ fn segments(t: f64, z: f64, d: f64) -> impl Iterator<Item = (f64, f64)> {
 
 /// `x mod p` into `[0, p)`, robust to `x` within EPS of a multiple of `p`.
 fn modp(x: f64, p: f64) -> f64 {
-    let r = x - p * (x / p).floor();
+    let r = x - p * floor(x / p);
     if p - r <= EPS || r < 0.0 {
         0.0
     } else {
