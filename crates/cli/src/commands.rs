@@ -51,8 +51,13 @@ USAGE:
       Print the ASCII Gantt chart of the MadPipe schedule.
   madpipe simulate <network> [planning flags] [--batches N]
       Replay the MadPipe schedule and run the eager 1F1B policy.
-  madpipe profile <network> [--batch N] [--image S] --out FILE
-      Write the synthetic profile (per-layer costs) as JSON.
+  madpipe profile <network> [--batch N] [--image S] [--gpu-model M]
+               [--layers N] [--seed S] [--profile FILE] [--max-layers N]
+               --out FILE
+      Write the per-layer costs of <network> as JSON, with the batch,
+      image size and GPU model they were computed for (a `synthetic`
+      chain names no GPU model). --profile FILE rewrites a saved profile
+      and keeps its settings; --max-layers coarsens either chain.
   madpipe hybrid <network> [planning flags]
       Search replica-group counts for hybrid data+model parallelism.
   madpipe trace <network> [planning flags] [--periods N] --out FILE
@@ -86,10 +91,12 @@ USAGE:
       distributed trace/span/parent ids survive verbatim — so router →
       daemon → worker → DP parent links span processes. The merged
       document is validated before it is written.
-  madpipe top [--addr HOST:PORT] [--interval-ms T] [--once]
+  madpipe top [--addr HOST:PORT] [--interval-ms T] [--timeout-ms T]
+               [--once]
       Live cluster dashboard: polls `health` and `metrics` on ADDR
       (default the router, 127.0.0.1:4830; a single daemon works too)
-      every T ms (default 1000) and renders per-daemon rows — alive,
+      every T ms (default 1000), waiting up to --timeout-ms (default
+      5000) for each answer, and renders per-daemon rows — alive,
       workers, queue depth, req/s since the last frame, cache hit
       ratio, flight-recorder drops — plus cluster-wide p50/p95/p99
       request latency reconstructed from the summed histogram buckets.
@@ -115,14 +122,14 @@ USAGE:
       within F× (default 1.25). Phase-2 time is recorded and printed,
       not gated.
   madpipe experiments <{experiments}> [--full] [--threads N]
-               [--out DIR]
+               [--out DIR] [--quiet]
       Regenerate the paper's figures (text + CSV under DIR, default
-      ./results). --full runs the paper's complete grid. `ablations`
-      plans no grid cell: it plans ResNet-50 on P = 4 at 12 GB/s and
-      M in {3,4,6,8,12,16} GB with MadPipe, MadPipe with one design
-      choice off or changed, PipeDream and GPipe, and prints each period
-      and each variant's median planning time. `all` runs every
-      experiment.
+      ./results). --full runs the paper's complete grid; --quiet drops
+      the grid's progress lines. `ablations` plans no grid cell: it
+      plans ResNet-50 on P = 4 at 12 GB/s and M in {3,4,6,8,12,16} GB
+      with MadPipe, MadPipe with one design choice off or changed,
+      PipeDream and GPipe, and prints each period and each variant's
+      median planning time. `all` runs every experiment.
   madpipe replan <network> --fault SPEC [planning flags] [--stats]
       Degraded-mode replanning: plan the healthy platform, apply the
       fault, replan on the survivor and report the throughput delta.
@@ -339,40 +346,57 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
 }
 
 fn load_chain(args: &Args) -> Result<Chain, String> {
-    if let Some(path) = args.raw("profile") {
-        let p = Profile::load(path).map_err(|e| format!("loading profile {path}: {e}"))?;
-        return Ok(p.chain);
+    Ok(load_profile(args)?.chain)
+}
+
+/// The chain the planning flags name, with the settings that produced
+/// it: a `--profile` file as saved, or a built-in network or `synthetic`
+/// chain built here. `--max-layers` coarsens any of them.
+fn load_profile(args: &Args) -> Result<Profile, String> {
+    let mut profile = match args.raw("profile") {
+        Some(path) => Profile::load(path).map_err(|e| format!("loading profile {path}: {e}"))?,
+        None => build_profile(args)?,
+    };
+    if let Some(cap) = args.get::<usize>("max-layers")? {
+        profile.chain = madpipe_dnn::coarsen(&profile.chain, cap);
     }
+    Ok(profile)
+}
+
+/// The `<network>` argument's chain at `--batch`/`--image` on
+/// `--gpu-model`. A `synthetic` chain comes from no GPU model, so its
+/// profile names none.
+fn build_profile(args: &Args) -> Result<Profile, String> {
     let name = args.positional.get(1).ok_or("missing <network> argument")?;
     let batch = args.get_or("batch", 8u64)?;
     let image = args.get_or("image", 1000u64)?;
-    if name == "synthetic" {
+    let (gpu, chain) = if name == "synthetic" {
         let cfg = RandomChainConfig {
             layers: args.get_or("layers", 12usize)?,
             ..RandomChainConfig::default()
         };
         let seed = args.get_or("seed", 42u64)?;
-        let chain = madpipe_dnn::random_chain(&cfg, seed);
-        return Ok(match args.get::<usize>("max-layers")? {
-            Some(cap) => madpipe_dnn::coarsen(&chain, cap),
-            None => chain,
-        });
-    }
-    let spec = networks::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown network `{name}` (try: resnet50, resnet101, resnet152, inception, densenet121, vgg16, or `synthetic` with --layers/--seed)"
-        )
-    })?;
-    let gpu = match args.raw("gpu-model") {
-        Some(g) => GpuModel::by_name(g).ok_or_else(|| format!("unknown GPU model `{g}`"))?,
-        None => GpuModel::default(),
+        (None, madpipe_dnn::random_chain(&cfg, seed))
+    } else {
+        let spec = networks::by_name(name).ok_or_else(|| {
+            format!(
+                "unknown network `{name}` (try: resnet50, resnet101, resnet152, inception, densenet121, vgg16, or `synthetic` with --layers/--seed)"
+            )
+        })?;
+        let gpu = match args.raw("gpu-model") {
+            Some(g) => GpuModel::by_name(g).ok_or_else(|| format!("unknown GPU model `{g}`"))?,
+            None => GpuModel::default(),
+        };
+        let chain = spec
+            .profile(batch, image, &gpu)
+            .map_err(|e| e.to_string())?;
+        (Some(gpu), chain)
     };
-    let chain = spec
-        .profile(batch, image, &gpu)
-        .map_err(|e| e.to_string())?;
-    Ok(match args.get::<usize>("max-layers")? {
-        Some(cap) => madpipe_dnn::coarsen(&chain, cap),
-        None => chain,
+    Ok(Profile {
+        batch,
+        image_size: image,
+        gpu,
+        chain,
     })
 }
 
@@ -430,7 +454,7 @@ fn write_trace(
 
 /// Write a Prometheus-style metrics dump for `--metrics-out`.
 fn write_metrics(out: &str, stats: &madpipe_core::PlannerStats) -> Result<(), String> {
-    std::fs::write(out, stats.metrics.to_prometheus())
+    std::fs::write(out, stats.metrics().to_prometheus())
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
@@ -1234,16 +1258,8 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let chain = load_chain(args)?;
-    let batch = args.get_or("batch", 8u64)?;
-    let image = args.get_or("image", 1000u64)?;
+    let profile = load_profile(args)?;
     let out: PathBuf = args.raw("out").ok_or("profile requires --out FILE")?.into();
-    let profile = Profile {
-        batch,
-        image_size: image,
-        gpu: Some(GpuModel::default()),
-        chain,
-    };
     profile.save(&out).map_err(|e| e.to_string())?;
     println!("wrote {}", out.display());
     Ok(())
@@ -1516,22 +1532,46 @@ mod tests {
         assert_eq!(latency_cell(1.234), "1.23 ms");
     }
 
-    #[test]
-    fn every_flag_in_a_usage_entry_is_accepted_by_its_command() {
-        // Each entry starts at a `  madpipe <cmd>` line and runs through
-        // its deeper-indented continuation lines.
-        let mut entries: Vec<(&str, String)> = Vec::new();
+    /// The `--flag` names in `text`.
+    fn flags_named(text: &str) -> Vec<&str> {
+        text.split("--")
+            .skip(1)
+            .filter_map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(rest.len());
+                (end > 0).then(|| &rest[..end])
+            })
+            .collect()
+    }
+
+    /// Each usage entry, from its `  madpipe <cmd>` line through its
+    /// deeper-indented continuation lines, and the "Planning flags"
+    /// paragraph.
+    fn usage_entries() -> (Vec<(String, String)>, String) {
         let usage = usage();
+        let mut entries: Vec<(String, String)> = Vec::new();
         for line in usage.lines().skip_while(|l| *l != "USAGE:").skip(1) {
             if let Some(rest) = line.strip_prefix("  madpipe ") {
                 let cmd = rest.split_whitespace().next().expect("command name");
-                entries.push((cmd, rest.to_string()));
+                entries.push((cmd.to_string(), rest.to_string()));
             } else if line.starts_with("   ") {
                 entries.last_mut().expect("an entry").1.push_str(line);
             } else if !entries.is_empty() {
                 break;
             }
         }
+        let planning = usage
+            .split("\n\n")
+            .find(|p| p.starts_with("Planning flags:"))
+            .expect("a Planning flags paragraph")
+            .to_string();
+        (entries, planning)
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_entry_is_accepted_by_its_command() {
+        let (entries, _) = usage_entries();
         assert_eq!(entries.len(), 18, "one usage entry per command");
         for (cmd, text) in &entries {
             let (planning, own, switches) =
@@ -1539,17 +1579,34 @@ mod tests {
             if text.contains("[planning flags]") {
                 assert!(planning, "{cmd} usage promises the planning flags");
             }
-            for flag in text.split("--").skip(1).filter_map(|rest| {
-                let end = rest
-                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
-                    .unwrap_or(rest.len());
-                (end > 0).then(|| &rest[..end])
-            }) {
+            for flag in flags_named(text) {
                 let shared = if planning { PLANNING } else { "" };
                 let read = [shared, own, switches]
                     .iter()
                     .any(|names| names.split_whitespace().any(|n| n == flag));
                 assert!(read, "usage of {cmd} names --{flag}, which {cmd} rejects");
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_a_command_accepts_is_in_its_usage_entry() {
+        let (entries, planning_paragraph) = usage_entries();
+        let documented = flags_named(&planning_paragraph);
+        for flag in PLANNING.split_whitespace() {
+            assert!(
+                documented.contains(&flag),
+                "the Planning flags paragraph omits --{flag}"
+            );
+        }
+        for (cmd, text) in &entries {
+            let (_, own, switches) = accepts(cmd).expect("a known command");
+            let named = flags_named(text);
+            for flag in own.split_whitespace().chain(switches.split_whitespace()) {
+                assert!(
+                    named.contains(&flag),
+                    "{cmd} accepts --{flag}, which its usage entry does not name"
+                );
             }
         }
     }

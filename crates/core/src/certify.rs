@@ -30,7 +30,7 @@ use madpipe_sim::{replay, FaultSpec, SimReport};
 use madpipe_solver::exact_optimum;
 
 use crate::planner::MadPipePlan;
-use crate::stats::{counters, PlannerStats};
+use crate::stats::PlannerStats;
 
 /// Tuning for one certification run.
 #[derive(Debug, Clone, Copy)]
@@ -133,26 +133,18 @@ impl Certificate {
     }
 
     /// Fold this certificate into the planner's stats: the pass/fail
-    /// counters (plain and registry view) and the certification wall
-    /// clock. Certification runs *after* `madpipe_plan` returns, so its
-    /// time is added to `total_seconds` too — keeping the invariant that
-    /// the per-phase clocks sum to at most the total.
+    /// counter and the certification wall clock. Certification runs
+    /// *after* `madpipe_plan` returns, so its time is added to
+    /// `total_seconds` too — keeping the invariant that the per-phase
+    /// clocks sum to at most the total.
     pub fn record(&self, stats: &mut PlannerStats) {
         if self.passed() {
             stats.certifications_passed += 1;
-            stats.metrics.bump_counter(counters::CERTIFY_PASSED, 1);
         } else {
             stats.certifications_failed += 1;
-            stats.metrics.bump_counter(counters::CERTIFY_FAILED, 1);
         }
         stats.certify_seconds += self.seconds;
         stats.total_seconds += self.seconds;
-        stats
-            .metrics
-            .set_gauge("plan.certify.seconds", stats.certify_seconds);
-        stats
-            .metrics
-            .set_gauge("plan.total.seconds", stats.total_seconds);
     }
 }
 
@@ -437,8 +429,9 @@ mod tests {
         failed.record(&mut stats);
         assert_eq!(stats.certifications_failed, 1);
         assert!(stats.summary().contains("certify 1/2"));
-        assert_eq!(stats.metrics.counter(counters::CERTIFY_PASSED), 1);
-        assert_eq!(stats.metrics.counter(counters::CERTIFY_FAILED), 1);
+        let metrics = stats.metrics();
+        assert_eq!(metrics.counter("planner.certifications_passed"), 1);
+        assert_eq!(metrics.counter("planner.certifications_failed"), 1);
     }
 
     #[test]
@@ -469,7 +462,11 @@ mod tests {
             stats.phase_seconds_sum(),
             stats.total_seconds
         );
-        assert_eq!(stats.metrics.counter(counters::CERTIFY_PASSED), 1);
+        let metrics = stats.metrics();
+        assert_eq!(metrics.counter("planner.certifications_passed"), 1);
+        let gauge = |name| metrics.gauges.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(gauge("plan.certify.seconds"), cert.seconds);
+        assert_eq!(gauge("plan.total.seconds"), stats.total_seconds);
     }
 
     use madpipe_model::{ActivationPolicy, PolicySpec, RecomputeMode, StagePolicy, WeightPolicy};

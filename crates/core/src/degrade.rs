@@ -8,8 +8,7 @@
 //! `madpipe-serve` asserts this down to the f64 bits). What this module
 //! adds is the bookkeeping around that replan: the baseline plan on the
 //! healthy platform, the degraded plan on the survivor, and the
-//! throughput delta between them, plus `replan.*` spans and counters so
-//! an operator can see degradations in the metrics stream.
+//! throughput delta between them, under one `replan.total` span.
 //!
 //! Both sides are ordinary cold plans. The `madpipe serve` daemon's
 //! `replan` submits the same two instances as two independent plan jobs,
@@ -36,8 +35,7 @@ pub struct ReplanOutcome {
     pub degraded: Result<MadPipePlan, PlanError>,
     /// Planner instrumentation of the baseline plan.
     pub baseline_stats: PlannerStats,
-    /// Planner instrumentation of the degraded plan, extended with
-    /// `replan.fault.<kind>` and the `replan.throughput_delta` gauge.
+    /// Planner instrumentation of the degraded plan.
     pub degraded_stats: PlannerStats,
 }
 
@@ -75,42 +73,14 @@ pub fn replan(
     let degraded_platform = fault.apply(platform)?;
     let (baseline, baseline_stats) = madpipe_plan_with_stats(chain, platform, cfg);
     let (degraded, degraded_stats) = madpipe_plan_with_stats(chain, &degraded_platform, cfg);
-    Ok(finish(
+    Ok(ReplanOutcome {
         fault,
         degraded_platform,
         baseline,
         degraded,
         baseline_stats,
         degraded_stats,
-    ))
-}
-
-fn finish(
-    fault: PlatformFault,
-    degraded_platform: Platform,
-    baseline: Result<MadPipePlan, PlanError>,
-    degraded: Result<MadPipePlan, PlanError>,
-    baseline_stats: PlannerStats,
-    mut degraded_stats: PlannerStats,
-) -> ReplanOutcome {
-    degraded_stats
-        .metrics
-        .bump_counter(&format!("replan.fault.{}", fault.kind()), 1);
-    let mut outcome = ReplanOutcome {
-        fault,
-        degraded_platform,
-        baseline,
-        degraded,
-        baseline_stats,
-        degraded_stats,
-    };
-    if let Some(delta) = outcome.throughput_delta() {
-        outcome
-            .degraded_stats
-            .metrics
-            .set_gauge("replan.throughput_delta", delta);
-    }
-    outcome
+    })
 }
 
 #[cfg(test)]
@@ -157,10 +127,6 @@ mod tests {
         let delta = out.throughput_delta().unwrap();
         assert!(delta <= 1e-12, "GPU loss raised throughput by {delta}");
         assert!(out.period_ratio().unwrap() >= 1.0 - 1e-12);
-        assert_eq!(
-            out.degraded_stats.metrics.counter("replan.fault.gpu_loss"),
-            1
-        );
     }
 
     #[test]

@@ -285,10 +285,9 @@ use madpipe_model::{
     ActivationPolicy, Allocation, Chain, Layer, Platform, PolicySpec, RecomputeMode, Stage,
     StagePolicy,
 };
-use madpipe_obs::Registry;
 
 use crate::discrete::{Axis, Discretization};
-use crate::stats::{counters, DpStats, ProbeRecord, ProbeSource};
+use crate::stats::{DpStats, ProbeRecord, ProbeSource};
 
 /// Result of one MadPipe-DP run at a fixed target period `T̂`.
 #[derive(Debug, Clone)]
@@ -620,10 +619,10 @@ pub struct ProbeSession<'a> {
     /// session's solves produced, in first-seen order: the paths a new
     /// solve's cap replays.
     held: [Vec<Allocation>; 2],
-    /// The session's metrics: every counter behind [`DpStats`] plus the
-    /// per-solve timing/state histograms. Bumped only on the absorbing
-    /// (main) thread, so values are bit-identical across thread counts.
-    registry: Registry,
+    /// The session's counters, added to only on the absorbing (main)
+    /// thread, so they are the same for every thread count.
+    stats: DpStats,
+    /// One record per solve, in absorption order.
     records: Vec<ProbeRecord>,
     /// The buffers every solve fills, one per worker of the widest batch
     /// so far: a solve borrows one and leaves it for the next. Taken from
@@ -693,21 +692,15 @@ impl<'a> ProbeSession<'a> {
             cut_times,
             tables: StageTables::new(chain),
             held: [Vec::new(), Vec::new()],
-            registry: Registry::new(),
+            stats: DpStats::default(),
             records: Vec::new(),
             workspaces: SPARE_WORKSPACES.with(Cell::take),
         }
     }
 
-    /// Aggregate counters so far (the [`DpStats`] view over the
-    /// session's metrics registry).
+    /// Aggregate counters so far.
     pub fn stats(&self) -> DpStats {
-        DpStats::from_registry(&self.registry)
-    }
-
-    /// The live metrics registry of this session.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.stats
     }
 
     /// The probe timeline so far.
@@ -770,7 +763,7 @@ impl<'a> ProbeSession<'a> {
                     cap: shard.cap,
                     seconds,
                 });
-                self.absorb(shard, seconds)
+                self.absorb(shard)
             })
             .collect()
     }
@@ -892,29 +885,19 @@ impl<'a> ProbeSession<'a> {
         }
     }
 
-    /// Fold a solve that took `seconds` into the session (counters,
-    /// histograms, held allocations) and hand back its outcome.
-    fn absorb(&mut self, shard: Shard, seconds: f64) -> DpOutcome {
-        let states = shard.outcome.states;
-        self.registry.inc(counters::DP_SOLVES);
-        self.registry
-            .add(counters::DP_STATES_CREATED, states as u64);
-        self.registry.add(counters::DP_MEMO_HITS, shard.memo_hits);
-        self.registry
-            .add(counters::DP_LOAD_PRUNES, shard.load_prunes);
-        self.registry
-            .add(counters::DP_MEMORY_PRUNES, shard.memory_prunes);
-        self.registry
-            .add(counters::DP_BRANCH_PRUNES, shard.branch_prunes);
-        self.registry
-            .add(counters::DP_MEMORY_FLOOR_PRUNES, shard.memory_floor_prunes);
-        self.registry
-            .add(counters::DP_CAPPED, shard.cap.is_some() as u64);
-        self.registry
-            .add(counters::DP_CAP_MISSES, shard.cap_missed as u64);
-        self.registry.observe(counters::DP_SOLVE_SECONDS, seconds);
-        self.registry
-            .observe(counters::DP_SOLVE_STATES, states as f64);
+    /// Fold a solve into the session (counters, held allocations) and
+    /// hand back its outcome.
+    fn absorb(&mut self, shard: Shard) -> DpOutcome {
+        let stats = &mut self.stats;
+        stats.solves += 1;
+        stats.capped += usize::from(shard.cap.is_some());
+        stats.cap_misses += usize::from(shard.cap_missed);
+        stats.states_created += shard.outcome.states as u64;
+        stats.memo_hits += shard.memo_hits;
+        stats.load_prunes += shard.load_prunes;
+        stats.memory_prunes += shard.memory_prunes;
+        stats.branch_prunes += shard.branch_prunes;
+        stats.memory_floor_prunes += shard.memory_floor_prunes;
         if let Some(alloc) = &shard.outcome.allocation {
             let held = &mut self.held[shard.use_special as usize];
             if !held.contains(alloc) {
@@ -2024,7 +2007,7 @@ mod tests {
         assert!(shard.cap_missed);
         assert_eq!(shard.outcome.period.to_bits(), exact.period.to_bits());
         assert_eq!(shard.outcome.allocation, exact.allocation);
-        session.absorb(shard, 0.0);
+        session.absorb(shard);
         let stats = session.stats();
         assert_eq!((stats.capped, stats.cap_misses), (1, 1));
         // A revisit is solved again under the exact allocation's cap.

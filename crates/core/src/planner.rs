@@ -25,7 +25,7 @@ use madpipe_solver::{best_period, Cutoff, PlaceConfig, PlaceStats, SolvedSchedul
 
 use crate::algorithm1::{madpipe_allocation_session, Algorithm1Config, Algorithm1Outcome};
 use crate::dp::ProbeSession;
-use crate::stats::{counters, PlannerStats, ProbeSource};
+use crate::stats::{PlannerStats, ProbeSource};
 
 /// Tuning for the whole MadPipe pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -286,80 +286,7 @@ pub fn madpipe_plan_with_stats(
     let result =
         validate(chain, platform).and_then(|()| plan_inner(chain, platform, cfg, &mut stats));
     stats.total_seconds = total.finish();
-    mirror_into_metrics(&mut stats);
     (result, stats)
-}
-
-/// Mirror the planner-level counters and phase clocks into the frozen
-/// registry, so machine consumers (`--metrics-out`, `--stats-json`)
-/// see one namespace alongside the DP counters.
-fn mirror_into_metrics(stats: &mut PlannerStats) {
-    // The cap counters are exported even at zero: a cap miss is a solver
-    // bug, so its absence should read as a visible 0. The memory floor is
-    // always on, so a cell where it never fires reads 0 too.
-    for name in [
-        counters::DP_CAPPED,
-        counters::DP_CAP_MISSES,
-        counters::DP_MEMORY_FLOOR_PRUNES,
-    ] {
-        stats.metrics.bump_counter(name, 0);
-    }
-    if stats.schedules_attempted > 0 {
-        stats.metrics.bump_counter(
-            counters::SCHEDULES_ATTEMPTED,
-            stats.schedules_attempted as u64,
-        );
-    }
-    if stats.schedules_solved > 0 {
-        stats
-            .metrics
-            .bump_counter(counters::SCHEDULES_SOLVED, stats.schedules_solved as u64);
-    }
-    if stats.schedules_cut > 0 {
-        stats
-            .metrics
-            .bump_counter(counters::SCHEDULES_CUT, stats.schedules_cut as u64);
-    }
-    let place = stats.place;
-    for (name, value) in [
-        (counters::PLACE_CALLS, place.calls),
-        (counters::PLACE_EXHAUSTED, place.exhausted),
-        (counters::PLACE_FLOORED, place.floored),
-        (counters::PLACE_NODES, place.nodes),
-        (counters::PLACE_LEAVES, place.leaves),
-        (counters::PLACE_LEAVES_FLOORED, place.leaves_floored),
-    ] {
-        if value > 0 {
-            stats.metrics.bump_counter(name, value);
-        }
-    }
-    for source in [
-        ProbeSource::Bisection,
-        ProbeSource::ContiguousFallback,
-        ProbeSource::Refinement,
-    ] {
-        let n = stats.probes.iter().filter(|p| p.source == source).count();
-        if n > 0 {
-            stats
-                .metrics
-                .bump_counter(&format!("planner.probes.{source}"), n as u64);
-        }
-    }
-    stats
-        .metrics
-        .set_gauge("plan.phase1.seconds", stats.phase1_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.fallback.seconds", stats.fallback_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.refine.seconds", stats.refine_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.schedule.seconds", stats.schedule_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.total.seconds", stats.total_seconds);
 }
 
 fn plan_inner(
@@ -398,7 +325,6 @@ fn plan_inner(
 
     let finalize = |stats: &mut PlannerStats, session: &mut ProbeSession<'_>| {
         stats.dp = session.stats();
-        stats.metrics = session.registry().snapshot();
         stats.probes = session.take_records();
     };
 
@@ -636,16 +562,17 @@ mod tests {
         assert_eq!(sa.schedules_solved, sb.schedules_solved);
         assert_eq!(sa.schedules_cut, sb.schedules_cut);
         assert_eq!(sa.place, sb.place);
+        let metrics = sa.metrics();
         for (name, value) in [
-            (counters::SCHEDULES_CUT, sa.schedules_cut as u64),
-            (counters::PLACE_CALLS, sa.place.calls),
-            (counters::PLACE_EXHAUSTED, sa.place.exhausted),
-            (counters::PLACE_FLOORED, sa.place.floored),
-            (counters::PLACE_NODES, sa.place.nodes),
-            (counters::PLACE_LEAVES, sa.place.leaves),
-            (counters::PLACE_LEAVES_FLOORED, sa.place.leaves_floored),
+            ("planner.schedules.cut", sa.schedules_cut as u64),
+            ("planner.place.calls", sa.place.calls),
+            ("planner.place.exhausted", sa.place.exhausted),
+            ("planner.place.floored", sa.place.floored),
+            ("planner.place.nodes", sa.place.nodes),
+            ("planner.place.leaves", sa.place.leaves),
+            ("planner.place.leaves_floored", sa.place.leaves_floored),
         ] {
-            assert_eq!(sa.metrics.counter(name), value, "{name}");
+            assert_eq!(metrics.counter(name), value, "{name}");
         }
         assert_eq!(sa.probes.len(), sb.probes.len());
         for (x, y) in sa.probes.iter().zip(&sb.probes) {

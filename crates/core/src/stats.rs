@@ -1,61 +1,24 @@
 //! Planner observability: counters and timings collected while MadPipe
-//! plans, exposed to the CLI (`--stats`, `--stats-json`) and the bench
-//! CSV writers.
+//! plans, exposed to the CLI (`--stats`, `--stats-json`,
+//! `--metrics-out`) and the bench CSV writers.
 //!
-//! The source of truth is the [`madpipe_obs::Registry`] owned by the DP
-//! session — every counter below is a *view* over it:
+//! A plan's instrumentation is kept once, as plain fields:
 //!
-//! * [`DpStats`] — the named counters of the cross-probe DP session
-//!   ([`crate::dp::ProbeSession`]), derived from the registry with
-//!   [`DpStats::from_registry`]: how many DP solves ran, how many of
-//!   them ran under a cap from the session's held allocations, and the
-//!   memoization/prune behaviour inside them;
-//! * [`PlannerStats`] — the end-to-end picture: the probe timeline (every
-//!   target period evaluated, tagged with the planner stage that asked
-//!   for it), phase wall-clock times, phase-2 scheduling and placement
-//!   counts, and the
-//!   full frozen registry ([`PlannerStats::metrics`]) for machine
-//!   consumers ([`PlannerStats::to_json`], the Prometheus dump).
+//! * [`DpStats`] — the counters of the plan's DP session
+//!   ([`crate::dp::ProbeSession`]), added to as each solve is absorbed:
+//!   how many DP solves ran, how many of them ran under a cap from the
+//!   session's held allocations, and the memoization/prune behaviour
+//!   inside them;
+//! * [`PlannerStats`] — the end-to-end picture: those counters, the probe
+//!   timeline (every target period evaluated, tagged with the planner
+//!   stage that asked for it), phase wall-clock times, phase-2
+//!   scheduling and placement counts and certification verdicts.
+//!   [`PlannerStats::metrics`] renders them as a metrics snapshot only
+//!   when one is exported (the Prometheus dump, [`PlannerStats::to_json`]).
 
 use madpipe_json::Value;
-use madpipe_obs::{MetricsSnapshot, Registry};
+use madpipe_obs::{HistogramSnapshot, MetricsSnapshot};
 use madpipe_solver::PlaceStats;
-
-/// Registry counter names of the DP session (the [`DpStats`] fields).
-pub mod counters {
-    pub const DP_SOLVES: &str = "dp.solves";
-    /// Solves run under a finite cap (the best held allocation).
-    pub const DP_CAPPED: &str = "dp.capped";
-    /// Capped solves whose root came out above the cap and were re-solved
-    /// uncapped (a bug if ever non-zero).
-    pub const DP_CAP_MISSES: &str = "dp.cap_misses";
-    pub const DP_STATES_CREATED: &str = "dp.states_created";
-    pub const DP_MEMO_HITS: &str = "dp.memo_hits";
-    pub const DP_LOAD_PRUNES: &str = "dp.load_prunes";
-    pub const DP_MEMORY_PRUNES: &str = "dp.memory_prunes";
-    pub const DP_BRANCH_PRUNES: &str = "dp.branch_prunes";
-    /// Child states skipped because the special GPU's memory floor for
-    /// their remaining layers exceeded what it had left.
-    pub const DP_MEMORY_FLOOR_PRUNES: &str = "dp.memory_floor_prunes";
-    /// Log₂ histogram of per-solve wall time (seconds).
-    pub const DP_SOLVE_SECONDS: &str = "dp.solve.seconds";
-    /// Log₂ histogram of per-solve memoized state counts.
-    pub const DP_SOLVE_STATES: &str = "dp.solve.states";
-    pub const SCHEDULES_ATTEMPTED: &str = "planner.schedules_attempted";
-    pub const SCHEDULES_SOLVED: &str = "planner.schedules_solved";
-    /// Candidates whose period search stopped because it could not beat
-    /// the incumbent.
-    pub const SCHEDULES_CUT: &str = "planner.schedules.cut";
-    /// Phase-2 placement work ([`madpipe_solver::PlaceStats`]).
-    pub const PLACE_CALLS: &str = "planner.place.calls";
-    pub const PLACE_EXHAUSTED: &str = "planner.place.exhausted";
-    pub const PLACE_FLOORED: &str = "planner.place.floored";
-    pub const PLACE_NODES: &str = "planner.place.nodes";
-    pub const PLACE_LEAVES: &str = "planner.place.leaves";
-    pub const PLACE_LEAVES_FLOORED: &str = "planner.place.leaves_floored";
-    pub const CERTIFY_PASSED: &str = "planner.certifications_passed";
-    pub const CERTIFY_FAILED: &str = "planner.certifications_failed";
-}
 
 /// Aggregate counters of one [`crate::dp::ProbeSession`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -84,24 +47,6 @@ pub struct DpStats {
     /// the normal GPUs cannot take of their remaining layers (the memory
     /// floor, exact).
     pub memory_floor_prunes: u64,
-}
-
-impl DpStats {
-    /// The counter view over a DP session's registry.
-    pub fn from_registry(registry: &Registry) -> Self {
-        use counters::*;
-        Self {
-            solves: registry.counter(DP_SOLVES) as usize,
-            capped: registry.counter(DP_CAPPED) as usize,
-            cap_misses: registry.counter(DP_CAP_MISSES) as usize,
-            states_created: registry.counter(DP_STATES_CREATED),
-            memo_hits: registry.counter(DP_MEMO_HITS),
-            load_prunes: registry.counter(DP_LOAD_PRUNES),
-            memory_prunes: registry.counter(DP_MEMORY_PRUNES),
-            branch_prunes: registry.counter(DP_BRANCH_PRUNES),
-            memory_floor_prunes: registry.counter(DP_MEMORY_FLOOR_PRUNES),
-        }
-    }
 }
 
 /// Which planner stage requested a probe.
@@ -188,10 +133,6 @@ pub struct PlannerStats {
     pub certifications_passed: usize,
     /// Plans that failed it.
     pub certifications_failed: usize,
-    /// The frozen metrics registry: every counter above plus the
-    /// log₂ timing/state histograms, exportable as Prometheus text or
-    /// JSON.
-    pub metrics: MetricsSnapshot,
 }
 
 impl PlannerStats {
@@ -226,6 +167,101 @@ impl PlannerStats {
         s
     }
 
+    /// The fields as a metrics snapshot (`--metrics-out`, and `metrics`
+    /// in [`PlannerStats::to_json`]), every series sorted by name:
+    ///
+    /// * counters: each non-zero count above, `planner.probes.<source>`
+    ///   per probe source, and `dp.capped`, `dp.cap_misses` and
+    ///   `dp.memory_floor_prunes` even at zero (a cap miss is a solver
+    ///   bug, so its absence reads as a visible 0; the memory floor is
+    ///   always on);
+    /// * gauges: the phase clocks and the total, plus
+    ///   `plan.certify.seconds` once a certification was recorded;
+    /// * histograms: per-solve wall time (`dp.solve.seconds`) and
+    ///   memoized states (`dp.solve.states`) over the probe timeline,
+    ///   when any solve ran.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        fn sorted<T>(mut series: Vec<(&str, T)>) -> Vec<(String, T)> {
+            series.sort_by_key(|&(name, _)| name);
+            series
+                .into_iter()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect()
+        }
+        let (dp, place) = (&self.dp, &self.place);
+        let probes = |source| self.probes.iter().filter(|p| p.source == source).count();
+        let mut counters: Vec<(&str, u64)> = [
+            ("dp.solves", dp.solves as u64),
+            ("dp.states_created", dp.states_created),
+            ("dp.memo_hits", dp.memo_hits),
+            ("dp.load_prunes", dp.load_prunes),
+            ("dp.memory_prunes", dp.memory_prunes),
+            ("dp.branch_prunes", dp.branch_prunes),
+            (
+                "planner.schedules_attempted",
+                self.schedules_attempted as u64,
+            ),
+            ("planner.schedules_solved", self.schedules_solved as u64),
+            ("planner.schedules.cut", self.schedules_cut as u64),
+            ("planner.place.calls", place.calls),
+            ("planner.place.exhausted", place.exhausted),
+            ("planner.place.floored", place.floored),
+            ("planner.place.nodes", place.nodes),
+            ("planner.place.leaves", place.leaves),
+            ("planner.place.leaves_floored", place.leaves_floored),
+            (
+                "planner.probes.bisection",
+                probes(ProbeSource::Bisection) as u64,
+            ),
+            (
+                "planner.probes.contiguous",
+                probes(ProbeSource::ContiguousFallback) as u64,
+            ),
+            (
+                "planner.probes.refinement",
+                probes(ProbeSource::Refinement) as u64,
+            ),
+            (
+                "planner.certifications_passed",
+                self.certifications_passed as u64,
+            ),
+            (
+                "planner.certifications_failed",
+                self.certifications_failed as u64,
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+        counters.extend([
+            ("dp.capped", dp.capped as u64),
+            ("dp.cap_misses", dp.cap_misses as u64),
+            ("dp.memory_floor_prunes", dp.memory_floor_prunes),
+        ]);
+        let mut gauges = vec![
+            ("plan.phase1.seconds", self.phase1_seconds),
+            ("plan.fallback.seconds", self.fallback_seconds),
+            ("plan.refine.seconds", self.refine_seconds),
+            ("plan.schedule.seconds", self.schedule_seconds),
+            ("plan.total.seconds", self.total_seconds),
+        ];
+        if self.certifications_passed + self.certifications_failed > 0 {
+            gauges.push(("plan.certify.seconds", self.certify_seconds));
+        }
+        let mut histograms = Vec::new();
+        if !self.probes.is_empty() {
+            let seconds = self.probes.iter().map(|p| p.seconds);
+            let states = self.probes.iter().map(|p| p.states as f64);
+            histograms.push(("dp.solve.seconds", HistogramSnapshot::of(seconds)));
+            histograms.push(("dp.solve.states", HistogramSnapshot::of(states)));
+        }
+        MetricsSnapshot {
+            counters: sorted(counters),
+            gauges: sorted(gauges),
+            histograms: sorted(histograms),
+        }
+    }
+
     /// Sum of the per-phase wall clocks (each phase is timed inside the
     /// total clock, so this never exceeds [`total_seconds`]).
     ///
@@ -238,8 +274,8 @@ impl PlannerStats {
             + self.certify_seconds
     }
 
-    /// Machine-readable export: every field, the probe timeline and the
-    /// full metrics snapshot (the `--stats-json` payload).
+    /// Machine-readable export: every field, the probe timeline and
+    /// [`PlannerStats::metrics`] (the `--stats-json` payload).
     pub fn to_json(&self) -> Value {
         let probe = |p: &ProbeRecord| {
             Value::Object(vec![
@@ -327,7 +363,7 @@ impl PlannerStats {
                 "certifications_failed".into(),
                 Value::UInt(self.certifications_failed as u64),
             ),
-            ("metrics".into(), self.metrics.to_json()),
+            ("metrics".into(), self.metrics().to_json()),
         ])
     }
 }
@@ -392,17 +428,75 @@ mod tests {
     }
 
     #[test]
-    fn dp_stats_derive_from_the_registry() {
-        let r = Registry::new();
-        r.add(counters::DP_SOLVES, 3);
-        r.add(counters::DP_STATES_CREATED, 1000);
-        r.add(counters::DP_CAPPED, 2);
-        r.add(counters::DP_CAP_MISSES, 1);
-        let dp = DpStats::from_registry(&r);
-        assert_eq!(dp.solves, 3);
-        assert_eq!(dp.states_created, 1000);
-        assert_eq!((dp.capped, dp.cap_misses), (2, 1));
-        assert_eq!(dp.memo_hits, 0);
+    fn metrics_render_the_fields_under_the_export_rules() {
+        let probe = |source, states, seconds| ProbeRecord {
+            source,
+            t_hat: 1.0,
+            use_special: true,
+            period: 1.0,
+            states,
+            cap: None,
+            seconds,
+        };
+        let mut stats = PlannerStats {
+            dp: DpStats {
+                solves: 2,
+                states_created: 12,
+                ..DpStats::default()
+            },
+            probes: vec![
+                probe(ProbeSource::Bisection, 4, 0.5),
+                probe(ProbeSource::Refinement, 8, 0.25),
+            ],
+            total_seconds: 1.5,
+            ..PlannerStats::default()
+        };
+        fn names<T>(series: &[(String, T)]) -> Vec<&str> {
+            series.iter().map(|(name, _)| name.as_str()).collect()
+        }
+        let m = stats.metrics();
+        // The cap and floor counters read 0 rather than go missing; every
+        // other zero is absent, and every series is sorted by name.
+        assert_eq!(
+            m.counters,
+            [
+                ("dp.cap_misses", 0),
+                ("dp.capped", 0),
+                ("dp.memory_floor_prunes", 0),
+                ("dp.solves", 2),
+                ("dp.states_created", 12),
+                ("planner.probes.bisection", 1),
+                ("planner.probes.refinement", 1),
+            ]
+            .map(|(name, n)| (name.to_string(), n))
+        );
+        assert_eq!(
+            names(&m.gauges),
+            [
+                "plan.fallback.seconds",
+                "plan.phase1.seconds",
+                "plan.refine.seconds",
+                "plan.schedule.seconds",
+                "plan.total.seconds",
+            ]
+        );
+        assert_eq!(m.gauges[4].1, 1.5);
+        assert_eq!(
+            names(&m.histograms),
+            ["dp.solve.seconds", "dp.solve.states"]
+        );
+        assert_eq!(m.histograms[0].1, HistogramSnapshot::of([0.5, 0.25]));
+        assert_eq!(m.histograms[1].1, HistogramSnapshot::of([4.0, 8.0]));
+
+        // A recorded certification adds its verdict and its clock.
+        stats.certifications_failed = 1;
+        stats.certify_seconds = 0.125;
+        let m = stats.metrics();
+        assert_eq!(m.counter("planner.certifications_failed"), 1);
+        assert_eq!(m.gauges[0], ("plan.certify.seconds".to_string(), 0.125));
+
+        // No solve, no histogram.
+        assert!(PlannerStats::default().metrics().histograms.is_empty());
     }
 
     #[test]

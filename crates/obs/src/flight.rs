@@ -289,10 +289,18 @@ impl FlightRing {
 }
 
 /// The process-global ring behind the free functions below (16Ki
-/// events ≈ the last few seconds of a saturated daemon).
+/// events ≈ the last few seconds of a saturated daemon). The first call
+/// allocates it.
 fn ring() -> &'static FlightRing {
     static RING: OnceLock<FlightRing> = OnceLock::new();
     RING.get_or_init(|| FlightRing::with_capacity(1 << 14))
+}
+
+/// Allocate the global ring now if nothing has yet (about 1.2 MB). A
+/// daemon calls this before it takes requests, so no request's deadline
+/// pays for the allocation.
+pub fn init() {
+    ring();
 }
 
 /// Record a completed span into the global ring.

@@ -37,13 +37,13 @@
 //! for merged cluster traces, that every span's parent exists and the
 //! parent graph is acyclic.
 //!
-//! Counter namespaces in use across the workspace: `plan.*` and `dp.*`
-//! (planner), `certify.*` (differential certification), `serve.*` (the
-//! daemon — including `serve.panics` and `serve.workers.respawned`, the
-//! supervision counters incremented when a worker panic is isolated and
-//! the worker replaced), and `replan.*` (degraded-mode replanning:
-//! `replan.fault.<kind>` counters, the `replan.throughput_delta` gauge,
-//! the `replan.total` span).
+//! Counter namespaces in use across the workspace: `plan.*`, `planner.*`
+//! and `dp.*` (a plan's exported `PlannerStats`, certification verdicts
+//! included), `serve.*` (the daemon — including `serve.panics` and
+//! `serve.workers.respawned`, the supervision counters incremented when
+//! a worker panic is isolated and the worker replaced), and `replan.*`
+//! (degraded-mode replanning: the daemon's `replan.fault.<kind>`
+//! counters, the `replan.total` span).
 
 pub mod context;
 mod event;

@@ -1,12 +1,14 @@
 //! Metrics registry: monotone counters, gauges and log₂-bucketed
 //! histograms with deterministic iteration order.
 //!
-//! The registry is internally locked, so DP worker threads could bump it
-//! directly; the planner instead bumps its session's one registry on the
-//! main thread, in a fixed order, and snapshots it at the end of the
-//! plan, keeping counter values bit-identical across thread counts. A
-//! [`snapshot`] freezes the registry into a plain value that renders as
-//! a Prometheus-style text dump or a JSON tree.
+//! The registry is internally locked, so any thread may bump it: the
+//! daemon and the router each own one for the life of the process. A
+//! [`snapshot`] freezes it into a plain [`MetricsSnapshot`] that renders
+//! as a Prometheus-style text dump or a JSON tree. A planner run keeps
+//! no registry: its counters are the fields of
+//! `madpipe_core::PlannerStats`, which builds a snapshot only when one
+//! is exported ([`HistogramSnapshot::of`] freezes its per-solve
+//! histograms).
 //!
 //! [`snapshot`]: Registry::snapshot
 
@@ -40,6 +42,38 @@ struct Hist {
     min: f64,
     max: f64,
     buckets: Vec<u64>, // sparse-friendly: allocated on first observe
+}
+
+impl Hist {
+    fn observe(&mut self, value: f64) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; BUCKETS];
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum += value;
+        self.buckets[bucket_index(value)] += 1;
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| **n > 0)
+                .map(|(i, n)| (bucket_bound(i), *n))
+                .collect(),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -102,21 +136,11 @@ impl Registry {
     pub fn observe(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().unwrap();
         let histograms = &mut inner.histograms;
-        let h = match histograms.get_mut(name) {
+        match histograms.get_mut(name) {
             Some(h) => h,
             None => histograms.entry(name.to_string()).or_default(),
-        };
-        if h.buckets.is_empty() {
-            h.buckets = vec![0; BUCKETS];
-            h.min = value;
-            h.max = value;
-        } else {
-            h.min = h.min.min(value);
-            h.max = h.max.max(value);
         }
-        h.count += 1;
-        h.sum += value;
-        h.buckets[bucket_index(value)] += 1;
+        .observe(value);
     }
 
     /// Freeze the registry into a plain, comparable snapshot.
@@ -132,24 +156,7 @@ impl Registry {
             histograms: inner
                 .histograms
                 .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistogramSnapshot {
-                            count: h.count,
-                            sum: h.sum,
-                            min: h.min,
-                            max: h.max,
-                            buckets: h
-                                .buckets
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, n)| **n > 0)
-                                .map(|(i, n)| (bucket_bound(i), *n))
-                                .collect(),
-                        },
-                    )
-                })
+                .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),
         }
     }
@@ -167,6 +174,14 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The histogram of `values` observed in order: the snapshot a
+    /// [`Registry`] histogram fed the same values would freeze to.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
+        let mut h = Hist::default();
+        values.into_iter().for_each(|v| h.observe(v));
+        h.snapshot()
+    }
+
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) by rank interpolation
     /// within the owning log₂ bucket, clamped into the exact observed
     /// `[min, max]` — so a single-observation histogram reports that
@@ -239,29 +254,6 @@ impl MetricsSnapshot {
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
             .unwrap_or(0)
-    }
-
-    /// Add `delta` to a counter in the frozen snapshot (used to fold
-    /// post-planning events, e.g. certification verdicts).
-    pub fn bump_counter(&mut self, name: &str, delta: u64) {
-        if let Some(slot) = self.counters.iter_mut().find(|(k, _)| k == name) {
-            slot.1 += delta;
-        } else {
-            let at = self.counters.partition_point(|(k, _)| k.as_str() < name);
-            self.counters.insert(at, (name.to_string(), delta));
-        }
-    }
-
-    /// Set a gauge in the frozen snapshot (sorted insert, last write
-    /// wins), mirroring [`Registry::set_gauge`] for post-freeze values
-    /// like phase wall-clocks.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(slot) = self.gauges.iter_mut().find(|(k, _)| k == name) {
-            slot.1 = value;
-        } else {
-            let at = self.gauges.partition_point(|(k, _)| k.as_str() < name);
-            self.gauges.insert(at, (name.to_string(), value));
-        }
     }
 
     /// Prometheus text exposition format.
@@ -409,16 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bump_preserves_sorted_order() {
+    fn a_histogram_of_values_matches_the_registry_one() {
+        let values = [0.5, 1e-12, 3.0, 0.0, 2.0, 0.75];
         let r = Registry::new();
-        r.add("b", 1);
-        let mut snap = r.snapshot();
-        snap.bump_counter("b", 1);
-        snap.bump_counter("a", 7);
-        snap.bump_counter("c", 2);
-        let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        assert_eq!(snap.counter("b"), 2);
+        for v in values {
+            r.observe("h", v);
+        }
+        assert_eq!(r.snapshot().histograms[0].1, HistogramSnapshot::of(values));
     }
 
     #[test]

@@ -352,6 +352,9 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
+        // Before the listener is live: no request's deadline pays for
+        // the ring.
+        madpipe_obs::flight::init();
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;

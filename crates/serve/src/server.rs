@@ -296,6 +296,9 @@ impl Server {
     /// every worker counts as alive — a client may connect, and `health`
     /// reports the full pool, as soon as this returns.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
+        // Before the listener is live: no request's deadline pays for
+        // the ring.
+        madpipe_obs::flight::init();
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;

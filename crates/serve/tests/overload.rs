@@ -374,10 +374,6 @@ fn expired_work_is_dropped_at_dequeue_without_running_the_dp() {
     let batch: Vec<String> = std::iter::once(head.clone())
         .chain((1001..1024u64).map(|s| plan_line(&chain(s), &platform())))
         .collect();
-    // A health probe first: it sets up the process's flight recorder,
-    // which the first cache miss would otherwise do inside the head's
-    // deadline (milliseconds in a debug build), dropping the head too.
-    roundtrip(addr, r#"{"cmd":"health"}"#);
     let (mut stream, mut reader) = connect(addr);
     let responses = pipeline(&mut stream, &mut reader, &batch);
     let timeouts = responses
