@@ -22,7 +22,9 @@
 //!
 //! Each record also carries the DP states its cell's plan creates
 //! (`dp_states`): a count that repeats exactly on any host, so a change
-//! to the DP's work shows without a clock. It is reported, not gated.
+//! to the DP's work shows without a clock. It is reported, not gated,
+//! and so are the sweep's summed placement counters ([`PlaceStats`]),
+//! which repeat exactly too and are not recorded in the document.
 
 use std::io;
 use std::path::Path;
@@ -31,6 +33,7 @@ use std::time::Instant;
 use madpipe_core::{madpipe_plan_with_stats, PlannerConfig};
 use madpipe_json::{JsonError, Value};
 use madpipe_model::Platform;
+use madpipe_solver::PlaceStats;
 
 use crate::grid::{paper_chains, GridConfig};
 
@@ -145,18 +148,20 @@ pub fn plan_speed_grid() -> GridConfig {
 /// Run the plan-speed grid: every cell planned `repeats` times, each a
 /// cold plan: a fresh session from which no value carries over, though
 /// the DP's buffers are warm, left by the thread's previous plan.
-/// Medians recorded. Panics if repeats is 0 or a cell's
-/// period or DP state count is not identical across its own repeats
-/// (that would mean the planner went non-deterministic, which no
-/// baseline can gate).
+/// Medians recorded; returned with the placement counters of one plan
+/// per cell, summed over the grid. Panics if repeats is 0 or a cell's
+/// period, DP state count or placement counters are not identical
+/// across its own repeats (that would mean the planner went
+/// non-deterministic, which no baseline can gate).
 pub fn run_plan_speed(
     cfg: &GridConfig,
     planner: &PlannerConfig,
     repeats: usize,
-) -> Vec<PlanSpeedRecord> {
+) -> (Vec<PlanSpeedRecord>, PlaceStats) {
     assert!(repeats > 0, "plan-speed needs at least one repeat");
     let chains = paper_chains(cfg);
     let mut out = Vec::new();
+    let mut place = PlaceStats::default();
     for (chain, network) in chains.iter().zip(&cfg.networks) {
         for cell in cfg.cells().iter().filter(|c| &c.network == network) {
             let platform =
@@ -164,7 +169,7 @@ pub fn run_plan_speed(
             let mut dp_times = Vec::with_capacity(repeats);
             let mut totals = Vec::with_capacity(repeats);
             let mut schedule_times = Vec::with_capacity(repeats);
-            let mut bits: Option<(Option<u64>, u64)> = None;
+            let mut bits: Option<(Option<u64>, u64, PlaceStats)> = None;
             for _ in 0..repeats {
                 let wall = Instant::now();
                 let (plan, stats) = madpipe_plan_with_stats(chain, &platform, planner);
@@ -173,12 +178,14 @@ pub fn run_plan_speed(
                 let these = (
                     plan.ok().map(|p| p.period().to_bits()),
                     stats.dp.states_created,
+                    stats.place,
                 );
                 match &bits {
                     None => bits = Some(these),
                     Some(prev) => assert_eq!(
                         *prev, these,
-                        "{} P={} M={}GB: period or DP states changed across repeats",
+                        "{} P={} M={}GB: period, DP states or placement counters changed \
+                         across repeats",
                         cell.network, cell.p, cell.m_gb
                     ),
                 }
@@ -186,7 +193,8 @@ pub fn run_plan_speed(
                 totals.push(total);
                 schedule_times.push(stats.schedule_seconds);
             }
-            let (period_bits, dp_states) = bits.expect("repeats > 0");
+            let (period_bits, dp_states, cell_place) = bits.expect("repeats > 0");
+            place.merge(&cell_place);
             out.push(PlanSpeedRecord {
                 network: cell.network.clone(),
                 p: cell.p,
@@ -200,7 +208,7 @@ pub fn run_plan_speed(
             });
         }
     }
-    out
+    (out, place)
 }
 
 pub(crate) fn median(values: &mut [f64]) -> f64 {
@@ -445,8 +453,9 @@ mod tests {
             refine_probes: 0,
             ..PlannerConfig::default()
         };
-        let records = run_plan_speed(&cfg, &planner, 2);
+        let (records, place) = run_plan_speed(&cfg, &planner, 2);
         assert_eq!(records.len(), 1);
+        assert!(place.calls > 0 && place.nodes >= place.leaves + place.dead_ends);
         assert!(records[0].period_bits.is_some());
         assert!(records[0].dp_seconds > 0.0);
         assert!(records[0].total_seconds >= records[0].dp_seconds);

@@ -224,7 +224,9 @@ Planning flags: plan and every entry marked [planning flags] accept
 described under `plan`, plus --layers N and --seed S for `synthetic`:
 every <network> slot also accepts `synthetic`, a reproducible random
 CNN-profile chain. A flag the command does not read is an error
-(exit 2).
+(exit 2), and so is a chain flag the chain is not built from: --batch,
+--image or --gpu-model with `synthetic`, --layers or --seed with a
+built-in network, and any of those five with --profile.
 
 Defaults: --gpus 4, --memory-gb 8, --bandwidth-gb 12, --batch 8,
 --image 1000.
@@ -351,10 +353,18 @@ fn load_chain(args: &Args) -> Result<Chain, String> {
 
 /// The chain the planning flags name, with the settings that produced
 /// it: a `--profile` file as saved, or a built-in network or `synthetic`
-/// chain built here. `--max-layers` coarsens any of them.
+/// chain built here. `--max-layers` coarsens any of them. A chain flag
+/// the chain is not built from is an error, not silently ignored.
 fn load_profile(args: &Args) -> Result<Profile, String> {
     let mut profile = match args.raw("profile") {
-        Some(path) => Profile::load(path).map_err(|e| format!("loading profile {path}: {e}"))?,
+        Some(path) => {
+            refuse(
+                args,
+                &["batch", "image", "gpu-model", "layers", "seed"],
+                "a --profile chain, which comes from the file",
+            )?;
+            Profile::load(path).map_err(|e| format!("loading profile {path}: {e}"))?
+        }
         None => build_profile(args)?,
     };
     if let Some(cap) = args.get::<usize>("max-layers")? {
@@ -364,13 +374,14 @@ fn load_profile(args: &Args) -> Result<Profile, String> {
 }
 
 /// The `<network>` argument's chain at `--batch`/`--image` on
-/// `--gpu-model`. A `synthetic` chain comes from no GPU model, so its
-/// profile names none.
+/// `--gpu-model`, or a `synthetic` chain from `--layers`/`--seed`. A
+/// `synthetic` chain comes from no GPU model, so its profile names none.
 fn build_profile(args: &Args) -> Result<Profile, String> {
     let name = args.positional.get(1).ok_or("missing <network> argument")?;
     let batch = args.get_or("batch", 8u64)?;
     let image = args.get_or("image", 1000u64)?;
     let (gpu, chain) = if name == "synthetic" {
+        refuse(args, &["batch", "image", "gpu-model"], "a synthetic chain")?;
         let cfg = RandomChainConfig {
             layers: args.get_or("layers", 12usize)?,
             ..RandomChainConfig::default()
@@ -383,6 +394,7 @@ fn build_profile(args: &Args) -> Result<Profile, String> {
                 "unknown network `{name}` (try: resnet50, resnet101, resnet152, inception, densenet121, vgg16, or `synthetic` with --layers/--seed)"
             )
         })?;
+        refuse(args, &["layers", "seed"], "a built-in network")?;
         let gpu = match args.raw("gpu-model") {
             Some(g) => GpuModel::by_name(g).ok_or_else(|| format!("unknown GPU model `{g}`"))?,
             None => GpuModel::default(),
@@ -398,6 +410,15 @@ fn build_profile(args: &Args) -> Result<Profile, String> {
         gpu,
         chain,
     })
+}
+
+/// Fail naming the first of `flags` that is set: none of them applies
+/// to `chain`.
+fn refuse(args: &Args, flags: &[&str], chain: &str) -> Result<(), String> {
+    match flags.iter().find(|f| args.raw(f).is_some()) {
+        Some(f) => Err(format!("--{f} does not apply to {chain}")),
+        None => Ok(()),
+    }
 }
 
 /// Enable the span tracer when any command-line flag wants a trace file,
@@ -1221,7 +1242,7 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
         "timing the {}-cell plan-speed grid ({repeats} repeats per cell)...",
         grid.cells().len()
     );
-    let records = plan_speed::run_plan_speed(&grid, &PlannerConfig::default(), repeats);
+    let (records, place) = plan_speed::run_plan_speed(&grid, &PlannerConfig::default(), repeats);
     plan_speed::save(&records, &out).map_err(|e| e.to_string())?;
     let dp_total: f64 = records.iter().map(|r| r.dp_seconds).sum();
     let schedule_total: f64 = records.iter().filter_map(|r| r.schedule_seconds).sum();
@@ -1233,6 +1254,17 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
         records.len(),
         dp_total,
         schedule_total
+    );
+    println!(
+        "placement counters summed over the cells: {} calls, {} exhausted, {} floored, \
+         {} nodes, {} leaves, {} leaves floored, {} dead ends",
+        place.calls,
+        place.exhausted,
+        place.floored,
+        place.nodes,
+        place.leaves,
+        place.leaves_floored,
+        place.dead_ends
     );
 
     let Some(base_path) = args.raw("baseline") else {

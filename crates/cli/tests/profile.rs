@@ -1,6 +1,7 @@
 //! `madpipe profile` writes the settings it profiled with, a saved
 //! profile read back through `--profile` keeps them, and `--max-layers`
-//! coarsens a `--profile` chain as it does a built-in network's.
+//! coarsens a `--profile` chain as it does a built-in network's. A chain
+//! flag the chain is not built from exits 2 naming the flag.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -99,5 +100,59 @@ fn a_saved_profile_keeps_its_settings_and_obeys_max_layers() {
         plan.starts_with(&format!("resnet50: {layers} layers,")),
         "plan must coarsen a --profile chain to --max-layers:\n{plan}"
     );
+    std::fs::remove_dir_all(&dir).expect("remove artifact dir");
+}
+
+/// Run `madpipe args` and require exit 2 with an error naming `--flag`.
+fn refuses(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_madpipe"))
+        .args(args)
+        .output()
+        .expect("spawn madpipe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "madpipe {args:?} must exit 2\nstdout:\n{}\nstderr:\n{stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains(&format!("--{flag} does not apply")),
+        "madpipe {args:?} must name --{flag}:\n{stderr}"
+    );
+}
+
+#[test]
+fn chain_flags_the_chain_is_not_built_from_exit_2() {
+    let plan = ["plan", "--gpus", "2", "--memory-gb", "8"];
+    // A built-in network is sized by --batch, --image and --gpu-model, a
+    // synthetic chain by --layers and --seed.
+    for (chain, flag, value) in [
+        ("resnet50", "layers", "5"),
+        ("resnet50", "seed", "3"),
+        ("synthetic", "batch", "2"),
+        ("synthetic", "image", "224"),
+        ("synthetic", "gpu-model", "a100"),
+    ] {
+        let set = format!("--{flag}");
+        refuses(&[&plan[..], &[chain, &set, value]].concat(), flag);
+    }
+    // A --profile chain by its file alone, for `profile` too.
+    let dir = artifact_dir("refused");
+    let (saved, out) = (dir.join("saved.json"), dir.join("out.json"));
+    succeeds(&["profile", "resnet50", "--out", path(&saved)]);
+    let profile = ["profile", "--out", path(&out)];
+    for (flag, value) in [
+        ("batch", "2"),
+        ("image", "224"),
+        ("gpu-model", "a100"),
+        ("layers", "5"),
+        ("seed", "3"),
+    ] {
+        let set = format!("--{flag}");
+        let from_file = ["--profile", path(&saved), &set, value];
+        refuses(&[&plan[..], &from_file].concat(), flag);
+        refuses(&[&profile[..], &from_file].concat(), flag);
+    }
     std::fs::remove_dir_all(&dir).expect("remove artifact dir");
 }

@@ -571,6 +571,7 @@ mod tests {
             ("planner.place.nodes", sa.place.nodes),
             ("planner.place.leaves", sa.place.leaves),
             ("planner.place.leaves_floored", sa.place.leaves_floored),
+            ("planner.place.dead_ends", sa.place.dead_ends),
         ] {
             assert_eq!(metrics.counter(name), value, "{name}");
         }

@@ -141,7 +141,7 @@ impl PlannerStats {
         let mut s = format!(
             "probes {} ({} solved, {} capped, {} cap misses), states {}, \
              schedules {}/{} ({} cut), place {} calls ({} exhausted, {} floored, {} nodes, \
-             {} leaves, {} leaves floored), {:.3}s total ({} thread{})",
+             {} leaves, {} leaves floored, {} dead ends), {:.3}s total ({} thread{})",
             self.probes.len(),
             self.dp.solves,
             self.dp.capped,
@@ -156,6 +156,7 @@ impl PlannerStats {
             self.place.nodes,
             self.place.leaves,
             self.place.leaves_floored,
+            self.place.dead_ends,
             self.total_seconds,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
@@ -209,6 +210,7 @@ impl PlannerStats {
             ("planner.place.nodes", place.nodes),
             ("planner.place.leaves", place.leaves),
             ("planner.place.leaves_floored", place.leaves_floored),
+            ("planner.place.dead_ends", place.dead_ends),
             (
                 "planner.probes.bisection",
                 probes(ProbeSource::Bisection) as u64,
@@ -341,6 +343,7 @@ impl PlannerStats {
                         "leaves_floored".into(),
                         Value::UInt(self.place.leaves_floored),
                     ),
+                    ("dead_ends".into(), Value::UInt(self.place.dead_ends)),
                 ]),
             ),
             (
@@ -405,13 +408,14 @@ mod tests {
                 nodes: 30_123,
                 leaves: 17_000,
                 leaves_floored: 16_500,
+                dead_ends: 9_000,
             },
             schedules_cut: 2,
             ..PlannerStats::default()
         };
         assert!(stats.summary().contains(
             "place 21 calls (8 exhausted, 3 floored, 30123 nodes, 17000 leaves, \
-                 16500 leaves floored)"
+                 16500 leaves floored, 9000 dead ends)"
         ));
         let json = stats.to_json();
         assert_eq!(json.field("schedules_cut").unwrap().as_u64().unwrap(), 2);
@@ -425,6 +429,7 @@ mod tests {
             place.field("leaves_floored").unwrap().as_u64().unwrap(),
             16_500
         );
+        assert_eq!(place.field("dead_ends").unwrap().as_u64().unwrap(), 9_000);
     }
 
     #[test]

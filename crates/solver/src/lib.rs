@@ -26,7 +26,7 @@
 //! # Where the time goes
 //!
 //! Nearly all of phase 2 is spent proving periods infeasible, so the
-//! cheapest search is the one that never starts. Five rules skip work
+//! cheapest search is the one that never starts. Six rules skip work
 //! without changing any result:
 //!
 //! * [`best_period`] takes an optional [`Cutoff`], the period a caller's
@@ -51,9 +51,10 @@
 //!   the ones its floor leaves open and allocates nothing when a check
 //!   fails; the per-resource
 //!   [`Timeline`]s live in a vector indexed by dense resource id and are
-//!   updated in place (insert before descending, [`Timeline::remove`] on
-//!   backtrack); compaction moves forwards within the live timelines and
-//!   undoes every move before it returns;
+//!   updated in place (insert before descending, [`Timeline::undo`] on
+//!   backtrack, by the positions the insert returned); compaction moves
+//!   forwards within the live timelines and undoes every move before it
+//!   returns;
 //! * a floored leaf costs almost nothing, with the same nodes counted:
 //!   the node that places `B_0`, the last op, asks the leaf floor for
 //!   its leaves itself, with every gap but `B_0`'s computed once and the
@@ -67,16 +68,26 @@
 //!   buffer per call ([`Timeline::candidate_fits`]), so no node
 //!   allocates. On the sweep below this took phase 2 from 0.105 to
 //!   0.063 s (medians of 3 runs), with the same counters and 231,983
-//!   floored leaves.
+//!   floored leaves;
+//! * a dead end costs one step too, with the same nodes counted: when
+//!   the op after a node's own is on another resource and has no free
+//!   gap of its length there ([`Timeline::has_slot`]), no placement of
+//!   the node's op changes that, so each child would be entered as one
+//!   node, find no candidate and fail. The node counts the children the
+//!   node budget reaches as nodes and dead ends in one step, inserts
+//!   nothing and returns. Debug builds still descend into each and
+//!   assert that it fails after one node. Most dead ends sit at `B_0`
+//!   below a `B_1` that runs on a link.
 //!
 //! On the 42-cell ResNet-50 plan-speed sweep the planner makes 451
 //! placement calls: 75 answered by the floor, 107 that use up the node
 //! budget, and 455,446 nodes in all (882 calls and 1,445,238 nodes
 //! before cutoffs and the floor, with the same periods). Of their
 //! 235,436 leaves the leaf floor answers 231,983; the other 3,453 run
-//! the checker, and compaction when memory fails.
+//! the checker, and compaction when memory fails. 76,991 of the nodes
+//! are dead ends.
 //! [`PlaceStats`] counts calls, exhausted and floored calls, nodes,
-//! leaves and floored leaves; the planner reports them as
+//! leaves, floored leaves and dead ends; the planner reports them as
 //! `planner.place.*`.
 
 pub mod exact;

@@ -40,13 +40,19 @@ pub struct PlaceStats {
     pub exhausted: u64,
     /// Calls the memory floor answered before any node.
     pub floored: u64,
-    /// DFS nodes entered within budget.
+    /// DFS nodes within budget: entered, or counted in one step without
+    /// being entered (floored leaves and dead ends), exactly as many as
+    /// entering them would have counted.
     pub nodes: u64,
     /// Nodes with every op placed.
     pub leaves: u64,
     /// Leaves the leaf floor ([`Checker::leaf_exceeds`]) answered
     /// without the checker or compaction.
     pub leaves_floored: u64,
+    /// Nodes counted without being entered because their op has no slot
+    /// of its length on its resource, one the parent's op does not use
+    /// (part of `nodes`).
+    pub dead_ends: u64,
 }
 
 impl PlaceStats {
@@ -58,6 +64,7 @@ impl PlaceStats {
         self.nodes += other.nodes;
         self.leaves += other.leaves;
         self.leaves_floored += other.leaves_floored;
+        self.dead_ends += other.dead_ends;
     }
 }
 
@@ -74,7 +81,9 @@ impl PlaceStats {
 /// which answers most failing leaves without the checker or compaction
 /// and never one they would accept; the node that places the last op
 /// asks it for all of its leaves, and counts the floored ones in one
-/// step.
+/// step. A node whose next op, on another resource, has no slot of its
+/// length there counts its children in one step too: each would be
+/// entered as one node and fail.
 ///
 /// Two prefilters answer before any node: a resource loaded beyond the
 /// period, and a GPU whose memory floor ([`Checker::memory_floor`])
@@ -159,11 +168,13 @@ pub fn schedule_at_period(
         nodes: 0,
         leaves: 0,
         leaves_floored: 0,
+        dead_ends: 0,
     };
     let found = dfs.go(0);
     stats.nodes += dfs.nodes as u64;
     stats.leaves += dfs.leaves as u64;
     stats.leaves_floored += dfs.leaves_floored as u64;
+    stats.dead_ends += dfs.dead_ends as u64;
     if found.is_none() && dfs.nodes >= cfg.node_budget {
         stats.exhausted += 1;
     }
@@ -199,6 +210,7 @@ struct Dfs<'a> {
     nodes: usize,
     leaves: usize,
     leaves_floored: usize,
+    dead_ends: usize,
 }
 
 impl Dfs<'_> {
@@ -225,6 +237,19 @@ impl Dfs<'_> {
         if idx + 1 == n_ops {
             return self.leaves_at(cands);
         }
+        if self.next_is_stuck(idx) {
+            // Each child would be entered as one node, find no candidate
+            // and fail: count the ones the budget reaches in one step.
+            let reached = cands.len().min(self.cfg.node_budget - self.nodes);
+            if cfg!(debug_assertions) {
+                for j in cands.start..cands.start + reached {
+                    self.audit_dead_end(idx, self.candidates[j]);
+                }
+            }
+            self.nodes += reached;
+            self.dead_ends += reached;
+            return None;
+        }
         for j in cands {
             if let Some(p) = self.descend(idx, self.candidates[j]) {
                 return Some(p);
@@ -237,14 +262,36 @@ impl Dfs<'_> {
     /// unless the search found a pattern.
     fn descend(&mut self, idx: usize, z: f64) -> Option<Pattern> {
         let (r, d) = (self.resource[idx], self.pattern.ops[idx].duration);
-        self.timelines[r].insert(z, d);
+        let placed = self.timelines[r].insert(z, d);
         self.z.push(z);
         let found = self.go(idx + 1);
         if found.is_none() {
             self.z.pop();
-            self.timelines[r].remove(z, d);
+            self.timelines[r].undo(placed, z, d);
         }
         found
+    }
+
+    /// Whether op `idx + 1` is on another resource than op `idx` and has
+    /// no slot of its length there ([`Timeline::has_slot`]): no
+    /// placement of op `idx` touches that timeline, so every child of
+    /// the node that places op `idx` is a dead end.
+    fn next_is_stuck(&self, idx: usize) -> bool {
+        let next = idx + 1;
+        let r = self.resource[next];
+        r != self.resource[idx] && !self.timelines[r].has_slot(self.pattern.ops[next].duration)
+    }
+
+    /// Debug builds' audit of a dead end, op `idx` at `z`: entering the
+    /// child must use exactly one node, reach no leaf and fail.
+    fn audit_dead_end(&mut self, idx: usize, z: f64) {
+        let (nodes, leaves) = (self.nodes, self.leaves);
+        let found = self.descend(idx, z);
+        debug_assert!(
+            found.is_none() && self.nodes == nodes + 1 && self.leaves == leaves,
+            "a counted dead end is not one"
+        );
+        self.nodes = nodes;
     }
 
     /// The leaves below the node that places `B_0`, the last op, at the
@@ -312,14 +359,14 @@ impl Dfs<'_> {
     fn audit_floored(&mut self, z: f64) {
         let b_0 = self.pattern.ops.len() - 1;
         let (r, d) = (self.resource[b_0], self.pattern.ops[b_0].duration);
-        self.timelines[r].insert(z, d);
+        let placed = self.timelines[r].insert(z, d);
         self.z.push(z);
         debug_assert!(
             self.check_leaf().is_none(),
             "the leaf floor refuted a leaf the checker accepts"
         );
         self.z.pop();
-        self.timelines[r].remove(z, d);
+        self.timelines[r].undo(placed, z, d);
     }
 
     /// Dependency-ready time of op `idx` given the placed times.
@@ -549,6 +596,7 @@ mod tests {
             nodes: 7,
             leaves: 1,
             leaves_floored: 1,
+            dead_ends: 0,
         };
         assert_eq!(stats, exhausted);
         // The load prefilter rejects T = 1 before any node or floor.
@@ -607,6 +655,85 @@ mod tests {
                 nodes,
                 leaves,
                 leaves_floored: leaves,
+                dead_ends: 0,
+            };
+            assert_eq!(stats, expected, "budget {node_budget}");
+        }
+    }
+
+    #[test]
+    fn a_dead_end_counts_the_children_the_budget_reaches() {
+        // Layers 0 and 2 (f/b 1/2) on GPU 0, layer 1 (1/1) on GPU 1; both
+        // cuts share the one link, each transfer 1000 B at 1000 B/s. At
+        // T = 6 GPU 0 is loaded exactly, so `B_0` fits only where F_0,
+        // F_2 and B_2 leave it one whole gap of 2. The first time they
+        // do not, the node that places the link's last backward (the 9th
+        // node) has 4 candidates, each a child that would find no slot
+        // for `B_0`: they are nodes 10–13, counted in one step, and the
+        // 14th node is the next such parent. A budget of 9 ends before
+        // them, 10–12 among them, 13–15 just after. The search finds its
+        // pattern at node 352; 256 of its nodes are dead ends, all
+        // counted by node 351. Results and node and leaf counts recorded
+        // before dead ends were counted in one step.
+        let c = chain(&[(1.0, 2.0), (1.0, 1.0), (1.0, 2.0)], 1000);
+        let platform = Platform::new(2, 1 << 40, 1000.0).unwrap();
+        let alloc = Allocation::new(
+            vec![
+                Stage::new(0..1, 0),
+                Stage::new(1..2, 1),
+                Stage::new(2..3, 0),
+            ],
+            3,
+            2,
+        )
+        .unwrap();
+        let seq = UnitSequence::from_allocation(&c, &platform, &alloc);
+        let pattern = [
+            (0.0, 0),
+            (1.0, 0),
+            (2.0, 0),
+            (3.0, 0),
+            (1.0, 1),
+            (2.0, 1),
+            (4.0, 1),
+            (5.0, 1),
+            (0.0, 2),
+            (4.0, 2),
+        ];
+        let budgets = [
+            (8, 8, 0),
+            (9, 9, 0),
+            (10, 10, 1),
+            (11, 11, 2),
+            (12, 12, 3),
+            (13, 13, 4),
+            (14, 14, 4),
+            (15, 15, 5),
+            (351, 351, 256),
+            (352, 352, 256),
+            (PlaceConfig::default().node_budget, 352, 256),
+        ];
+        for (node_budget, nodes, dead_ends) in budgets {
+            let cfg = PlaceConfig {
+                node_budget,
+                ..PlaceConfig::default()
+            };
+            let mut stats = PlaceStats::default();
+            let found = schedule_at_period(&c, &platform, &alloc, &seq, 6.0, &cfg, &mut stats);
+            let found = found.map(|p| p.ops.iter().map(|o| (o.start, o.shift)).collect::<Vec<_>>());
+            assert_eq!(
+                found.as_deref(),
+                (nodes == 352).then_some(&pattern[..]),
+                "budget {node_budget}"
+            );
+            let expected = PlaceStats {
+                calls: 1,
+                exhausted: u64::from(nodes < 352),
+                floored: 0,
+                nodes,
+                leaves: u64::from(nodes == 352),
+                leaves_floored: 0,
+                dead_ends,
             };
             assert_eq!(stats, expected, "budget {node_budget}");
         }

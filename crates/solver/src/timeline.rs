@@ -11,7 +11,10 @@
 //! the segments the matching [`Timeline::insert`] marked busy. Segments
 //! are kept sorted by `(start, end)`, a canonical order, so the busy
 //! list after any sequence of inserts and removes is bit-identical to
-//! the list built by inserting only the ops still present.
+//! the list built by inserting only the ops still present. The DFS
+//! undoes last in, first out, so it takes an op out by the positions
+//! its insert returned ([`Timeline::undo`]) instead of searching for
+//! its segments again.
 
 use madpipe_model::util::{floor, EPS};
 
@@ -22,6 +25,15 @@ pub struct Timeline {
     /// Sorted, non-overlapping busy segments within `[0, T)`; an op
     /// wrapping the period boundary contributes two segments.
     busy: Vec<(f64, f64)>,
+}
+
+/// Where [`Timeline::insert`] put an op's busy segments, in the order it
+/// inserted them: none for an op of length at most EPS, two for an op
+/// that wraps past `T` (its head, then its tail at `[0, …)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placed {
+    at: [usize; 2],
+    len: usize,
 }
 
 impl Timeline {
@@ -36,6 +48,20 @@ impl Timeline {
     /// Total busy time.
     pub fn load(&self) -> f64 {
         self.busy.iter().map(|(s, e)| e - s).sum()
+    }
+
+    /// Whether some ready time gets a slot for an op of length `d`:
+    /// false exactly when [`Self::earliest_fit`] answers `None` without
+    /// looking at the ready time, because `d` exceeds the period or,
+    /// on a non-empty timeline, every gap fails its length test.
+    pub fn has_slot(&self, d: f64) -> bool {
+        if d <= EPS {
+            return true;
+        }
+        if d > self.period + EPS {
+            return false;
+        }
+        self.busy.is_empty() || self.gaps().any(|(gs, ge)| ge - gs + EPS >= d)
     }
 
     /// Earliest absolute `z ≥ ready` such that the (possibly wrapping)
@@ -151,10 +177,12 @@ impl Timeline {
         best
     }
 
-    /// Mark `[z mod T, z mod T + d)` busy. The interval must be free up
-    /// to EPS, as it is when `z` came from [`Timeline::earliest_fit`] or
-    /// [`Timeline::latest_fit`] (debug-asserted).
-    pub fn insert(&mut self, z: f64, d: f64) {
+    /// Mark `[z mod T, z mod T + d)` busy and return where its segments
+    /// went. The interval must be free up to EPS, as it is when `z` came
+    /// from [`Timeline::earliest_fit`] or [`Timeline::latest_fit`]
+    /// (debug-asserted).
+    pub fn insert(&mut self, z: f64, d: f64) -> Placed {
+        let mut placed = Placed { at: [0; 2], len: 0 };
         for (s, e) in segments(self.period, z, d) {
             debug_assert!(
                 self.busy
@@ -164,11 +192,31 @@ impl Timeline {
             );
             let idx = self.busy.partition_point(|&seg| seg < (s, e));
             self.busy.insert(idx, (s, e));
+            placed.at[placed.len] = idx;
+            placed.len += 1;
+        }
+        placed
+    }
+
+    /// Undo `insert(z, d)`, which returned `placed`, by position: the
+    /// segments go in reverse order, a wrapping op's tail first. Only
+    /// last in, first out: everything inserted or removed since must be
+    /// undone, so the busy list is bit for bit the one that insert left
+    /// (debug builds check each segment against `z` and `d`).
+    pub fn undo(&mut self, placed: Placed, z: f64, d: f64) {
+        debug_assert_eq!(segments(self.period, z, d).count(), placed.len);
+        for (k, &at) in placed.at[..placed.len].iter().enumerate().rev() {
+            let seg = self.busy.remove(at);
+            debug_assert!(
+                segments(self.period, z, d).nth(k) == Some(seg),
+                "segment {seg:?} at {at} is not one of op ({z}, {d})'s"
+            );
         }
     }
 
-    /// Undo `insert(z, d)`: free exactly the segments it marked busy.
-    /// Panics if they are not busy.
+    /// Free exactly the segments `insert(z, d)` marked busy, wherever
+    /// they sit now: unlike [`Self::undo`], in any order, which
+    /// compaction needs. Panics if they are not busy.
     pub fn remove(&mut self, z: f64, d: f64) {
         for seg in segments(self.period, z, d) {
             let idx = self.busy.partition_point(|&b| b < seg);
@@ -361,7 +409,114 @@ mod tests {
                 }
             }
             prop_assert_eq!(bits(&tl), bits(&rest));
+
+            // Then a last-in, first-out run on what is left, as the DFS
+            // backtracks: insert each op again at its earliest fit (half
+            // of them asked for a phase just before `T`, so they wrap),
+            // undo some at once and the rest at the end, each by the
+            // positions its insert returned. After every undo the busy
+            // list is the one before the matching insert, bit for bit.
+            let mut stack = Vec::new();
+            for &(ready, frac, _, key) in &ops {
+                let d = if frac < 0.1 { 0.0 } else { frac * period / 3.0 };
+                let ready = if key & 1 == 1 {
+                    ready - modp(ready, period) + period - d / 2.0
+                } else {
+                    ready
+                };
+                if let Some(z) = tl.earliest_fit(ready, d) {
+                    let before = bits(&tl);
+                    let placed = tl.insert(z, d);
+                    stack.push((z, d, placed, before));
+                }
+                if key & 2 == 2 {
+                    if let Some((z, d, placed, before)) = stack.pop() {
+                        tl.undo(placed, z, d);
+                        prop_assert_eq!(bits(&tl), before);
+                    }
+                }
+            }
+            while let Some((z, d, placed, before)) = stack.pop() {
+                tl.undo(placed, z, d);
+                prop_assert_eq!(bits(&tl), before);
+            }
+            prop_assert_eq!(bits(&tl), bits(&rest));
         }
+
+        /// When `has_slot(d)` is false no ready time gets a slot:
+        /// `earliest_fit` answers `None` and `candidate_fits` writes
+        /// nothing. The lengths sit within 2·EPS of the longest gap and
+        /// of the period, and at or below EPS; some timelines are empty.
+        #[test]
+        fn without_a_slot_no_ready_time_fits(
+            period in 0.5f64..20.0,
+            ops in prop::collection::vec((0.0f64..60.0, 0.0f64..1.0), 0..12),
+            readies in prop::collection::vec(0.0f64..80.0, 1..8),
+        ) {
+            let mut tl = Timeline::new(period);
+            for &(ready, frac) in &ops {
+                let d = frac * period / 2.0;
+                if let Some(z) = tl.earliest_fit(ready, d) {
+                    tl.insert(z, d);
+                }
+            }
+            let longest = if tl.busy.is_empty() {
+                period
+            } else {
+                tl.gaps().map(|(gs, ge)| ge - gs).fold(0.0, f64::max)
+            };
+            let near = |x: f64| [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0].map(|k| x + k * EPS);
+            let lengths = near(longest)
+                .into_iter()
+                .chain(near(period))
+                .chain([0.0, EPS / 2.0, EPS]);
+            for d in lengths.filter(|&d| !tl.has_slot(d)) {
+                for &ready in &readies {
+                    prop_assert_eq!(tl.earliest_fit(ready, d), None);
+                    let mut out = [f64::NAN; 4];
+                    prop_assert_eq!(tl.candidate_fits(ready, d, &mut out), 0);
+                    prop_assert!(out.iter().all(|x| x.is_nan()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn has_slot_compares_the_longest_gap_with_eps_slack() {
+        let mut tl = Timeline::new(10.0);
+        assert!(tl.has_slot(10.0 + EPS));
+        assert!(!tl.has_slot(10.0 + 2.0 * EPS));
+        tl.insert(2.0, 2.0);
+        tl.insert(6.0, 2.0);
+        // Gaps [4, 6) and the wrapping [8, 12): the longest is 4.
+        assert!(tl.has_slot(4.0 + EPS));
+        assert!(!tl.has_slot(4.0 + 2.0 * EPS));
+        assert_eq!(tl.earliest_fit(0.0, 4.0 + 2.0 * EPS), None);
+        tl.insert(4.0, 2.0);
+        tl.insert(8.0, 4.0);
+        // Full: only lengths of at most EPS fit.
+        assert!(tl.has_slot(EPS));
+        assert!(!tl.has_slot(2.0 * EPS));
+    }
+
+    #[test]
+    fn undo_takes_a_wrapping_op_out_tail_first() {
+        let mut tl = Timeline::new(10.0);
+        tl.insert(3.0, 2.0);
+        let empty = bits(&tl);
+        // Phase 8: the head [8, 10) goes in after [3, 5), then the tail
+        // [0, 2) in front of both.
+        let wrapping = tl.insert(28.0, 4.0);
+        assert_eq!(wrapping, Placed { at: [1, 0], len: 2 });
+        let wrapped = bits(&tl);
+        let inner = tl.insert(5.0, 1.0);
+        assert_eq!(inner, Placed { at: [2, 0], len: 1 });
+        assert_eq!(tl.insert(6.0, 0.0), Placed { at: [0, 0], len: 0 });
+        tl.undo(Placed { at: [0, 0], len: 0 }, 6.0, 0.0);
+        tl.undo(inner, 5.0, 1.0);
+        assert_eq!(bits(&tl), wrapped);
+        tl.undo(wrapping, 28.0, 4.0);
+        assert_eq!(bits(&tl), empty);
     }
 
     #[test]
