@@ -23,14 +23,15 @@
 //! Each record also carries the DP states its cell's plan creates
 //! (`dp_states`): a count that repeats exactly on any host, so a change
 //! to the DP's work shows without a clock. It is reported, not gated,
-//! and so are the sweep's summed placement counters ([`PlaceStats`]),
+//! and so are the sweep's summed DP counters ([`DpStats`]: solves, caps,
+//! memo hits and each prune) and placement counters ([`PlaceStats`]),
 //! which repeat exactly too and are not recorded in the document.
 
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use madpipe_core::{madpipe_plan_with_stats, PlannerConfig};
+use madpipe_core::{madpipe_plan_with_stats, DpStats, PlannerConfig};
 use madpipe_json::{JsonError, Value};
 use madpipe_model::Platform;
 use madpipe_solver::PlaceStats;
@@ -148,20 +149,21 @@ pub fn plan_speed_grid() -> GridConfig {
 /// Run the plan-speed grid: every cell planned `repeats` times, each a
 /// cold plan: a fresh session from which no value carries over, though
 /// the DP's buffers are warm, left by the thread's previous plan.
-/// Medians recorded; returned with the placement counters of one plan
-/// per cell, summed over the grid. Panics if repeats is 0 or a cell's
-/// period, DP state count or placement counters are not identical
+/// Medians recorded; returned with the placement and DP counters of one
+/// plan per cell, summed over the grid. Panics if repeats is 0 or a
+/// cell's period, DP counters or placement counters are not identical
 /// across its own repeats (that would mean the planner went
 /// non-deterministic, which no baseline can gate).
 pub fn run_plan_speed(
     cfg: &GridConfig,
     planner: &PlannerConfig,
     repeats: usize,
-) -> (Vec<PlanSpeedRecord>, PlaceStats) {
+) -> (Vec<PlanSpeedRecord>, PlaceStats, DpStats) {
     assert!(repeats > 0, "plan-speed needs at least one repeat");
     let chains = paper_chains(cfg);
     let mut out = Vec::new();
     let mut place = PlaceStats::default();
+    let mut dp_sum = DpStats::default();
     for (chain, network) in chains.iter().zip(&cfg.networks) {
         for cell in cfg.cells().iter().filter(|c| &c.network == network) {
             let platform =
@@ -169,7 +171,7 @@ pub fn run_plan_speed(
             let mut dp_times = Vec::with_capacity(repeats);
             let mut totals = Vec::with_capacity(repeats);
             let mut schedule_times = Vec::with_capacity(repeats);
-            let mut bits: Option<(Option<u64>, u64, PlaceStats)> = None;
+            let mut bits: Option<(Option<u64>, DpStats, PlaceStats)> = None;
             for _ in 0..repeats {
                 let wall = Instant::now();
                 let (plan, stats) = madpipe_plan_with_stats(chain, &platform, planner);
@@ -177,14 +179,14 @@ pub fn run_plan_speed(
                 let dp = stats.phase1_seconds + stats.fallback_seconds + stats.refine_seconds;
                 let these = (
                     plan.ok().map(|p| p.period().to_bits()),
-                    stats.dp.states_created,
+                    stats.dp,
                     stats.place,
                 );
                 match &bits {
                     None => bits = Some(these),
                     Some(prev) => assert_eq!(
                         *prev, these,
-                        "{} P={} M={}GB: period, DP states or placement counters changed \
+                        "{} P={} M={}GB: period, DP counters or placement counters changed \
                          across repeats",
                         cell.network, cell.p, cell.m_gb
                     ),
@@ -193,8 +195,9 @@ pub fn run_plan_speed(
                 totals.push(total);
                 schedule_times.push(stats.schedule_seconds);
             }
-            let (period_bits, dp_states, cell_place) = bits.expect("repeats > 0");
+            let (period_bits, cell_dp, cell_place) = bits.expect("repeats > 0");
             place.merge(&cell_place);
+            add_dp(&mut dp_sum, &cell_dp);
             out.push(PlanSpeedRecord {
                 network: cell.network.clone(),
                 p: cell.p,
@@ -203,12 +206,25 @@ pub fn run_plan_speed(
                 dp_seconds: median(&mut dp_times),
                 total_seconds: median(&mut totals),
                 schedule_seconds: Some(median(&mut schedule_times)),
-                dp_states: Some(dp_states),
+                dp_states: Some(cell_dp.states_created),
                 period_bits,
             });
         }
     }
-    (out, place)
+    (out, place, dp_sum)
+}
+
+/// Add one plan's DP counters to a sum.
+fn add_dp(sum: &mut DpStats, one: &DpStats) {
+    sum.solves += one.solves;
+    sum.capped += one.capped;
+    sum.cap_misses += one.cap_misses;
+    sum.states_created += one.states_created;
+    sum.memo_hits += one.memo_hits;
+    sum.load_prunes += one.load_prunes;
+    sum.memory_prunes += one.memory_prunes;
+    sum.branch_prunes += one.branch_prunes;
+    sum.memory_floor_prunes += one.memory_floor_prunes;
 }
 
 pub(crate) fn median(values: &mut [f64]) -> f64 {
@@ -453,13 +469,15 @@ mod tests {
             refine_probes: 0,
             ..PlannerConfig::default()
         };
-        let (records, place) = run_plan_speed(&cfg, &planner, 2);
+        let (records, place, dp) = run_plan_speed(&cfg, &planner, 2);
         assert_eq!(records.len(), 1);
         assert!(place.calls > 0 && place.nodes >= place.leaves + place.dead_ends);
         assert!(records[0].period_bits.is_some());
         assert!(records[0].dp_seconds > 0.0);
         assert!(records[0].total_seconds >= records[0].dp_seconds);
         assert!(records[0].dp_states.expect("recorded") > 0);
+        assert_eq!(Some(dp.states_created), records[0].dp_states);
+        assert!(dp.solves > 0 && dp.capped <= dp.solves && dp.cap_misses == 0);
         let schedule = records[0].schedule_seconds.expect("recorded");
         assert!(schedule >= 0.0 && schedule <= records[0].total_seconds);
     }

@@ -1242,7 +1242,8 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
         "timing the {}-cell plan-speed grid ({repeats} repeats per cell)...",
         grid.cells().len()
     );
-    let (records, place) = plan_speed::run_plan_speed(&grid, &PlannerConfig::default(), repeats);
+    let (records, place, dp) =
+        plan_speed::run_plan_speed(&grid, &PlannerConfig::default(), repeats);
     plan_speed::save(&records, &out).map_err(|e| e.to_string())?;
     let dp_total: f64 = records.iter().map(|r| r.dp_seconds).sum();
     let schedule_total: f64 = records.iter().filter_map(|r| r.schedule_seconds).sum();
@@ -1254,6 +1255,18 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
         records.len(),
         dp_total,
         schedule_total
+    );
+    println!(
+        "DP counters summed over the cells: {} solves ({} capped, {} cap misses), {} memo hits, \
+         {} load prunes, {} memory prunes, {} branch prunes, {} memory floor prunes",
+        dp.solves,
+        dp.capped,
+        dp.cap_misses,
+        dp.memo_hits,
+        dp.load_prunes,
+        dp.memory_prunes,
+        dp.branch_prunes,
+        dp.memory_floor_prunes
     );
     println!(
         "placement counters summed over the cells: {} calls, {} exhausted, {} floored, \

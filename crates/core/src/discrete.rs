@@ -7,7 +7,7 @@
 //! always rounded *up* onto the grid, which is conservative for both the
 //! period (`t_P`) and the memory constraints (`m_P`, `V`).
 
-use madpipe_model::util::floor;
+use madpipe_model::util::Divisor;
 
 /// Grid resolution for the three discretized coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +60,10 @@ pub struct Axis {
     /// step on every call. The cached value is the exact same expression
     /// the accessors used to recompute, so results are bit-identical.
     step: f64,
+    /// The step as a [`Divisor`]: `index_up`'s quotient `x / step` is
+    /// taken from a product with its reciprocal, with the division's
+    /// integer on every input.
+    per_step: Divisor,
 }
 
 impl Axis {
@@ -76,7 +80,12 @@ impl Axis {
             "axis maximum must be finite and non-negative, got {max}"
         );
         let step = max / (n - 1) as f64;
-        Self { max, n, step }
+        Self {
+            max,
+            n,
+            step,
+            per_step: Divisor::new(step),
+        }
     }
 
     /// Number of points.
@@ -100,17 +109,17 @@ impl Axis {
     /// genuinely-above-grid values *down* on tiny ones, breaking the
     /// documented round-up conservatism.
     ///
-    /// The ratio is positive (or NaN), and its ceiling is [`floor`] plus
-    /// one unless the ratio is an integer: `f64::ceil`'s value, without
-    /// the libm call.
+    /// The guarded ratio's ceiling is `f64::ceil((x / step) · (1 −
+    /// 10⁻⁹))` bit for bit, without the libm call, and without the
+    /// division unless the ratio lies within `2⁻⁵⁰` (relative) of an
+    /// integer ([`Divisor::ceil_div_scaled`]): the product with the step's
+    /// reciprocal, computed once per axis, gives the same integer.
     #[inline]
     pub fn index_up(&self, x: f64) -> u16 {
         if self.max <= 0.0 || x <= 0.0 {
             return 0;
         }
-        let y = (x / self.step) * (1.0 - 1e-9);
-        let below = floor(y);
-        let up = if below < y { below + 1.0 } else { below };
+        let up = self.per_step.ceil_div_scaled(x, 1.0 - 1e-9);
         (up as isize).clamp(0, (self.n - 1) as isize) as u16
     }
 

@@ -54,6 +54,17 @@
 //! counts of *untouched* subtrees differ — and those states are simply
 //! never created).
 //!
+//! The bound's spread term, `((U(0, k) + t_acc)/bins · FLOOR_SLACK)`
+//! capped at the `t_P` axis maximum, is the only one with a division. A
+//! candidate computes it only when the cheap terms (the step's own
+//! term, `t_acc` and the largest layer's) have not already reached the
+//! incumbent: `max` and `min` of non-NaN doubles are exact and
+//! order-free, so `floor ≥ best` is exactly "cheap ≥ best or spread ≥
+//! best", and the prunes and their count are those of the full bound (a
+//! debug assertion compares the two on every candidate). The special
+//! branch's rounded-up `m_P` is likewise computed only for a candidate
+//! the bound keeps.
+//!
 //! The spread and largest-layer terms are scaled by [`FLOOR_SLACK`]
 //! `= 1 − 10⁻⁴`, and the spread is capped at the `t_P` axis maximum,
 //! because the special processor's load is rounded onto its grid and
@@ -175,6 +186,10 @@
 //! * the `t_P`/`m_P` axes, the per-cut communication times and the
 //!   per-`(k, l)` stage cost/memory tables ([`StageTables`]), which do
 //!   not depend on `T̂` at all;
+//! * the special processor's `t_P` round-ups ([`Dp::transition_t`]):
+//!   `index_up(value(it) + u)` per `(l, k, it, policy lane)` reads only
+//!   the session's `t_P` axis and stage tables, so a workspace keeps every
+//!   round-up a solve computed for the session's later solves;
 //! * the **cap**: every distinct allocation the session's solves have
 //!   produced, per DP variant. A new target's solve replays each of them
 //!   through the recurrence at the new `T̂` ([`Dp::path_value`], with the
@@ -208,15 +223,18 @@
 //!
 //! The session also owns the buffers its solves fill: one [`Workspace`]
 //! per worker of its widest batch, lent to the scoped workers and back.
-//! Between two solves a workspace holds no value (a solve records every
-//! entry it sets, and the next unsets them), so it need not die with its
-//! session. A new session takes the workspaces its thread's last session
-//! left ([`ProbeSession::new_with_policy`]) and leaves its own when it
-//! drops, unless it drops while unwinding: a solve cut short may not
-//! have recorded an entry. Whatever the next plan's chain length, GPU
-//! count, grid or policy lanes, its tables start with every entry unset,
-//! as freshly allocated ones would: no value carries over from one plan
-//! to the next, only capacity. So a daemon worker, `experiments` and
+//! Between two solves a workspace holds no value but the session's `t_P`
+//! round-ups (a solve records every entry it sets, and the next unsets
+//! them), and between two sessions none at all (a new session unsets
+//! the round-ups the last one recorded, and debug builds check that the
+//! whole table comes back unset), so it need not die with its session.
+//! A new session takes the workspaces its thread's last session left
+//! ([`ProbeSession::new_with_policy`]) and leaves its own when it drops,
+//! unless it drops while unwinding: a solve cut short may not have
+//! recorded an entry. Whatever the next plan's chain length, GPU count,
+//! grid or policy lanes, its tables start with every entry unset, as
+//! freshly allocated ones would: no value carries over from one plan to
+//! the next, only capacity. So a daemon worker, `experiments` and
 //! `bench-plan-speed` allocate and zero-fill these tables once per
 //! thread rather than once per plan (0.7 MB for ResNet-50 at P = 2, M =
 //! 4 GB, 1.7 MB at P = 4, M = 3 GB). A thread keeps the largest
@@ -280,7 +298,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-use madpipe_model::util::{ceil_div_with, group_step_with, ordered_pool, EPS};
+use madpipe_model::util::{ordered_pool, Divisor, EPS};
 use madpipe_model::{
     ActivationPolicy, Allocation, Chain, Layer, Platform, PolicySpec, RecomputeMode, Stage,
     StagePolicy,
@@ -633,7 +651,9 @@ pub struct ProbeSession<'a> {
 
 thread_local! {
     /// The workspaces of the last session this thread dropped, for its
-    /// next one. Every entry of them is unset (see [`Workspace`]).
+    /// next one. Every entry of them is unset but that session's `t_P`
+    /// round-ups, which the next one unsets as it takes them (see
+    /// [`Workspace`]).
     static SPARE_WORKSPACES: Cell<Vec<Workspace>> = const { Cell::new(Vec::new()) };
 }
 
@@ -694,7 +714,11 @@ impl<'a> ProbeSession<'a> {
             held: [Vec::new(), Vec::new()],
             stats: DpStats::default(),
             records: Vec::new(),
-            workspaces: SPARE_WORKSPACES.with(Cell::take),
+            workspaces: SPARE_WORKSPACES.with(|spare| {
+                let mut workspaces = spare.take();
+                workspaces.iter_mut().for_each(Workspace::forget_session);
+                workspaces
+            }),
         }
     }
 
@@ -817,14 +841,13 @@ impl<'a> ProbeSession<'a> {
             l_len * self.tables.stride * n_pol,
         );
         let v_axis = Axis::new(self.v_max.max(t_hat), v_len);
-        let tol = EPS / t_hat;
+        let t_hat = Divisor::new(t_hat);
         ws.v_groups.clear();
         ws.v_groups
-            .extend((0..v_len as u16).map(|iv| ceil_div_with(v_axis.value(iv), t_hat, tol)));
+            .extend((0..v_len as u16).map(|iv| t_hat.ceil_div(v_axis.value(iv))));
         Dp {
             platform: self.platform,
             t_hat,
-            tol,
             use_special,
             root: State {
                 l: self.chain.len(),
@@ -923,7 +946,10 @@ struct TransEntry {
 /// so only a thread's first solves allocate. Every lazily filled entry
 /// is recorded as it is set, and [`Workspace::shape`] unsets exactly
 /// those, whatever shape the next solve takes: a solve that touches a few
-/// hundred transitions does not pay for refilling a whole table.
+/// hundred transitions does not pay for refilling a whole table. The
+/// `t_P` round-ups do not depend on `T̂`, so they stay set for the whole
+/// session and are unset when the next session takes the workspace
+/// ([`Workspace::forget_session`]).
 #[derive(Default)]
 struct Workspace {
     memo: DenseMemo,
@@ -931,7 +957,8 @@ struct Workspace {
     trans: Vec<TransEntry>,
     /// [`Dp::transition_t`]'s cache; `u16::MAX` is unset.
     trans_t: Vec<u16>,
-    /// The `trans` and `trans_t` slots this solve set.
+    /// The `trans` slots this solve set, and the `trans_t` slots this
+    /// session set.
     trans_set: Vec<usize>,
     trans_t_set: Vec<usize>,
     /// The memory floor per child `(k, iv)`, one entry per `p′`:
@@ -965,14 +992,10 @@ impl Workspace {
         for &i in &self.trans_set {
             self.trans[i].g = 0;
         }
-        for &i in &self.trans_t_set {
-            self.trans_t[i] = u16::MAX;
-        }
         for &i in &self.floor_set {
             self.floor_ready[i] = FLOOR_UNSEEN;
         }
         self.trans_set.clear();
-        self.trans_t_set.clear();
         self.floor_set.clear();
         grow(
             &mut self.trans,
@@ -983,6 +1006,19 @@ impl Workspace {
         grow(&mut self.floor_ready, l_len * v_len, FLOOR_UNSEEN);
         grow(&mut self.floor_bounds, l_len * v_len, 0);
         grow(&mut self.floors, l_len * v_len * p_len, 0);
+    }
+
+    /// Unset the `t_P` round-ups a previous session set: the next
+    /// session's chain, axis or policy lanes give them other values.
+    fn forget_session(&mut self) {
+        for &i in &self.trans_t_set {
+            self.trans_t[i] = u16::MAX;
+        }
+        self.trans_t_set.clear();
+        debug_assert!(
+            self.trans_t.iter().all(|&it| it == u16::MAX),
+            "a t_P round-up outlived its session"
+        );
     }
 }
 
@@ -1013,24 +1049,25 @@ const FLOOR_SLACK: f64 = 1.0 - 1e-4;
 /// One stage's step of the delay coordinate at `T̂ = t_hat`: from delay
 /// `v`, with `gv = ⌈v/T̂⌉`, through a stage of effective load `u` and its
 /// boundary cut `cut`, the stage's group count `g = max(1, ⌈(v+u)/T̂⌉)`
-/// and the next delay `(v ⊕ u) ⊕ cut`. `tol` is `EPS / T̂`.
+/// and the next delay `(v ⊕ u) ⊕ cut`.
 ///
 /// Bit for bit `ceil_div(v + u, T̂).max(1)` and `group_step(group_step(v,
-/// u, T̂), cut, T̂)`, with fewer divisions: `⌈(v+u)/T̂⌉` is computed once
-/// and reused by the first `⊕`, and `⌈v/T̂⌉` comes from the caller's
-/// per-solve table.
+/// u, T̂), cut, T̂)`, with fewer quotients: `⌈(v+u)/T̂⌉` is computed once
+/// and reused by the first `⊕`, `⌈v/T̂⌉` comes from the caller's
+/// per-solve table, and each quotient is a product with the solve's
+/// `1/T̂` ([`Divisor`]).
 #[inline]
-fn delay_step(v: f64, gv: u64, u: f64, cut: f64, t_hat: f64, tol: f64) -> (u64, f64) {
+fn delay_step(v: f64, gv: u64, u: f64, cut: f64, t_hat: &Divisor) -> (u64, f64) {
     let vu = v + u;
-    let gvu = ceil_div_with(vu, t_hat, tol);
+    let gvu = t_hat.ceil_div(vu);
     let v_u = if u == 0.0 {
         v
     } else if gv == gvu {
         vu
     } else {
-        t_hat * gv as f64 + u
+        t_hat.get() * gv as f64 + u
     };
-    (gvu.max(1), group_step_with(v_u, cut, t_hat, tol))
+    (gvu.max(1), t_hat.group_step(v_u, cut))
 }
 
 /// A DP state's grid coordinates: `l` layers left, `p` normal GPUs left,
@@ -1046,16 +1083,16 @@ struct State {
 
 struct Dp<'a> {
     platform: &'a Platform,
-    t_hat: f64,
-    /// `EPS / T̂`: [`ceil_div_with`]'s tolerance at this solve's `T̂`.
-    tol: f64,
+    /// This solve's `T̂`, with its reciprocal and snapping tolerance.
+    t_hat: Divisor,
     use_special: bool,
     /// `(L, p_normal, 0, 0, 0)`: the whole chain, nothing placed yet.
     root: State,
     /// Every state's starting incumbent: just above the smallest value
     /// of a complete path found so far, or of the cap `C` (`∞` when
     /// neither exists). It starts at `C.next_up()` and only falls (see
-    /// the module docs, "Cross-probe reuse" and "The falling ceiling").
+    /// the module docs, "What a plan's probes share" and "The falling
+    /// ceiling").
     ceiling: f64,
     /// The session's solve-level policy configuration.
     policy: PolicySpec,
@@ -1081,7 +1118,8 @@ struct Dp<'a> {
     /// and the delay coordinate, so every `(p, t_P, m_P)` state sharing
     /// them reuses one computation instead of redoing four `ceil_div`s
     /// and a grid round-up per candidate. The special branch's `t_P`
-    /// round-up is cached the same way per `(l, k, it)`.
+    /// round-up is cached the same way per `(l, k, it)`, for the whole
+    /// session.
     ws: &'a mut Workspace,
     memo_hits: u64,
     load_prunes: u64,
@@ -1249,14 +1287,16 @@ impl Dp<'_> {
     fn advance(&self, iv: u16, u: f64, cut: f64) -> (u64, u16) {
         let v = self.v_axis.value(iv);
         let gv = self.ws.v_groups[iv as usize];
-        let (g, v_next) = delay_step(v, gv, u, cut, self.t_hat, self.tol);
+        let (g, v_next) = delay_step(v, gv, u, cut, &self.t_hat);
         (g, self.v_axis.index_up(v_next))
     }
 
     /// Rounded-up special-processor load index after taking stage `k..l`
     /// from load coordinate `it` under policy lane `pol`, cached per
     /// `(l, k, it, pol)` — `idx` is the caller-computed flat slot over
-    /// those coordinates.
+    /// those coordinates. It depends on nothing else of the solve (the
+    /// `t_P` axis and stage tables are the session's), so an entry serves
+    /// every solve of the session.
     #[inline]
     fn transition_t(&mut self, idx: usize, t_val: f64, u: f64) -> u16 {
         let cached = self.ws.trans_t[idx];
@@ -1340,7 +1380,7 @@ impl Dp<'_> {
         let loss = 3.0 * EPS * k as f64;
         let u = self.tables.u[k * self.tables.stride + i];
         let lb = (v_child + u).min(self.v_top) * FLOOR_SLACK - loss;
-        ceil_div_with(lb, self.t_hat, self.tol).max(1)
+        self.t_hat.ceil_div(lb).max(1)
     }
 
     /// Fill the floors of every `p′` at child `(k, iv)`: the least
@@ -1605,24 +1645,20 @@ impl Dp<'_> {
                 // Normal processor option. Recurse only when even the
                 // optimistic subtree period can still beat the incumbent
                 // (the bound is `subtree_bound` inlined against the
-                // hoisted prefix slices).
+                // hoisted prefix slices, its spread term only when the
+                // cheap terms leave the candidate open).
                 if p >= 1 && normal_core + buffers <= memory {
-                    let bound = if k == 0 {
-                        t_val
-                    } else if bins_n == 0.0 {
-                        f64::INFINITY
-                    } else {
-                        ((u_prefix[k] + t_val) / bins_n * FLOOR_SLACK)
-                            .min(t_top)
-                            .max(max_layer_prefix[k] * FLOOR_SLACK)
-                            .max(t_val)
-                    };
+                    let cheap = u.max(cut).max(max_layer_prefix[k] * FLOOR_SLACK).max(t_val);
+                    let prunes = cheap >= best
+                        || (k > 0
+                            && (bins_n == 0.0
+                                || ((u_prefix[k] + t_val) / bins_n * FLOOR_SLACK).min(t_top)
+                                    >= best));
                     debug_assert_eq!(
-                        bound.to_bits(),
-                        self.subtree_bound(k, p - 1, t_val).to_bits()
+                        prunes,
+                        u.max(cut).max(self.subtree_bound(k, p - 1, t_val)) >= best
                     );
-                    let floor = u.max(cut).max(bound);
-                    if floor >= best {
+                    if prunes {
                         self.branch_prunes += 1;
                     } else {
                         // `k == 0` is the terminal state: its value is
@@ -1646,33 +1682,33 @@ impl Dp<'_> {
                     }
                 }
 
-                // Special processor option, same branch-and-bound.
+                // Special processor option, same branch-and-bound; the
+                // rounded-up `m_P` only for a candidate it keeps.
                 let m_next = m_val + (weights + (g - 1) * live + static_extra + buffers) as f64;
                 if self.use_special && !self.m_axis.overflows(m_next) && m_next <= memory as f64 {
                     let idx_t = ((row + k) * t_len + it as usize) * n_pol + pol;
                     let it_next = self.transition_t(idx_t, t_val, u);
-                    let im_next = self.m_axis.index_up(m_next);
                     let t_next_val = self.t_axis.value(it_next);
-                    let bound = if k == 0 {
-                        t_next_val
-                    } else {
-                        ((u_prefix[k] + t_next_val) / bins_s * FLOOR_SLACK)
-                            .min(t_top)
-                            .max(max_layer_prefix[k] * FLOOR_SLACK)
-                            .max(t_next_val)
-                    };
+                    let cheap = t_next_val.max(cut).max(max_layer_prefix[k] * FLOOR_SLACK);
+                    let prunes = cheap >= best
+                        || (k > 0
+                            && ((u_prefix[k] + t_next_val) / bins_s * FLOOR_SLACK).min(t_top)
+                                >= best);
                     debug_assert_eq!(
-                        bound.to_bits(),
-                        self.subtree_bound(k, p, t_next_val).to_bits()
+                        prunes,
+                        t_next_val
+                            .max(cut)
+                            .max(self.subtree_bound(k, p, t_next_val))
+                            >= best
                     );
-                    let floor = t_next_val.max(cut).max(bound);
-                    if floor >= best {
+                    if prunes {
                         self.branch_prunes += 1;
                     } else {
                         let term = t_next_val.max(cut);
                         let sub = if k == 0 {
                             t_next_val
                         } else {
+                            let im_next = self.m_axis.index_up(m_next);
                             self.child(k, p, it_next, im_next, iv_next, prefix.max(term))
                         };
                         let t_s = term.max(sub);
@@ -2404,7 +2440,7 @@ mod tests {
                         if rec {
                             u += chain.forward_time(k..s.l);
                         }
-                        let g = ceil_div(dp.v_axis.value(s.iv) + u, dp.t_hat).max(1);
+                        let g = ceil_div(dp.v_axis.value(s.iv) + u, dp.t_hat.get()).max(1);
                         chain.stage_memory(k..s.l, g - 1, dp.stage_policy(rec))
                     } else {
                         0
@@ -2531,9 +2567,9 @@ mod tests {
             let v = near_multiple(t, v.0, v.1, v.2);
             let u = near_multiple(t, u.0, u.1, u.2);
             let cut = near_multiple(t, cut.0, cut.1, cut.2);
-            let tol = EPS / t;
-            prop_assert_eq!(ceil_div_with(v, t, tol), ceil_div(v, t));
-            let (g, v_next) = delay_step(v, ceil_div_with(v, t, tol), u, cut, t, tol);
+            let t_hat = Divisor::new(t);
+            prop_assert_eq!(t_hat.ceil_div(v), ceil_div(v, t));
+            let (g, v_next) = delay_step(v, t_hat.ceil_div(v), u, cut, &t_hat);
             prop_assert_eq!(g, ceil_div(v + u, t).max(1));
             let reference = group_step(group_step(v, u, t), cut, t);
             prop_assert_eq!(v_next.to_bits(), reference.to_bits());

@@ -212,6 +212,10 @@ fn daemon_kill_from_the_chaos_schedule_fails_over_and_converges() {
 
     // Pick instances the ring assigns to the victim and to survivors,
     // using the very ring the router built (same backends, same vnodes).
+    // The ports are the OS's, and for some triples the victim's vnodes
+    // cover only a few percent of the ring: 64 seeds found none of its
+    // instances for about 0.4% of random triples, 4096 for none of
+    // 20,000 (EXPERIMENTS.md, "Cold plans divide once per divisor").
     let ring = Ring::new(&backends, RouterConfig::default().vnodes);
     let owner = |chain: &Chain, platform: &Platform| {
         ring.candidates(&canonical_instance(
@@ -220,11 +224,11 @@ fn daemon_kill_from_the_chaos_schedule_fails_over_and_converges() {
             &PlannerConfig::default(),
         ))[0]
     };
-    let victim_owned = (0..64u64)
+    let victim_owned = (0..4096u64)
         .map(instance)
         .find(|(c, p)| owner(c, p) == victim)
         .expect("some instance hashes to the victim");
-    let survivor_owned = (0..64u64)
+    let survivor_owned = (0..4096u64)
         .map(instance)
         .find(|(c, p)| owner(c, p) != victim)
         .expect("some instance hashes to a survivor");

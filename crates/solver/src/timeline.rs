@@ -258,6 +258,11 @@ fn segments(t: f64, z: f64, d: f64) -> impl Iterator<Item = (f64, f64)> {
 }
 
 /// `x mod p` into `[0, p)`, robust to `x` within EPS of a multiple of `p`.
+///
+/// `⌊x/p⌋` divides. Taking it from a per-timeline reciprocal, as the
+/// DP's quotients do (`madpipe_model::util::Divisor`), gives the same
+/// bits but planned no faster (EXPERIMENTS.md, "Cold plans divide once
+/// per divisor").
 fn modp(x: f64, p: f64) -> f64 {
     let r = x - p * floor(x / p);
     if p - r <= EPS || r < 0.0 {
@@ -535,6 +540,34 @@ mod tests {
         assert_eq!(tl.candidate_fits(0.0, 2.0, &mut []), 0);
         // No gap is long enough.
         assert_eq!(tl.candidate_fits(0.0, 4.5, &mut out), 0);
+    }
+
+    /// A gap that passes the length test only within rounding: `d` is the
+    /// gap plus EPS, and the lap test compares `z0 + gs` with `z0 + ge −
+    /// d + EPS` at the ready time's magnitude, so whether the op fits
+    /// depends on how many periods away the ready time is. `has_slot`
+    /// says a slot exists; at this ready time `earliest_fit` finds none,
+    /// and at the same phase it finds one in 37 of the first 64 laps.
+    /// No plan of the paper cells and no budgeted search of the golden
+    /// family reaches such a gap (EXPERIMENTS.md, "Cold plans divide once
+    /// per divisor"); this pins the boundary so a fix changes it on
+    /// purpose.
+    #[test]
+    fn a_gap_that_fits_only_within_rounding_depends_on_the_lap() {
+        let t = 2.707_888_293_434_503_4;
+        let mut tl = Timeline::new(t);
+        tl.busy
+            .push((0.603_738_750_007_934_8, 1.335_096_695_682_262));
+        let d = 1.976_530_348_760_176_2;
+        let ready = 44.443_025_159_700_376;
+        assert!(tl.has_slot(d));
+        assert_eq!(tl.earliest_fit(ready, d), None);
+        let phase = modp(ready, t);
+        let fits: Vec<bool> = (0..64)
+            .map(|lap| tl.earliest_fit(phase + lap as f64 * t, d).is_some())
+            .collect();
+        assert!(fits[0], "lap 0 finds the slot");
+        assert_eq!(fits.iter().filter(|&&f| f).count(), 37);
     }
 
     #[test]
