@@ -10,7 +10,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use madpipe_json::{FromJson, JsonError, ToJson, Value};
+use madpipe_json::{required, FromJson, JsonError, Reader, ToJson, Value};
 use madpipe_model::Chain;
 
 use crate::cost::GpuModel;
@@ -46,14 +46,28 @@ impl Profile {
         .to_string_pretty()
     }
 
-    /// Parse from JSON (the chain's prefix sums are rebuilt on read).
+    /// Parse from JSON; the chain is read by [`Chain::read_json`], which
+    /// rebuilds its prefix sums. A syntax error anywhere in the file is
+    /// reported before a missing or ill-typed field.
     pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let v = Value::parse(s)?;
+        let mut r = Reader::new(s);
+        let (mut batch, mut image_size, mut gpu, mut chain) = (None, None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "batch" if batch.is_none() => batch = Some(r.value()?),
+                "image_size" if image_size.is_none() => image_size = Some(r.value()?),
+                "gpu" if gpu.is_none() => gpu = Some(r.value()?),
+                "chain" if chain.is_none() => chain = Some(Chain::read_json(r)?),
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+        r.finish()?;
         Ok(Self {
-            batch: v.field("batch")?.as_u64()?,
-            image_size: v.field("image_size")?.as_u64()?,
-            gpu: Option::<GpuModel>::from_json(v.field("gpu")?)?,
-            chain: Chain::from_json(v.field("chain")?)?,
+            batch: required(batch, "batch")?.as_u64()?,
+            image_size: required(image_size, "image_size")?.as_u64()?,
+            gpu: Option::<GpuModel>::from_json(&required(gpu, "gpu")?)?,
+            chain: required(chain, "chain")??,
         })
     }
 

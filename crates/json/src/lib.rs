@@ -6,12 +6,22 @@
 //! provides a [`Value`] tree, a strict parser, compact/pretty writers and
 //! the [`ToJson`]/[`FromJson`] traits the model types implement by hand.
 //!
+//! The parser is a pull [`Reader`] that borrows the document, and
+//! [`Value::parse`] is built on it. A decoder on a hot path (a served
+//! request line, a profile's chain) reads the document with the reader
+//! straight into its own types, and builds `Value`s only for the small
+//! fields it wants as trees. Such a decoder holds a field's fault until
+//! the document has parsed whole ([`Decoded`]), so a syntax error
+//! anywhere wins, with the same message and byte position as
+//! [`Value::parse`] gives.
+//!
 //! Numbers are kept in three shapes (`u64`, `i64`, `f64`) so integer
 //! byte counts round-trip exactly; floats are printed with Rust's
 //! shortest-round-trip formatting, so `f64` values survive a round trip
 //! bit-for-bit (NaN and infinities are not representable in JSON and are
 //! rejected on write).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -46,7 +56,25 @@ impl JsonError {
             message: message.into(),
         }
     }
+
+    /// The error [`Value::field`] gives for an absent key.
+    pub fn missing_field(key: &str) -> Self {
+        Self::new(format!("missing field `{key}`"))
+    }
 }
+
+/// `slot`'s value, or [`JsonError::missing_field`] for `key`: how a typed
+/// decoder reports a field it did not find.
+pub fn required<T>(slot: Option<T>, key: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError::missing_field(key))
+}
+
+/// What a typed decoder reading from a [`Reader`] makes of one value.
+/// `Err` is a syntax error, which ends the document. `Ok(Err(_))` is a
+/// value that parsed but does not fit the type; the caller reports it
+/// only once the whole document has parsed, so that a syntax error
+/// anywhere in the document wins over it.
+pub type Decoded<T> = Result<Result<T, JsonError>, JsonError>;
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -69,18 +97,9 @@ pub trait FromJson: Sized {
 impl Value {
     /// Parse a JSON document (strict: no trailing garbage).
     pub fn parse(s: &str) -> Result<Value, JsonError> {
-        let bytes = s.as_bytes();
-        let mut p = Parser {
-            src: s,
-            bytes,
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut r = Reader::new(s);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -153,8 +172,7 @@ impl Value {
 
     /// Required object field.
     pub fn field(&self, key: &str) -> Result<&Value, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
+        self.get(key).ok_or_else(|| JsonError::missing_field(key))
     }
 
     /// The value as a `u64` (accepting exact floats).
@@ -186,6 +204,14 @@ impl Value {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(JsonError::new(format!("expected string, got {other:?}"))),
+        }
+    }
+
+    /// The value as an owned string, with [`Value::as_str`]'s error.
+    pub fn into_string(self) -> Result<String, JsonError> {
+        match self {
+            Value::Str(s) => Ok(s),
+            other => other.as_str().map(str::to_string),
         }
     }
 
@@ -275,17 +301,51 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the tokenizer behind
+/// [`Value::parse`], for decoders that read a document straight into
+/// their own types instead of walking a [`Value`] tree.
+///
+/// The reader borrows the document. A string comes out as a
+/// [`Cow::Borrowed`] slice of it unless it holds an escape; a scalar
+/// comes out as the [`Value`] that [`Value::parse`] makes. Every method
+/// that reads a value expects the reader to stand at one, which it does
+/// after [`Reader::new`], a key from [`Reader::object`] or an item's turn
+/// in [`Reader::array`]. A decoder must read every value whole (in the
+/// worst case with [`Reader::value`], dropping it) and end with
+/// [`Reader::finish`]: it then reports the first syntax error of the
+/// document with the message and byte position [`Value::parse`] gives.
+pub struct Reader<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader standing at the document's first value.
+    pub fn new(src: &'a str) -> Self {
+        let mut r = Reader {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Require that nothing but whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after the document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError::new(format!("{} at byte {}", msg, self.pos))
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -296,10 +356,12 @@ impl Parser<'_> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -318,7 +380,127 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Read the next value whole, as [`Value::parse`] would.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
+        match self.peek() {
+            Some(b'"') => self.string().map(|s| Value::Str(s.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|r, key| {
+                    let value = r.value()?;
+                    fields.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// Read the next value: a string, borrowed from the document when it
+    /// holds no escape, or any other value whole as `Err`.
+    pub fn str_or_value(&mut self) -> Result<Result<Cow<'a, str>, Value>, JsonError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Ok)
+        } else {
+            self.value().map(Err)
+        }
+    }
+
+    /// Read the next value member by member if it is an object: `member`
+    /// gets each key in document order and must read that member's value.
+    /// Any other value is read whole and returned.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<Option<Value>, JsonError> {
+        if self.peek() != Some(b'{') {
+            return self.value().map(Some);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            member(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(None);
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
+    /// The first value of each of `keys` in the next value, as
+    /// [`Value::get`] finds it: the other members are read and dropped,
+    /// and every slot is `None` when the value is not an object.
+    pub fn fields<const N: usize>(
+        &mut self,
+        keys: [&str; N],
+    ) -> Result<[Option<Value>; N], JsonError> {
+        let mut slots = [const { None }; N];
+        self.object(|r, key| {
+            let value = r.value()?;
+            if let Some(i) = keys.iter().position(|k| *k == key) {
+                slots[i].get_or_insert(value);
+            }
+            Ok(())
+        })?;
+        Ok(slots)
+    }
+
+    /// Read the next value item by item if it is an array: `item` must
+    /// read one item per call. Any other value is read whole and
+    /// returned.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<Option<Value>, JsonError> {
+        if self.peek() != Some(b'[') {
+            return self.value().map(Some);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(None);
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// A literal or a number.
+    fn scalar(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
             Some(b'n') => {
@@ -342,82 +524,33 @@ impl Parser<'_> {
                     Err(self.err("invalid literal"))
                 }
             }
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(self.err(&format!("unexpected character `{}`", b as char))),
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain bytes up to the next quote or
+            // Take the run of plain bytes up to the next quote or
             // backslash in one step: the input is a `&str` and the run
             // ends at an ASCII byte, so it is whole UTF-8.
             let rest = &self.bytes[self.pos..];
-            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+            let Some(run) = plain_run(rest) else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            out.push_str(&self.src[self.pos..self.pos + run]);
+            let text = &self.src[self.pos..self.pos + run];
             self.pos += run + 1;
             if rest[run] == b'"' {
-                return Ok(out);
+                if out.is_empty() {
+                    return Ok(Cow::Borrowed(text));
+                }
+                out.push_str(text);
+                return Ok(Cow::Owned(out));
             }
+            out.push_str(text);
             let Some(esc) = self.peek() else {
                 return Err(self.err("unterminated escape"));
             };
@@ -498,7 +631,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -511,6 +644,30 @@ impl Parser<'_> {
             .map(Value::Float)
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// The length of the run of bytes before the first `"` or `\\` in
+/// `bytes`, if there is one. Eight bytes are tested per step: a byte
+/// equal to `c` is a zero byte of `w ^ c·LO`, and `(x − LO) & !x & HI`
+/// flags the lowest zero byte of `x` exactly (a borrow only flags bytes
+/// above it).
+fn plain_run(bytes: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let zero = |x: u64| x.wrapping_sub(LO) & !x & HI;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let hits = zero(w ^ (LO * b'"' as u64)) | zero(w ^ (LO * b'\\' as u64));
+        if hits != 0 {
+            return Some(8 * i + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .map(|p| at + p)
 }
 
 // Blanket conveniences for common shapes.
@@ -813,6 +970,18 @@ mod tests {
             (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
         ] {
             assert_eq!(Value::parse(doc).unwrap(), Value::Str(text.into()), "{doc}");
+        }
+    }
+
+    #[test]
+    fn plain_run_finds_the_first_quote_or_backslash() {
+        let mut mix = Mix(7);
+        for _ in 0..20_000 {
+            let bytes: Vec<u8> = (0..mix.below(40))
+                .map(|_| b"ab\"\\\xc3\xa9\x7f\x00"[mix.below(8) as usize])
+                .collect();
+            let naive = bytes.iter().position(|&b| b == b'"' || b == b'\\');
+            assert_eq!(plain_run(&bytes), naive, "{bytes:?}");
         }
     }
 

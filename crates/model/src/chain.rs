@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use madpipe_json::{FromJson, JsonError, ToJson, Value};
+use madpipe_json::{required, Decoded, JsonError, Reader, ToJson, Value};
 
 use crate::error::ModelError;
 use crate::layer::Layer;
@@ -241,15 +241,61 @@ impl ToJson for Chain {
     }
 }
 
-impl FromJson for Chain {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let name = String::from_json(v.field("name")?)?;
-        let input_bytes = v.field("input_bytes")?.as_u64()?;
-        let layers = Vec::<Layer>::from_json(v.field("layers")?)?;
-        // `Chain::new` revalidates and rebuilds the prefix sums.
-        Chain::new(name, input_bytes, layers)
-            .map_err(|e| JsonError::new(format!("invalid chain: {e}")))
+impl Chain {
+    /// Read a chain object, as [`Chain::to_json`] writes it, from `r`
+    /// straight into its [`Layer`]s and [`Chain::new`], which revalidates
+    /// the layers and rebuilds the prefix sums.
+    ///
+    /// Fields are looked up as [`Value::get`] finds them: the first of a
+    /// repeated key counts, unknown keys are read and dropped, and a value
+    /// that is not an object misses every field. Of several faults the
+    /// one reported is the first in the order `name`, `input_bytes`,
+    /// `layers`, and within `layers` the first faulty layer's. The chain
+    /// is read whole either way, so a later syntax error still surfaces
+    /// first (see [`Decoded`]).
+    pub fn read_json(r: &mut Reader<'_>) -> Decoded<Chain> {
+        let (mut name, mut input_bytes, mut layers) = (None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "name" if name.is_none() => name = Some(r.value()?),
+                "input_bytes" if input_bytes.is_none() => input_bytes = Some(r.value()?),
+                "layers" if layers.is_none() => layers = Some(read_layers(r)?),
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+        Ok(chain_of(name, input_bytes, layers))
     }
+}
+
+fn chain_of(
+    name: Option<Value>,
+    input_bytes: Option<Value>,
+    layers: Option<Result<Vec<Layer>, JsonError>>,
+) -> Result<Chain, JsonError> {
+    let name = required(name, "name")?.into_string()?;
+    let input_bytes = required(input_bytes, "input_bytes")?.as_u64()?;
+    let layers = required(layers, "layers")??;
+    Chain::new(name, input_bytes, layers).map_err(|e| JsonError::new(format!("invalid chain: {e}")))
+}
+
+/// The `layers` array of [`Chain::read_json`]: every layer in order, or
+/// the first faulty one's error.
+fn read_layers(r: &mut Reader<'_>) -> Decoded<Vec<Layer>> {
+    let mut layers = Vec::new();
+    let mut fault = None;
+    let other = r.array(|r| {
+        match Layer::read_json(r)? {
+            Ok(layer) => layers.push(layer),
+            Err(e) => drop(fault.get_or_insert(e)),
+        }
+        Ok(())
+    })?;
+    Ok(match (other, fault) {
+        (Some(v), _) => Err(v.as_array().expect_err("an array is read item by item")),
+        (None, Some(e)) => Err(e),
+        (None, None) => Ok(layers),
+    })
 }
 
 #[cfg(test)]
@@ -371,7 +417,9 @@ mod tests {
     fn json_roundtrip_rebuilds_prefixes() {
         let c = chain3();
         let json = c.to_json().to_string_compact();
-        let back = Chain::from_json(&Value::parse(&json).unwrap()).unwrap();
+        let mut r = Reader::new(&json);
+        let back = Chain::read_json(&mut r).unwrap().unwrap();
+        r.finish().unwrap();
         assert_eq!(back, c);
         assert_eq!(back.compute_time(0..3), c.compute_time(0..3));
         assert_eq!(back.stored_activation_bytes(0..3), 600);

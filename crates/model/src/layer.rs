@@ -1,6 +1,6 @@
 //! A single layer of a linearized DNN.
 
-use madpipe_json::{FromJson, JsonError, ToJson, Value};
+use madpipe_json::{required, Decoded, JsonError, Reader, ToJson, Value};
 
 /// One layer of the linearized chain (the paper's layer `l`).
 ///
@@ -113,21 +113,35 @@ impl ToJson for Layer {
     }
 }
 
-impl FromJson for Layer {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: String::from_json(v.field("name")?)?,
-            forward_time: v.field("forward_time")?.as_f64()?,
-            backward_time: v.field("backward_time")?.as_f64()?,
-            weight_bytes: v.field("weight_bytes")?.as_u64()?,
-            activation_bytes: v.field("activation_bytes")?.as_u64()?,
-            // Older profile files omit the field; it defaults to zero.
-            internal_stored_bytes: match v.get("internal_stored_bytes") {
-                Some(b) => b.as_u64()?,
-                None => 0,
-            },
-        })
+impl Layer {
+    /// Read a layer object, as [`Layer::to_json`] writes it, from `r` (the
+    /// [`crate::Chain::read_json`] contract). The first of a repeated key
+    /// counts; `internal_stored_bytes` may be absent (older profile
+    /// files) and defaults to zero.
+    pub(crate) fn read_json(r: &mut Reader<'_>) -> Decoded<Layer> {
+        let fields = r.fields([
+            "name",
+            "forward_time",
+            "backward_time",
+            "weight_bytes",
+            "activation_bytes",
+            "internal_stored_bytes",
+        ])?;
+        Ok(layer_of(fields))
     }
+}
+
+fn layer_of(
+    [name, forward, backward, weight, activation, internal]: [Option<Value>; 6],
+) -> Result<Layer, JsonError> {
+    Ok(Layer {
+        name: required(name, "name")?.into_string()?,
+        forward_time: required(forward, "forward_time")?.as_f64()?,
+        backward_time: required(backward, "backward_time")?.as_f64()?,
+        weight_bytes: required(weight, "weight_bytes")?.as_u64()?,
+        activation_bytes: required(activation, "activation_bytes")?.as_u64()?,
+        internal_stored_bytes: internal.map_or(Ok(0), |b| b.as_u64())?,
+    })
 }
 
 #[cfg(test)]
@@ -158,17 +172,23 @@ mod tests {
         assert!(!l.is_well_formed());
     }
 
+    fn read(doc: &str) -> Result<Layer, JsonError> {
+        let mut r = Reader::new(doc);
+        let layer = Layer::read_json(&mut r).unwrap();
+        r.finish().unwrap();
+        layer
+    }
+
     #[test]
     fn json_roundtrip_and_default_internal_bytes() {
         let l = Layer::new("l", 0.25, 0.5, 10, 20).with_internal_stored(7);
-        let back = Layer::from_json(&Value::parse(&l.to_json().to_string_compact()).unwrap());
+        let back = read(&l.to_json().to_string_compact());
         assert_eq!(back, Ok(l));
         // `internal_stored_bytes` may be absent in older files.
-        let legacy = Value::parse(
+        let legacy = read(
             r#"{"name":"x","forward_time":1.0,"backward_time":2.0,
                 "weight_bytes":3,"activation_bytes":4}"#,
-        )
-        .unwrap();
-        assert_eq!(Layer::from_json(&legacy).unwrap().internal_stored_bytes, 0);
+        );
+        assert_eq!(legacy.unwrap().internal_stored_bytes, 0);
     }
 }

@@ -42,11 +42,36 @@
 //! correlate. Untraced lines — no `trace` field — are forwarded and
 //! answered byte-identically to a build without tracing; the context is
 //! advisory and never fails a request.
+//!
+//! # Decoding a request line
+//!
+//! [`parse_line`] reads a line once, with [`madpipe_json::Reader`], member
+//! by member: the chain goes straight into its `Layer`s and `Chain::new`
+//! ([`Chain::read_json`]), `platform` and `config` into a few scalar
+//! slots, and no JSON tree of the line is built. It answers exactly what
+//! looking every field up in a [`Value`] tree of the line answers:
+//!
+//! * a JSON syntax error anywhere in the line wins over any fault in a
+//!   field, so such faults are held until the line has parsed whole;
+//! * of several faults the one reported is the first in the order `cmd`,
+//!   `chain`, `platform`, `config`, `fault` (within a chain: `name`,
+//!   `input_bytes`, `layers`, then the first faulty layer's first faulty
+//!   field in `Layer::to_json` order);
+//! * the first of a repeated key counts, and a value that is not an
+//!   object where one is expected misses every field (`missing field`),
+//!   as with [`Value::get`];
+//! * numbers keep [`Value::as_u64`]'s and [`Value::as_f64`]'s coercions and
+//!   messages (an integral float is still a byte count).
+//!
+//! The tree decoder itself lives on in this module's tests as the oracle
+//! a differential compares `parse_line` with, line by line, on random
+//! and mutated request lines.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use madpipe_core::{MadPipePlan, PlannerConfig};
-use madpipe_json::{write_f64, write_str, FromJson, ToJson, Value};
+use madpipe_json::{required, write_f64, write_str, FromJson, JsonError, Reader, ToJson, Value};
 use madpipe_model::{Chain, Platform, PlatformFault};
 
 /// A structured protocol-level error: `kind` is a small closed set a
@@ -164,24 +189,27 @@ pub struct TraceContext {
 /// Parse one request line together with its optional trace context.
 /// The context is `Some` only when the line carries a valid nonzero
 /// `trace` hex id; a malformed context is ignored (tracing is advisory,
-/// it never fails a request), and the single JSON parse is shared with
-/// command dispatch.
+/// it never fails a request).
+///
+/// The line is read once, member by member, straight into the typed
+/// request (see the module docs, "Decoding a request line"): a JSON
+/// syntax error anywhere in the line wins over any fault in its fields,
+/// and of several faults the one reported is the first in the order
+/// `cmd`, `chain`, `platform`, `config`, `fault`.
 pub fn parse_line(line: &str) -> Result<(Request, Option<TraceContext>), ServeError> {
-    let v = Value::parse(line).map_err(|e| ServeError::malformed(format!("bad JSON: {e}")))?;
-    let hex_field = |key: &str| -> u64 {
-        v.get(key)
-            .and_then(|t| t.as_str().ok())
-            .and_then(madpipe_obs::parse_hex_id)
-            .unwrap_or(0)
-    };
-    let ctx = match hex_field("trace") {
+    let mut r = Reader::new(line);
+    let mut members = Members::default();
+    r.object(|r, key| members.read(r, &key))
+        .and_then(|_| r.finish())
+        .map_err(|e| ServeError::malformed(format!("bad JSON: {e}")))?;
+    let ctx = match members.trace.unwrap_or(0) {
         0 => None,
         trace => Some(TraceContext {
             trace,
-            parent: hex_field("parent"),
+            parent: members.parent.unwrap_or(0),
         }),
     };
-    Ok((request_of_value(&v)?, ctx))
+    Ok((members.request()?, ctx))
 }
 
 /// Parse one request line. Returns a structured error instead of
@@ -190,82 +218,149 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     parse_line(line).map(|(req, _)| req)
 }
 
-fn request_of_value(v: &Value) -> Result<Request, ServeError> {
-    let cmd = v
-        .get("cmd")
-        .ok_or_else(|| ServeError::malformed("missing field `cmd`"))?
-        .as_str()
-        .map_err(|_| ServeError::malformed("`cmd` must be a string"))?;
-    match cmd {
-        "plan" => Ok(Request::Plan(Box::new(parse_plan_request(v)?))),
-        "replan" => Ok(Request::Replan(Box::new(parse_replan_request(v)?))),
-        "metrics" => Ok(Request::Metrics),
-        "health" => Ok(Request::Health),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ServeError::malformed(format!("unknown cmd `{other}`"))),
+/// The members of a request line a request is built from, each the first
+/// of its key as [`Value::get`] finds it. Faults in their values are held
+/// here until the whole line has parsed.
+#[derive(Default)]
+struct Members<'a> {
+    /// `Err` holds a value that is not a string.
+    cmd: Option<Result<Cow<'a, str>, Value>>,
+    chain: Option<Result<Chain, JsonError>>,
+    platform: Option<[Option<Value>; 5]>,
+    config: Option<[Option<Value>; 5]>,
+    fault: Option<Value>,
+    trace: Option<u64>,
+    parent: Option<u64>,
+}
+
+/// The `platform` fields [`platform_of`] reads, in its argument order.
+const PLATFORM_KEYS: [&str; 5] = [
+    "n_gpus",
+    "memory_bytes",
+    "memory_gb",
+    "bandwidth_bytes",
+    "bandwidth_gb",
+];
+
+/// The `config` fields [`config_of`] reads, in its argument order.
+const CONFIG_KEYS: [&str; 5] = [
+    "refine_probes",
+    "threads",
+    "iterations",
+    "recompute",
+    "weights",
+];
+
+impl<'a> Members<'a> {
+    /// Read the value of the member `key`.
+    fn read(&mut self, r: &mut Reader<'a>, key: &str) -> Result<(), JsonError> {
+        match key {
+            "cmd" if self.cmd.is_none() => self.cmd = Some(r.str_or_value()?),
+            "chain" if self.chain.is_none() => self.chain = Some(Chain::read_json(r)?),
+            "platform" if self.platform.is_none() => self.platform = Some(r.fields(PLATFORM_KEYS)?),
+            "config" if self.config.is_none() => self.config = Some(r.fields(CONFIG_KEYS)?),
+            "fault" if self.fault.is_none() => self.fault = Some(r.value()?),
+            "trace" if self.trace.is_none() => self.trace = Some(hex_id(r)?),
+            "parent" if self.parent.is_none() => self.parent = Some(hex_id(r)?),
+            _ => drop(r.value()?),
+        }
+        Ok(())
+    }
+
+    fn request(mut self) -> Result<Request, ServeError> {
+        let cmd = match self.cmd.take() {
+            None => return Err(ServeError::malformed("missing field `cmd`")),
+            Some(Err(_)) => return Err(ServeError::malformed("`cmd` must be a string")),
+            Some(Ok(cmd)) => cmd,
+        };
+        match &*cmd {
+            "plan" => Ok(Request::Plan(Box::new(self.plan()?))),
+            "replan" => Ok(Request::Replan(Box::new(self.replan()?))),
+            "metrics" => Ok(Request::Metrics),
+            "health" => Ok(Request::Health),
+            "ping" => Ok(Request::Ping),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(ServeError::malformed(format!("unknown cmd `{other}`"))),
+        }
+    }
+
+    fn plan(&mut self) -> Result<PlanRequest, ServeError> {
+        // `Chain::read_json` runs `Chain::new`, which rejects NaN, infinite
+        // and negative layer timings with a message naming the layer.
+        let chain = self
+            .chain
+            .take()
+            .ok_or_else(|| ServeError::malformed("plan request needs `chain`"))?
+            .map_err(|e| ServeError::invalid(format!("chain: {e}")))?;
+        let platform = self
+            .platform
+            .take()
+            .ok_or_else(|| ServeError::malformed("plan request needs `platform`"))?;
+        let platform = platform_of(platform)?;
+        let cfg = config_of(self.config.take().unwrap_or_default())?;
+        let canonical = canonical_instance(&chain, &platform, &cfg);
+        Ok(PlanRequest {
+            chain,
+            platform,
+            cfg,
+            canonical,
+        })
+    }
+
+    fn replan(mut self) -> Result<ReplanRequest, ServeError> {
+        let baseline = self.plan()?;
+        let fault_v = self
+            .fault
+            .ok_or_else(|| ServeError::malformed("replan request needs `fault`"))?;
+        let fault = PlatformFault::from_json(&fault_v)
+            .map_err(|e| ServeError::malformed(format!("fault: {e}")))?;
+        // An inapplicable fault (losing every GPU, fraction outside (0,1))
+        // parsed fine but names no surviving platform: `invalid`.
+        let surviving = fault
+            .apply(&baseline.platform)
+            .map_err(|e| ServeError::invalid(e.to_string()))?;
+        let canonical = canonical_instance(&baseline.chain, &surviving, &baseline.cfg);
+        let degraded = PlanRequest {
+            chain: baseline.chain.clone(),
+            platform: surviving,
+            cfg: baseline.cfg,
+            canonical,
+        };
+        Ok(ReplanRequest {
+            fault,
+            baseline,
+            degraded,
+        })
     }
 }
 
-fn parse_replan_request(v: &Value) -> Result<ReplanRequest, ServeError> {
-    let baseline = parse_plan_request(v)?;
-    let fault_v = v
-        .get("fault")
-        .ok_or_else(|| ServeError::malformed("replan request needs `fault`"))?;
-    let fault = PlatformFault::from_json(fault_v)
-        .map_err(|e| ServeError::malformed(format!("fault: {e}")))?;
-    // An inapplicable fault (losing every GPU, fraction outside (0,1))
-    // parsed fine but names no surviving platform: `invalid`.
-    let surviving = fault
-        .apply(&baseline.platform)
-        .map_err(|e| ServeError::invalid(e.to_string()))?;
-    let canonical = canonical_instance(&baseline.chain, &surviving, &baseline.cfg);
-    let degraded = PlanRequest {
-        chain: baseline.chain.clone(),
-        platform: surviving,
-        cfg: baseline.cfg,
-        canonical,
-    };
-    Ok(ReplanRequest {
-        fault,
-        baseline,
-        degraded,
-    })
-}
-
-fn parse_plan_request(v: &Value) -> Result<PlanRequest, ServeError> {
-    let chain_v = v
-        .get("chain")
-        .ok_or_else(|| ServeError::malformed("plan request needs `chain`"))?;
-    // `Chain::from_json` runs `Chain::new`, which rejects NaN, infinite
-    // and negative layer timings with a message naming the layer.
-    let chain =
-        Chain::from_json(chain_v).map_err(|e| ServeError::invalid(format!("chain: {e}")))?;
-    let platform_v = v
-        .get("platform")
-        .ok_or_else(|| ServeError::malformed("plan request needs `platform`"))?;
-    let platform = platform_from_json(platform_v)?;
-    let cfg = config_from_json(v.get("config"))?;
-    let canonical = canonical_instance(&chain, &platform, &cfg);
-    Ok(PlanRequest {
-        chain,
-        platform,
-        cfg,
-        canonical,
-    })
+/// A trace-context id as `madpipe_obs::parse_hex_id` reads it; 0 for
+/// anything else, a value that is not a string included.
+fn hex_id(r: &mut Reader<'_>) -> Result<u64, JsonError> {
+    let text = r.str_or_value()?;
+    Ok(text
+        .ok()
+        .and_then(|t| madpipe_obs::parse_hex_id(&t))
+        .unwrap_or(0))
 }
 
 /// Bytes in one GiB, for the `*_gb` convenience units.
 const GIB: f64 = (1u64 << 30) as f64;
 
-/// Platform from JSON, accepting byte or GiB units and normalizing to
-/// bytes. `Platform::new` then enforces positivity and finiteness.
-fn platform_from_json(v: &Value) -> Result<Platform, ServeError> {
-    let n_gpus = v
-        .field("n_gpus")
-        .and_then(Value::as_u64)
+/// The most refinement probes a request may ask for: each one is a DP
+/// solve, so an unbounded count could hold a worker for seconds.
+const MAX_REFINE_PROBES: u64 = 64;
+
+/// Platform from its [`PLATFORM_KEYS`] fields, accepting byte or GiB
+/// units and normalizing to bytes. `Platform::new` then enforces
+/// positivity and finiteness.
+fn platform_of(
+    [n_gpus, memory_bytes, memory_gb, bandwidth_bytes, bandwidth_gb]: [Option<Value>; 5],
+) -> Result<Platform, ServeError> {
+    let n_gpus = required(n_gpus, "n_gpus")
+        .and_then(|n| n.as_u64())
         .map_err(|e| ServeError::invalid(format!("platform: {e}")))? as usize;
-    let memory_bytes = match (v.get("memory_bytes"), v.get("memory_gb")) {
+    let memory_bytes = match (memory_bytes, memory_gb) {
         (Some(b), _) => b
             .as_u64()
             .map_err(|e| ServeError::invalid(format!("platform memory_bytes: {e}")))?,
@@ -286,7 +381,7 @@ fn platform_from_json(v: &Value) -> Result<Platform, ServeError> {
             ))
         }
     };
-    let bandwidth = match (v.get("bandwidth_bytes"), v.get("bandwidth_gb")) {
+    let bandwidth = match (bandwidth_bytes, bandwidth_gb) {
         (Some(b), _) => b
             .as_f64()
             .map_err(|e| ServeError::invalid(format!("platform bandwidth_bytes: {e}")))?,
@@ -305,41 +400,41 @@ fn platform_from_json(v: &Value) -> Result<Platform, ServeError> {
         .map_err(|e| ServeError::invalid(format!("platform: {e}")))
 }
 
-/// Planner config from the optional `config` object. Only the stable
-/// knobs are exposed; everything else keeps the `madpipe plan` defaults
-/// so cached plans are bit-identical to the CLI's.
-fn config_from_json(v: Option<&Value>) -> Result<PlannerConfig, ServeError> {
+/// Planner config from the [`CONFIG_KEYS`] fields of the optional
+/// `config` object (all absent when there is none, or it is not an
+/// object). Only the stable knobs are exposed; everything else keeps the
+/// `madpipe plan` defaults so cached plans are bit-identical to the
+/// CLI's.
+fn config_of(
+    [refine_probes, threads, iterations, recompute, weights]: [Option<Value>; 5],
+) -> Result<PlannerConfig, ServeError> {
     let mut cfg = PlannerConfig::default();
-    let Some(v) = v else { return Ok(cfg) };
-    if matches!(v, Value::Null) {
-        return Ok(cfg);
-    }
-    if let Some(r) = v.get("refine_probes") {
+    if let Some(r) = refine_probes {
         cfg.refine_probes = r
             .as_u64()
             .map_err(|e| ServeError::invalid(format!("config refine_probes: {e}")))?
-            as usize;
+            .min(MAX_REFINE_PROBES) as usize;
     }
-    if let Some(t) = v.get("threads") {
+    if let Some(t) = threads {
         cfg.threads = t
             .as_u64()
             .map_err(|e| ServeError::invalid(format!("config threads: {e}")))?
             .clamp(1, 64) as usize;
     }
-    if let Some(i) = v.get("iterations") {
+    if let Some(i) = iterations {
         cfg.algorithm1.iterations = i
             .as_u64()
             .map_err(|e| ServeError::invalid(format!("config iterations: {e}")))?
             .clamp(1, 64) as usize;
     }
-    if let Some(r) = v.get("recompute") {
+    if let Some(r) = recompute {
         let s = r
             .as_str()
             .map_err(|e| ServeError::invalid(format!("config recompute: {e}")))?;
         cfg.policy.recompute = madpipe_model::RecomputeMode::parse(s)
             .map_err(|e| ServeError::invalid(format!("config recompute: {e}")))?;
     }
-    if let Some(w) = v.get("weights") {
+    if let Some(w) = weights {
         let s = w
             .as_str()
             .map_err(|e| ServeError::invalid(format!("config weights: {e}")))?;
@@ -904,6 +999,209 @@ mod tests {
         assert_eq!(grin.canonical, plan_of(&line("smile\u{1f600}")).canonical);
     }
 
+    /// The tree-walking request decoder `parse_line` replaced: parse the
+    /// line into a `Value`, then look every field up in the tree. It is
+    /// the reference the decoder differential compares `parse_line` with.
+    mod oracle {
+        use super::*;
+        use madpipe_model::Layer;
+
+        pub fn parse_line(line: &str) -> Result<(Request, Option<TraceContext>), ServeError> {
+            let v =
+                Value::parse(line).map_err(|e| ServeError::malformed(format!("bad JSON: {e}")))?;
+            let hex_field = |key: &str| -> u64 {
+                v.get(key)
+                    .and_then(|t| t.as_str().ok())
+                    .and_then(madpipe_obs::parse_hex_id)
+                    .unwrap_or(0)
+            };
+            let ctx = match hex_field("trace") {
+                0 => None,
+                trace => Some(TraceContext {
+                    trace,
+                    parent: hex_field("parent"),
+                }),
+            };
+            Ok((request_of_value(&v)?, ctx))
+        }
+
+        fn request_of_value(v: &Value) -> Result<Request, ServeError> {
+            let cmd = v
+                .get("cmd")
+                .ok_or_else(|| ServeError::malformed("missing field `cmd`"))?
+                .as_str()
+                .map_err(|_| ServeError::malformed("`cmd` must be a string"))?;
+            match cmd {
+                "plan" => Ok(Request::Plan(Box::new(parse_plan_request(v)?))),
+                "replan" => Ok(Request::Replan(Box::new(parse_replan_request(v)?))),
+                "metrics" => Ok(Request::Metrics),
+                "health" => Ok(Request::Health),
+                "ping" => Ok(Request::Ping),
+                "shutdown" => Ok(Request::Shutdown),
+                other => Err(ServeError::malformed(format!("unknown cmd `{other}`"))),
+            }
+        }
+
+        fn parse_replan_request(v: &Value) -> Result<ReplanRequest, ServeError> {
+            let baseline = parse_plan_request(v)?;
+            let fault_v = v
+                .get("fault")
+                .ok_or_else(|| ServeError::malformed("replan request needs `fault`"))?;
+            let fault = PlatformFault::from_json(fault_v)
+                .map_err(|e| ServeError::malformed(format!("fault: {e}")))?;
+            let surviving = fault
+                .apply(&baseline.platform)
+                .map_err(|e| ServeError::invalid(e.to_string()))?;
+            let canonical = canonical_instance(&baseline.chain, &surviving, &baseline.cfg);
+            let degraded = PlanRequest {
+                chain: baseline.chain.clone(),
+                platform: surviving,
+                cfg: baseline.cfg,
+                canonical,
+            };
+            Ok(ReplanRequest {
+                fault,
+                baseline,
+                degraded,
+            })
+        }
+
+        fn parse_plan_request(v: &Value) -> Result<PlanRequest, ServeError> {
+            let chain_v = v
+                .get("chain")
+                .ok_or_else(|| ServeError::malformed("plan request needs `chain`"))?;
+            let chain =
+                chain_by_tree(chain_v).map_err(|e| ServeError::invalid(format!("chain: {e}")))?;
+            let platform_v = v
+                .get("platform")
+                .ok_or_else(|| ServeError::malformed("plan request needs `platform`"))?;
+            let platform = platform_from_json(platform_v)?;
+            let cfg = config_from_json(v.get("config"))?;
+            let canonical = canonical_instance(&chain, &platform, &cfg);
+            Ok(PlanRequest {
+                chain,
+                platform,
+                cfg,
+                canonical,
+            })
+        }
+
+        /// The chain as `FromJson` read it from a tree.
+        pub fn chain_by_tree(v: &Value) -> Result<Chain, JsonError> {
+            let name = String::from_json(v.field("name")?)?;
+            let input_bytes = v.field("input_bytes")?.as_u64()?;
+            let layers = v
+                .field("layers")?
+                .as_array()?
+                .iter()
+                .map(layer_by_tree)
+                .collect::<Result<Vec<_>, _>>()?;
+            Chain::new(name, input_bytes, layers)
+                .map_err(|e| JsonError::new(format!("invalid chain: {e}")))
+        }
+
+        fn layer_by_tree(v: &Value) -> Result<Layer, JsonError> {
+            Ok(Layer {
+                name: String::from_json(v.field("name")?)?,
+                forward_time: v.field("forward_time")?.as_f64()?,
+                backward_time: v.field("backward_time")?.as_f64()?,
+                weight_bytes: v.field("weight_bytes")?.as_u64()?,
+                activation_bytes: v.field("activation_bytes")?.as_u64()?,
+                internal_stored_bytes: match v.get("internal_stored_bytes") {
+                    Some(b) => b.as_u64()?,
+                    None => 0,
+                },
+            })
+        }
+
+        fn platform_from_json(v: &Value) -> Result<Platform, ServeError> {
+            let n_gpus = v
+                .field("n_gpus")
+                .and_then(Value::as_u64)
+                .map_err(|e| ServeError::invalid(format!("platform: {e}")))?
+                as usize;
+            let memory_bytes = match (v.get("memory_bytes"), v.get("memory_gb")) {
+                (Some(b), _) => b
+                    .as_u64()
+                    .map_err(|e| ServeError::invalid(format!("platform memory_bytes: {e}")))?,
+                (None, Some(g)) => {
+                    let gb = g
+                        .as_f64()
+                        .map_err(|e| ServeError::invalid(format!("platform memory_gb: {e}")))?;
+                    if !(gb.is_finite() && gb > 0.0) {
+                        return Err(ServeError::invalid(format!(
+                            "platform memory_gb must be positive and finite, got {gb}"
+                        )));
+                    }
+                    (gb * GIB) as u64
+                }
+                (None, None) => {
+                    return Err(ServeError::invalid(
+                        "platform needs `memory_bytes` or `memory_gb`",
+                    ))
+                }
+            };
+            let bandwidth = match (v.get("bandwidth_bytes"), v.get("bandwidth_gb")) {
+                (Some(b), _) => b
+                    .as_f64()
+                    .map_err(|e| ServeError::invalid(format!("platform bandwidth_bytes: {e}")))?,
+                (None, Some(g)) => {
+                    g.as_f64()
+                        .map_err(|e| ServeError::invalid(format!("platform bandwidth_gb: {e}")))?
+                        * GIB
+                }
+                (None, None) => {
+                    return Err(ServeError::invalid(
+                        "platform needs `bandwidth_bytes` or `bandwidth_gb`",
+                    ))
+                }
+            };
+            Platform::new(n_gpus, memory_bytes, bandwidth)
+                .map_err(|e| ServeError::invalid(format!("platform: {e}")))
+        }
+
+        fn config_from_json(v: Option<&Value>) -> Result<PlannerConfig, ServeError> {
+            let mut cfg = PlannerConfig::default();
+            let Some(v) = v else { return Ok(cfg) };
+            if matches!(v, Value::Null) {
+                return Ok(cfg);
+            }
+            if let Some(r) = v.get("refine_probes") {
+                cfg.refine_probes = r
+                    .as_u64()
+                    .map_err(|e| ServeError::invalid(format!("config refine_probes: {e}")))?
+                    .min(64) as usize;
+            }
+            if let Some(t) = v.get("threads") {
+                cfg.threads = t
+                    .as_u64()
+                    .map_err(|e| ServeError::invalid(format!("config threads: {e}")))?
+                    .clamp(1, 64) as usize;
+            }
+            if let Some(i) = v.get("iterations") {
+                cfg.algorithm1.iterations = i
+                    .as_u64()
+                    .map_err(|e| ServeError::invalid(format!("config iterations: {e}")))?
+                    .clamp(1, 64) as usize;
+            }
+            if let Some(r) = v.get("recompute") {
+                let s = r
+                    .as_str()
+                    .map_err(|e| ServeError::invalid(format!("config recompute: {e}")))?;
+                cfg.policy.recompute = madpipe_model::RecomputeMode::parse(s)
+                    .map_err(|e| ServeError::invalid(format!("config recompute: {e}")))?;
+            }
+            if let Some(w) = v.get("weights") {
+                let s = w
+                    .as_str()
+                    .map_err(|e| ServeError::invalid(format!("config weights: {e}")))?;
+                cfg.policy.weights = madpipe_model::WeightPolicy::parse(s)
+                    .map_err(|e| ServeError::invalid(format!("config weights: {e}")))?;
+            }
+            Ok(cfg)
+        }
+    }
+
     mod differential {
         use super::*;
         use madpipe_model::{Layer, RecomputeMode, WeightPolicy};
@@ -1014,6 +1312,395 @@ mod tests {
         }
     }
 
+    /// `parse_line` against the tree oracle on random request lines: the
+    /// same request (chain, platform, config, fault, trace context and
+    /// key bytes) or the same error kind and message, line by line.
+    mod decoder_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// splitmix64: a line is a pure function of its seed.
+        struct Mix(u64);
+
+        impl Mix {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+
+            fn one_in(&mut self, n: usize) -> bool {
+                self.below(n) == 0
+            }
+
+            fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+                items[self.below(items.len())].clone()
+            }
+
+            /// A name mixing plain text, every escape the writer knows,
+            /// non-ASCII text and the characters `escape_text` rewrites.
+            fn name(&mut self) -> String {
+                const PIECES: [&str; 14] = [
+                    "conv", "_", " ", "\"", "\\", "\n", "\t", "\u{1}", "é", "🚀", "😀", "/", "§",
+                    "層",
+                ];
+                (0..self.below(6)).map(|_| self.pick(&PIECES)).collect()
+            }
+
+            /// A number written as `text` verbatim (see `NUM`).
+            fn num(&mut self, text: &str) -> Value {
+                Value::Str(format!("{NUM}{text}{NUM}"))
+            }
+
+            fn time(&mut self) -> Value {
+                match self.below(4) {
+                    0 => Value::UInt(self.below(5) as u64),
+                    1 => Value::Float(self.below(10_000) as f64 * 1e-6),
+                    2 => Value::Float(f64::from_bits(self.next() >> 2)),
+                    _ => {
+                        let text = self.pick(&["1e-3", "2.5E-4", "0", "-0", "-0.0", "3.0", "1e2"]);
+                        self.num(text)
+                    }
+                }
+            }
+
+            fn bytes(&mut self) -> Value {
+                match self.below(4) {
+                    0 => Value::UInt(self.next() >> self.below(64).max(8)),
+                    1 => Value::UInt(self.below(1 << 20) as u64),
+                    2 => Value::Float(self.below(1 << 20) as f64),
+                    _ => Value::UInt(self.below(4) as u64),
+                }
+            }
+
+            fn layer(&mut self) -> Value {
+                let mut fields = vec![
+                    ("name".into(), Value::Str(self.name())),
+                    ("forward_time".into(), self.time()),
+                    ("backward_time".into(), self.time()),
+                    ("weight_bytes".into(), self.bytes()),
+                    ("activation_bytes".into(), self.bytes()),
+                ];
+                if self.one_in(3) {
+                    fields.push(("internal_stored_bytes".into(), self.bytes()));
+                }
+                Value::Object(fields)
+            }
+
+            fn platform(&mut self) -> Value {
+                let n_gpus = Value::UInt(1 + self.below(8) as u64);
+                let memory = if self.one_in(2) {
+                    ("memory_bytes".into(), Value::UInt(1 + (self.next() >> 30)))
+                } else {
+                    let gb = self.pick(&[1.5, 3.0, 16.0, 0.25]);
+                    ("memory_gb".into(), Value::Float(gb))
+                };
+                let bandwidth = if self.one_in(2) {
+                    ("bandwidth_bytes".into(), Value::Float(12e9))
+                } else {
+                    (
+                        "bandwidth_gb".into(),
+                        Value::UInt(1 + self.below(24) as u64),
+                    )
+                };
+                Value::Object(vec![("n_gpus".into(), n_gpus), memory, bandwidth])
+            }
+
+            fn config(&mut self) -> Value {
+                let mut fields = Vec::new();
+                if self.one_in(2) {
+                    let probes = self.pick(&[0, 2, 8, 64, 65, 1_000_000]);
+                    fields.push(("refine_probes".into(), Value::UInt(probes)));
+                }
+                if self.one_in(2) {
+                    fields.push(("threads".into(), Value::UInt(self.below(100) as u64)));
+                }
+                if self.one_in(2) {
+                    fields.push(("iterations".into(), Value::UInt(self.below(100) as u64)));
+                }
+                if self.one_in(2) {
+                    let mode = self.pick(&["never", "always", "auto", "sometimes"]);
+                    fields.push(("recompute".into(), Value::Str(mode.into())));
+                }
+                if self.one_in(2) {
+                    let weights = self.pick(&["3w", "2bw", "1w"]);
+                    fields.push(("weights".into(), Value::Str(weights.into())));
+                }
+                Value::Object(fields)
+            }
+
+            fn fault(&mut self) -> Value {
+                match self.below(3) {
+                    0 => Value::Object(vec![
+                        ("kind".into(), Value::Str("gpu_loss".into())),
+                        ("count".into(), Value::UInt(self.below(4) as u64)),
+                    ]),
+                    1 => Value::Object(vec![
+                        ("kind".into(), Value::Str("memory_reduction".into())),
+                        ("fraction".into(), Value::Float(self.pick(&[0.5, 0.0, 1.5]))),
+                    ]),
+                    _ => Value::Object(vec![
+                        ("kind".into(), Value::Str("link_slowdown".into())),
+                        ("fraction".into(), Value::Float(0.25)),
+                    ]),
+                }
+            }
+
+            fn hex_id(&mut self) -> Value {
+                match self.below(4) {
+                    0 => Value::Str(madpipe_obs::hex_id(self.next() | 1)),
+                    1 => Value::Str(format!("{:x}", self.below(1 << 16))),
+                    2 => Value::Str("0000000000000000".into()),
+                    _ => self.wrong(),
+                }
+            }
+
+            /// A value of a type or range some field does not accept.
+            /// Integers stay below 2^62: `Chain::new` sums byte counts
+            /// unchecked, so three of them and a chain's own never
+            /// overflow.
+            fn wrong(&mut self) -> Value {
+                match self.below(14) {
+                    0 => Value::Null,
+                    1 => Value::Bool(true),
+                    2 => Value::Str("plan".into()),
+                    3 => Value::Array(vec![]),
+                    4 => Value::Array(vec![Value::UInt(1), Value::Str("x".into())]),
+                    5 => Value::Object(vec![]),
+                    6 => Value::Int(-3),
+                    7 => Value::Float(2.5),
+                    8 => Value::Float(-0.5),
+                    9 => Value::Float(4.0),
+                    10 => Value::UInt(1 << 62),
+                    11 => {
+                        let text = self.pick(&["1e999", "-1e999", "36893488147419103232"]);
+                        self.num(text)
+                    }
+                    12 => {
+                        let text = self.pick(&["-9223372036854775809", "4e18", "-0"]);
+                        self.num(text)
+                    }
+                    _ => Value::Str(self.name()),
+                }
+            }
+
+            fn line(&mut self) -> Value {
+                let replan = self.one_in(3);
+                let cmd = if self.one_in(12) {
+                    self.pick(&["ping", "health", "metrics", "shutdown", "bogus"])
+                } else if replan {
+                    "replan"
+                } else {
+                    "plan"
+                };
+                let layers = (0..1 + self.below(5)).map(|_| self.layer()).collect();
+                let chain = Value::Object(vec![
+                    ("name".into(), Value::Str(self.name())),
+                    ("input_bytes".into(), self.bytes()),
+                    ("layers".into(), Value::Array(layers)),
+                ]);
+                let mut fields = vec![
+                    ("cmd".into(), Value::Str(cmd.into())),
+                    ("chain".into(), chain),
+                    ("platform".into(), self.platform()),
+                ];
+                if self.one_in(3) {
+                    fields.push(("config".into(), self.config()));
+                }
+                if replan || self.one_in(8) {
+                    fields.push(("fault".into(), self.fault()));
+                }
+                if self.one_in(3) {
+                    fields.push(("trace".into(), self.hex_id()));
+                    if self.one_in(2) {
+                        fields.push(("parent".into(), self.hex_id()));
+                    }
+                }
+                Value::Object(fields)
+            }
+
+            /// One random object or array inside `v` (possibly `v`).
+            fn container<'v>(&mut self, v: &'v mut Value) -> &'v mut Value {
+                let children = match v {
+                    Value::Object(fields) => fields.len(),
+                    Value::Array(items) => items.len(),
+                    _ => 0,
+                };
+                if children == 0 || self.one_in(3) {
+                    return v;
+                }
+                let i = self.below(children);
+                let is_container = |c: &Value| matches!(c, Value::Object(_) | Value::Array(_));
+                let descend = match v {
+                    Value::Object(fields) => is_container(&fields[i].1),
+                    Value::Array(items) => is_container(&items[i]),
+                    _ => false,
+                };
+                if !descend {
+                    return v;
+                }
+                match v {
+                    Value::Object(fields) => self.container(&mut fields[i].1),
+                    Value::Array(items) => self.container(&mut items[i]),
+                    _ => unreachable!("only containers have children"),
+                }
+            }
+
+            /// Shuffle, duplicate, add, drop or retype a member of a
+            /// random object, or empty or retype an item of an array.
+            fn mutate(&mut self, line: &mut Value) {
+                let wrong = self.wrong();
+                let unknown = self.name();
+                let pick = self.below(6);
+                let at = self.next() as usize;
+                match self.container(line) {
+                    Value::Object(fields) if !fields.is_empty() => {
+                        let i = at % fields.len();
+                        match pick {
+                            0 => {
+                                for k in (1..fields.len()).rev() {
+                                    fields.swap(k, (at >> k) % (k + 1));
+                                }
+                            }
+                            1 => {
+                                let copy = (fields[i].0.clone(), wrong);
+                                fields.insert(at % (fields.len() + 1), copy);
+                            }
+                            2 => fields.insert(i, (unknown, wrong)),
+                            3 => drop(fields.remove(i)),
+                            _ => fields[i].1 = wrong,
+                        }
+                    }
+                    Value::Array(items) if !items.is_empty() => {
+                        let i = at % items.len();
+                        match pick {
+                            0 => items.clear(),
+                            _ => items[i] = wrong,
+                        }
+                    }
+                    other => *other = wrong,
+                }
+            }
+        }
+
+        /// Marks a string the renderer turns into the number text it holds.
+        const NUM: &str = "@num@";
+
+        /// Write escapes the renderer never writes: `\/`, `\u` for
+        /// non-ASCII text (surrogate pairs for astral characters, a lone
+        /// surrogate for `§`) and escaped keys.
+        fn escape_text(mix: &mut Mix, line: &str) -> String {
+            let mut out = line
+                .replace('/', "\\/")
+                .replace('é', "\\u00e9")
+                .replace('🚀', "\\ud83d\\ude80")
+                .replace('§', "\\udc00");
+            for (key, escaped) in [
+                ("\"name\"", "\"n\\u0061me\""),
+                ("\"cmd\"", "\"\\u0063md\""),
+                ("\"layers\"", "\"l\\u0061yers\""),
+                ("\"forward_time\"", "\"forward\\u005ftime\""),
+                ("\"platform\"", "\"pl\\u0061tform\""),
+            ] {
+                if mix.one_in(2) {
+                    out = out.replacen(key, escaped, 1 + mix.below(3));
+                }
+            }
+            out
+        }
+
+        /// A random request line: a valid `plan` or `replan` line, often
+        /// mutated in its tree and then in its text.
+        fn random_line(seed: u64) -> String {
+            let mix = &mut Mix(seed);
+            let mut tree = mix.line();
+            for _ in 0..mix.below(4) {
+                mix.mutate(&mut tree);
+            }
+            let mut line = tree.to_string_compact();
+            while let Some(start) = line.find(&format!("\"{NUM}")) {
+                let end = line[start + 1..].find(&format!("{NUM}\"")).expect("closed") + start + 1;
+                let text = line[start + NUM.len() + 1..end].to_string();
+                line.replace_range(start..end + NUM.len() + 1, &text);
+            }
+            if mix.one_in(2) {
+                line = escape_text(mix, &line);
+            }
+            if mix.one_in(4) {
+                line = line.replace(",\"", mix.pick(&[", \"", ",\n\"", ",\t \""]));
+            }
+            if mix.one_in(8) {
+                let mut cut = mix.below(line.len() + 1);
+                while !line.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                line.truncate(cut);
+            }
+            if mix.one_in(8) {
+                line.push_str(mix.pick(&[" ", "x", "}", " {}", ",", "\n", "]", "0"]));
+            }
+            line
+        }
+
+        fn agree(line: &str) -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                format!("{:?}", parse_line(line)),
+                format!("{:?}", super::oracle::parse_line(line)),
+                "line: {}",
+                line
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+            #[test]
+            fn parse_line_decodes_every_line_as_the_tree_oracle_does(
+                seed in any::<u64>(),
+            ) {
+                agree(&random_line(seed))?;
+            }
+        }
+
+        #[test]
+        fn every_truncation_of_a_line_decodes_as_the_tree_oracle_does() {
+            for seed in 0..12 {
+                let line = random_line(seed);
+                for cut in (0..=line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                    agree(&line[..cut]).unwrap();
+                }
+            }
+        }
+
+        #[test]
+        fn random_lines_reach_requests_and_every_error_kind() {
+            let (mut plans, mut replans, mut malformed, mut invalid) = (0, 0, 0, 0);
+            for seed in 0..2048 {
+                match parse_line(&random_line(seed)) {
+                    Ok((Request::Plan(_), _)) => plans += 1,
+                    Ok((Request::Replan(_), _)) => replans += 1,
+                    Ok(_) => {}
+                    Err(e) if e.kind == "malformed" => malformed += 1,
+                    Err(_) => invalid += 1,
+                }
+            }
+            for (what, n) in [
+                ("plans", plans),
+                ("replans", replans),
+                ("malformed", malformed),
+                ("invalid", invalid),
+            ] {
+                assert!(n >= 100, "only {n} {what} in 2048 lines");
+            }
+        }
+    }
+
     #[test]
     fn config_changes_the_canonical_key() {
         let base = plan_line(r#"{"n_gpus":2,"memory_bytes":1073741824,"bandwidth_gb":12.0}"#);
@@ -1028,6 +1715,28 @@ mod tests {
             panic!("both must parse");
         };
         assert_ne!(pa.canonical, pb.canonical);
+    }
+
+    #[test]
+    fn refine_probes_are_clamped_to_64() {
+        let base = plan_line(r#"{"n_gpus":2,"memory_bytes":1073741824,"bandwidth_gb":12.0}"#);
+        let with = |probes: u64| {
+            plan_of(&base.replacen(
+                r#","platform""#,
+                &format!(r#","config":{{"refine_probes":{probes}}},"platform""#),
+                1,
+            ))
+        };
+        let many = with(1_000_000);
+        assert_eq!(many.cfg.refine_probes, 64);
+        assert!(
+            many.canonical.contains(r#""refine_probes":64,"#),
+            "{}",
+            many.canonical
+        );
+        assert_eq!(many.canonical, with(64).canonical);
+        // 0 still turns refinement off.
+        assert_eq!(with(0).cfg.refine_probes, 0);
     }
 
     #[test]
