@@ -7,7 +7,13 @@
 //!   misses (`--expect-hits`), and throughput must clear the committed
 //!   `BENCH_serve_speed.json` floor;
 //! * a malformed line is answered with a `malformed` error, and the same
-//!   connection keeps serving (`ping`);
+//!   connection keeps serving (`ping`); so is a 100,001-byte line of `[`,
+//!   nested far past the reader's depth limit;
+//! * values past what a field holds are refused, not wrapped: a served
+//!   `replan` with a memory of 2^64 bytes is `invalid`, and chains whose
+//!   byte counts near `u64::MAX` are `invalid` or refused by the planner,
+//!   never a worker panic (this daemon is a debug build, where integer
+//!   overflow panics);
 //! * `shutdown` drains the daemon, which logs `drained, exiting` and
 //!   exits 0.
 
@@ -63,6 +69,57 @@ fn serve_takes_load_answers_garbage_and_drains() {
     let probe = exchange(&daemon.addr, &["this is not json", r#"{"cmd":"ping"}"#]);
     assert!(probe[0].contains(r#""kind":"malformed""#), "{probe:?}");
     assert!(probe[1].contains(r#""pong":true"#), "{probe:?}");
+
+    // Nesting past the depth limit is malformed, and the reactor thread
+    // that parsed it lives on.
+    let deep = "[".repeat(100_001);
+    let probe = exchange(&daemon.addr, &[&deep, r#"{"cmd":"ping"}"#]);
+    assert!(
+        probe[0].contains(r#""kind":"malformed""#)
+            && probe[0].contains("nesting deeper than 128 levels at byte 128"),
+        "{}",
+        probe[0]
+    );
+    assert!(probe[1].contains(r#""pong":true"#), "{probe:?}");
+
+    // 2^64 is no byte count.
+    let replan = concat!(
+        r#"{"cmd":"replan","chain":{"name":"m","input_bytes":1,"layers":[{"name":"a","forward_time":1,"#,
+        r#""backward_time":1,"weight_bytes":1,"activation_bytes":1}]},"platform":{"n_gpus":2,"#,
+        r#""memory_bytes":18446744073709551616,"bandwidth_bytes":1e9},"fault":{"kind":"gpu_loss","count":1}}"#
+    );
+    let answer = exchange(&daemon.addr, &[replan]).remove(0);
+    assert!(answer.contains(r#""kind":"invalid""#), "{answer}");
+
+    // Byte counts near `u64::MAX`: sums that overflow, and one layer the
+    // planner's memory arithmetic could not hold.
+    let layer = |w: u64, a: u64| {
+        format!(
+            r#"{{"name":"l","forward_time":0.5,"backward_time":0.5,"weight_bytes":{w},"activation_bytes":{a}}}"#
+        )
+    };
+    let line = |input: u64, layers: &[String]| {
+        format!(
+            r#"{{"cmd":"plan","chain":{{"name":"huge","input_bytes":{input},"layers":[{}]}},"platform":{{"n_gpus":2,"memory_bytes":18446744073709551615,"bandwidth_bytes":1e9}}}}"#,
+            layers.join(",")
+        )
+    };
+    let max = u64::MAX;
+    let lines = [
+        line(1, &[layer(1 << 63, 1), layer(1 << 63, 1)]),
+        line(max, &[layer(1, max), layer(1, 1)]),
+        line(1, &[layer(max - 1, 1)]),
+        line(1, &[layer(1, max / 2), layer(1, max / 2)]),
+    ];
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    for answer in exchange(&daemon.addr, &lines) {
+        assert!(
+            answer.contains(r#""ok":true"#)
+                || answer.contains(r#""kind":"invalid""#)
+                || answer.contains(r#""kind":"plan""#),
+            "{answer}"
+        );
+    }
 
     let ack = exchange(&daemon.addr, &[r#"{"cmd":"shutdown"}"#]);
     assert!(ack[0].contains(r#""draining":true"#), "{ack:?}");

@@ -174,6 +174,30 @@ fn validate(chain: &Chain, platform: &Platform) -> Result<(), PlanError> {
             platform.n_gpus
         )));
     }
+    // Memory is counted in integers: a stage holds `w·W + g·ā + 2·(a_in +
+    // a_out)` bytes (`w ≤ 3`), and phase 2 sums in-flight batches' bytes
+    // in `i64`. A stage's in-flight count, the DP's `g` or a pattern's, is
+    // a batch's latency over the period. Every target and period is at
+    // least the load bound `U/P`, and a latency is at most `2U + 2ΣC` plus
+    // a period's wait per op, so the count is below `P·(4 + 2ΣC/U) + 4L +
+    // 2`. Refuse byte counts that many copies could carry past 2^62;
+    // `Chain::new` already refused sums past `u64::MAX`.
+    let u = chain.total_compute_time();
+    let cuts = platform.total_cut_time(chain);
+    let in_flight =
+        platform.n_gpus as f64 * (4.0 + 2.0 * cuts / u) + 4.0 * chain.len() as f64 + 2.0;
+    let bytes = chain.weight_bytes(0..chain.len()) as f64
+        + chain.stored_activation_bytes(0..chain.len()) as f64
+        + chain
+            .layers()
+            .iter()
+            .map(|l| l.activation_bytes as f64)
+            .sum::<f64>();
+    if (in_flight + 4.0) * bytes > (1u64 << 62) as f64 {
+        return Err(PlanError::Infeasible(
+            "instance byte magnitudes are large enough to overflow memory arithmetic".into(),
+        ));
+    }
     Ok(())
 }
 

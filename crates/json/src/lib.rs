@@ -180,7 +180,9 @@ impl Value {
         match self {
             Value::UInt(u) => Ok(*u),
             Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            Value::Float(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64 itself, which is out of
+            // range: the bound is the literal 2^64, exclusive.
+            Value::Float(x) if *x >= 0.0 && x.fract() == 0.0 && *x < 18446744073709551616.0 => {
                 Ok(*x as u64)
             }
             other => Err(JsonError::new(format!(
@@ -314,11 +316,22 @@ pub fn write_str(out: &mut String, s: &str) {
 /// worst case with [`Reader::value`], dropping it) and end with
 /// [`Reader::finish`]: it then reports the first syntax error of the
 /// document with the message and byte position [`Value::parse`] gives.
+///
+/// Containers nest at most [`MAX_DEPTH`] deep: the reader recurses once
+/// per level, and a line of `[` must not overflow the reading thread's
+/// stack.
 pub struct Reader<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers entered and not yet left.
+    depth: usize,
 }
+
+/// The deepest nesting of arrays and objects a [`Reader`] accepts, as
+/// serde_json's default; a deeper document is a syntax error at the
+/// first container past it.
+pub const MAX_DEPTH: usize = 128;
 
 impl<'a> Reader<'a> {
     /// A reader standing at the document's first value.
@@ -327,6 +340,7 @@ impl<'a> Reader<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         r.skip_ws();
         r
@@ -425,10 +439,10 @@ impl<'a> Reader<'a> {
         if self.peek() != Some(b'{') {
             return self.value().map(Some);
         }
-        self.pos += 1;
+        self.enter()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.leave();
             return Ok(None);
         }
         loop {
@@ -442,7 +456,7 @@ impl<'a> Reader<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.leave();
                     return Ok(None);
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
@@ -478,10 +492,10 @@ impl<'a> Reader<'a> {
         if self.peek() != Some(b'[') {
             return self.value().map(Some);
         }
-        self.pos += 1;
+        self.enter()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.leave();
             return Ok(None);
         }
         loop {
@@ -491,12 +505,29 @@ impl<'a> Reader<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.leave();
                     return Ok(None);
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
             }
         }
+    }
+
+    /// Step into the container opening at `pos`, unless that nests it
+    /// past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Step past the closing bracket at `pos`.
+    fn leave(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
     }
 
     /// A literal or a number.
@@ -948,6 +979,62 @@ mod tests {
                 message,
                 "parsing {doc:?}"
             );
+        }
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deepest = nest(open, close, MAX_DEPTH);
+            assert!(Value::parse(&deepest).is_ok(), "{open}: depth 128");
+            // The 129th container is refused where it opens.
+            let too_deep = nest(open, close, MAX_DEPTH + 1);
+            assert_eq!(
+                Value::parse(&too_deep).unwrap_err().message,
+                format!(
+                    "nesting deeper than 128 levels at byte {}",
+                    128 * open.len()
+                ),
+                "{open}: depth 129"
+            );
+        }
+        // Empty containers count too, and depth is given back on leaving
+        // one: 128 siblings at depth 128 parse.
+        let wide = format!(
+            "{}{}{}",
+            "[".repeat(127),
+            "[],".repeat(127) + "[]",
+            "]".repeat(127)
+        );
+        assert!(Value::parse(&wide).is_ok());
+        let deep_empty = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        assert!(Value::parse(&deep_empty).is_err());
+        // A line of `[` far past the limit fails fast, with no recursion
+        // past it.
+        let flood = "[".repeat(100_000);
+        assert_eq!(
+            Value::parse(&flood).unwrap_err().message,
+            "nesting deeper than 128 levels at byte 128"
+        );
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_64() {
+        // The largest double below 2^64 is still a byte count; 2^64 is
+        // not, whether written as an integer or a float.
+        let below = Value::parse("18446744073709549568.0").unwrap();
+        assert_eq!(below.as_u64().unwrap(), 18446744073709549568);
+        for doc in [
+            "18446744073709551616",
+            "18446744073709551616.0",
+            "1.8446744073709552e19",
+        ] {
+            let v = Value::parse(doc).unwrap();
+            assert_eq!(v, Value::Float(18446744073709551616.0), "{doc}");
+            assert!(v.as_u64().is_err(), "{doc} taken as a u64");
         }
     }
 

@@ -55,13 +55,14 @@ impl Chain {
             weight_prefix: Vec::new(),
             stored_prefix: Vec::new(),
         };
-        chain.rebuild_prefixes();
+        chain.rebuild_prefixes()?;
         Ok(chain)
     }
 
-    /// Recompute the prefix sums (needed after deserialization, which
-    /// skips them).
-    pub fn rebuild_prefixes(&mut self) {
+    /// Compute the prefix sums. The byte sums are checked: a chain whose
+    /// weights or stored activations sum past `u64::MAX` is refused,
+    /// naming the layer that overflows.
+    fn rebuild_prefixes(&mut self) -> Result<(), ModelError> {
         let n = self.layers.len();
         self.fwd_prefix = Vec::with_capacity(n + 1);
         self.bwd_prefix = Vec::with_capacity(n + 1);
@@ -75,14 +76,18 @@ impl Chain {
             let l = &self.layers[i];
             self.fwd_prefix.push(self.fwd_prefix[i] + l.forward_time);
             self.bwd_prefix.push(self.bwd_prefix[i] + l.backward_time);
-            self.weight_prefix
-                .push(self.weight_prefix[i] + l.weight_bytes);
-            self.stored_prefix.push(
-                self.stored_prefix[i]
-                    + self.activation_in(i)
-                    + self.layers[i].internal_stored_bytes,
-            );
+            let overflow = |sum| ModelError::ByteOverflow { index: i, sum };
+            let weights = self.weight_prefix[i]
+                .checked_add(l.weight_bytes)
+                .ok_or(overflow("weight bytes"))?;
+            let stored = self.stored_prefix[i]
+                .checked_add(self.activation_in(i))
+                .and_then(|s| s.checked_add(l.internal_stored_bytes))
+                .ok_or(overflow("stored activation bytes"))?;
+            self.weight_prefix.push(weights);
+            self.stored_prefix.push(stored);
         }
+        Ok(())
     }
 
     /// Chain name (network identifier).
@@ -314,6 +319,43 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn byte_sums_that_overflow_are_refused() {
+        let half = 1u64 << 63;
+        let two = vec![
+            Layer::new("a", 1.0, 1.0, half, 0),
+            Layer::new("b", 1.0, 1.0, half, 0),
+        ];
+        let err = Chain::new("w", 0, two).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::ByteOverflow {
+                index: 1,
+                sum: "weight bytes"
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "layer 1: the chain's weight bytes overflow 64 bits"
+        );
+        // Stored activations: the input plus layer 0's output, each 2^63.
+        let acts = vec![
+            Layer::new("a", 1.0, 1.0, 0, half),
+            Layer::new("b", 1.0, 1.0, 0, 0),
+        ];
+        assert!(matches!(
+            Chain::new("s", half, acts),
+            Err(ModelError::ByteOverflow { index: 1, .. })
+        ));
+        // Sums up to `u64::MAX` itself still fit.
+        let fits = vec![
+            Layer::new("a", 1.0, 1.0, half, 0),
+            Layer::new("b", 1.0, 1.0, half - 1, 0),
+        ];
+        let chain = Chain::new("f", 0, fits).unwrap();
+        assert_eq!(chain.weight_bytes(0..2), u64::MAX);
     }
 
     #[test]

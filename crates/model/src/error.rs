@@ -10,6 +10,9 @@ pub enum ModelError {
     /// A layer carried a NaN/infinite/negative cost; `detail` names the
     /// offending field and its value.
     MalformedLayer { index: usize, detail: String },
+    /// The chain's byte counts summed up to layer `index` (its weights,
+    /// or the activations its stages store) overflow a `u64`.
+    ByteOverflow { index: usize, sum: &'static str },
     /// A partition/allocation does not cover `0..L` with contiguous,
     /// in-order, non-empty stages.
     BadCover { detail: String },
@@ -28,6 +31,9 @@ impl fmt::Display for ModelError {
             ModelError::EmptyChain => write!(f, "chain must contain at least one layer"),
             ModelError::MalformedLayer { index, detail } => {
                 write!(f, "layer {index}: {detail}")
+            }
+            ModelError::ByteOverflow { index, sum } => {
+                write!(f, "layer {index}: the chain's {sum} overflow 64 bits")
             }
             ModelError::BadCover { detail } => write!(f, "stages do not cover the chain: {detail}"),
             ModelError::GpuOutOfRange { gpu, n_gpus } => {

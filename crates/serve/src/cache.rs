@@ -10,13 +10,19 @@
 //! bounded) shard for the minimum stamp — O(capacity/shards), no
 //! intrusive list to get wrong under contention.
 //!
+//! An entry is a [`CachedPlan`]: the plan's tree and its compact JSON,
+//! rendered once where the plan is made (the worker that planned it, or
+//! journal replay's [`PlanCache::warm`]). A hit's response, the journal
+//! record and the byte budget all use that text, so a hit renders
+//! nothing.
+//!
 //! Besides the entry-count bound the cache can carry a *byte* budget
 //! ([`PlanCache::with_byte_budget`]): each entry is charged its key
-//! length plus an estimate of its plan's in-memory size, eviction frees
-//! however many entries it takes to fit a newcomer, and a single plan
-//! too large to ever fit its shard is refused outright — caching it
-//! would evict an entire shard and still blow the budget, so the cache
-//! stays unchanged and the plan is simply served uncached.
+//! length plus its stored text, eviction frees however many entries it
+//! takes to fit a newcomer, and a single plan too large to ever fit its
+//! shard is refused outright — caching it would evict an entire shard
+//! and still blow the budget, so the cache stays unchanged and the plan
+//! is simply served uncached.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -27,9 +33,26 @@ use madpipe_json::Value;
 
 const SHARDS: usize = 8;
 
+/// A finished plan as the cache keeps it: the tree, and its compact
+/// JSON rendered once.
+#[derive(Debug)]
+pub struct CachedPlan {
+    pub value: Arc<Value>,
+    /// `value.to_string_compact()`.
+    pub json: String,
+}
+
+impl CachedPlan {
+    /// Render `value` once.
+    pub fn new(value: Arc<Value>) -> Self {
+        let json = value.to_string_compact();
+        Self { value, json }
+    }
+}
+
 struct Entry {
     stamp: u64,
-    plan: Arc<Value>,
+    plan: Arc<CachedPlan>,
     /// Byte charge against the shard's budget (0 when unbudgeted).
     cost: usize,
 }
@@ -49,25 +72,6 @@ pub struct PlanCache {
     per_shard: usize,
     /// Per-shard byte budget; 0 means unbudgeted (entry count only).
     per_shard_bytes: usize,
-}
-
-/// Estimate a plan's in-memory footprint: string payloads plus a flat
-/// per-node charge for the enum/container overhead. Deliberately cheap
-/// (no rendering) and deliberately an estimate — the budget bounds
-/// memory to within a small constant factor, it is not an allocator.
-pub fn approx_plan_bytes(v: &Value) -> usize {
-    match v {
-        Value::Null | Value::Bool(_) => 8,
-        Value::UInt(_) | Value::Int(_) | Value::Float(_) => 24,
-        Value::Str(s) => 24 + s.len(),
-        Value::Array(items) => 24 + items.iter().map(approx_plan_bytes).sum::<usize>(),
-        Value::Object(fields) => {
-            24 + fields
-                .iter()
-                .map(|(k, v)| k.len() + 24 + approx_plan_bytes(v))
-                .sum::<usize>()
-        }
-    }
 }
 
 /// Shard locks ignore poisoning: a panicking worker may die while a
@@ -109,6 +113,12 @@ impl PlanCache {
 
     /// Look up a plan, refreshing its recency stamp on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<Value>> {
+        self.lookup(key).map(|plan| Arc::clone(&plan.value))
+    }
+
+    /// Look up a plan with its rendering, refreshing its recency stamp on
+    /// a hit.
+    pub fn lookup(&self, key: &str) -> Option<Arc<CachedPlan>> {
         if self.per_shard == 0 {
             return None;
         }
@@ -118,11 +128,17 @@ impl PlanCache {
         Some(Arc::clone(&entry.plan))
     }
 
-    /// Insert (or refresh) a plan; returns how many entries were evicted
-    /// to make room (0 or 1 under the entry bound; possibly more under a
-    /// byte budget). An entry too large for its shard's byte slice is
-    /// refused — the cache stays unchanged.
+    /// Insert (or refresh) a plan, rendering it; returns how many entries
+    /// were evicted to make room (see [`PlanCache::insert_rendered`]).
     pub fn insert(&self, key: String, plan: Arc<Value>) -> u64 {
+        self.insert_rendered(key, Arc::new(CachedPlan::new(plan)))
+    }
+
+    /// Insert (or refresh) a rendered plan; returns how many entries were
+    /// evicted to make room (0 or 1 under the entry bound; possibly more
+    /// under a byte budget). An entry too large for its shard's byte
+    /// slice is refused — the cache stays unchanged.
+    pub fn insert_rendered(&self, key: String, plan: Arc<CachedPlan>) -> u64 {
         if self.per_shard == 0 {
             return 0;
         }
@@ -154,13 +170,15 @@ impl PlanCache {
     }
 
     /// Insert a plan only if the key is absent — the journal-replay
-    /// path. Returns `(inserted, evicted)`. Unlike [`PlanCache::insert`]
-    /// a repeat does *not* refresh the entry's recency stamp, so a key
-    /// the journal holds twice keeps its first, oldest record.
+    /// path, which renders the plan. Returns `(inserted, evicted)`.
+    /// Unlike [`PlanCache::insert`] a repeat does *not* refresh the
+    /// entry's recency stamp, so a key the journal holds twice keeps its
+    /// first, oldest record.
     pub fn warm(&self, key: String, plan: Arc<Value>) -> (bool, u64) {
         if self.per_shard == 0 {
             return (false, 0);
         }
+        let plan = Arc::new(CachedPlan::new(plan));
         let cost = self.cost_of(&key, &plan);
         if self.oversized(cost) {
             return (false, 0);
@@ -176,13 +194,13 @@ impl PlanCache {
         (true, evicted)
     }
 
-    /// Byte charge for an entry; 0 when the cache carries no budget (the
-    /// estimate walk is skipped entirely on the unbudgeted path).
-    fn cost_of(&self, key: &str, plan: &Value) -> usize {
+    /// Byte charge for an entry: its key and its stored text, or 0 when
+    /// the cache carries no budget.
+    fn cost_of(&self, key: &str, plan: &CachedPlan) -> usize {
         if self.per_shard_bytes == 0 {
             0
         } else {
-            key.len() + approx_plan_bytes(plan)
+            key.len() + plan.json.len()
         }
     }
 
@@ -218,8 +236,8 @@ impl PlanCache {
 
     /// Every cached plan across all shards, most recently touched first
     /// — what drain compaction writes to the journal.
-    pub fn entries(&self) -> Vec<(String, Arc<Value>)> {
-        let mut all: Vec<(u64, String, Arc<Value>)> = Vec::new();
+    pub fn entries(&self) -> Vec<(String, Arc<CachedPlan>)> {
+        let mut all: Vec<(u64, String, Arc<CachedPlan>)> = Vec::new();
         for shard in &self.shards {
             let shard = lock_shard(shard);
             for (key, e) in &shard.map {
@@ -355,6 +373,22 @@ mod tests {
         assert!(!inserted);
         assert_eq!(evicted, 0);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn an_entry_keeps_its_rendering_and_is_charged_its_key_and_text() {
+        let c = PlanCache::with_byte_budget(64, 8 << 10);
+        let v = Arc::new(Value::Object(vec![("period".into(), Value::Float(0.5))]));
+        c.insert("k".into(), Arc::clone(&v));
+        let hit = c.lookup("k").unwrap();
+        assert_eq!(hit.json, r#"{"period":0.5}"#);
+        assert_eq!(*hit.value, *v);
+        // One shard's slice is 1 KiB: a key of 1 byte and a text of 1023
+        // bytes (a 1021-byte string and its quotes) fit, one more does not.
+        assert_eq!(c.insert("a".into(), sized_plan(1021)), 0);
+        assert!(c.get("a").is_some());
+        c.insert("b".into(), sized_plan(1022));
+        assert!(c.get("b").is_none(), "1025 bytes exceed a 1 KiB slice");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use madpipe_json::Value;
+use madpipe_json::{write_str, Value};
 
 use crate::server::lock_unpoisoned;
 
@@ -126,10 +126,10 @@ impl Journal {
         (entries, stats)
     }
 
-    /// Append one record. Errors are returned, not retried — the caller
-    /// counts them; a journal that stops persisting degrades recovery,
-    /// never serving.
-    pub fn append(&self, key: &str, plan: &Value) -> std::io::Result<()> {
+    /// Append one record: `key` and its plan's compact JSON `plan`.
+    /// Errors are returned, not retried — the caller counts them; a
+    /// journal that stops persisting degrades recovery, never serving.
+    pub fn append(&self, key: &str, plan: &str) -> std::io::Result<()> {
         let frame = encode_frame(key, plan);
         let mut guard = lock_unpoisoned(&self.file);
         match guard.as_mut() {
@@ -138,11 +138,14 @@ impl Journal {
         }
     }
 
-    /// Rewrite the journal to hold exactly `entries` (temp file + atomic
-    /// rename, so a crash mid-compaction leaves either the old or the
-    /// new journal, never a mix). The append handle is re-pointed at the
-    /// new file.
-    pub fn compact(&self, entries: &[(String, Arc<Value>)]) -> std::io::Result<()> {
+    /// Rewrite the journal to hold exactly `entries`, each a key and its
+    /// plan's compact JSON (temp file + atomic rename, so a crash
+    /// mid-compaction leaves either the old or the new journal, never a
+    /// mix). The append handle is re-pointed at the new file.
+    pub fn compact<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> std::io::Result<()> {
         let tmp_path = format!("{}.tmp", self.path);
         let mut guard = lock_unpoisoned(&self.file);
         {
@@ -158,12 +161,15 @@ impl Journal {
     }
 }
 
-fn encode_frame(key: &str, plan: &Value) -> String {
-    let payload = Value::Object(vec![
-        ("key".into(), Value::Str(key.to_string())),
-        ("plan".into(), plan.clone()),
-    ])
-    .to_string_compact();
+/// The frame of `{"key":…,"plan":…}`, written as the [`Value`] object of
+/// those two members renders, around the plan's stored text.
+fn encode_frame(key: &str, plan: &str) -> String {
+    let mut payload = String::with_capacity(key.len() + plan.len() + 20);
+    payload.push_str(r#"{"key":"#);
+    write_str(&mut payload, key);
+    payload.push_str(r#","plan":"#);
+    payload.push_str(plan);
+    payload.push('}');
     let sum = fnv1a(payload.as_bytes());
     format!("{} {sum:016x} {payload}\n", payload.len())
 }
@@ -214,13 +220,17 @@ mod tests {
         ])
     }
 
+    fn text(i: u64) -> String {
+        plan(i).to_string_compact()
+    }
+
     #[test]
     fn round_trip_preserves_records_and_rendering() {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
         for i in 0..5 {
-            j.append(&format!("key-{i}"), &plan(i)).unwrap();
+            j.append(&format!("key-{i}"), &text(i)).unwrap();
         }
         let (entries, stats) = j.replay();
         assert_eq!(
@@ -241,12 +251,26 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_is_the_key_and_plan_object_as_a_value_renders_it() {
+        for key in ["plain", "q\"uote\\back\nline\u{1}", "層-λ 🚀"] {
+            let tree = Value::Object(vec![
+                ("key".into(), Value::Str(key.into())),
+                ("plan".into(), plan(3)),
+            ])
+            .to_string_compact();
+            let sum = fnv1a(tree.as_bytes());
+            let expected = format!("{} {sum:016x} {tree}\n", tree.len());
+            assert_eq!(encode_frame(key, &text(3)), expected, "{key:?}");
+        }
+    }
+
+    #[test]
     fn torn_tail_keeps_intact_prefix_at_every_cut_point() {
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
         for i in 0..3 {
-            j.append(&format!("k{i}"), &plan(i)).unwrap();
+            j.append(&format!("k{i}"), &text(i)).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         // Cut the file at every byte offset inside the last record: the
@@ -285,7 +309,7 @@ mod tests {
         let path = tmp("garbage");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.append("good", &plan(1)).unwrap();
+        j.append("good", &text(1)).unwrap();
         // Arbitrary trailing garbage, including invalid UTF-8.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"12 deadbeef \xff\xfe not json\n");
@@ -298,8 +322,8 @@ mod tests {
         // checksum catches it.
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.append("good", &plan(1)).unwrap();
-        j.append("flipped", &plan(2)).unwrap();
+        j.append("good", &text(1)).unwrap();
+        j.append("flipped", &text(2)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 3] ^= 0x01;
@@ -317,13 +341,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
         for i in 0..10 {
-            j.append(&format!("k{i}"), &plan(i)).unwrap();
+            j.append(&format!("k{i}"), &text(i)).unwrap();
         }
-        let keep: Vec<(String, Arc<Value>)> = vec![
-            ("k3".into(), Arc::new(plan(3))),
-            ("k7".into(), Arc::new(plan(7))),
-        ];
-        j.compact(&keep).unwrap();
+        let keep = [("k3", text(3)), ("k7", text(7))];
+        j.compact(keep.iter().map(|(k, p)| (*k, p.as_str())))
+            .unwrap();
         let (entries, stats) = j.replay();
         assert_eq!(
             stats,
@@ -335,7 +357,7 @@ mod tests {
         assert_eq!(entries[0].0, "k3");
         assert_eq!(entries[1].0, "k7");
         // The append handle survived the rename swap.
-        j.append("post", &plan(11)).unwrap();
+        j.append("post", &text(11)).unwrap();
         let (entries, _) = j.replay();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[2].0, "post");

@@ -543,22 +543,29 @@ pub fn plan_to_json(plan: &MadPipePlan) -> Value {
 
 /// `{"ok":true,"cached":…,"plan":…}` as one line (no trailing newline).
 pub fn plan_response(plan: &Value, cached: bool) -> String {
-    let mut out = plan_envelope(plan, cached);
+    let mut out = String::with_capacity(512);
+    plan_envelope(&mut out, cached, |out| plan.write_compact(out));
     out.push('}');
     out
 }
 
-/// `{"ok":true,"cached":…,"plan":…` — a plan response without its closing
-/// brace, the plan rendered straight into the response buffer.
-fn plan_envelope(plan: &Value, cached: bool) -> String {
-    let mut out = String::with_capacity(512);
+/// Append [`plan_response`]'s line for a plan already rendered to its
+/// compact JSON `plan` — how the daemon answers from its cache.
+pub fn write_plan_response(out: &mut String, plan: &str, cached: bool) {
+    plan_envelope(out, cached, |out| out.push_str(plan));
+    out.push('}');
+}
+
+/// Append `{"ok":true,"cached":…,"plan":…` — a plan response without its
+/// closing brace, `plan` writing the plan's JSON straight after it. Every
+/// plan and replan response is written through here.
+fn plan_envelope(out: &mut String, cached: bool, plan: impl FnOnce(&mut String)) {
     out.push_str(if cached {
         r#"{"ok":true,"cached":true,"plan":"#
     } else {
         r#"{"ok":true,"cached":false,"plan":"#
     });
-    plan.write_compact(&mut out);
-    out
+    plan(out);
 }
 
 /// `{"ok":true,"cached":…,"plan":…,"replan":{…}}` as one line: the
@@ -621,7 +628,8 @@ pub fn replan_response(
             Value::Float(base_period / deg_period - 1.0),
         ),
     ]);
-    let mut out = plan_envelope(degraded, degraded_cached);
+    let mut out = String::with_capacity(1024);
+    plan_envelope(&mut out, degraded_cached, |out| degraded.write_compact(out));
     out.push_str(r#","replan":"#);
     replan.write_compact(&mut out);
     out.push('}');
@@ -1372,7 +1380,7 @@ mod tests {
 
             fn bytes(&mut self) -> Value {
                 match self.below(4) {
-                    0 => Value::UInt(self.next() >> self.below(64).max(8)),
+                    0 => Value::UInt(self.next() >> self.below(64)),
                     1 => Value::UInt(self.below(1 << 20) as u64),
                     2 => Value::Float(self.below(1 << 20) as f64),
                     _ => Value::UInt(self.below(4) as u64),
@@ -1462,9 +1470,6 @@ mod tests {
             }
 
             /// A value of a type or range some field does not accept.
-            /// Integers stay below 2^62: `Chain::new` sums byte counts
-            /// unchecked, so three of them and a chain's own never
-            /// overflow.
             fn wrong(&mut self) -> Value {
                 match self.below(14) {
                     0 => Value::Null,
@@ -1477,9 +1482,14 @@ mod tests {
                     7 => Value::Float(2.5),
                     8 => Value::Float(-0.5),
                     9 => Value::Float(4.0),
-                    10 => Value::UInt(1 << 62),
+                    10 => Value::UInt(u64::MAX),
                     11 => {
-                        let text = self.pick(&["1e999", "-1e999", "36893488147419103232"]);
+                        let text = self.pick(&[
+                            "1e999",
+                            "-1e999",
+                            "36893488147419103232",
+                            "18446744073709551616",
+                        ]);
                         self.num(text)
                     }
                     12 => {
@@ -1850,6 +1860,30 @@ mod tests {
             let mut tree = envelope(cached);
             tree.push(tail);
             assert_eq!(replan, Value::Object(tree).to_string_compact());
+        }
+    }
+
+    #[test]
+    fn a_rendered_plan_is_answered_with_plan_responses_bytes() {
+        let plan = Value::Object(vec![
+            ("period".into(), Value::Float(0.1 + 0.2)),
+            ("phase1_period".into(), Value::Float(1e-7)),
+            ("throughput".into(), Value::Float(1.0 / 0.3)),
+            (
+                "stages".into(),
+                Value::Array(vec![Value::Object(vec![
+                    ("start".into(), Value::UInt(0)),
+                    ("gpu".into(), Value::UInt(3)),
+                    ("activation".into(), Value::Str("recompute".into())),
+                ])]),
+            ),
+        ]);
+        let json = plan.to_string_compact();
+        for cached in [false, true] {
+            let mut out = String::from("{\"ok\":true,\"pong\":true}\n");
+            let head = out.clone();
+            write_plan_response(&mut out, &json, cached);
+            assert_eq!(out, head + &plan_response(&plan, cached));
         }
     }
 }

@@ -8,13 +8,34 @@
 //! loop. Either way the reactor never busy-spins while connections are
 //! idle.
 //!
+//! Readiness: the reactor makes a system call only where `poll` said
+//! one would find something. It calls `accept` when the listener was
+//! readable (or its backoff window has just ended), reads a connection
+//! when it was readable (`POLLIN`, `POLLHUP` or `POLLERR`) or newly
+//! accepted and stops at the first short read, writes a connection until
+//! a short write and then waits for `POLLOUT`, and drains the waker only
+//! when it rang. `poll` is level-triggered, so whatever is left unread is
+//! reported again by the next call and nothing stalls. A failed `poll`
+//! (`EINTR`) and the sleep fallback report everything ready. A
+//! sequential cache hit thus costs three calls: the `poll` that reports
+//! its line, the `read` of it and the `write` of the answer. The reactor
+//! counts its calls by kind in plain fields of its thread and folds them
+//! into the registry as `serve.reactor.{polls,accepts,reads,writes}`
+//! (a waker drain counts as a read) whenever a `metrics` or `health`
+//! request arrives.
+//!
 //! Pipelining: a connection may have many newline-delimited requests in
-//! flight at once. Each parsed line becomes a [`Slot`] in the
+//! flight at once. Each complete line is parsed where it was read, in
+//! the connection's read buffer (`String::from_utf8_lossy` borrows a
+//! valid UTF-8 line), and the consumed prefix is dropped once per pass.
+//! Each parsed line becomes a [`Slot`] in the
 //! connection's in-flight queue — instant commands (`ping`, `metrics`,
 //! `health`, `shutdown`, cache hits, structured errors) are
 //! born answered; planning misses hold the receiver half of the worker
 //! reply channel. Only the *front* slot may retire, so responses leave
 //! in request order no matter how the worker pool reorders completions.
+//! A cache hit's answer is the response envelope around the plan's
+//! stored JSON, appended straight to the connection's write buffer.
 //!
 //! Flow control, per connection: at most [`MAX_INFLIGHT`] queued slots
 //! and roughly [`MAX_LINE_BYTES`] of unparsed input — past either bound
@@ -49,7 +70,7 @@ use madpipe_json::Value;
 use madpipe_model::{Platform, PlatformFault};
 
 use crate::protocol::{
-    attach_trace, error_response, ok_response, parse_line, plan_response, replan_response,
+    attach_trace, error_response, ok_response, parse_line, replan_response, write_plan_response,
     PlanRequest, Request, ServeError,
 };
 use crate::server::{admit, health_value, Ctx, Job, JobQueue, PlanOutcome, MAX_LINE_BYTES};
@@ -73,6 +94,17 @@ const PENDING_WAIT: Duration = Duration::from_millis(20);
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
 
+/// The reactor's system calls by kind, counted on its own thread and
+/// folded into the registry as `serve.reactor.*` by [`sync_counters`].
+#[derive(Default)]
+struct Syscalls {
+    polls: u64,
+    accepts: u64,
+    /// Socket reads and waker drains.
+    reads: u64,
+    writes: u64,
+}
+
 // --- self-pipe waker (raw syscalls, Linux) --------------------------------
 
 #[cfg(target_os = "linux")]
@@ -86,6 +118,8 @@ mod sys {
 
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
+    pub const POLLERR: i16 = 0x008;
+    pub const POLLHUP: i16 = 0x010;
 
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
@@ -131,9 +165,16 @@ pub(crate) struct WakeRx {
 
 #[cfg(target_os = "linux")]
 impl WakeRx {
-    fn drain(&self) {
+    /// Empty the pipe, up to the first short read.
+    fn drain(&self, calls: &mut Syscalls) {
         let mut buf = [0u8; 64];
-        while unsafe { sys::read(self.fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
+        loop {
+            calls.reads += 1;
+            let n = unsafe { sys::read(self.fd, buf.as_mut_ptr(), buf.len()) };
+            if n < buf.len() as isize {
+                break;
+            }
+        }
     }
 }
 
@@ -182,6 +223,16 @@ enum PlanWait {
         deadline: Instant,
     },
     Done(PlanOutcome),
+}
+
+impl PlanWait {
+    /// The outcome of a wait [`poll_wait`] found answered.
+    fn outcome(&self) -> &PlanOutcome {
+        match self {
+            PlanWait::Done(outcome) => outcome,
+            PlanWait::Pending { .. } => unreachable!("only answered slots retire"),
+        }
+    }
 }
 
 /// A `replan`'s two concurrent planning waits plus what the response
@@ -239,10 +290,15 @@ impl InFlight {
 struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
+    write_buf: String,
     /// Bytes of `write_buf` already on the wire.
     write_pos: usize,
     inflight: VecDeque<InFlight>,
+    /// `poll` reported input (or the connection is new) and no read has
+    /// come up short since.
+    readable: bool,
+    /// No write has come up short since `poll` last reported `POLLOUT`.
+    writable: bool,
     /// Skipping the rest of an already-rejected oversized line.
     discarding: bool,
     peer_eof: bool,
@@ -254,9 +310,11 @@ impl Conn {
         Conn {
             stream,
             read_buf: Vec::new(),
-            write_buf: Vec::new(),
+            write_buf: String::new(),
             write_pos: 0,
             inflight: VecDeque::new(),
+            readable: true,
+            writable: true,
             discarding: false,
             peer_eof: false,
             dead: false,
@@ -295,22 +353,36 @@ pub(crate) fn reactor_loop(
     jobs: Arc<JobQueue>,
     wake: WakeRx,
 ) {
+    let mut poller = Poller::new(wake);
+    let mut calls = Syscalls::default();
+    // One read buffer for every socket, allocated once.
+    let mut chunk = vec![0u8; READ_CHUNK];
     let mut conns: Vec<Conn> = Vec::new();
     let mut backoff = Duration::ZERO;
     let mut retry_at: Option<Instant> = None;
+    let mut listener_ready = false;
     loop {
         let mut progress = false;
-        if !ctx.draining() && retry_at.is_none_or(|t| Instant::now() >= t) {
-            progress |= accept_burst(&listener, &ctx, &mut conns, &mut backoff, &mut retry_at);
+        let retry_due = retry_at.is_some_and(|t| Instant::now() >= t);
+        if !ctx.draining() && (listener_ready || retry_due) {
+            listener_ready = false;
+            progress |= accept_burst(
+                &listener,
+                &ctx,
+                &mut conns,
+                &mut backoff,
+                &mut retry_at,
+                &mut calls,
+            );
         }
         for conn in &mut conns {
             if conn.dead {
                 continue;
             }
-            progress |= read_some(conn);
-            progress |= extract_lines(conn, &ctx, &jobs);
+            progress |= read_some(conn, &mut chunk, &mut calls);
+            progress |= extract_lines(conn, &ctx, &jobs, &calls);
             progress |= retire_slots(conn, &ctx);
-            progress |= flush_writes(conn);
+            progress |= flush_writes(conn, &mut calls);
         }
         let draining = ctx.draining();
         conns.retain_mut(|c| {
@@ -333,7 +405,7 @@ pub(crate) fn reactor_loop(
                     .max(Duration::from_millis(1));
             }
             let accepting = !draining && retry_at.is_none();
-            wait_for_events(&listener, &conns, &wake, timeout, accepting);
+            listener_ready = poller.wait(&listener, &mut conns, timeout, accepting, &mut calls);
         }
     }
     jobs.close();
@@ -347,9 +419,11 @@ fn accept_burst(
     conns: &mut Vec<Conn>,
     backoff: &mut Duration,
     retry_at: &mut Option<Instant>,
+    calls: &mut Syscalls,
 ) -> bool {
     let mut progress = false;
     loop {
+        calls.accepts += 1;
         match listener.accept() {
             Ok((stream, _peer)) => {
                 *backoff = Duration::ZERO;
@@ -390,17 +464,20 @@ fn accept_burst(
     progress
 }
 
-fn read_some(conn: &mut Conn) -> bool {
+/// Read while `poll` reported input and flow control allows, up to the
+/// first short read: a read that does not fill `chunk` emptied the socket.
+fn read_some(conn: &mut Conn, chunk: &mut [u8], calls: &mut Syscalls) -> bool {
     let mut progress = false;
-    let mut chunk = [0u8; READ_CHUNK];
-    while !conn.read_blocked() {
-        match (&conn.stream).read(&mut chunk) {
+    while conn.readable && !conn.read_blocked() {
+        calls.reads += 1;
+        match (&conn.stream).read(chunk) {
             Ok(0) => {
                 conn.peer_eof = true;
                 break;
             }
             Ok(n) => {
                 progress = true;
+                conn.readable = n == chunk.len();
                 let mut data = &chunk[..n];
                 if conn.discarding {
                     match data.iter().position(|b| *b == b'\n') {
@@ -413,7 +490,7 @@ fn read_some(conn: &mut Conn) -> bool {
                 }
                 conn.read_buf.extend_from_slice(data);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
@@ -426,28 +503,33 @@ fn read_some(conn: &mut Conn) -> bool {
 
 /// Turn buffered complete lines into in-flight slots, and reject an
 /// over-bound line (complete or still streaming) in pipeline position.
-fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> bool {
+/// Each line is parsed where it lies in the read buffer; the consumed
+/// prefix is dropped once, after the last.
+fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, calls: &Syscalls) -> bool {
     let mut progress = false;
+    let mut start = 0;
     while conn.inflight.len() < MAX_INFLIGHT {
-        let Some(pos) = conn.read_buf.iter().position(|b| *b == b'\n') else {
+        let rest = &conn.read_buf[start..];
+        let Some(pos) = rest.iter().position(|b| *b == b'\n') else {
             break;
         };
+        start += pos + 1;
         if pos > MAX_LINE_BYTES {
             conn.inflight
                 .push_back(InFlight::untraced(oversized_slot(ctx)));
-            conn.read_buf.drain(..=pos);
             progress = true;
             continue;
         }
-        let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..pos]).into_owned();
+        let line = String::from_utf8_lossy(&rest[..pos]);
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        conn.inflight.push_back(slot_for_line(trimmed, ctx, jobs));
+        conn.inflight
+            .push_back(slot_for_line(trimmed, ctx, jobs, calls));
         progress = true;
     }
+    conn.read_buf.drain(..start);
     // A partial line past the bound is rejected the moment it crosses
     // it — the buffer never grows on — and the rest is discarded.
     if conn.read_buf.len() > MAX_LINE_BYTES && !conn.read_buf.contains(&b'\n') {
@@ -469,7 +551,7 @@ fn oversized_slot(ctx: &Arc<Ctx>) -> Slot {
 
 /// Parse one request line into its in-flight entry. Everything except a
 /// planning cache miss is answered on the spot.
-fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> InFlight {
+fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, calls: &Syscalls) -> InFlight {
     let started = Instant::now();
     let started_us = madpipe_obs::now_unix_us();
     ctx.registry.inc("serve.requests");
@@ -493,12 +575,12 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> InFlight {
     let slot = match req {
         Request::Ping => Slot::Ready(ok_response("pong", Value::Bool(true))),
         Request::Metrics => {
-            sync_events_dropped(ctx);
+            sync_counters(ctx, calls);
             let text = ctx.registry.snapshot().to_prometheus();
             Slot::Ready(ok_response("metrics", Value::Str(text)))
         }
         Request::Health => {
-            sync_events_dropped(ctx);
+            sync_counters(ctx, calls);
             Slot::Ready(ok_response("health", health_value(ctx)))
         }
         Request::Shutdown => {
@@ -535,14 +617,23 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>) -> InFlight {
     }
 }
 
-/// Fold the flight recorder's loss count into the registry as the
-/// monotone `serve.events.dropped` counter, so metrics dumps (and the
-/// router's cluster rollup, which sums them) surface ring overwrites.
-fn sync_events_dropped(ctx: &Arc<Ctx>) {
-    let dropped = madpipe_obs::flight::dropped();
-    let seen = ctx.registry.counter("serve.events.dropped");
-    if dropped > seen {
-        ctx.registry.add("serve.events.dropped", dropped - seen);
+/// Fold the counts kept outside the registry into its monotone
+/// counters: the flight recorder's loss count as `serve.events.dropped`,
+/// so metrics dumps (and the router's cluster rollup, which sums them)
+/// surface ring overwrites, and the reactor's system calls as
+/// `serve.reactor.*`.
+fn sync_counters(ctx: &Arc<Ctx>, calls: &Syscalls) {
+    for (name, count) in [
+        ("serve.events.dropped", madpipe_obs::flight::dropped()),
+        ("serve.reactor.polls", calls.polls),
+        ("serve.reactor.accepts", calls.accepts),
+        ("serve.reactor.reads", calls.reads),
+        ("serve.reactor.writes", calls.writes),
+    ] {
+        let seen = ctx.registry.counter(name);
+        if count > seen {
+            ctx.registry.add(name, count - seen);
+        }
     }
 }
 
@@ -556,7 +647,7 @@ fn submit_plan(
     trace: u64,
     span: u64,
 ) -> PlanWait {
-    if let Some(plan) = ctx.cache.get(&req.canonical) {
+    if let Some(plan) = ctx.cache.lookup(&req.canonical) {
         ctx.registry.inc("serve.cache.hits");
         madpipe_obs::flight::record_instant(
             "serve.cache.hit",
@@ -631,10 +722,46 @@ fn poll_wait(w: &mut PlanWait, ctx: &Arc<Ctx>) -> bool {
     true
 }
 
-fn outcome_response(outcome: &PlanOutcome) -> String {
-    match outcome {
-        Ok((plan, cached)) => plan_response(plan, *cached),
-        Err(err) => error_response(err),
+/// Advance a slot's waits without blocking; true once it can be answered.
+fn slot_done(slot: &mut Slot, ctx: &Arc<Ctx>) -> bool {
+    match slot {
+        Slot::Ready(_) => true,
+        Slot::Plan(w) => poll_wait(w, ctx),
+        Slot::Replan(r) => {
+            // Poll both sides so neither stalls the other; the slot
+            // retires once both are in.
+            let base_done = poll_wait(&mut r.baseline, ctx);
+            let deg_done = poll_wait(&mut r.degraded, ctx);
+            base_done && deg_done
+        }
+    }
+}
+
+/// Append an answered slot's response line (without its newline) to
+/// `out`. A plan is written as its stored JSON, rendered nothing anew.
+fn write_response(slot: &Slot, ctx: &Arc<Ctx>, out: &mut String) {
+    match slot {
+        Slot::Ready(s) => out.push_str(s),
+        Slot::Plan(w) => match w.outcome() {
+            Ok((plan, cached)) => write_plan_response(out, &plan.json, *cached),
+            Err(err) => out.push_str(&error_response(err)),
+        },
+        Slot::Replan(r) => match (r.baseline.outcome(), r.degraded.outcome()) {
+            (Ok((base, base_cached)), Ok((deg, deg_cached))) => {
+                ctx.registry.inc("replan.completed");
+                out.push_str(&replan_response(
+                    &r.fault,
+                    &r.degraded_platform,
+                    &base.value,
+                    *base_cached,
+                    &deg.value,
+                    *deg_cached,
+                ));
+            }
+            // Baseline failure takes precedence, as in the sequential
+            // protocol.
+            (Err(err), _) | (Ok(_), Err(err)) => out.push_str(&error_response(err)),
+        },
     }
 }
 
@@ -642,52 +769,16 @@ fn outcome_response(outcome: &PlanOutcome) -> String {
 /// buffer — front-only, so pipelined responses keep request order. A
 /// retiring request stamps its `serve.request` span (traced or not) and
 /// the `serve.request.seconds` latency histogram; traced requests also
-/// get the `trace`/`span` echo spliced onto their response line.
+/// get the `trace`/`span` echo spliced onto their response line, which
+/// is the write buffer's tail.
 fn retire_slots(conn: &mut Conn, ctx: &Arc<Ctx>) -> bool {
     let mut progress = false;
     while let Some(front) = conn.inflight.front_mut() {
-        let response = match &mut front.slot {
-            Slot::Ready(s) => std::mem::take(s),
-            Slot::Plan(w) => {
-                if !poll_wait(w, ctx) {
-                    break;
-                }
-                let PlanWait::Done(outcome) = w else {
-                    unreachable!()
-                };
-                outcome_response(outcome)
-            }
-            Slot::Replan(r) => {
-                // Poll both sides so neither stalls the other; the slot
-                // retires once both are in.
-                let base_done = poll_wait(&mut r.baseline, ctx);
-                let deg_done = poll_wait(&mut r.degraded, ctx);
-                if !(base_done && deg_done) {
-                    break;
-                }
-                let (PlanWait::Done(base), PlanWait::Done(deg)) = (&r.baseline, &r.degraded) else {
-                    unreachable!()
-                };
-                match (base, deg) {
-                    (Ok((base_plan, base_cached)), Ok((deg_plan, deg_cached))) => {
-                        ctx.registry.inc("replan.completed");
-                        replan_response(
-                            &r.fault,
-                            &r.degraded_platform,
-                            base_plan,
-                            *base_cached,
-                            deg_plan,
-                            *deg_cached,
-                        )
-                    }
-                    // Baseline failure takes precedence, as in the
-                    // sequential protocol.
-                    (Err(err), _) | (Ok(_), Err(err)) => error_response(err),
-                }
-            }
-        };
+        if !slot_done(&mut front.slot, ctx) {
+            break;
+        }
         let done = conn.inflight.pop_front().expect("front just matched");
-        let mut response = response;
+        write_response(&done.slot, ctx, &mut conn.write_buf);
         ctx.registry.observe(
             "serve.request.seconds",
             done.started.elapsed().as_secs_f64(),
@@ -701,10 +792,9 @@ fn retire_slots(conn: &mut Conn, ctx: &Arc<Ctx>) -> bool {
             done.parent,
         );
         if done.echo {
-            attach_trace(&mut response, done.trace, done.span);
+            attach_trace(&mut conn.write_buf, done.trace, done.span);
         }
-        conn.write_buf.extend_from_slice(response.as_bytes());
-        conn.write_buf.push(b'\n');
+        conn.write_buf.push('\n');
         progress = true;
     }
     progress
@@ -729,19 +819,23 @@ fn abandon_inflight(conn: &mut Conn, ctx: &Arc<Ctx>) {
     }
 }
 
-fn flush_writes(conn: &mut Conn) -> bool {
+/// Write while the socket takes it, up to the first short write: then
+/// the socket's buffer is full and the rest waits for `POLLOUT`.
+fn flush_writes(conn: &mut Conn, calls: &mut Syscalls) -> bool {
     let mut progress = false;
-    while conn.write_pos < conn.write_buf.len() {
-        match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
+    while conn.writable && !conn.flushed() {
+        calls.writes += 1;
+        match (&conn.stream).write(&conn.write_buf.as_bytes()[conn.write_pos..]) {
             Ok(0) => {
                 conn.dead = true;
                 break;
             }
             Ok(n) => {
                 conn.write_pos += n;
+                conn.writable = conn.flushed();
                 progress = true;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => conn.writable = false,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
@@ -749,7 +843,7 @@ fn flush_writes(conn: &mut Conn) -> bool {
             }
         }
     }
-    if conn.write_pos == conn.write_buf.len() && conn.write_pos > 0 {
+    if conn.flushed() && conn.write_pos > 0 {
         conn.write_buf.clear();
         conn.write_pos = 0;
     }
@@ -758,62 +852,132 @@ fn flush_writes(conn: &mut Conn) -> bool {
 
 // --- parking ---------------------------------------------------------------
 
-/// Park until a socket is ready, the waker rings, or `timeout` passes.
+/// Parks the reactor in `poll(2)` and hands out what it reported.
 #[cfg(target_os = "linux")]
-fn wait_for_events(
-    listener: &TcpListener,
-    conns: &[Conn],
-    wake: &WakeRx,
-    timeout: Duration,
-    accepting: bool,
-) {
-    use std::os::unix::io::AsRawFd;
-    let mut fds: Vec<sys::PollFd> = Vec::with_capacity(conns.len() + 2);
-    fds.push(sys::PollFd {
-        fd: wake.fd,
-        events: sys::POLLIN,
-        revents: 0,
-    });
-    if accepting {
+struct Poller {
+    wake: WakeRx,
+    /// The poll set, rebuilt on every wait without reallocating.
+    fds: Vec<sys::PollFd>,
+}
+
+#[cfg(target_os = "linux")]
+impl Poller {
+    fn new(wake: WakeRx) -> Self {
+        Poller {
+            wake,
+            fds: Vec::new(),
+        }
+    }
+
+    /// Park until a socket is ready, the waker rings, or `timeout`
+    /// passes. Marks the connections `poll` reported readable or
+    /// writable, drains the waker if it rang, and returns whether the
+    /// listener has a connection waiting. A failed `poll` (`EINTR`)
+    /// reports everything ready.
+    fn wait(
+        &mut self,
+        listener: &TcpListener,
+        conns: &mut [Conn],
+        timeout: Duration,
+        accepting: bool,
+        calls: &mut Syscalls,
+    ) -> bool {
+        use std::os::unix::io::AsRawFd;
+        let fds = &mut self.fds;
+        fds.clear();
         fds.push(sys::PollFd {
-            fd: listener.as_raw_fd(),
+            fd: self.wake.fd,
             events: sys::POLLIN,
             revents: 0,
         });
-    }
-    for c in conns {
-        let mut events = 0i16;
-        if !c.read_blocked() {
-            events |= sys::POLLIN;
-        }
-        if !c.flushed() {
-            events |= sys::POLLOUT;
-        }
-        if events != 0 {
+        if accepting {
             fds.push(sys::PollFd {
-                fd: c.stream.as_raw_fd(),
-                events,
+                fd: listener.as_raw_fd(),
+                events: sys::POLLIN,
                 revents: 0,
             });
         }
+        for c in conns.iter() {
+            let events = interest(c);
+            if events != 0 {
+                fds.push(sys::PollFd {
+                    fd: c.stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
+            }
+        }
+        let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        calls.polls += 1;
+        if unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, ms) } < 0 {
+            for c in conns.iter_mut() {
+                c.readable = true;
+                c.writable = true;
+            }
+            self.wake.drain(calls);
+            return accepting;
+        }
+        if fds[0].revents != 0 {
+            self.wake.drain(calls);
+        }
+        let listener_ready = accepting && fds[1].revents != 0;
+        // The connections come in the order they were pushed, skipping
+        // the ones polled for nothing.
+        let mut next = if accepting { 2 } else { 1 };
+        for c in conns.iter_mut() {
+            if interest(c) == 0 {
+                continue;
+            }
+            let revents = fds[next].revents;
+            next += 1;
+            let failed = revents & (sys::POLLHUP | sys::POLLERR) != 0;
+            c.readable |= failed || revents & sys::POLLIN != 0;
+            c.writable |= failed || revents & sys::POLLOUT != 0;
+        }
+        listener_ready
     }
-    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-    // The next loop iteration retries every socket regardless of which
-    // fd fired, so revents (and EINTR) need no decoding here.
-    unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
-    wake.drain();
 }
 
-/// Portable fallback: bounded sleep. Wakes are observed on the next
-/// iteration, at worst `timeout` later (the callers cap it at
-/// [`PENDING_WAIT`] whenever replies are outstanding).
+/// What a connection waits for: input unless flow control holds it,
+/// output while its write buffer has bytes left.
+#[cfg(target_os = "linux")]
+fn interest(c: &Conn) -> i16 {
+    let mut events = 0;
+    if !c.read_blocked() {
+        events |= sys::POLLIN;
+    }
+    if !c.flushed() {
+        events |= sys::POLLOUT;
+    }
+    events
+}
+
+/// Portable fallback: a bounded sleep, after which everything counts as
+/// ready. Wakes are observed on the next iteration, at worst `timeout`
+/// later (the callers cap it at [`PENDING_WAIT`] whenever replies are
+/// outstanding).
 #[cfg(not(target_os = "linux"))]
-fn wait_for_events(
-    _listener: &TcpListener,
-    _conns: &[Conn],
-    _wake: &WakeRx,
-    timeout: Duration,
-    _accepting: bool,
-) {
-    std::thread::sleep(timeout.max(Duration::from_millis(1)));
+struct Poller;
+
+#[cfg(not(target_os = "linux"))]
+impl Poller {
+    fn new(_wake: WakeRx) -> Self {
+        Poller
+    }
+
+    fn wait(
+        &mut self,
+        _listener: &TcpListener,
+        conns: &mut [Conn],
+        timeout: Duration,
+        accepting: bool,
+        _calls: &mut Syscalls,
+    ) -> bool {
+        std::thread::sleep(timeout.max(Duration::from_millis(1)));
+        for c in conns.iter_mut() {
+            c.readable = true;
+            c.writable = true;
+        }
+        accepting
+    }
 }

@@ -13,7 +13,7 @@
 //!    Many requests may be pipelined on one connection; responses come
 //!    back in request order.
 //! 2. The canonical key probes the [`PlanCache`]; a hit is answered
-//!    immediately (`cached:true`).
+//!    immediately (`cached:true`) around the plan's stored JSON.
 //! 3. A miss becomes a [`Job`] on the bounded FIFO [`JobQueue`]. Every
 //!    deadline is the same timeout after parse, so arrival order is
 //!    deadline order. First, [`admit`] refuses the miss with a
@@ -27,8 +27,10 @@
 //!    while queued — and re-probes the cache, since another worker may
 //!    have planned the same instance meanwhile. On a miss it plans with
 //!    [`madpipe_plan_with_stats`], exactly as `madpipe plan` does, so
-//!    the plan is bit-identical to an offline one. Finished replies ring
-//!    the reactor's waker so the response leaves immediately.
+//!    the plan is bit-identical to an offline one, and renders it once:
+//!    the cache entry, the journal record and the response carry those
+//!    bytes. Finished replies ring the reactor's waker so the response
+//!    leaves immediately.
 //! 5. The slot waits in the connection's pipeline with the request
 //!    deadline; if the worker misses it, the client gets a `timeout`
 //!    error and the worker result (if any) still lands in the cache.
@@ -77,7 +79,7 @@ use madpipe_core::madpipe_plan_with_stats;
 use madpipe_json::Value;
 use madpipe_obs::Registry;
 
-use crate::cache::PlanCache;
+use crate::cache::{CachedPlan, PlanCache};
 use crate::protocol::{plan_to_json, PlanRequest, ServeError};
 use crate::reactor::{reactor_loop, wake_pair, Waker};
 
@@ -142,7 +144,7 @@ pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 /// How often idle loops re-check the drain flag.
 const POLL: Duration = Duration::from_millis(50);
 
-pub(crate) type PlanOutcome = Result<(Arc<Value>, bool), ServeError>;
+pub(crate) type PlanOutcome = Result<(Arc<CachedPlan>, bool), ServeError>;
 
 pub(crate) struct Job {
     pub(crate) req: Box<PlanRequest>,
@@ -314,8 +316,9 @@ impl Server {
 
         // Warm restart: replay the journal into the cache before the
         // listener goes live, so the very first request after a crash
-        // can already hit. Records are exactly as rendered, so warmed
-        // hits are byte-identical to what the dead daemon served.
+        // can already hit. Records are exactly as rendered, and `warm`
+        // renders each plan back once, so warmed hits are byte-identical
+        // to what the dead daemon served.
         let journal = match &cfg.journal {
             Some(path) => {
                 let j = crate::journal::Journal::open(path)?;
@@ -424,7 +427,12 @@ impl Server {
         // cache-full, not one append-history-full.
         if let Some(j) = &self.ctx.journal {
             let live = self.ctx.cache.entries();
-            if j.compact(&live).is_ok() {
+            if j.compact(
+                live.iter()
+                    .map(|(key, plan)| (key.as_str(), plan.json.as_str())),
+            )
+            .is_ok()
+            {
                 self.ctx.registry.inc("serve.journal.compactions");
             }
         }
@@ -651,7 +659,7 @@ fn serve_job(ctx: &Arc<Ctx>, job: Job) {
     let worker_t0 = Instant::now();
     let worker_ts = madpipe_obs::now_unix_us();
     let worker_span = madpipe_obs::fresh_id();
-    let outcome: PlanOutcome = match ctx.cache.get(&canonical) {
+    let outcome: PlanOutcome = match ctx.cache.lookup(&canonical) {
         Some(plan) => Ok((plan, true)),
         None => {
             let t0 = Instant::now();
@@ -720,15 +728,17 @@ fn serve_job(ctx: &Arc<Ctx>, job: Job) {
             ctx.registry.inc("serve.plans");
             match result {
                 Ok(plan) => {
-                    let rendered = Arc::new(plan_to_json(&plan));
-                    let evicted = ctx.cache.insert(canonical.clone(), Arc::clone(&rendered));
+                    let rendered = Arc::new(CachedPlan::new(Arc::new(plan_to_json(&plan))));
+                    let evicted = ctx
+                        .cache
+                        .insert_rendered(canonical.clone(), Arc::clone(&rendered));
                     ctx.registry.add("serve.cache.evictions", evicted);
                     // Durability: the journal gets the plan exactly as
                     // rendered, so replay warms byte-identical responses.
                     // A failed append degrades recovery, never this
                     // response.
                     if let Some(j) = &ctx.journal {
-                        match j.append(&canonical, &rendered) {
+                        match j.append(&canonical, &rendered.json) {
                             Ok(()) => ctx.registry.inc("serve.journal.appended"),
                             Err(_) => ctx.registry.inc("serve.journal.errors"),
                         }

@@ -352,3 +352,38 @@ fn an_uncached_daemon_plans_every_repeat_afresh_to_the_offline_bytes() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn a_thousand_hits_in_one_payload_pass_flow_control_in_order() {
+    // 1,000 hit lines written as one payload: far past MAX_INFLIGHT (256)
+    // and many 16 KiB reads, so the reactor must stop reading at the
+    // in-flight bound, resume as slots retire, and parse lines that
+    // straddle its reads. Every answer is the cached plan's bytes.
+    let server = start_server();
+    let (chain, platform) = instance(11);
+    let line = format!("{}\n", plan_line(&chain, &platform));
+    let offline = madpipe_plan(&chain, &platform, &PlannerConfig::default()).expect("offline");
+    let expected = plan_response(&plan_to_json(&offline), true);
+
+    let (mut stream, mut reader) = connect(server.local_addr());
+    stream.write_all(line.as_bytes()).unwrap();
+    assert_eq!(
+        read_json(&mut reader).field("cached").unwrap(),
+        &Value::Bool(false)
+    );
+
+    const HITS: usize = 1_000;
+    let payload = line.repeat(HITS);
+    assert!(payload.len() > 32 * 1024, "the payload spans many reads");
+    let writer = std::thread::spawn(move || stream.write_all(payload.as_bytes()).unwrap());
+    for i in 0..HITS {
+        let mut l = String::new();
+        reader.read_line(&mut l).expect("read response");
+        assert_eq!(l.trim_end(), expected, "pipelined hit {i}");
+    }
+    writer.join().unwrap();
+    assert_eq!(server.registry().counter("serve.cache.hits"), HITS as u64);
+
+    server.shutdown();
+    server.join();
+}
