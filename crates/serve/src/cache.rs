@@ -12,17 +12,17 @@
 //!
 //! An entry is a [`CachedPlan`]: the plan's tree and its compact JSON,
 //! rendered once where the plan is made (the worker that planned it, or
-//! journal replay's [`PlanCache::warm`]). A hit's response, the journal
-//! record and the byte budget all use that text, so a hit renders
-//! nothing.
+//! journal replay's [`PlanCache::warm`]). A hit's response and the
+//! journal record use that text, so a hit renders nothing.
 //!
 //! Besides the entry-count bound the cache can carry a *byte* budget
 //! ([`PlanCache::with_byte_budget`]): each entry is charged its key
-//! length plus its stored text, eviction frees however many entries it
-//! takes to fit a newcomer, and a single plan too large to ever fit its
-//! shard is refused outright — caching it would evict an entire shard
-//! and still blow the budget, so the cache stays unchanged and the plan
-//! is simply served uncached.
+//! length, its stored text and an estimate of its tree's in-memory size
+//! (both stay resident), eviction frees however many entries it takes to
+//! fit a newcomer, and a single plan too large to ever fit its shard is
+//! refused outright — caching it would evict an entire shard and still
+//! blow the budget, so the cache stays unchanged and the plan is simply
+//! served uncached.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -36,15 +36,15 @@ const SHARDS: usize = 8;
 /// A finished plan as the cache keeps it: the tree, and its compact
 /// JSON rendered once.
 #[derive(Debug)]
-pub struct CachedPlan {
-    pub value: Arc<Value>,
+pub(crate) struct CachedPlan {
+    pub(crate) value: Arc<Value>,
     /// `value.to_string_compact()`.
-    pub json: String,
+    pub(crate) json: String,
 }
 
 impl CachedPlan {
     /// Render `value` once.
-    pub fn new(value: Arc<Value>) -> Self {
+    pub(crate) fn new(value: Arc<Value>) -> Self {
         let json = value.to_string_compact();
         Self { value, json }
     }
@@ -72,6 +72,25 @@ pub struct PlanCache {
     per_shard: usize,
     /// Per-shard byte budget; 0 means unbudgeted (entry count only).
     per_shard_bytes: usize,
+}
+
+/// Estimate a plan's in-memory footprint: string payloads plus a flat
+/// per-node charge for the enum/container overhead. Deliberately cheap
+/// (no rendering) and deliberately an estimate — the budget bounds
+/// memory to within a small constant factor, it is not an allocator.
+pub fn approx_plan_bytes(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::Bool(_) => 8,
+        Value::UInt(_) | Value::Int(_) | Value::Float(_) => 24,
+        Value::Str(s) => 24 + s.len(),
+        Value::Array(items) => 24 + items.iter().map(approx_plan_bytes).sum::<usize>(),
+        Value::Object(fields) => {
+            24 + fields
+                .iter()
+                .map(|(k, v)| k.len() + 24 + approx_plan_bytes(v))
+                .sum::<usize>()
+        }
+    }
 }
 
 /// Shard locks ignore poisoning: a panicking worker may die while a
@@ -118,7 +137,7 @@ impl PlanCache {
 
     /// Look up a plan with its rendering, refreshing its recency stamp on
     /// a hit.
-    pub fn lookup(&self, key: &str) -> Option<Arc<CachedPlan>> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<Arc<CachedPlan>> {
         if self.per_shard == 0 {
             return None;
         }
@@ -138,7 +157,7 @@ impl PlanCache {
     /// evicted to make room (0 or 1 under the entry bound; possibly more
     /// under a byte budget). An entry too large for its shard's byte
     /// slice is refused — the cache stays unchanged.
-    pub fn insert_rendered(&self, key: String, plan: Arc<CachedPlan>) -> u64 {
+    pub(crate) fn insert_rendered(&self, key: String, plan: Arc<CachedPlan>) -> u64 {
         if self.per_shard == 0 {
             return 0;
         }
@@ -194,13 +213,14 @@ impl PlanCache {
         (true, evicted)
     }
 
-    /// Byte charge for an entry: its key and its stored text, or 0 when
-    /// the cache carries no budget.
+    /// Byte charge for an entry: its key, its stored text and its tree,
+    /// or 0 when the cache carries no budget (the estimate walk is
+    /// skipped entirely on the unbudgeted path).
     fn cost_of(&self, key: &str, plan: &CachedPlan) -> usize {
         if self.per_shard_bytes == 0 {
             0
         } else {
-            key.len() + plan.json.len()
+            key.len() + plan.json.len() + approx_plan_bytes(&plan.value)
         }
     }
 
@@ -236,7 +256,7 @@ impl PlanCache {
 
     /// Every cached plan across all shards, most recently touched first
     /// — what drain compaction writes to the journal.
-    pub fn entries(&self) -> Vec<(String, Arc<CachedPlan>)> {
+    pub(crate) fn entries(&self) -> Vec<(String, Arc<CachedPlan>)> {
         let mut all: Vec<(u64, String, Arc<CachedPlan>)> = Vec::new();
         for shard in &self.shards {
             let shard = lock_shard(shard);
@@ -376,25 +396,29 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_keeps_its_rendering_and_is_charged_its_key_and_text() {
+    fn an_entry_keeps_its_rendering_and_is_charged_its_key_text_and_tree() {
         let c = PlanCache::with_byte_budget(64, 8 << 10);
         let v = Arc::new(Value::Object(vec![("period".into(), Value::Float(0.5))]));
         c.insert("k".into(), Arc::clone(&v));
         let hit = c.lookup("k").unwrap();
         assert_eq!(hit.json, r#"{"period":0.5}"#);
         assert_eq!(*hit.value, *v);
-        // One shard's slice is 1 KiB: a key of 1 byte and a text of 1023
-        // bytes (a 1021-byte string and its quotes) fit, one more does not.
-        assert_eq!(c.insert("a".into(), sized_plan(1021)), 0);
+        // One shard's slice is 1 KiB. A 498-byte string plan costs a key
+        // of 1 byte, a text of 500 (the string and its quotes) and a tree
+        // of 522 (24 + 498): 1,023 bytes fit, one byte more of string
+        // (1,025) does not — the tree and the text are both charged.
+        assert_eq!(approx_plan_bytes(&sized_plan(498)), 522);
+        assert_eq!(c.insert("a".into(), sized_plan(498)), 0);
         assert!(c.get("a").is_some());
-        c.insert("b".into(), sized_plan(1022));
+        c.insert("b".into(), sized_plan(499));
         assert!(c.get("b").is_none(), "1025 bytes exceed a 1 KiB slice");
     }
 
     #[test]
     fn byte_budget_evicts_as_many_entries_as_it_takes() {
-        // One shard's slice is 1 KiB; three ~300 B same-shard entries
-        // fit, then a ~900 B newcomer must evict more than one of them.
+        // One shard's slice is 1 KiB; three ~330 B same-shard entries
+        // (a 150-byte string, charged as text and as tree) fit, then a
+        // ~930 B newcomer must evict more than one of them.
         let c = PlanCache::with_byte_budget(64, 8 << 10);
         let mut same: Vec<String> = Vec::new();
         let mut i = 0;
@@ -406,23 +430,24 @@ mod tests {
             i += 1;
         }
         for k in &same[..3] {
-            assert_eq!(c.insert(k.clone(), sized_plan(300)), 0);
+            assert_eq!(c.insert(k.clone(), sized_plan(150)), 0);
         }
         assert_eq!(c.len(), 3);
-        let evicted = c.insert(same[3].clone(), sized_plan(900));
+        let evicted = c.insert(same[3].clone(), sized_plan(450));
         assert!(evicted >= 2, "expected a multi-eviction, got {evicted}");
         assert!(c.get(&same[3]).is_some());
     }
 
     #[test]
     fn replacing_a_key_under_budget_reaccounts_its_bytes() {
+        // A 400-byte string plan is charged ~830 B of a 1 KiB slice.
         let c = PlanCache::with_byte_budget(64, 8 << 10);
-        c.insert("k".into(), sized_plan(800));
+        c.insert("k".into(), sized_plan(400));
         // Shrink it, then grow it back: neither replace may evict the
         // entry itself or misaccount the shard's byte sum (which a
         // follow-up same-shard insert would expose as a bogus eviction).
-        assert_eq!(c.insert("k".into(), sized_plan(100)), 0);
-        assert_eq!(c.insert("k".into(), sized_plan(800)), 0);
+        assert_eq!(c.insert("k".into(), sized_plan(50)), 0);
+        assert_eq!(c.insert("k".into(), sized_plan(400)), 0);
         assert!(c.get("k").is_some());
     }
 

@@ -47,7 +47,7 @@ pub mod reactor;
 pub mod router;
 pub mod server;
 
-pub use cache::{CachedPlan, PlanCache};
+pub use cache::PlanCache;
 pub use journal::{Journal, ReplayStats};
 pub use protocol::{
     attach_trace, canonical_instance, inject_context, parse_line, parse_request, plan_to_json,

@@ -12,13 +12,20 @@
 //! one would find something. It calls `accept` when the listener was
 //! readable (or its backoff window has just ended), reads a connection
 //! when it was readable (`POLLIN`, `POLLHUP` or `POLLERR`) or newly
-//! accepted and stops at the first short read, writes a connection until
-//! a short write and then waits for `POLLOUT`, and drains the waker only
-//! when it rang. `poll` is level-triggered, so whatever is left unread is
-//! reported again by the next call and nothing stalls. A failed `poll`
-//! (`EINTR`) and the sleep fallback report everything ready. A
-//! sequential cache hit thus costs three calls: the `poll` that reports
-//! its line, the `read` of it and the `write` of the answer. The reactor
+//! accepted — one chunk per pass, until a read comes up short — writes a
+//! connection until a short write and then waits for `POLLOUT`, and
+//! drains the waker only when it rang. `poll` is level-triggered, so
+//! whatever is left unread is reported again by the next call and
+//! nothing stalls. A failed `poll` (`EINTR`) and the sleep fallback
+//! report everything ready. The loop parks in `poll` after a pass that
+//! did nothing; after one that did something it runs the next pass at
+//! once, and when that pass has work no event will announce (a read that
+//! filled its chunk, lines left waiting for in-flight room) it first
+//! polls with a zero timeout, so the other sockets and the listener are
+//! looked at between any two passes and one client streaming input
+//! cannot shut them out. A sequential cache hit thus costs three calls:
+//! the `poll` that reports its line, the short `read` of it and the
+//! `write` of the answer. The reactor
 //! counts its calls by kind in plain fields of its thread and folds them
 //! into the registry as `serve.reactor.{polls,accepts,reads,writes}`
 //! (a waker drain counts as a read) whenever a `metrics` or `health`
@@ -297,6 +304,9 @@ struct Conn {
     /// `poll` reported input (or the connection is new) and no read has
     /// come up short since.
     readable: bool,
+    /// The last [`extract_lines`] stopped at [`MAX_INFLIGHT`] with a
+    /// complete line still in `read_buf`.
+    lines_waiting: bool,
     /// No write has come up short since `poll` last reported `POLLOUT`.
     writable: bool,
     /// Skipping the rest of an already-rejected oversized line.
@@ -314,6 +324,7 @@ impl Conn {
             write_pos: 0,
             inflight: VecDeque::new(),
             readable: true,
+            lines_waiting: false,
             writable: true,
             discarding: false,
             peer_eof: false,
@@ -328,6 +339,14 @@ impl Conn {
     /// Reading is pointless: EOF seen, or flow control says wait.
     fn read_blocked(&self) -> bool {
         self.peer_eof || self.inflight.len() >= MAX_INFLIGHT || self.read_buf.len() > MAX_LINE_BYTES
+    }
+
+    /// The next pass has work here that no event will announce: input
+    /// left in the socket, or complete lines left for in-flight room that
+    /// retiring has since made.
+    fn busy(&self) -> bool {
+        (self.readable && !self.read_blocked())
+            || (self.lines_waiting && self.inflight.len() < MAX_INFLIGHT)
     }
 
     /// Nothing left this connection can ever do.
@@ -396,7 +415,13 @@ pub(crate) fn reactor_loop(
         if draining && conns.is_empty() {
             break;
         }
-        if !progress {
+        // Park after a pass that did nothing. After one that did
+        // something the next pass runs at once, but when it will work on
+        // without an event (a socket that filled its read, lines waiting
+        // for room), poll without waiting first: what arrived on the
+        // other sockets and the listener meanwhile gets its turn.
+        let busy = conns.iter().any(Conn::busy);
+        if !progress || busy {
             let pending = conns.iter().any(|c| !c.inflight.is_empty());
             let mut timeout = if pending { PENDING_WAIT } else { IDLE_WAIT };
             if let Some(t) = retry_at {
@@ -404,8 +429,11 @@ pub(crate) fn reactor_loop(
                     .min(t.saturating_duration_since(Instant::now()))
                     .max(Duration::from_millis(1));
             }
+            if busy {
+                timeout = Duration::ZERO;
+            }
             let accepting = !draining && retry_at.is_none();
-            listener_ready = poller.wait(&listener, &mut conns, timeout, accepting, &mut calls);
+            listener_ready |= poller.wait(&listener, &mut conns, timeout, accepting, &mut calls);
         }
     }
     jobs.close();
@@ -464,41 +492,38 @@ fn accept_burst(
     progress
 }
 
-/// Read while `poll` reported input and flow control allows, up to the
-/// first short read: a read that does not fill `chunk` emptied the socket.
+/// Read one chunk if `poll` reported input and flow control allows. A
+/// read that does not fill `chunk` emptied the socket; one that fills it
+/// leaves `readable` set, and the next pass reads on once every other
+/// connection has had its turn.
 fn read_some(conn: &mut Conn, chunk: &mut [u8], calls: &mut Syscalls) -> bool {
-    let mut progress = false;
-    while conn.readable && !conn.read_blocked() {
-        calls.reads += 1;
-        match (&conn.stream).read(chunk) {
-            Ok(0) => {
-                conn.peer_eof = true;
-                break;
-            }
-            Ok(n) => {
-                progress = true;
-                conn.readable = n == chunk.len();
-                let mut data = &chunk[..n];
-                if conn.discarding {
-                    match data.iter().position(|b| *b == b'\n') {
-                        Some(pos) => {
-                            conn.discarding = false;
-                            data = &data[pos + 1..];
-                        }
-                        None => continue,
-                    }
-                }
-                conn.read_buf.extend_from_slice(data);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
+    if !conn.readable || conn.read_blocked() {
+        return false;
     }
-    progress
+    calls.reads += 1;
+    match (&conn.stream).read(chunk) {
+        Ok(0) => conn.peer_eof = true,
+        Ok(n) => {
+            conn.readable = n == chunk.len();
+            let mut data = &chunk[..n];
+            if conn.discarding {
+                match data.iter().position(|b| *b == b'\n') {
+                    Some(pos) => {
+                        conn.discarding = false;
+                        data = &data[pos + 1..];
+                    }
+                    None => data = &[],
+                }
+            }
+            conn.read_buf.extend_from_slice(data);
+            return true;
+        }
+        Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
+        // `readable` stays set: the next pass reads again.
+        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+        Err(_) => conn.dead = true,
+    }
+    false
 }
 
 /// Turn buffered complete lines into in-flight slots, and reject an
@@ -508,11 +533,16 @@ fn read_some(conn: &mut Conn, chunk: &mut [u8], calls: &mut Syscalls) -> bool {
 fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<JobQueue>, calls: &Syscalls) -> bool {
     let mut progress = false;
     let mut start = 0;
-    while conn.inflight.len() < MAX_INFLIGHT {
+    loop {
         let rest = &conn.read_buf[start..];
         let Some(pos) = rest.iter().position(|b| *b == b'\n') else {
+            conn.lines_waiting = false;
             break;
         };
+        if conn.inflight.len() >= MAX_INFLIGHT {
+            conn.lines_waiting = true;
+            break;
+        }
         start += pos + 1;
         if pos > MAX_LINE_BYTES {
             conn.inflight
@@ -952,10 +982,10 @@ fn interest(c: &Conn) -> i16 {
     events
 }
 
-/// Portable fallback: a bounded sleep, after which everything counts as
-/// ready. Wakes are observed on the next iteration, at worst `timeout`
-/// later (the callers cap it at [`PENDING_WAIT`] whenever replies are
-/// outstanding).
+/// Portable fallback: a bounded sleep (none for a zero timeout), after
+/// which everything counts as ready. Wakes are observed on the next
+/// iteration, at worst `timeout` later (the callers cap it at
+/// [`PENDING_WAIT`] whenever replies are outstanding).
 #[cfg(not(target_os = "linux"))]
 struct Poller;
 
@@ -973,7 +1003,9 @@ impl Poller {
         accepting: bool,
         _calls: &mut Syscalls,
     ) -> bool {
-        std::thread::sleep(timeout.max(Duration::from_millis(1)));
+        if !timeout.is_zero() {
+            std::thread::sleep(timeout);
+        }
         for c in conns.iter_mut() {
             c.readable = true;
             c.writable = true;

@@ -4,10 +4,11 @@
 //! line in the middle of a pipeline — in every case responses come back
 //! complete, in request order, on a connection that survives. Repeats of
 //! one instance on an uncached daemon are each planned afresh, to the
-//! offline plan's bytes.
+//! offline plan's bytes. A client that keeps its socket full does not
+//! shut out the daemon's other connections, or new ones.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use madpipe_core::{madpipe_plan, PlannerConfig};
@@ -384,6 +385,87 @@ fn a_thousand_hits_in_one_payload_pass_flow_control_in_order() {
     writer.join().unwrap();
     assert_eq!(server.registry().counter("serve.cache.hits"), HITS as u64);
 
+    server.shutdown();
+    server.join();
+}
+
+/// The daemon's counters as of this `metrics` request, as
+/// `(serve.requests, serve.reactor.polls)`.
+fn counted(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> (u64, u64) {
+    stream.write_all(b"{\"cmd\":\"metrics\"}\n").unwrap();
+    let v = read_json(reader);
+    let text = v.field("metrics").unwrap().as_str().unwrap();
+    let counter = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{name} in the metrics"))
+    };
+    (
+        counter("madpipe_serve_requests"),
+        counter("madpipe_serve_reactor_polls"),
+    )
+}
+
+#[test]
+fn a_connection_streaming_a_backlog_does_not_shut_out_the_others() {
+    // One connection streams 1.25 MiB of junk lines in one write (each is
+    // answered `malformed`; a reader thread drains the answers). A pass
+    // works through at most MAX_INFLIGHT (256) lines of a connection, far
+    // fewer than the 2,048 one 16 KiB read of 8-byte lines brings in, so
+    // the daemon works off a backlog for hundreds of passes. An idle connection and a new
+    // one ask for `metrics` while it does: both must be served before the
+    // backlog is gone, and the reactor must have polled the other sockets
+    // between its passes, at least once per two passes' worth of lines.
+    // A reactor that polls only after a pass that did nothing reads no
+    // other socket, and accepts nothing, until the backlog is answered or
+    // a read comes up short.
+    const LINE: &str = "xxxxxxx\n";
+    const LINES: u64 = 5 << 15; // 1.25 MiB
+    const MAX_INFLIGHT: u64 = madpipe_serve::reactor::MAX_INFLIGHT as u64;
+    let server = start_server();
+    let addr = server.local_addr();
+    let answers_within = |stream: &TcpStream| {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+    };
+    let (mut idle, mut idle_reader) = connect(addr);
+    answers_within(&idle);
+    let (before, polls_before) = counted(&mut idle, &mut idle_reader); // accepted, then quiet
+
+    let (mut stream, mut answers) = connect(addr);
+    let drainer = std::thread::spawn(move || {
+        let mut sink = Vec::new();
+        answers.read_to_end(&mut sink).map(|_| sink)
+    });
+    stream
+        .write_all(LINE.repeat(LINES as usize).as_bytes())
+        .unwrap();
+
+    let (seen, _) = counted(&mut idle, &mut idle_reader);
+    assert!(
+        seen < before + LINES,
+        "the idle connection was served only after the backlog: {seen} requests"
+    );
+    let (mut fresh, mut fresh_reader) = connect(addr);
+    answers_within(&fresh);
+    let (seen, _) = counted(&mut fresh, &mut fresh_reader);
+    assert!(
+        seen < before + LINES,
+        "the new connection was served only after the backlog: {seen} requests"
+    );
+
+    stream.shutdown(Shutdown::Write).unwrap();
+    let answers = drainer.join().unwrap().expect("drain the junk answers");
+    let malformed = answers.split(|b| *b == b'\n').filter(|l| !l.is_empty());
+    assert_eq!(malformed.count() as u64, LINES, "every junk line answered");
+    let (_, polls) = counted(&mut idle, &mut idle_reader);
+    assert!(
+        polls - polls_before >= LINES / MAX_INFLIGHT / 2,
+        "{} polls while {LINES} lines were worked off",
+        polls - polls_before
+    );
     server.shutdown();
     server.join();
 }
