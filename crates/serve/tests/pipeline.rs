@@ -413,13 +413,13 @@ fn a_connection_streaming_a_backlog_does_not_shut_out_the_others() {
     // answered `malformed`; a reader thread drains the answers). A pass
     // works through at most MAX_INFLIGHT (256) lines of a connection, far
     // fewer than the 2,048 one 16 KiB read of 8-byte lines brings in, so
-    // the daemon works off a backlog for hundreds of passes. An idle connection and a new
-    // one ask for `metrics` while it does: both must be served before the
-    // backlog is gone, and the reactor must have polled the other sockets
-    // between its passes, at least once per two passes' worth of lines.
-    // A reactor that polls only after a pass that did nothing reads no
-    // other socket, and accepts nothing, until the backlog is answered or
-    // a read comes up short.
+    // the daemon works off a backlog for hundreds of passes. An idle
+    // connection and a new one ask for `metrics` while it does: both must
+    // be served before the backlog is gone, and the reactor must have
+    // polled the other sockets between its passes, at least once per two
+    // passes' worth of lines. A reactor that polls only after a pass that
+    // did nothing reads no other socket, and accepts nothing, until the
+    // backlog is answered or a read comes up short.
     const LINE: &str = "xxxxxxx\n";
     const LINES: u64 = 5 << 15; // 1.25 MiB
     const MAX_INFLIGHT: u64 = madpipe_serve::reactor::MAX_INFLIGHT as u64;
@@ -458,8 +458,8 @@ fn a_connection_streaming_a_backlog_does_not_shut_out_the_others() {
 
     stream.shutdown(Shutdown::Write).unwrap();
     let answers = drainer.join().unwrap().expect("drain the junk answers");
-    let malformed = answers.split(|b| *b == b'\n').filter(|l| !l.is_empty());
-    assert_eq!(malformed.count() as u64, LINES, "every junk line answered");
+    let answered = answers.split(|b| *b == b'\n').filter(|l| !l.is_empty());
+    assert_eq!(answered.count() as u64, LINES, "every junk line answered");
     let (_, polls) = counted(&mut idle, &mut idle_reader);
     assert!(
         polls - polls_before >= LINES / MAX_INFLIGHT / 2,
